@@ -12,13 +12,12 @@
 //!
 //! The recorder also runs a **closed-loop serving sweep**: 32 client
 //! threads submit single queries through the `femcam-serve`
-//! micro-batching dispatcher over the same memory geometry, recording
-//! achieved batch size, wall-clock µs/query, and wait percentiles
-//! under the `serving` key — and a **sharded closed-loop sweep**
-//! (`serving_sharded` key): the same clients through a
-//! `ShardedServer` at 1/2/4 shards, recording per-shard-count
-//! achieved batch and µs/query plus the ratio against the
-//! single-dispatcher baseline.
+//! micro-batching front end (a one-shard `ShardedServer`) over the
+//! same memory geometry, recording achieved batch size, wall-clock
+//! µs/query, and wait percentiles under the `serving` key — and a
+//! **sharded closed-loop sweep** (`serving_sharded` key): the same
+//! clients through a `ShardedServer` at 1/2/4 shards, recording
+//! per-shard-count achieved batch and µs/query.
 //!
 //! A **metric-mode sweep** (`metric_modes` key) measures the
 //! runtime-reconfigurable distance semantics at the packed-code
@@ -48,11 +47,9 @@
 //! kernel at least 1.5× over f32, codes plan memory at least 16×
 //! below the f64 planes on the sweep geometry, for the serving
 //! sweep an achieved batch of at least 8 with µs/query within 2× of
-//! the offline batch-64 number at the same precision, for the
-//! sharded sweep a fan-out/merge overhead bound: one-shard sharded
-//! µs/query within 1.25× of the single-dispatcher number, and for
-//! the routing sweep at least 2× routed throughput over the full
-//! sweep at ≥ 0.95 top-1 recall.
+//! the offline batch-64 number at the same precision, and for the
+//! routing sweep at least 2× routed throughput over the full sweep at
+//! ≥ 0.95 top-1 recall.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,7 +67,7 @@ use femcam_core::{
 };
 use femcam_device::FefetModel;
 use femcam_lsh::RandomHyperplanes;
-use femcam_serve::{McamServer, ServeConfig, ServingHandle, ShardedServer};
+use femcam_serve::{ServeConfig, ShardedServer};
 
 const WORD_LEN: usize = 64;
 
@@ -250,10 +247,8 @@ const SERVE_CLIENTS: usize = 32;
 /// Result of one closed-loop serving measurement.
 struct ServingMeasurement {
     precision: Precision,
-    /// Dispatcher shard count (`None` = the plain single-dispatcher
-    /// `McamServer`; `Some(1)` = a `ShardedServer` with one shard,
-    /// which isolates the fan-out/merge overhead).
-    shards: Option<usize>,
+    /// Dispatcher shard count.
+    shards: usize,
     queries: u64,
     us_per_query: f64,
     achieved_batch_mean: f64,
@@ -263,11 +258,11 @@ struct ServingMeasurement {
     exec_us_per_query: f64,
 }
 
-/// Drives `SERVE_CLIENTS` closed-loop client threads against a
-/// micro-batching front end (single-dispatcher or sharded) over the
-/// sweep memory for one sampling window and reports achieved batch
-/// size and per-query wall time.
-fn measure_serving(precision: Precision, shards: Option<usize>) -> ServingMeasurement {
+/// Drives `SERVE_CLIENTS` closed-loop client threads against the
+/// micro-batching front end at `shards` shards over the sweep memory
+/// for one sampling window and reports achieved batch size and
+/// per-query wall time.
+fn measure_serving(precision: Precision, shards: usize) -> ServingMeasurement {
     let (banked, _) = sweep_memory(11);
     // max_batch == client count: the window closes as soon as every
     // client has resubmitted, so a full complement of closed-loop
@@ -278,18 +273,8 @@ fn measure_serving(precision: Precision, shards: Option<usize>) -> ServingMeasur
         precision,
         ..ServeConfig::default()
     };
-    enum Server {
-        Single(McamServer),
-        Sharded(ShardedServer),
-    }
-    let server = match shards {
-        None => Server::Single(McamServer::start(banked, config)),
-        Some(n) => Server::Sharded(ShardedServer::start(banked, n, config)),
-    };
-    let handle = match &server {
-        Server::Single(s) => ServingHandle::Single(s.handle()),
-        Server::Sharded(s) => ServingHandle::Sharded(s.handle()),
-    };
+    let server = ShardedServer::start(banked, shards, config);
+    let handle = server.handle();
     let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
     let clients: Vec<_> = (0..SERVE_CLIENTS)
@@ -314,10 +299,7 @@ fn measure_serving(precision: Precision, shards: Option<usize>) -> ServingMeasur
     stop.store(true, Ordering::Relaxed);
     let queries: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
     let elapsed = started.elapsed();
-    let stats = match &server {
-        Server::Single(s) => s.stats(),
-        Server::Sharded(s) => s.stats().merged(),
-    };
+    let stats = server.stats().merged();
     drop(server);
     ServingMeasurement {
         precision,
@@ -948,14 +930,14 @@ fn record_search_baseline(_c: &mut Criterion) {
         .fold(0.0f64, f64::max);
 
     // Closed-loop serving sweep: single-query submissions through the
-    // femcam-serve micro-batcher over the same memory geometry, at the
+    // one-shard femcam-serve front end over the same memory geometry, at the
     // fast execution modes. The contract ties online throughput to the
     // offline batch kernel: achieved batch >= 8, and wall-clock
     // µs/query within 2x of the offline batch-64 number at the same
     // precision.
     let serving: Vec<ServingMeasurement> = [Precision::F32, Precision::Codes]
         .into_iter()
-        .map(|p| measure_serving(p, None))
+        .map(|p| measure_serving(p, 1))
         .collect();
     let serving_lines: Vec<String> = serving
         .iter()
@@ -986,17 +968,10 @@ fn record_search_baseline(_c: &mut Criterion) {
 
     // Sharded closed-loop sweep: the same closed-loop clients through
     // a ShardedServer at increasing shard counts (codes precision —
-    // the serving mode). shards=1 isolates the pure fan-out/merge
-    // overhead against the single-dispatcher baseline; the strict-mode
-    // contract bounds it at 1.25x us/query.
-    let single_codes_us = serving
-        .iter()
-        .find(|m| m.precision == Precision::Codes)
-        .expect("codes serving measurement")
-        .us_per_query;
+    // the serving mode).
     let sharded: Vec<ServingMeasurement> = [1usize, 2, 4]
         .into_iter()
-        .map(|n| measure_serving(Precision::Codes, Some(n)))
+        .map(|n| measure_serving(Precision::Codes, n))
         .collect();
     let sharded_lines: Vec<String> = sharded
         .iter()
@@ -1006,10 +981,9 @@ fn record_search_baseline(_c: &mut Criterion) {
                  \"clients\": {SERVE_CLIENTS}, \"queries\": {}, \
                  \"us_per_query\": {:.1}, \"queries_per_s\": {:.1}, \
                  \"achieved_batch_mean\": {:.1}, \"achieved_batch_max\": {}, \
-                 \"p50_wait_us\": {:.0}, \"p99_wait_us\": {:.0}, \
-                 \"ratio_vs_single_dispatcher\": {:.2}}}",
+                 \"p50_wait_us\": {:.0}, \"p99_wait_us\": {:.0}}}",
                 m.precision.name(),
-                m.shards.expect("sharded measurement"),
+                m.shards,
                 m.queries,
                 m.us_per_query,
                 1e6 / m.us_per_query,
@@ -1017,7 +991,6 @@ fn record_search_baseline(_c: &mut Criterion) {
                 m.achieved_batch_max,
                 m.p50_wait_us,
                 m.p99_wait_us,
-                m.us_per_query / single_codes_us,
             )
         })
         .collect();
@@ -1169,13 +1142,11 @@ fn record_search_baseline(_c: &mut Criterion) {
     }
     for m in &sharded {
         println!(
-            "sharded serving ({}, {} shards): {:.1} us/query wall \
-             ({:.2}x single-dispatcher), achieved batch {:.1} (max {}), \
-             wait p50 {:.0} us / p99 {:.0} us",
+            "sharded serving ({}, {} shards): {:.1} us/query wall, \
+             achieved batch {:.1} (max {}), wait p50 {:.0} us / p99 {:.0} us",
             m.precision.name(),
-            m.shards.expect("sharded"),
+            m.shards,
             m.us_per_query,
-            m.us_per_query / single_codes_us,
             m.achieved_batch_mean,
             m.achieved_batch_max,
             m.p50_wait_us,
@@ -1313,23 +1284,6 @@ fn record_search_baseline(_c: &mut Criterion) {
                 path.display()
             );
         }
-        // Sharded-serving contract: at one shard the ShardedServer
-        // runs the exact single-dispatcher pipeline plus the fan-out
-        // submit and the (trivial, one-part) merge — that overhead
-        // must stay within 25% of the single-dispatcher wall cost, or
-        // the front end is taxing every deployment that shards.
-        let one_shard = sharded
-            .iter()
-            .find(|m| m.shards == Some(1))
-            .expect("one-shard measurement");
-        assert!(
-            one_shard.us_per_query <= 1.25 * single_codes_us,
-            "sharded front end at 1 shard costs {:.1} us/query vs \
-             {single_codes_us:.1} us single-dispatcher — fan-out/merge \
-             overhead above the 1.25x contract (see {})",
-            one_shard.us_per_query,
-            path.display()
-        );
         // Two-stage routing contract: on the clustered workload the
         // router must buy at least 2x throughput over the full sweep
         // while keeping top-1 recall at 0.95 or better.

@@ -56,8 +56,8 @@ pub mod prelude {
     pub use femcam_nn::model::{mann_cnn, Sequential};
     pub use femcam_nn::optim::Sgd;
     pub use femcam_serve::{
-        Coverage, Covered, DegradedPolicy, McamServer, MemoryReport, ServeConfig, ServeError,
-        ServeHandle, ServeStats, ServedNn, ServingHandle, ServingTicket, ShardHealth, ShardTicket,
-        ShardTopKTicket, ShardedHandle, ShardedServer, ShardedStats, Ticket, TopKTicket,
+        Coverage, Covered, DegradedPolicy, MemoryReport, ServeConfig, ServeError, ServeStats,
+        ServedNn, ShardHealth, ShardTicket, ShardTopKTicket, ShardedHandle, ShardedServer,
+        ShardedStats,
     };
 }

@@ -11,7 +11,7 @@
 //! | FL002 | `raw_sync`            | no raw `std::sync` locks outside the sync wrapper |
 //! | FL003 | `ordering_comment`    | every atomic `Ordering::*` carries `ORDERING:`    |
 //! | FL004 | `no_panic`            | no `unwrap`/`expect`/`panic!` in serve/core code  |
-//! | FL005 | `instant_in_dispatch` | no `Instant::now()` inside the dispatcher loop    |
+//! | FL005 | `instant_in_dispatch` | `fn dispatch` exists, no `Instant::now()` in it   |
 //!
 //! The pass works on a **lexed line model**, not an AST: a hand-rolled
 //! lexer ([`lex`]) blanks string literals out of the code channel and
@@ -420,7 +420,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "FL005",
         name: "instant_in_dispatch",
-        summary: "no Instant::now() inside the dispatcher loop (use window helpers)",
+        summary: "`fn dispatch` exists and has no Instant::now() (use window helpers)",
         check: check_instant_in_dispatch,
     },
 ];
@@ -610,9 +610,11 @@ fn check_instant_in_dispatch(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     let mut depth: i64 = 0;
     let mut body_closes_at: Option<i64> = None;
     let mut pending_fn = false;
+    let mut found = false;
     for (idx, line) in ctx.lines.iter().enumerate() {
         if body_closes_at.is_none() && has_token(&line.code, "fn dispatch") {
             pending_fn = true;
+            found = true;
         }
         for c in line.code.chars() {
             match c {
@@ -645,6 +647,18 @@ fn check_instant_in_dispatch(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                     .to_owned(),
             });
         }
+    }
+    // Fail closed: a moved or renamed dispatcher must not silently
+    // switch the gate off.
+    if !found {
+        out.push(Finding {
+            rule: r.id,
+            path: ctx.path.to_owned(),
+            line: 1,
+            message: "no `fn dispatch` found; the dispatcher loop must stay in this file under \
+                      that name so the clock-free rule can check it"
+                .to_owned(),
+        });
     }
 }
 

@@ -77,6 +77,25 @@ fn fl005_instant_inside_dispatch_only() {
 }
 
 #[test]
+fn fl005_fails_closed_without_a_dispatcher() {
+    // A renamed dispatcher loop must not switch the gate off: the
+    // missing `fn dispatch` is itself the finding.
+    let findings = run(
+        "FL005",
+        "crates/serve/src/lib.rs",
+        "fl005_missing_dispatch.rs",
+    );
+    assert_eq!(lines_of(&findings), vec![1]);
+    assert!(findings[0].message.contains("no `fn dispatch`"));
+    let elsewhere = run(
+        "FL005",
+        "crates/serve/src/nn.rs",
+        "fl005_missing_dispatch.rs",
+    );
+    assert!(elsewhere.is_empty());
+}
+
+#[test]
 fn findings_render_with_path_line_and_id() {
     let findings = run("FL004", "crates/serve/src/fixture.rs", "fl004_no_panic.rs");
     let shown = findings[0].to_string();

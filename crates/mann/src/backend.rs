@@ -8,7 +8,7 @@
 use femcam_core::{BankedMcam, ConductanceLut, LevelLadder, McamArray, McamArrayBuilder};
 use femcam_core::{
     Cosine, DistanceKind, Euclidean, Linf, Manhattan, McamNn, Metric, NnIndex, Precision,
-    QuantizeStrategy, Quantizer, RoutedMcam, RouterConfig, SoftwareNn, TcamLshNn, VariationSpec,
+    QuantizeStrategy, Quantizer, SoftwareNn, TcamLshNn, VariationSpec,
 };
 use femcam_device::FefetModel;
 use femcam_serve::{ServeConfig, ServedNn};
@@ -43,15 +43,21 @@ pub enum Backend {
         metric: Metric,
     },
     /// The proposed in-MCAM search behind the async micro-batching
-    /// serving layer (`femcam_serve`): the same quantize→search
-    /// pipeline as [`Backend::Mcam`], but the episode memory is a
-    /// row-tiled [`BankedMcam`] owned by a dispatcher thread, and
-    /// every query and support-set store routes through the serving
-    /// queue. Results are bit-identical to the equivalent
-    /// [`Backend::Mcam`] at the same precision — the serving layer's
-    /// determinism contract — which makes this backend a drop-in way
-    /// to evaluate the online deployment path on the paper's
-    /// workloads.
+    /// serving front end (`femcam_serve::ShardedServer` at one shard):
+    /// the same quantize→search pipeline as [`Backend::Mcam`], but the
+    /// episode memory is a row-tiled [`BankedMcam`] owned by a
+    /// dispatcher thread, and every query and support-set store routes
+    /// through the serving queue. Results are bit-identical to the
+    /// equivalent [`Backend::Mcam`] at the same precision — the serving
+    /// layer's determinism contract — which makes this backend a
+    /// drop-in way to evaluate the online deployment path on the
+    /// paper's workloads.
+    ///
+    /// This is the one served variant: neither more shards nor an LSH
+    /// router could change an episode. Every episode memory starts
+    /// empty, so a sharded front end puts every support row on its
+    /// tail shard, and an episode's few dozen rows fit in one bank, so
+    /// a router has no other bank to skip.
     McamServed {
         /// Cell precision in bits.
         bits: u8,
@@ -61,49 +67,6 @@ pub enum Backend {
         precision: Precision,
         /// Rows per physical bank of the served memory.
         rows_per_bank: usize,
-    },
-    /// The in-MCAM search behind the **sharded** serving front end
-    /// (`femcam_serve::ShardedServer`): the episode memory is
-    /// partitioned across one micro-batching dispatcher per shard,
-    /// searches fan out and merge by the contractual
-    /// `(conductance, global_row)` order, and stores route to the
-    /// tail shard only. Results are bit-identical to
-    /// [`Backend::McamServed`] and [`Backend::Mcam`] at the same
-    /// precision — the shard-merge determinism contract.
-    McamSharded {
-        /// Cell precision in bits.
-        bits: u8,
-        /// Feature quantization strategy.
-        strategy: QuantizeStrategy,
-        /// Execution precision of the served search kernel.
-        precision: Precision,
-        /// Rows per physical bank of the served memory.
-        rows_per_bank: usize,
-        /// Number of dispatcher shards.
-        shards: usize,
-    },
-    /// Two-stage retrieval behind the serving layer: an LSH bank
-    /// router (`femcam_core::router`) in front of the compiled masked
-    /// MCAM re-rank, served through a micro-batching dispatcher
-    /// ([`femcam_serve::McamServer::start_routed`]). Unlike
-    /// [`Backend::McamServed`], results follow the routed-memory
-    /// contract: exact over the probed bank subset, approximate
-    /// overall. Episodes whose support set fits the probed buckets
-    /// (in particular anything within one bank, or exact-match
-    /// queries) answer identically to the full sweep.
-    McamRouted {
-        /// Cell precision in bits.
-        bits: u8,
-        /// Feature quantization strategy.
-        strategy: QuantizeStrategy,
-        /// Execution precision of the served re-rank kernel.
-        precision: Precision,
-        /// Rows per physical bank of the served memory.
-        rows_per_bank: usize,
-        /// LSH router configuration (signature bits, probe radius,
-        /// bank budget, plane seed). Router planes are fixed hardware,
-        /// so the seed is used as-is rather than derived per episode.
-        router: RouterConfig,
     },
     /// The TCAM+LSH baseline.
     TcamLsh {
@@ -218,7 +181,7 @@ impl Backend {
         }
     }
 
-    /// MCAM backend routed through the micro-batching serving layer
+    /// MCAM backend behind the micro-batching serving front end
     /// ([`Backend::McamServed`]) at the default `f64` (bit-identical)
     /// precision; 256 rows per bank, the benchmark sweep geometry.
     #[must_use]
@@ -228,33 +191,6 @@ impl Backend {
             strategy: QuantizeStrategy::PerFeatureQuantile,
             precision: Precision::F64,
             rows_per_bank: 256,
-        }
-    }
-
-    /// MCAM backend routed through the sharded serving front end
-    /// ([`Backend::McamSharded`]) at the default `f64` precision; 256
-    /// rows per bank, the benchmark sweep geometry.
-    #[must_use]
-    pub fn mcam_sharded(bits: u8, shards: usize) -> Self {
-        Backend::McamSharded {
-            bits,
-            strategy: QuantizeStrategy::PerFeatureQuantile,
-            precision: Precision::F64,
-            rows_per_bank: 256,
-            shards,
-        }
-    }
-
-    /// Two-stage (LSH-routed) MCAM backend at the default `f64`
-    /// precision; 256 rows per bank and the default router geometry.
-    #[must_use]
-    pub fn mcam_routed(bits: u8) -> Self {
-        Backend::McamRouted {
-            bits,
-            strategy: QuantizeStrategy::PerFeatureQuantile,
-            precision: Precision::F64,
-            rows_per_bank: 256,
-            router: RouterConfig::default(),
         }
     }
 
@@ -294,19 +230,6 @@ impl Backend {
                 bits, precision, ..
             } => {
                 format!("mcam-served-{bits}bit{}", precision.name_suffix())
-            }
-            Backend::McamSharded {
-                bits,
-                precision,
-                shards,
-                ..
-            } => {
-                format!("mcam-sharded{shards}-{bits}bit{}", precision.name_suffix())
-            }
-            Backend::McamRouted {
-                bits, precision, ..
-            } => {
-                format!("mcam-routed-{bits}bit{}", precision.name_suffix())
             }
             Backend::TcamLsh { signature_bits } => match signature_bits {
                 Some(b) => format!("tcam+lsh-{b}b"),
@@ -398,56 +321,6 @@ impl Backend {
                     ..ServeConfig::default()
                 };
                 Ok(Box::new(ServedNn::new(quantizer, memory, config)?))
-            }
-            Backend::McamSharded {
-                bits,
-                strategy,
-                precision,
-                rows_per_bank,
-                shards,
-            } => {
-                let ladder = LevelLadder::new(*bits)?;
-                let quantizer = Quantizer::fit(
-                    calibration.iter().copied(),
-                    dims,
-                    ladder.n_levels() as u16,
-                    *strategy,
-                )?;
-                let lut = ConductanceLut::from_device(model, &ladder);
-                let memory = BankedMcam::new(ladder, lut, dims, (*rows_per_bank).max(1));
-                let config = ServeConfig {
-                    precision: *precision,
-                    ..ServeConfig::default()
-                };
-                Ok(Box::new(ServedNn::new_sharded(
-                    quantizer,
-                    memory,
-                    (*shards).max(1),
-                    config,
-                )?))
-            }
-            Backend::McamRouted {
-                bits,
-                strategy,
-                precision,
-                rows_per_bank,
-                router,
-            } => {
-                let ladder = LevelLadder::new(*bits)?;
-                let quantizer = Quantizer::fit(
-                    calibration.iter().copied(),
-                    dims,
-                    ladder.n_levels() as u16,
-                    *strategy,
-                )?;
-                let lut = ConductanceLut::from_device(model, &ladder);
-                let memory = BankedMcam::new(ladder, lut, dims, (*rows_per_bank).max(1));
-                let routed = RoutedMcam::new(memory, *router)?;
-                let config = ServeConfig {
-                    precision: *precision,
-                    ..ServeConfig::default()
-                };
-                Ok(Box::new(ServedNn::new_routed(quantizer, routed, config)?))
             }
             Backend::TcamLsh { signature_bits } => {
                 let bits = signature_bits.unwrap_or(dims);
@@ -580,121 +453,52 @@ mod tests {
         let model = FefetModel::default();
         let cal = calibration_data();
         let cal_refs: Vec<&[f32]> = cal.iter().map(|r| r.as_slice()).collect();
-        let backend = Backend::mcam_served(3);
-        assert_eq!(backend.name(), "mcam-served-3bit");
-        let mut served = backend.build_index(&cal_refs, 4, 1, &model).unwrap();
-        let mut direct = Backend::mcam(3)
-            .build_index(&cal_refs, 4, 1, &model)
-            .unwrap();
-        for idx in [&mut served, &mut direct] {
-            idx.add(&[0.0, 1.0, 0.0, 0.0], 0).unwrap();
-            idx.add(&[1.0, 0.0, 0.5, -1.0], 1).unwrap();
-            idx.add(&[0.5, 0.5, 0.25, -0.5], 2).unwrap();
-        }
-        // The serving determinism contract: routed through the
-        // dispatcher, results are bit-identical to the direct engine —
-        // indices, labels, and conductance scores.
-        let queries: Vec<Vec<f32>> = vec![
-            vec![0.95, 0.05, 0.45, -0.9],
-            vec![0.0, 0.9, 0.05, 0.0],
-            vec![0.4, 0.6, 0.2, -0.4],
-        ];
-        let refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-        let s = served.query_batch(&refs).unwrap();
-        let d = direct.query_batch(&refs).unwrap();
-        for (a, b) in s.iter().zip(&d) {
-            assert_eq!((a.index, a.label), (b.index, b.label));
-            assert_eq!(a.score, b.score, "served score drifted from direct");
-        }
-        // Precision knob surfaces in the report name.
+        assert_eq!(Backend::mcam_served(3).name(), "mcam-served-3bit");
+        // The default geometry at f64, and one row per bank in codes
+        // mode, so three support rows span three banks.
         let codes = Backend::McamServed {
             bits: 3,
             strategy: QuantizeStrategy::PerFeatureQuantile,
             precision: Precision::Codes,
-            rows_per_bank: 256,
-        };
-        assert_eq!(codes.name(), "mcam-served-3bit-codes");
-    }
-
-    #[test]
-    fn sharded_backend_matches_direct_mcam_bitwise() {
-        let model = FefetModel::default();
-        let cal = calibration_data();
-        let cal_refs: Vec<&[f32]> = cal.iter().map(|r| r.as_slice()).collect();
-        let backend = Backend::mcam_sharded(3, 2);
-        assert_eq!(backend.name(), "mcam-sharded2-3bit");
-        // Tiny rows_per_bank so three support rows actually straddle
-        // shard boundaries.
-        let backend = Backend::McamSharded {
-            bits: 3,
-            strategy: QuantizeStrategy::PerFeatureQuantile,
-            precision: Precision::Codes,
             rows_per_bank: 1,
-            shards: 2,
         };
-        assert_eq!(backend.name(), "mcam-sharded2-3bit-codes");
-        let mut sharded = backend.build_index(&cal_refs, 4, 1, &model).unwrap();
-        let mut direct = Backend::mcam_codes(3)
-            .build_index(&cal_refs, 4, 1, &model)
-            .unwrap();
-        for idx in [&mut sharded, &mut direct] {
-            idx.add(&[0.0, 1.0, 0.0, 0.0], 0).unwrap();
-            idx.add(&[1.0, 0.0, 0.5, -1.0], 1).unwrap();
-            idx.add(&[0.5, 0.5, 0.25, -0.5], 2).unwrap();
-        }
-        let queries: Vec<Vec<f32>> = vec![
-            vec![0.95, 0.05, 0.45, -0.9],
-            vec![0.0, 0.9, 0.05, 0.0],
-            vec![0.4, 0.6, 0.2, -0.4],
-        ];
-        let refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-        let s = sharded.query_batch(&refs).unwrap();
-        let d = direct.query_batch(&refs).unwrap();
-        for (a, b) in s.iter().zip(&d) {
-            assert_eq!((a.index, a.label), (b.index, b.label));
-            assert_eq!(a.score, b.score, "sharded score drifted from direct");
-        }
-        // k-NN through the sharded merged top-k agrees too.
-        for q in &refs {
-            let sk = sharded.query_k(q, 3).unwrap();
-            let dk = direct.query_k(q, 3).unwrap();
-            for (a, b) in sk.iter().zip(&dk) {
-                assert_eq!((a.index, a.label), (b.index, b.label));
-                assert_eq!(a.score, b.score);
+        // Precision knob surfaces in the report name.
+        assert_eq!(codes.name(), "mcam-served-3bit-codes");
+        for (backend, reference) in [
+            (Backend::mcam_served(3), Backend::mcam(3)),
+            (codes, Backend::mcam_codes(3)),
+        ] {
+            let mut served = backend.build_index(&cal_refs, 4, 1, &model).unwrap();
+            let mut direct = reference.build_index(&cal_refs, 4, 1, &model).unwrap();
+            for idx in [&mut served, &mut direct] {
+                idx.add(&[0.0, 1.0, 0.0, 0.0], 0).unwrap();
+                idx.add(&[1.0, 0.0, 0.5, -1.0], 1).unwrap();
+                idx.add(&[0.5, 0.5, 0.25, -0.5], 2).unwrap();
             }
-        }
-    }
-
-    #[test]
-    fn routed_backend_matches_direct_mcam_on_small_episodes() {
-        let model = FefetModel::default();
-        let cal = calibration_data();
-        let cal_refs: Vec<&[f32]> = cal.iter().map(|r| r.as_slice()).collect();
-        let backend = Backend::mcam_routed(3);
-        assert_eq!(backend.name(), "mcam-routed-3bit");
-        let mut routed = backend.build_index(&cal_refs, 4, 1, &model).unwrap();
-        let mut direct = Backend::mcam(3)
-            .build_index(&cal_refs, 4, 1, &model)
-            .unwrap();
-        for idx in [&mut routed, &mut direct] {
-            idx.add(&[0.0, 1.0, 0.0, 0.0], 0).unwrap();
-            idx.add(&[1.0, 0.0, 0.5, -1.0], 1).unwrap();
-            idx.add(&[0.5, 0.5, 0.25, -0.5], 2).unwrap();
-        }
-        // A 3-row episode lives in one bank, so a route either probes
-        // that bank (full sweep) or falls back to it: results are
-        // bit-identical to the direct engine.
-        let queries: Vec<Vec<f32>> = vec![
-            vec![0.95, 0.05, 0.45, -0.9],
-            vec![0.0, 0.9, 0.05, 0.0],
-            vec![0.4, 0.6, 0.2, -0.4],
-        ];
-        let refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-        let s = routed.query_batch(&refs).unwrap();
-        let d = direct.query_batch(&refs).unwrap();
-        for (a, b) in s.iter().zip(&d) {
-            assert_eq!((a.index, a.label), (b.index, b.label));
-            assert_eq!(a.score, b.score, "routed score drifted from direct");
+            // The serving determinism contract: routed through the
+            // dispatcher, results are bit-identical to the direct
+            // engine — indices, labels, and conductance scores.
+            let queries: Vec<Vec<f32>> = vec![
+                vec![0.95, 0.05, 0.45, -0.9],
+                vec![0.0, 0.9, 0.05, 0.0],
+                vec![0.4, 0.6, 0.2, -0.4],
+            ];
+            let refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
+            let s = served.query_batch(&refs).unwrap();
+            let d = direct.query_batch(&refs).unwrap();
+            for (a, b) in s.iter().zip(&d) {
+                assert_eq!((a.index, a.label), (b.index, b.label));
+                assert_eq!(a.score, b.score, "served score drifted from direct");
+            }
+            // k-NN through the served top-k agrees too.
+            for q in &refs {
+                let sk = served.query_k(q, 3).unwrap();
+                let dk = direct.query_k(q, 3).unwrap();
+                for (a, b) in sk.iter().zip(&dk) {
+                    assert_eq!((a.index, a.label), (b.index, b.label));
+                    assert_eq!(a.score, b.score);
+                }
+            }
         }
     }
 

@@ -46,8 +46,8 @@ pub enum FaultSite {
     /// thread — the documented poisoned-router degrade path — and
     /// never unwinds a client.
     RouterRead,
-    /// In [`crate::ServeHandle::admit`]: an `Overload` here rejects
-    /// the submission as if the queue were full.
+    /// At a shard's admission check: an `Overload` here rejects the
+    /// submission as if the shard's queue were full.
     Admission,
     /// In the re-admit supervisor, before a quarantined shard's memory
     /// is reclaimed. A `Panic` here aborts the probe (the shard stays

@@ -195,17 +195,6 @@ pub struct Coverage {
 }
 
 impl Coverage {
-    /// A full-coverage record over `banks` (all intended banks
-    /// answered).
-    #[must_use]
-    pub fn full(banks: Vec<usize>) -> Self {
-        Coverage {
-            searched: banks.len(),
-            total: banks.len(),
-            banks,
-        }
-    }
-
     /// `true` when some intended bank did not contribute.
     #[must_use]
     pub fn degraded(&self) -> bool {
@@ -352,9 +341,12 @@ mod tests {
 
     #[test]
     fn coverage_degraded_flag_tracks_counts() {
-        let full = Coverage::full(vec![0, 1, 2]);
+        let full = Coverage {
+            searched: 3,
+            total: 3,
+            banks: vec![0, 1, 2],
+        };
         assert!(!full.degraded());
-        assert_eq!(full.searched, 3);
         let partial = Coverage {
             searched: 2,
             total: 3,

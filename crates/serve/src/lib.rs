@@ -4,17 +4,23 @@
 //! across every row at once, and the compiled batch executor
 //! (`femcam_core::exec`) amortizes plan traffic across every query in
 //! a batch. An online front end, however, receives queries **one at a
-//! time**. This crate closes that gap: [`McamServer`] owns a live
-//! [`BankedMcam`] on a dedicated dispatcher thread, collects single
-//! submissions into bounded micro-batches, executes one
-//! [`BankedMcam::search_batch_winners_with`] call per batch, and fans
-//! the winners back to the per-request waiters.
+//! time**. This crate closes that gap with one serving front end,
+//! [`ShardedServer`]. It partitions a [`BankedMcam`]'s banks across
+//! `N ≥ 1` shards ([`BankedMcam::partition`]) — the paper's Fig. 9
+//! organization of fixed-height banks searched in parallel with the
+//! winners merged digitally — and gives every shard its own dispatcher
+//! thread, queue, batching window and plan cache. A dispatcher
+//! collects single submissions into bounded micro-batches, executes
+//! one [`BankedMcam::search_batch_winners_with`] call per batch, and
+//! fans the winners back to the per-request waiters; the front end
+//! merges the shards' answers. Clients talk to it through a cloneable
+//! [`ShardedHandle`]. One shard is the plain single-memory server.
 //!
 //! # Serving
 //!
-//! **Micro-batching window.** The dispatcher sleeps until a request
-//! arrives. The first search (winner or top-k) opens a batch window;
-//! the dispatcher then keeps collecting until the window holds
+//! **Micro-batching window.** A shard's dispatcher sleeps until a
+//! request arrives. The first search (winner or top-k) opens a batch
+//! window; the dispatcher then keeps collecting until the window holds
 //! [`ServeConfig::max_batch`] queries, the window must close (see
 //! "Deadlines" below), or a barrier request (a store, a report,
 //! shutdown) arrives — whichever comes first. The window closes, the
@@ -29,145 +35,131 @@
 //! pays at most [`ServeConfig::max_wait`] of extra latency.
 //!
 //! **Deadlines.** The window's default close time is `max_wait` after
-//! it opened. A request submitted through
-//! [`ServeHandle::submit_with_deadline`] carries its own budget, and
-//! the window instead closes at the *earliest* deadline among the
-//! requests it holds — a tight-budget request never idles out a
-//! window on behalf of patient neighbors. A deadline bounds how long
-//! a request may sit *unexecuted*: when the dispatcher pops a request
-//! whose deadline already passed (it was queued behind stores or full
-//! windows), the request is rejected with
-//! [`ServeError::DeadlineExceeded`] instead of executing dead work;
-//! a zero budget is rejected at submission. Once a request makes it
-//! into the batch that its own deadline closes, it executes. The
-//! dispatcher never re-arms its wait with a zero timeout — a due
-//! window closes immediately (see [`window timeout`](self) notes on
-//! the wait loop), so an expired window can never busy-spin.
+//! it opened — the *global* patience of a batching window. A request
+//! submitted through [`ShardedHandle::submit_with_deadline`] carries
+//! its own budget, and the window instead closes at the *earliest*
+//! deadline among the requests it holds — a tight-budget request never
+//! idles out a window on behalf of patient neighbors. A deadline
+//! bounds how long a request may sit *unexecuted*: when a dispatcher
+//! pops a request whose deadline already passed (it was queued behind
+//! stores or full windows), the request is rejected with
+//! [`ServeError::DeadlineExceeded`] instead of executing dead work; a
+//! zero budget is rejected at submission. Once a request makes it into
+//! the batch that its own deadline closes, it executes. The same
+//! deadline instant fans to every contacted shard, and if any shard
+//! cannot execute it in time the merged request reports
+//! `DeadlineExceeded` rather than a partial merge. The dispatcher
+//! never re-arms its wait with a zero timeout — a due window closes
+//! immediately, so an expired window can never busy-spin.
 //!
-//! **Backpressure policy.** Admission control is a queue-depth bound
-//! checked at [`ServeHandle::submit`]: the depth counts searches that
-//! are queued or executing, and the default capacity is
-//! `workers × max_batch × 2`, where `workers` is the
+//! **Backpressure policy.** Admission control is a per-shard
+//! queue-depth bound checked at [`ShardedHandle::submit`]: the depth
+//! counts searches that are queued or executing, and the default
+//! capacity is `workers × max_batch × 2`, where `workers` is the
 //! work-proportional thread count `femcam_core::par::batch_threads`
-//! resolves for one full batch. Because that worker count is exactly
-//! what the executor will fork, queue depth maps 1:1 to utilization:
-//! at capacity, every worker already has two full batches of backlog,
-//! and admitting more work only grows latency without adding
-//! throughput — so the request is rejected with
-//! [`ServeError::Overloaded`] instead. Stores and reports bypass
-//! admission control (writes must not be silently dropped); they are
-//! rare and cheap relative to a batch.
+//! resolves for one full batch of the shard. Because that worker count
+//! is exactly what the executor will fork, queue depth maps 1:1 to
+//! utilization: at capacity, every worker already has two full batches
+//! of backlog, and admitting more work only grows latency without
+//! adding throughput — so the request is rejected with
+//! [`ServeError::Overloaded`] instead. Admission is all-or-nothing: a
+//! slot is reserved on every contacted shard before anything is
+//! enqueued, so one full shard never leaves the others executing work
+//! nobody waits for. Stores and reports bypass admission control
+//! (writes must not be silently dropped); they are rare and cheap
+//! relative to a batch.
 //!
-//! **Interleaved stores.** Writes travel through the same dispatcher
-//! queue as searches, so the dispatcher thread is the *only* code that
-//! ever touches the memory — plan-cache invalidation (a `store`
-//! dirties one bank's cached plans) can never race a search. A store
-//! acts as a batch barrier: searches queued before it execute first
-//! (against the pre-store contents), the store applies, and searches
-//! queued after it see the new row. From any single client's point of
-//! view the memory is sequentially consistent: a search submitted
-//! after a store completed observes that store.
+//! **Fan-out, merge and stores.** Searches (winner and top-k) fan out
+//! to every shard and merge by ascending `(conductance, global_row)` —
+//! the exact order the banked merge already pins. Stores route *only*
+//! to the shard that owns the append tail (global rows are assigned
+//! densely, so exactly one shard ever grows). Writes travel through
+//! that shard's dispatcher queue, so its dispatcher thread is the
+//! *only* code that ever touches its memory — plan-cache invalidation
+//! (a `store` dirties one bank's cached plans) can never race a
+//! search. A store acts as a batch barrier on the tail shard's queue
+//! alone: searches queued before it execute first (against the
+//! pre-store contents), the store applies, and searches queued after
+//! it see the new row, while every other shard keeps coalescing
+//! searches. From any single client's point of view the memory is
+//! sequentially consistent: a search submitted after a store completed
+//! observes that store.
 //!
-//! **Routed serving.** [`McamServer::start_routed`] serves a
-//! [`RoutedMcam`] instead of a plain memory: the micro-batch window
-//! still collects queries exactly as above, but execution groups the
-//! window by routed bank subset and runs one *masked* batched sweep
-//! per distinct subset ([`RoutedMcam::search_batch_winners_with`]), so
-//! batching efficiency survives routing. Stores flow through
-//! [`RoutedMcam::store`] on the dispatcher thread, which updates the
-//! router's buckets in the same step as the memory — router state can
-//! never race a search, exactly like plan-cache invalidation. Served
-//! results are bit-identical to calling the routed index directly;
-//! relative to a full sweep they are exact within each query's routed
-//! banks (see `femcam_core::router`'s accuracy model).
+//! **Routed serving.** [`ShardedServer::start_routed`] keeps the
+//! [`LshRouter`](femcam_core::LshRouter) of a
+//! [`RoutedMcam`](femcam_core::RoutedMcam) at the front end: each
+//! query is hashed once at the client, its routed banks map to the
+//! shards that own them, and the request fans only to that shard
+//! subset. A contacted shard sweeps *all* of its banks, so
+//! routing skips whole shards (their round-trip, admission slot and
+//! sweep), never banks within a shard — and a 1-shard routed server
+//! sweeps its whole memory, answering exactly like the full sweep.
+//! Stores keep the router's buckets in sync (the tail store, then
+//! [`LshRouter::note_store`](femcam_core::LshRouter::note_store)), so
+//! a new row is routable the moment its store returns.
 //!
 //! **Determinism contract.** Per-request results are **bit-identical**
 //! to calling [`BankedMcam::search_with`] directly at the same
-//! precision against the same contents — regardless of which
-//! micro-batch a request lands in, how large that batch is, or how
-//! many worker threads execute it. This is inherited from the
-//! executor's fixed-order folds (`femcam_core::exec`'s "Determinism
-//! guarantee") and pinned end-to-end, including under interleaved
-//! stores, by this crate's `tests/determinism.rs` property test.
+//! precision against the same contents — regardless of the shard
+//! count, which micro-batch a request lands in, how large that batch
+//! is, or how many worker threads execute it. This is inherited from
+//! the executor's fixed-order folds (`femcam_core::exec`'s
+//! "Determinism guarantee") and the fixed merge order, and pinned
+//! end-to-end, including under interleaved stores, by this crate's
+//! `tests/determinism.rs` and `tests/sharded.rs` property tests.
 //!
-//! **Memory budget.** [`ServeHandle::memory_report`] round-trips
-//! through the dispatcher and returns the live
-//! [`BankedMcam::plan_memory_bytes`] per-slot breakdown against the
-//! configured [`ServeConfig::plan_budget_bytes`] — the number a
-//! deployment watches to decide when a node is full (codes-mode plans
-//! keep millions of rows resident where `f64` planes could not).
-//!
-//! # Sharding and deadlines
-//!
-//! One dispatcher serializes every request against one memory. The
-//! paper's banked organization (Fig. 9: fixed-height banks searched in
-//! parallel, winners merged digitally) extends past a single
-//! dispatcher: [`ShardedServer`] partitions a [`BankedMcam`]'s banks
-//! across `N` single-dispatcher shards
-//! ([`BankedMcam::partition`]), each with its own queue, batching
-//! window, and plan cache.
-//!
-//! * **Shard routing.** Searches (winner and top-k) fan out to every
-//!   shard and merge by ascending `(conductance, global_row)` — the
-//!   exact order the banked merge already pins, so sharded results are
-//!   bit-identical to a single-dispatcher server and to a direct
-//!   [`BankedMcam::search_with`] / [`BankedMcam::search_top_k_with`]
-//!   over the unpartitioned memory. Stores route *only* to the shard
-//!   that owns the append tail (global rows are assigned densely, so
-//!   exactly one shard ever grows).
-//! * **Barrier scope.** A store is a batch barrier on its owning
-//!   shard's queue alone: that shard's plan-cache invalidation stays
-//!   race-free while every other shard keeps coalescing searches —
-//!   the write never stalls the whole fleet.
-//! * **Deadline semantics vs `max_wait`.** [`ServeConfig::max_wait`]
-//!   is the *global* patience of a batching window; a per-request
-//!   deadline ([`ServeHandle::submit_with_deadline`],
-//!   [`ShardedHandle::submit_with_deadline`]) is one request's own
-//!   budget. The window closes at the earliest pending deadline (never
-//!   later than `max_wait`), dead-on-arrival requests are rejected
-//!   with [`ServeError::DeadlineExceeded`] instead of executing, and
-//!   on a sharded front end the same deadline instant is fanned to
-//!   every shard — if any shard cannot answer in time, the merged
-//!   request reports `DeadlineExceeded` rather than a partial merge.
+//! **Memory budget.** [`ShardedHandle::memory_report`] round-trips
+//! through every shard's dispatcher and returns the live
+//! [`BankedMcam::plan_memory_bytes`] breakdown, summed over shards,
+//! against the configured [`ServeConfig::plan_budget_bytes`] — the
+//! number a deployment watches to decide when a node is full
+//! (codes-mode plans keep millions of rows resident where `f64` planes
+//! could not).
 //!
 //! # Failure model
 //!
 //! The serving stack assumes parts of it **will** misbehave — the
 //! paper's own pitch is accuracy *under device-level faults*
 //! (variation-tolerant sensing, the §IV-D write-and-verify loop) —
-//! and extends that stance to the software above the array. Three
-//! guarantees, all exercised by the `chaos`-feature fault-injection
-//! harness (`tests/chaos_props.rs`):
+//! and extends that stance to the software above the array. The
+//! guarantees below are all exercised by the `chaos`-feature
+//! fault-injection harness (`tests/chaos_props.rs`):
 //!
 //! * **No stranded waiter, ever.** Every submitted ticket resolves
-//!   with a result or an error. The dispatcher wraps batch execution
-//!   and store application in `catch_unwind`: a panic mid-batch
-//!   answers every in-flight waiter with
-//!   [`ServeError::DispatcherFailed`] (never a hang), keeps the owned
-//!   memory, and restarts the loop in place. Dispatcher exit paths
-//!   drain the queue; abandoned responders wake their waiters with
-//!   [`ServeError::ShuttingDown`].
+//!   with a result or an error. A dispatcher wraps batch execution and
+//!   store application in `catch_unwind`: a panic mid-batch answers
+//!   every in-flight waiter with [`ServeError::DispatcherFailed`]
+//!   (never a hang), keeps the owned memory, and restarts the loop in
+//!   place. Dispatcher exit paths drain the queue; abandoned responders
+//!   wake their waiters with [`ServeError::ShuttingDown`].
 //! * **Self-healing, with a circuit breaker.** Each recovery
-//!   increments the [`ServeStats::restarts`] counter. More than
+//!   increments that shard's [`ServeStats::restarts`] (in
+//!   [`ShardedStats::per_shard`]). More than
 //!   [`ServeConfig::restart_budget`] restarts within any
-//!   [`ServeConfig::restart_window`] trips the breaker: the server
-//!   transitions to a **terminal failed state**
-//!   ([`ServeStats::failed`], [`ServeHandle::is_failed`]) instead of
-//!   crash-looping — every subsequent request is rejected with
-//!   `DispatcherFailed`, and [`McamServer::shutdown`] still recovers
-//!   the memory. Results after a successful self-heal are
-//!   bit-identical to direct search (the memory was never shared with
-//!   the panicking batch).
-//! * **Degraded coverage beats no answer.** A [`ShardedServer`]
-//!   tracks per-shard health ([`ShardHealth`]): a shard whose
-//!   dispatcher failed terminally (or whose channel closed) is
-//!   **quarantined** — fan-out skips it — and a shard that misses the
-//!   per-shard deadline ([`ServeConfig::shard_timeout`]) is marked
-//!   degraded and loses its contribution to that merge. Merges
-//!   complete over the surviving shards and carry a [`Coverage`]
-//!   record (banks searched / banks intended, the exact contributing
-//!   bank set) through [`ShardTicket::wait_covered`],
-//!   [`ServingTicket::wait_covered`], and
+//!   [`ServeConfig::restart_window`] trips the breaker: the shard's
+//!   dispatcher transitions to a **terminal failed state**
+//!   ([`ServeStats::failed`]) instead of crash-looping — every later
+//!   request to it is rejected with `DispatcherFailed`, and
+//!   [`ShardedServer::shutdown`] still recovers the memory. Results
+//!   after a successful self-heal are bit-identical to direct search
+//!   (the memory was never shared with the panicking batch).
+//! * **A healed panic is not a dead shard.** A shard that answered
+//!   `DispatcherFailed` but healed in place loses its contribution to
+//!   that one merge (its banks count as lost coverage) and keeps its
+//!   health: the next request reaches it again. When no shard answered
+//!   and every loss was a `DispatcherFailed` answer, the request
+//!   reports that error with its panic payload — just as a request
+//!   that lost every shard to an orderly shutdown reports
+//!   `ShuttingDown`.
+//! * **Degraded coverage beats no answer.** The front end tracks
+//!   per-shard health ([`ShardHealth`]): a shard whose dispatcher
+//!   failed terminally (or whose channel closed) is **quarantined** —
+//!   fan-out skips it — and a shard that misses the per-shard deadline
+//!   ([`ServeConfig::shard_timeout`]) is marked degraded and loses its
+//!   contribution to that merge. Merges complete over the surviving
+//!   shards and carry a [`Coverage`] record (banks searched / banks
+//!   intended, the exact contributing bank set) through
+//!   [`ShardTicket::wait_covered`] and
 //!   [`ServedNn::query_with_coverage`]. A degraded answer is the
 //!   *exact* merge over `Coverage::banks` (checkable against
 //!   [`BankedMcam::search_masked_with`]). The policy knob
@@ -195,20 +187,20 @@
 //!   transitions owned by exactly one prober at a time: the supervisor
 //!   ([`ServeConfig::probe_interval`], or an explicit
 //!   [`ShardedServer::try_readmit`]) reclaims the quarantined shard's
-//!   banks via the dead server's fallible `shutdown()`, spawns a
-//!   replacement dispatcher, and re-admits it **only** behind the
-//!   canary rule: the replacement's answers to the probe suite —
-//!   resident rows, near-miss perturbations of them, and top-k
-//!   replays deep enough to straddle a bank boundary — must be
-//!   bit-identical (`f64::to_bits` on every returned conductance) to
-//!   a direct-sweep oracle computed on the reclaimed memory itself,
-//!   failing closed on any shape mismatch. Any probe failure — injected fault, unrecoverable
+//!   banks from the dead dispatcher, spawns a replacement dispatcher,
+//!   and re-admits it **only** behind the canary rule: the
+//!   replacement's answers to the probe suite — resident rows,
+//!   near-miss perturbations of them, and top-k replays deep enough to
+//!   straddle a bank boundary — must be bit-identical (`f64::to_bits`
+//!   on every returned conductance) to a direct-sweep oracle computed
+//!   on the reclaimed memory itself, failing closed on any shape
+//!   mismatch. Any probe failure — injected fault, unrecoverable
 //!   memory, canary mismatch, lost ownership — returns the shard to
 //!   `Quarantined` for a later retry and counts in
-//!   [`ServeStats::probe_failures`]. While a shard is quarantined its
-//!   routed bank subsets are **re-placed** onto live shards (an overlay
-//!   on the router, never a bucket rewrite), so routed traffic keeps
-//!   its narrow fan-out instead of widening to a full sweep; a
+//!   [`ShardedStats::probe_failures`]. While a shard is quarantined
+//!   its routed bank subsets are **re-placed** onto live shards (an
+//!   overlay on the router, never a bucket rewrite), so routed traffic
+//!   keeps its narrow fan-out instead of widening to a full sweep; a
 //!   successful re-admit undoes the overlay exactly. Transition counts
 //!   are monotone and observable: [`ShardedStats`] `degraded` /
 //!   `quarantined` / `readmitted` / `probe_failures`.
@@ -224,9 +216,9 @@
 //! [`ServeError::ShuttingDown`] (orderly exit),
 //! [`ServeError::DispatcherFailed`] (a crash was absorbed on the
 //! request's behalf), [`ServeError::Degraded`] (partial coverage
-//! under fail-closed policy), and [`ServeError::Core`] (the search
-//! itself failed). Everything maps onto `femcam_core::CoreError` for
-//! engine-trait callers.
+//! under fail-closed policy, or no live shard at all), and
+//! [`ServeError::Core`] (the search itself failed). Everything maps
+//! onto `femcam_core::CoreError` for engine-trait callers.
 //!
 //! # Concurrency model
 //!
@@ -236,7 +228,7 @@
 //! across sites and panic on the first cycle, naming both sites. The
 //! lock hierarchy is deliberately flat:
 //!
-//! - `shard.slot` (a shard's `McamServer` slot, held across
+//! - `shard.slot` (a shard's dispatcher slot, held across
 //!   shutdown/respawn during a probe) may nest `shard.cell` (the
 //!   topology's per-shard handle `RwLock`, written to publish the
 //!   replacement) and `serve.oneshot` (canary replays wait on their
@@ -251,14 +243,15 @@
 //!
 //! Atomics carry narrow roles, each justified by an `// ORDERING:`
 //! comment at the use site (enforced by the `femcam-lint` workspace
-//! gate): the dispatcher-failed flag is the only acquire/release
-//! pair a client decision rides on; restart, admission-depth, and
-//! stats counters are relaxed, ordered — where a test or caller needs
+//! gate): a dispatcher's failed flag is the only acquire/release pair
+//! a client decision rides on; restart, admission-depth, and stats
+//! counters are relaxed, ordered — where a test or caller needs
 //! ordering — by the one-shot ticket mutex they are read behind or by
 //! a thread join. The restart counter is bumped **before** the failed
 //! window's waiters are fulfilled, so any client observing
-//! [`ServeError::DispatcherFailed`] already sees its restart counted.
-//! The dispatcher's hot loop never reads the clock directly: window
+//! [`ServeError::DispatcherFailed`] already sees its restart counted
+//! (and a tripped breaker's failed flag). The dispatcher's hot loop
+//! (`fn dispatch` in this file) never reads the clock directly: window
 //! timing goes through the `Window` helpers, and the `femcam-lint`
 //! rule `instant_in_dispatch` keeps it that way.
 //!
@@ -267,23 +260,25 @@
 //! ```
 //! use femcam_core::{BankedMcam, ConductanceLut, LevelLadder, Precision};
 //! use femcam_device::FefetModel;
-//! use femcam_serve::{McamServer, ServeConfig};
+//! use femcam_serve::{ServeConfig, ShardedServer};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let ladder = LevelLadder::new(3)?;
 //! let lut = ConductanceLut::from_device(&FefetModel::default(), &ladder);
-//! let mut memory = BankedMcam::new(ladder, lut, 4, 8);
+//! let mut memory = BankedMcam::new(ladder, lut, 4, 2);
 //! for row in [[0u8, 1, 2, 3], [7, 7, 7, 7], [1, 1, 2, 3]] {
 //!     memory.store(&row)?;
 //! }
-//! let server = McamServer::start(memory, ServeConfig::default());
+//! // Two banks, one per shard: searches fan out to both and merge.
+//! let server = ShardedServer::start(memory, 2, ServeConfig::default());
 //! let handle = server.handle();
 //! let (row, _conductance) = handle.search(&[1, 1, 2, 3])?;
 //! assert_eq!(row, 2);
-//! // Writes go through the same dispatcher; later searches see them.
+//! // Writes go through the tail shard's dispatcher; later searches
+//! // see them.
 //! let new_row = handle.store(&[4, 4, 4, 4])?;
 //! assert_eq!(handle.search(&[4, 4, 4, 4])?.0, new_row);
-//! let memory = server.shutdown()?; // returns the live memory
+//! let memory = server.shutdown()?; // reassembles the live memory
 //! assert_eq!(memory.n_rows(), 4);
 //! # Ok(())
 //! # }
@@ -306,10 +301,7 @@ mod stats;
 
 pub use health::{Coverage, Covered, DegradedPolicy, ShardHealth};
 pub use nn::ServedNn;
-pub use shard::{
-    ServingHandle, ServingTicket, ShardTicket, ShardTopKTicket, ShardedHandle, ShardedServer,
-    ShardedStats,
-};
+pub use shard::{ShardTicket, ShardTopKTicket, ShardedHandle, ShardedServer, ShardedStats};
 pub use stats::ServeStats;
 
 use std::error::Error;
@@ -324,64 +316,62 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use femcam_core::exec::validate_query;
-use femcam_core::{
-    par, BankedMcam, CoreError, Metric, PlanMemoryBytes, Precision, RoutedMcam, N_METRICS,
-};
+use femcam_core::{par, BankedMcam, CoreError, Metric, PlanMemoryBytes, Precision, N_METRICS};
 
 use health::RestartBreaker;
 use stats::StatsInner;
 
-/// Configuration of a [`McamServer`].
+/// Configuration of a [`ShardedServer`]. Dispatcher settings apply to
+/// every shard's dispatcher; the merge settings (`shard_timeout`,
+/// `degraded_policy`, `probe_interval`) to the front end.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Upper bound on queries per executed micro-batch (default 64 —
     /// the regime where the compiled executor's batch amortization has
     /// saturated on the benchmark geometry).
     pub max_batch: usize,
-    /// Upper bound on how long the dispatcher holds an open batch
+    /// Upper bound on how long a dispatcher holds an open batch
     /// window waiting for more queries (default 200 µs). Smaller
     /// trades achieved batch size for tail latency.
     pub max_wait: Duration,
     /// Execution precision of every served search (default
     /// [`Precision::F64`], bit-identical to the scalar physics path).
     pub precision: Precision,
-    /// Admission-control capacity: the maximum number of searches
-    /// queued or executing before [`ServeHandle::submit`] rejects.
-    /// `None` (the default) derives it from the work-proportional
-    /// worker count — see the
+    /// Admission-control capacity of each shard: the maximum number of
+    /// searches queued or executing on it before
+    /// [`ShardedHandle::submit`] rejects. `None` (the default) derives
+    /// it from the work-proportional worker count — see the
     /// [module-level "Backpressure policy"](self#serving).
     pub queue_capacity: Option<usize>,
     /// Optional resident-plan-memory budget in bytes; reported against
     /// the live [`BankedMcam::plan_memory_bytes`] by
-    /// [`ServeHandle::memory_report`].
+    /// [`ShardedHandle::memory_report`].
     pub plan_budget_bytes: Option<usize>,
     /// How many dispatcher self-heals (panic → recover → restart) are
     /// tolerated within [`restart_window`](Self::restart_window)
-    /// before the circuit breaker trips the server into its terminal
+    /// before the circuit breaker trips the shard into its terminal
     /// failed state (default 8). See the
     /// [module-level "Failure model"](self#failure-model).
     pub restart_budget: usize,
     /// Sliding window the restart budget applies over (default 1 s).
     pub restart_window: Duration,
-    /// Per-shard merge deadline of a [`ShardedServer`]: a shard that
-    /// has not answered a fanned request within this budget loses its
-    /// contribution (the merge completes over the survivors, with the
-    /// loss recorded in the result's [`Coverage`]). `None` (default)
-    /// waits indefinitely. Ignored by a single-dispatcher server.
+    /// Per-shard merge deadline: a shard that has not answered a
+    /// fanned request within this budget loses its contribution (the
+    /// merge completes over the survivors, with the loss recorded in
+    /// the result's [`Coverage`]). `None` (default) waits indefinitely.
     pub shard_timeout: Option<Duration>,
-    /// What a sharded merge does when coverage is incomplete: return
-    /// the partial answer with its [`Coverage`] (fail-open, default)
-    /// or reject with [`ServeError::Degraded`] (fail-closed).
+    /// What a merge does when coverage is incomplete: return the
+    /// partial answer with its [`Coverage`] (fail-open, default) or
+    /// reject with [`ServeError::Degraded`] (fail-closed).
     pub degraded_policy: DegradedPolicy,
-    /// How often a [`ShardedServer`]'s probe supervisor sweeps for
-    /// quarantined shards to resurrect (reclaim the dead dispatcher's
-    /// memory, canary-validate a replacement, re-admit — see the
+    /// How often the probe supervisor sweeps for quarantined shards to
+    /// resurrect (reclaim the dead dispatcher's memory, canary-validate
+    /// a replacement, re-admit — see the
     /// [module-level "Failure model"](self#failure-model)). `None`
     /// (the default) spawns no supervisor thread; quarantined shards
     /// then return only through explicit
     /// [`ShardedServer::try_readmit`] /
-    /// [`ShardedServer::readmit_quarantined`] calls. Ignored by a
-    /// single-dispatcher server.
+    /// [`ShardedServer::readmit_quarantined`] calls.
     pub probe_interval: Option<Duration>,
     /// Fault-injection schedule installed on server start (chaos
     /// testing only — see [`fault`]). `None` injects nothing.
@@ -659,98 +649,28 @@ impl<T> Drop for Responder<T> {
     }
 }
 
-/// An in-flight search: wait on it to receive the
-/// `(global_row, total_conductance)` winner.
+/// A shard's in-flight search: waits on the dispatcher's answer — a
+/// `(local_row, total_conductance)` winner or a top-k hit list.
 #[derive(Debug)]
-pub struct Ticket {
-    slot: Arc<OneShot<(usize, f64)>>,
-    /// Banks the served memory held at submission — a
-    /// single-dispatcher answer always covers all of them.
+pub(crate) struct Ticket<T> {
+    slot: Arc<OneShot<T>>,
+    /// Banks the shard held at submission — what its answer covers.
     banks: usize,
 }
 
-impl Ticket {
+impl<T> Ticket<T> {
     /// Blocks until the dispatcher answers this request.
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::Core`] if the search failed (e.g. the memory is
-    ///   empty).
-    /// * [`ServeError::ShuttingDown`] if the server exited before
-    ///   answering.
-    /// * [`ServeError::DispatcherFailed`] if the dispatcher panicked
-    ///   with this request in flight (the panic was caught on its
-    ///   behalf) or has failed terminally.
-    pub fn wait(self) -> Result<(usize, f64), ServeError> {
+    pub(crate) fn wait(self) -> Result<T, ServeError> {
         self.slot.wait()
-    }
-
-    /// [`wait`](Self::wait), with the result's [`Coverage`] record. A
-    /// single-dispatcher answer is always full coverage (there is one
-    /// memory; it either answers over all of its banks or errors).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`wait`](Self::wait).
-    pub fn wait_covered(self) -> Result<Covered<(usize, f64)>, ServeError> {
-        let coverage = Coverage::full((0..self.banks).collect());
-        self.slot.wait().map(|value| Covered { value, coverage })
     }
 
     /// [`wait`](Self::wait) with an absolute give-up instant; `None`
     /// abandons the ticket still unanswered.
-    pub(crate) fn wait_deadline(
-        self,
-        deadline: Instant,
-    ) -> Option<Result<(usize, f64), ServeError>> {
+    pub(crate) fn wait_deadline(self, deadline: Instant) -> Option<Result<T, ServeError>> {
         self.slot.wait_deadline(deadline)
     }
 
-    /// Banks the served memory held at submission.
-    pub(crate) fn banks_count(&self) -> usize {
-        self.banks
-    }
-}
-
-/// An in-flight top-k search: wait on it to receive the
-/// `(global_row, total_conductance)` hits, nearest first.
-#[derive(Debug)]
-pub struct TopKTicket {
-    slot: Arc<OneShot<Vec<(usize, f64)>>>,
-    banks: usize,
-}
-
-impl TopKTicket {
-    /// Blocks until the dispatcher answers this request.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Ticket::wait`].
-    pub fn wait(self) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.slot.wait()
-    }
-
-    /// [`wait`](Self::wait), with the (always-full) [`Coverage`]
-    /// record — see [`Ticket::wait_covered`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`wait`](Self::wait).
-    pub fn wait_covered(self) -> Result<Covered<Vec<(usize, f64)>>, ServeError> {
-        let coverage = Coverage::full((0..self.banks).collect());
-        self.slot.wait().map(|value| Covered { value, coverage })
-    }
-
-    /// [`wait`](Self::wait) with an absolute give-up instant; `None`
-    /// abandons the ticket still unanswered.
-    pub(crate) fn wait_deadline(
-        self,
-        deadline: Instant,
-    ) -> Option<Result<Vec<(usize, f64)>, ServeError>> {
-        self.slot.wait_deadline(deadline)
-    }
-
-    /// Banks the served memory held at submission.
+    /// Banks the shard held at submission.
     pub(crate) fn banks_count(&self) -> usize {
         self.banks
     }
@@ -816,168 +736,75 @@ struct Shared {
     faults: Option<fault::FaultPlan>,
 }
 
-/// Cloneable client handle to a running [`McamServer`].
+/// Cloneable client handle to one shard's running [`McamServer`]. The
+/// front end ([`ShardedHandle`]) validates queries, reserves admission
+/// slots across every contacted shard, then enqueues.
 #[derive(Debug, Clone)]
-pub struct ServeHandle {
+pub(crate) struct ServeHandle {
     tx: Sender<Request>,
     shared: Arc<Shared>,
 }
 
 impl ServeHandle {
-    /// Submits one query without blocking on its result; the returned
-    /// [`Ticket`] waits for the winner. Queries are validated here, at
-    /// admission time, so a malformed request is rejected synchronously
-    /// and can never fail a micro-batch it would have shared with
-    /// well-formed neighbors.
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::Core`] with [`CoreError::WordLengthMismatch`] /
-    ///   [`CoreError::LevelOutOfRange`] for malformed queries (exactly
-    ///   as a direct search would report them).
-    /// * [`ServeError::Overloaded`] when the queue is at capacity.
-    /// * [`ServeError::ShuttingDown`] when the server has exited.
-    pub fn submit(&self, query: &[u8]) -> Result<Ticket, ServeError> {
-        self.submit_at(query, None, Metric::default())
-    }
-
-    /// [`submit`](Self::submit) at a chosen per-request [`Metric`]:
-    /// the request is answered under `metric` semantics regardless of
-    /// what the rest of its micro-batch window asked for (the
-    /// dispatcher groups each window by metric and runs one batched
-    /// sweep per distinct metric). The server's precision still
-    /// applies.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit`](Self::submit).
-    pub fn submit_with_metric(&self, query: &[u8], metric: Metric) -> Result<Ticket, ServeError> {
-        self.submit_at(query, None, metric)
-    }
-
-    /// [`submit_with_metric`](Self::submit_with_metric), blocking for
-    /// the winner — bit-identical to
-    /// [`BankedMcam::search_with_metric`] at the server's precision
-    /// against the contents visible at execution time.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_with_metric(
-        &self,
-        query: &[u8],
-        metric: Metric,
-    ) -> Result<(usize, f64), ServeError> {
-        self.submit_with_metric(query, metric)?.wait()
-    }
-
-    /// Like [`submit`](Self::submit), with a per-request deadline:
-    /// the request must start executing within `budget` of now, or it
-    /// is rejected with [`ServeError::DeadlineExceeded`] instead of
-    /// running dead work. A tight budget also closes the batching
-    /// window early — the dispatcher never holds a window open past
-    /// the earliest pending deadline (see the
-    /// [module-level "Deadlines"](self#serving)).
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::DeadlineExceeded`] immediately when `budget`
-    ///   is zero, or from [`Ticket::wait`] when the deadline passed
-    ///   before the dispatcher reached the request.
-    /// * Otherwise the same conditions as [`submit`](Self::submit).
-    pub fn submit_with_deadline(
-        &self,
-        query: &[u8],
-        budget: Duration,
-    ) -> Result<Ticket, ServeError> {
-        validate_query(self.shared.word_len, self.shared.n_levels, query)?;
-        let deadline = self.deadline_for(budget)?;
-        self.submit_at(query, Some(deadline), Metric::default())
-    }
-
-    /// Converts a request budget into an absolute deadline; a zero
-    /// budget is dead on arrival. Callers validate the query *first*,
-    /// so a malformed request always reports its validation error
-    /// (the documented admission contract), never `DeadlineExceeded`.
-    fn deadline_for(&self, budget: Duration) -> Result<Instant, ServeError> {
-        if budget.is_zero() {
-            // ORDERING: Relaxed — monotone stats counter; readers want
-            // a recent total, not an ordering edge.
-            self.shared
-                .deadline_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::DeadlineExceeded {
-                budget,
-                waited: Duration::ZERO,
-            });
-        }
-        Ok(Instant::now() + budget)
-    }
-
-    /// [`submit_with_deadline`](Self::submit_with_deadline), blocking
-    /// for the winner.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`submit_with_deadline`](Self::submit_with_deadline) and
-    /// [`Ticket::wait`].
-    pub fn search_with_deadline(
-        &self,
-        query: &[u8],
-        budget: Duration,
-    ) -> Result<(usize, f64), ServeError> {
-        self.submit_with_deadline(query, budget)?.wait()
-    }
-
-    pub(crate) fn submit_at(
-        &self,
-        query: &[u8],
-        deadline: Option<Instant>,
-        metric: Metric,
-    ) -> Result<Ticket, ServeError> {
-        validate_query(self.shared.word_len, self.shared.n_levels, query)?;
-        self.admit()?;
-        self.enqueue_search(query, deadline, metric)
-    }
-
-    /// The error a request gets when the dispatcher is gone: terminal
-    /// failure (breaker tripped) outranks orderly shutdown.
-    pub(crate) fn exit_error(&self) -> ServeError {
-        exit_error(&self.shared)
-    }
-
-    /// Enqueues a search whose admission slot the caller already
-    /// holds (a failed send releases it).
+    /// Enqueues a (validated) winner search whose admission slot the
+    /// caller already holds (a failed send releases it).
     pub(crate) fn enqueue_search(
         &self,
         query: &[u8],
         deadline: Option<Instant>,
         metric: Metric,
-    ) -> Result<Ticket, ServeError> {
+    ) -> Result<Ticket<(usize, f64)>, ServeError> {
+        self.enqueue(|responder| {
+            Request::Search(PendingSearch {
+                query: query.to_vec(),
+                metric,
+                submitted: Instant::now(),
+                deadline,
+                responder,
+            })
+        })
+    }
+
+    /// Top-k face of [`enqueue_search`](Self::enqueue_search).
+    pub(crate) fn enqueue_top_k(
+        &self,
+        query: &[u8],
+        k: usize,
+        deadline: Option<Instant>,
+        metric: Metric,
+    ) -> Result<Ticket<Vec<(usize, f64)>>, ServeError> {
+        self.enqueue(|responder| {
+            Request::TopK(PendingTopK {
+                query: query.to_vec(),
+                k,
+                metric,
+                submitted: Instant::now(),
+                deadline,
+                responder,
+            })
+        })
+    }
+
+    fn enqueue<T>(
+        &self,
+        request: impl FnOnce(Responder<T>) -> Request,
+    ) -> Result<Ticket<T>, ServeError> {
         let (responder, slot) = Responder::new();
-        let request = Request::Search(PendingSearch {
-            query: query.to_vec(),
-            metric,
-            submitted: Instant::now(),
-            deadline,
-            responder,
-        });
         // ORDERING: Relaxed — advisory bank count for the ticket's
         // coverage record; the dispatcher's answer (ordered by the
         // channel + one-shot mutex) is authoritative.
         let banks = self.shared.n_banks.load(Ordering::Relaxed);
-        if self.tx.send(request).is_err() {
+        if self.tx.send(request(responder)).is_err() {
             self.release_slot();
-            return Err(self.exit_error());
+            return Err(exit_error(&self.shared));
         }
         Ok(Ticket { slot, banks })
     }
 
     /// Releases one admission slot reserved by
     /// [`admit`](Self::admit) without enqueueing a request (the
-    /// sharded front end reserves across every shard before sending
-    /// anywhere, and must roll back on a partial reservation).
+    /// front end reserves across every shard before sending anywhere,
+    /// and must roll back on a partial reservation).
     pub(crate) fn release_slot(&self) {
         // ORDERING: Relaxed — the admission gate is the `fetch_update`
         // in `admit`; the counter's atomicity alone bounds the queue,
@@ -987,14 +814,14 @@ impl ServeHandle {
 
     /// Admit-or-reject atomically: a check-then-increment would let
     /// concurrent submitters race past the capacity bound together.
-    /// A terminally-failed server rejects everything with
+    /// A terminally-failed shard rejects everything with
     /// [`ServeError::DispatcherFailed`].
     pub(crate) fn admit(&self) -> Result<(), ServeError> {
         // ORDERING: Acquire pairs with the Release store in
         // `note_restart`: a client that observes the terminal flag
         // also observes the restart count that tripped it.
         if self.shared.failed.load(Ordering::Acquire) {
-            return Err(self.exit_error());
+            return Err(exit_error(&self.shared));
         }
         #[cfg(feature = "chaos")]
         if let Some(plan) = &self.shared.faults {
@@ -1034,157 +861,15 @@ impl ServeHandle {
         Ok(())
     }
 
-    /// Submits one query and blocks until its
-    /// `(global_row, total_conductance)` winner arrives —
-    /// bit-identical to [`BankedMcam::search_with`] at the server's
-    /// precision against the contents visible at execution time.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit`](Self::submit) and
-    /// [`Ticket::wait`].
-    pub fn search(&self, query: &[u8]) -> Result<(usize, f64), ServeError> {
-        self.submit(query)?.wait()
-    }
-
-    /// Submits one top-k query without blocking on its result. Top-k
-    /// traffic coalesces into the same micro-batch window as winner
-    /// traffic (one [`BankedMcam::search_batch_top_k_with`] sweep per
-    /// window) instead of running solo as a batch barrier, so a k-NN
-    /// workload batches like everything else. `k` is clamped, never an
-    /// error. Counts against admission control like a winner search.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit`](Self::submit).
-    pub fn submit_top_k(&self, query: &[u8], k: usize) -> Result<TopKTicket, ServeError> {
-        self.submit_top_k_at(query, k, None, Metric::default())
-    }
-
-    /// [`submit_top_k`](Self::submit_top_k) at a chosen per-request
-    /// [`Metric`] — the top-k face of
-    /// [`submit_with_metric`](Self::submit_with_metric).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit_top_k`](Self::submit_top_k).
-    pub fn submit_top_k_with_metric(
-        &self,
-        query: &[u8],
-        k: usize,
-        metric: Metric,
-    ) -> Result<TopKTicket, ServeError> {
-        self.submit_top_k_at(query, k, None, metric)
-    }
-
-    /// The `k` nearest rows under a chosen per-request [`Metric`],
-    /// nearest first — blocking face of
-    /// [`submit_top_k_with_metric`](Self::submit_top_k_with_metric),
-    /// bit-identical to [`BankedMcam::search_top_k_with_metric`] at
-    /// the server's precision against the contents visible at
-    /// execution time.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_top_k`](Self::search_top_k).
-    pub fn search_top_k_with_metric(
-        &self,
-        query: &[u8],
-        k: usize,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.submit_top_k_with_metric(query, k, metric)?.wait()
-    }
-
-    /// Like [`submit_top_k`](Self::submit_top_k) with a per-request
-    /// deadline — the same semantics as
-    /// [`submit_with_deadline`](Self::submit_with_deadline).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`submit_with_deadline`](Self::submit_with_deadline).
-    pub fn submit_top_k_with_deadline(
-        &self,
-        query: &[u8],
-        k: usize,
-        budget: Duration,
-    ) -> Result<TopKTicket, ServeError> {
-        validate_query(self.shared.word_len, self.shared.n_levels, query)?;
-        let deadline = self.deadline_for(budget)?;
-        self.submit_top_k_at(query, k, Some(deadline), Metric::default())
-    }
-
-    pub(crate) fn submit_top_k_at(
-        &self,
-        query: &[u8],
-        k: usize,
-        deadline: Option<Instant>,
-        metric: Metric,
-    ) -> Result<TopKTicket, ServeError> {
-        validate_query(self.shared.word_len, self.shared.n_levels, query)?;
-        self.admit()?;
-        self.enqueue_top_k(query, k, deadline, metric)
-    }
-
-    /// Top-k face of [`enqueue_search`](Self::enqueue_search): the
-    /// caller already holds an admission slot.
-    pub(crate) fn enqueue_top_k(
-        &self,
-        query: &[u8],
-        k: usize,
-        deadline: Option<Instant>,
-        metric: Metric,
-    ) -> Result<TopKTicket, ServeError> {
-        let (responder, slot) = Responder::new();
-        let request = Request::TopK(PendingTopK {
-            query: query.to_vec(),
-            k,
-            metric,
-            submitted: Instant::now(),
-            deadline,
-            responder,
-        });
-        // ORDERING: Relaxed — advisory bank count for the ticket's
-        // coverage record; the dispatcher's answer (ordered by the
-        // channel + one-shot mutex) is authoritative.
-        let banks = self.shared.n_banks.load(Ordering::Relaxed);
-        if self.tx.send(request).is_err() {
-            self.release_slot();
-            return Err(self.exit_error());
-        }
-        Ok(TopKTicket { slot, banks })
-    }
-
-    /// The `k` nearest rows for one query, nearest first — blocking
-    /// face of [`submit_top_k`](Self::submit_top_k), bit-identical to
-    /// [`BankedMcam::search_top_k_with`] at the server's precision
-    /// against the contents visible at execution time.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_top_k(&self, query: &[u8], k: usize) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.submit_top_k(query, k)?.wait()
-    }
-
     /// Stores one word through the dispatcher and blocks until it is
-    /// applied; returns the new global row index. Stores bypass
+    /// applied; returns the new shard-local row index. Stores bypass
     /// admission control (a write must not be silently dropped) but
     /// share the dispatcher queue, which is what keeps plan-cache
     /// invalidation race-free and gives the barrier ordering described
-    /// in the [module docs](self#serving).
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::Core`] for malformed words (validated here, like
-    ///   queries).
-    /// * [`ServeError::ShuttingDown`] when the server has exited, or
-    ///   [`ServeError::DispatcherFailed`] when it failed terminally or
-    ///   panicked while applying this store (an injected or real store
-    ///   panic is caught *before* the word is applied — a failed store
-    ///   never half-mutates the memory).
-    pub fn store(&self, word: &[u8]) -> Result<usize, ServeError> {
+    /// in the [module docs](self#serving). An injected or real store
+    /// panic is caught *before* the word is applied — a failed store
+    /// never half-mutates the memory.
+    pub(crate) fn store(&self, word: &[u8]) -> Result<usize, ServeError> {
         validate_query(self.shared.word_len, self.shared.n_levels, word)?;
         let (responder, slot) = Responder::new();
         self.tx
@@ -1192,159 +877,68 @@ impl ServeHandle {
                 word: word.to_vec(),
                 responder,
             })
-            .map_err(|_| self.exit_error())?;
+            .map_err(|_| exit_error(&self.shared))?;
         slot.wait()
     }
 
     /// Live plan-memory report, taken on the dispatcher thread.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::ShuttingDown`] when the server has exited,
-    /// [`ServeError::DispatcherFailed`] when it failed terminally.
-    pub fn memory_report(&self) -> Result<MemoryReport, ServeError> {
+    pub(crate) fn memory_report(&self) -> Result<MemoryReport, ServeError> {
         let (responder, slot) = Responder::new();
         self.tx
             .send(Request::Report { responder })
-            .map_err(|_| self.exit_error())?;
+            .map_err(|_| exit_error(&self.shared))?;
         slot.wait()
     }
 
-    /// Snapshot of the serving statistics (wait percentiles, achieved
-    /// batch size, throughput) since the server started.
-    #[must_use]
-    pub fn stats(&self) -> ServeStats {
+    /// Snapshot of the dispatcher's serving statistics (wait
+    /// percentiles, achieved batch size, throughput) since it started.
+    pub(crate) fn stats(&self) -> ServeStats {
         // Copy the raw counters under the lock, then compute the
         // percentile sort after releasing it — never stall the
         // dispatcher's per-batch stats update on a snapshot.
         let inner = lock(&self.shared.stats).clone();
         // ORDERING: Relaxed — a stats snapshot tolerates counters read
         // at slightly different instants; each is individually recent.
+        // `restarts` needs no edge of its own: `note_restart` counts a
+        // batch's restart before any of its waiters wake, and the
+        // waiter's one-shot mutex hand-off orders that count before
+        // this load.
         stats::snapshot(
             &inner,
             self.shared.rejected.load(Ordering::Relaxed),
             self.shared.deadline_rejected.load(Ordering::Relaxed),
             self.shared.started.elapsed(),
-            self.queue_depth(),
-            self.queue_capacity(),
-            self.restarts(),
+            self.shared.depth.load(Ordering::Relaxed),
+            self.shared.capacity,
+            self.shared.restarts.load(Ordering::Relaxed),
             self.is_failed(),
         )
     }
 
-    /// Searches currently queued or executing.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        // ORDERING: Relaxed — advisory snapshot; the admission bound
-        // itself is enforced by the RMW in `admit`.
-        self.shared.depth.load(Ordering::Relaxed)
-    }
-
-    /// The admission-control capacity in effect.
-    #[must_use]
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.capacity
-    }
-
-    /// Dispatcher self-heals (caught panic → restart) so far.
-    #[must_use]
-    pub fn restarts(&self) -> u64 {
-        // ORDERING: Relaxed — `note_restart` counts a batch's restart
-        // before any of its waiters wake, and the waiter's one-shot
-        // mutex hand-off orders that count before this load; the
-        // counter itself needs no edge of its own.
-        self.shared.restarts.load(Ordering::Relaxed)
-    }
-
     /// Banks the served memory holds right now (maintained by the
-    /// dispatcher after every store) — what a sharded front end
-    /// charges as lost coverage when this shard cannot answer.
+    /// dispatcher after every store) — what the front end charges as
+    /// lost coverage when this shard cannot answer.
     pub(crate) fn banks_snapshot(&self) -> usize {
-        // ORDERING: Relaxed — see `enqueue_search`'s coverage note.
+        // ORDERING: Relaxed — see `enqueue`'s coverage note.
         self.shared.n_banks.load(Ordering::Relaxed)
     }
 
-    /// `true` once the restart circuit breaker tripped: the server is
-    /// terminally failed and rejects every request with
+    /// `true` once the restart circuit breaker tripped: the dispatcher
+    /// is terminally failed and rejects every request with
     /// [`ServeError::DispatcherFailed`] (the memory is still
     /// recoverable through [`McamServer::shutdown`]).
-    #[must_use]
-    pub fn is_failed(&self) -> bool {
+    pub(crate) fn is_failed(&self) -> bool {
         // ORDERING: Acquire pairs with `note_restart`'s Release store
         // — observing the trip also observes the final restart count.
         self.shared.failed.load(Ordering::Acquire)
     }
 }
 
-/// The dispatcher-owned memory: a plain full-sweep [`BankedMcam`], or
-/// a [`RoutedMcam`] whose searches run the two-stage routed path (the
-/// window groups by routed bank subset) and whose stores keep the
-/// router's buckets in sync on the dispatcher thread.
+/// One shard's micro-batching server: owns the dispatcher thread,
+/// which owns the shard's [`BankedMcam`]. See the [module
+/// docs](self#serving) for the serving model.
 #[derive(Debug)]
-enum ServeMemory {
-    Plain(BankedMcam),
-    Routed(RoutedMcam),
-}
-
-impl ServeMemory {
-    fn as_banked(&self) -> &BankedMcam {
-        match self {
-            ServeMemory::Plain(m) => m,
-            ServeMemory::Routed(r) => r.memory(),
-        }
-    }
-
-    fn into_banked(self) -> BankedMcam {
-        match self {
-            ServeMemory::Plain(m) => m,
-            ServeMemory::Routed(r) => r.into_memory(),
-        }
-    }
-
-    fn store(&mut self, word: &[u8]) -> femcam_core::Result<usize> {
-        match self {
-            ServeMemory::Plain(m) => m.store(word),
-            ServeMemory::Routed(r) => r.store(word),
-        }
-    }
-
-    fn search_batch_winners_with(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-    ) -> femcam_core::Result<Vec<(usize, f64)>> {
-        match self {
-            ServeMemory::Plain(m) => m.search_batch_winners_with_metric(queries, precision, metric),
-            ServeMemory::Routed(r) => {
-                r.search_batch_winners_with_metric(queries, precision, metric)
-            }
-        }
-    }
-
-    fn search_batch_top_k_with(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        precision: Precision,
-        metric: Metric,
-    ) -> femcam_core::Result<Vec<Vec<(usize, f64)>>> {
-        match self {
-            ServeMemory::Plain(m) => {
-                m.search_batch_top_k_with_metric(queries, k, precision, metric)
-            }
-            ServeMemory::Routed(r) => {
-                r.search_batch_top_k_with_metric(queries, k, precision, metric)
-            }
-        }
-    }
-}
-
-/// A running micro-batching server: owns the dispatcher thread, which
-/// owns the [`BankedMcam`]. See the [module docs](self) for the
-/// serving model.
-#[derive(Debug)]
-pub struct McamServer {
+pub(crate) struct McamServer {
     handle: ServeHandle,
     dispatcher: Option<JoinHandle<BankedMcam>>,
 }
@@ -1356,40 +950,21 @@ impl McamServer {
     ///
     /// Panics if `config.max_batch` is zero or the dispatcher thread
     /// cannot be spawned.
-    #[must_use]
-    pub fn start(memory: BankedMcam, config: ServeConfig) -> Self {
-        Self::start_inner(ServeMemory::Plain(memory), config)
-    }
-
-    /// Starts the dispatcher thread around a routed index: searches run
-    /// the two-stage routed path (the micro-batch window groups queries
-    /// by routed bank subset), and stores update the router's buckets
-    /// on the dispatcher thread — see the
-    /// [module-level "Routed serving"](self#serving).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`start`](Self::start).
-    #[must_use]
-    pub fn start_routed(routed: RoutedMcam, config: ServeConfig) -> Self {
-        Self::start_inner(ServeMemory::Routed(routed), config)
-    }
-
-    fn start_inner(memory: ServeMemory, config: ServeConfig) -> Self {
+    pub(crate) fn start(memory: BankedMcam, config: ServeConfig) -> Self {
         assert!(config.max_batch > 0, "max_batch must be at least 1");
         let capacity = config
             .queue_capacity
-            .unwrap_or_else(|| auto_capacity(memory.as_banked(), &config));
+            .unwrap_or_else(|| auto_capacity(&memory, &config));
         let shared = Arc::new(Shared {
             depth: AtomicUsize::new(0),
             capacity: capacity.max(1),
-            word_len: memory.as_banked().word_len(),
-            n_levels: memory.as_banked().ladder().n_levels(),
+            word_len: memory.word_len(),
+            n_levels: memory.ladder().n_levels(),
             rejected: AtomicU64::new(0),
             deadline_rejected: AtomicU64::new(0),
             stats: Mutex::new("serve.stats", StatsInner::default()),
             started: Instant::now(),
-            n_banks: AtomicUsize::new(memory.as_banked().n_banks()),
+            n_banks: AtomicUsize::new(memory.n_banks()),
             restarts: AtomicU64::new(0),
             failed: AtomicBool::new(false),
             #[cfg(feature = "chaos")]
@@ -1397,14 +972,13 @@ impl McamServer {
         });
         let (tx, rx) = mpsc::channel();
         let dispatcher_shared = Arc::clone(&shared);
-        let dispatcher_config = config.clone();
         // femcam::allow(no_panic): a documented startup panic, not a
         // runtime panic path — the server cannot exist without its
         // dispatcher thread.
         #[allow(clippy::expect_used)]
         let dispatcher = std::thread::Builder::new()
             .name("femcam-serve".into())
-            .spawn(move || dispatch(memory, &rx, &dispatcher_shared, &dispatcher_config))
+            .spawn(move || dispatch(memory, &rx, &dispatcher_shared, &config))
             .expect("spawn serving dispatcher");
         McamServer {
             handle: ServeHandle { tx, shared },
@@ -1413,36 +987,21 @@ impl McamServer {
     }
 
     /// A cloneable client handle.
-    #[must_use]
-    pub fn handle(&self) -> ServeHandle {
+    pub(crate) fn handle(&self) -> ServeHandle {
         self.handle.clone()
-    }
-
-    /// Snapshot of the serving statistics.
-    #[must_use]
-    pub fn stats(&self) -> ServeStats {
-        self.handle.stats()
-    }
-
-    /// Live plan-memory report.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::ShuttingDown`] when the dispatcher has exited.
-    pub fn memory_report(&self) -> Result<MemoryReport, ServeError> {
-        self.handle.memory_report()
     }
 
     /// Stops the dispatcher (already-queued requests are answered with
     /// [`ServeError::ShuttingDown`]) and returns the live memory. A
-    /// server whose restart breaker tripped (terminal `Failed` state)
-    /// still exits cleanly here and hands back its recovered memory.
+    /// dispatcher whose restart breaker tripped (terminal `Failed`
+    /// state) still exits cleanly here and hands back its recovered
+    /// memory.
     ///
     /// # Errors
     ///
     /// [`ServeError::DispatcherFailed`] if the dispatcher thread died
     /// outside its supervised region (the memory is lost with it).
-    pub fn shutdown(mut self) -> Result<BankedMcam, ServeError> {
+    pub(crate) fn shutdown(mut self) -> Result<BankedMcam, ServeError> {
         let _ = self.handle.tx.send(Request::Shutdown);
         let Some(dispatcher) = self.dispatcher.take() else {
             return Err(ServeError::ShuttingDown);
@@ -1639,7 +1198,7 @@ fn window_timeout(close_at: Instant, now: Instant) -> Option<Duration> {
 /// transitions the server to a terminal `Failed` state (new and queued
 /// requests are answered with the failure) instead of crash-looping.
 fn dispatch(
-    mut memory: ServeMemory,
+    mut memory: BankedMcam,
     rx: &Receiver<Request>,
     shared: &Shared,
     config: &ServeConfig,
@@ -1657,7 +1216,7 @@ fn dispatch(
             match request {
                 Request::Shutdown => break 'serve,
                 Request::Report { responder } => {
-                    responder.fulfill(Ok(report(memory.as_banked(), config)));
+                    responder.fulfill(Ok(report(&memory, config)));
                 }
                 Request::Store { word, responder } => {
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -1668,12 +1227,10 @@ fn dispatch(
                     match outcome {
                         Ok(result) => {
                             // ORDERING: Relaxed — advisory coverage
-                            // denominator (see `enqueue_search`); the
+                            // denominator (see `ServeHandle::enqueue`); the
                             // store's result itself travels through
                             // the one-shot.
-                            shared
-                                .n_banks
-                                .store(memory.as_banked().n_banks(), Ordering::Relaxed);
+                            shared.n_banks.store(memory.n_banks(), Ordering::Relaxed);
                             responder.fulfill(result);
                             lock(&shared.stats).stores += 1;
                         }
@@ -1742,7 +1299,7 @@ fn dispatch(
     while let Ok(request) = rx.try_recv() {
         answer_exit(request, shared);
     }
-    memory.into_banked()
+    memory
 }
 
 /// The error a dispatcher that is no longer serving hands out:
@@ -1842,7 +1399,7 @@ struct BatchPanic {
 /// and returns the [`BatchPanic`]. The metric groups stay owned out
 /// here — an unwind can never drop a live responder.
 fn execute_window(
-    memory: &ServeMemory,
+    memory: &BankedMcam,
     mut window: Window,
     shared: &Shared,
     precision: Precision,
@@ -1884,7 +1441,7 @@ fn execute_window(
             }
             let queries: Vec<&[u8]> = group.iter().map(|s| s.query.as_slice()).collect();
             winners[metric.index()] =
-                Some(memory.search_batch_winners_with(&queries, precision, metric));
+                Some(memory.search_batch_winners_with_metric(&queries, precision, metric));
         }
         let mut topk_hits: TopKSweeps = Default::default();
         for metric in Metric::ALL {
@@ -1895,7 +1452,7 @@ fn execute_window(
             let k_max = group.iter().map(|t| t.k).max().unwrap_or(0);
             let queries: Vec<&[u8]> = group.iter().map(|t| t.query.as_slice()).collect();
             topk_hits[metric.index()] =
-                Some(memory.search_batch_top_k_with(&queries, k_max, precision, metric));
+                Some(memory.search_batch_top_k_with_metric(&queries, k_max, precision, metric));
         }
         #[cfg(feature = "chaos")]
         inject(shared, fault::FaultSite::PostBatch);
@@ -2004,12 +1561,12 @@ mod tests {
         let rows = [[0u8, 1, 2, 3], [7, 7, 7, 7], [1, 1, 2, 3], [4, 4, 4, 4]];
         let memory = memory_with_rows(&rows);
         let direct = memory_with_rows(&rows);
-        let server = McamServer::start(memory, ServeConfig::default());
+        let server = ShardedServer::start(memory, 1, ServeConfig::default());
         let handle = server.handle();
         for q in [[0u8, 1, 2, 3], [4, 4, 4, 5], [1, 1, 2, 2]] {
             assert_eq!(handle.search(&q).unwrap(), direct.search(&q).unwrap());
         }
-        let stats = server.stats();
+        let stats = server.stats().merged();
         assert_eq!(stats.queries, 3);
         assert!(stats.batches >= 1);
         let _ = server.shutdown();
@@ -2017,7 +1574,11 @@ mod tests {
 
     #[test]
     fn malformed_queries_rejected_at_admission() {
-        let server = McamServer::start(memory_with_rows(&[[0u8, 0, 0, 0]]), ServeConfig::default());
+        let server = ShardedServer::start(
+            memory_with_rows(&[[0u8, 0, 0, 0]]),
+            1,
+            ServeConfig::default(),
+        );
         let handle = server.handle();
         assert!(matches!(
             handle.search(&[0, 0, 0]),
@@ -2036,7 +1597,7 @@ mod tests {
         let ladder = LevelLadder::new(3).unwrap();
         let lut = ConductanceLut::from_device(&FefetModel::default(), &ladder);
         let memory = BankedMcam::new(ladder, lut, 4, 2);
-        let server = McamServer::start(memory, ServeConfig::default());
+        let server = ShardedServer::start(memory, 1, ServeConfig::default());
         assert!(matches!(
             server.handle().search(&[0, 0, 0, 0]),
             Err(ServeError::Core(CoreError::EmptyArray))
@@ -2046,7 +1607,7 @@ mod tests {
     #[test]
     fn stores_are_visible_to_later_searches() {
         let memory = memory_with_rows(&[[0u8, 0, 0, 0]]);
-        let server = McamServer::start(memory, ServeConfig::default());
+        let server = ShardedServer::start(memory, 1, ServeConfig::default());
         let handle = server.handle();
         let row = handle.store(&[5, 5, 5, 5]).unwrap();
         assert_eq!(row, 1);
@@ -2061,7 +1622,7 @@ mod tests {
     #[test]
     fn top_k_endpoint_clamps_k() {
         let memory = memory_with_rows(&[[0u8, 1, 2, 3], [7, 7, 7, 7], [1, 1, 2, 3]]);
-        let server = McamServer::start(memory, ServeConfig::default());
+        let server = ShardedServer::start(memory, 1, ServeConfig::default());
         let handle = server.handle();
         assert!(handle.search_top_k(&[1, 1, 2, 3], 0).unwrap().is_empty());
         assert_eq!(handle.search_top_k(&[1, 1, 2, 3], 2).unwrap().len(), 2);
@@ -2081,7 +1642,7 @@ mod tests {
             queue_capacity: Some(2),
             ..ServeConfig::default()
         };
-        let server = McamServer::start(memory, config);
+        let server = ShardedServer::start(memory, 1, config);
         let handle = server.handle();
         // Submit without waiting until the queue refuses.
         let mut tickets = Vec::new();
@@ -2108,8 +1669,9 @@ mod tests {
     #[test]
     fn shutdown_answers_queued_requests() {
         let memory = memory_with_rows(&[[0u8, 0, 0, 0]]);
-        let server = McamServer::start(
+        let server = ShardedServer::start(
             memory,
+            1,
             ServeConfig {
                 max_wait: Duration::from_millis(100),
                 ..ServeConfig::default()
@@ -2149,7 +1711,11 @@ mod tests {
 
     #[test]
     fn zero_budget_rejected_at_submission() {
-        let server = McamServer::start(memory_with_rows(&[[0u8, 0, 0, 0]]), ServeConfig::default());
+        let server = ShardedServer::start(
+            memory_with_rows(&[[0u8, 0, 0, 0]]),
+            1,
+            ServeConfig::default(),
+        );
         let handle = server.handle();
         match handle.search_with_deadline(&[0, 0, 0, 0], Duration::ZERO) {
             Err(ServeError::DeadlineExceeded { budget, waited }) => {
@@ -2198,8 +1764,9 @@ mod tests {
     fn tight_deadline_closes_window_before_max_wait() {
         // A pathological 10 s window: without deadline-aware closing,
         // a solo request would idle the full window out.
-        let server = McamServer::start(
+        let server = ShardedServer::start(
             memory_with_rows(&[[0u8, 0, 0, 0], [1, 1, 1, 1]]),
+            1,
             ServeConfig {
                 max_wait: Duration::from_secs(10),
                 ..ServeConfig::default()
@@ -2223,7 +1790,11 @@ mod tests {
         // off its queue (thread wakeups are microseconds), the
         // deadline has passed — the request must be rejected as dead
         // on arrival, not executed.
-        let server = McamServer::start(memory_with_rows(&[[0u8, 0, 0, 0]]), ServeConfig::default());
+        let server = ShardedServer::start(
+            memory_with_rows(&[[0u8, 0, 0, 0]]),
+            1,
+            ServeConfig::default(),
+        );
         let handle = server.handle();
         let ticket = handle
             .submit_with_deadline(&[0, 0, 0, 1], Duration::from_nanos(1))
@@ -2236,15 +1807,16 @@ mod tests {
         }
         assert_eq!(server.stats().deadline_rejected, 1);
         // The admission slot was released: the queue is drained.
-        assert_eq!(handle.queue_depth(), 0);
+        assert_eq!(server.stats().merged().queue_depth, 0);
     }
 
     #[test]
     fn top_k_traffic_coalesces_into_batches() {
         let memory = memory_with_rows(&[[0u8, 1, 2, 3], [7, 7, 7, 7], [1, 1, 2, 3], [4, 4, 4, 4]]);
         let direct = memory_with_rows(&[[0u8, 1, 2, 3], [7, 7, 7, 7], [1, 1, 2, 3], [4, 4, 4, 4]]);
-        let server = McamServer::start(
+        let server = ShardedServer::start(
             memory,
+            1,
             ServeConfig {
                 max_wait: Duration::from_millis(50),
                 ..ServeConfig::default()
@@ -2272,7 +1844,7 @@ mod tests {
             let want = direct.search_top_k_with(q, i + 1, Precision::F64).unwrap();
             assert_eq!(t.wait().unwrap(), want);
         }
-        let stats = server.stats();
+        let stats = server.stats().merged();
         assert_eq!(stats.queries, 6);
         assert_eq!(stats.topk_queries, 3);
         // Coalescing happened: fewer windows than requests.
@@ -2291,7 +1863,7 @@ mod tests {
             plan_budget_bytes: Some(1),
             ..ServeConfig::default()
         };
-        let server = McamServer::start(memory, config);
+        let server = ShardedServer::start(memory, 1, config);
         let handle = server.handle();
         handle.search(&[0, 1, 2, 3]).unwrap(); // warms the codes slot
         let report = handle.memory_report().unwrap();

@@ -1,20 +1,18 @@
 //! [`ServedNn`]: the served nearest-neighbor engine — a
-//! [`NnIndex`] whose every query and store routes through a
-//! [`McamServer`] dispatcher, so application code written against the
-//! engine trait transparently gains micro-batched execution.
+//! [`NnIndex`] whose every query and store routes through a one-shard
+//! [`ShardedServer`], so application code written against the engine
+//! trait transparently gains micro-batched execution.
 
 use femcam_core::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use femcam_core::{BankedMcam, CoreError, NnIndex, Precision, Quantizer, QueryResult, RoutedMcam};
+use femcam_core::{BankedMcam, CoreError, NnIndex, Precision, Quantizer, QueryResult};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::health::Coverage;
-use crate::{
-    McamServer, ServeConfig, ServeError, ServeStats, ServingHandle, ServingTicket, ShardedServer,
-};
+use crate::{ServeConfig, ServeError, ServeStats, ShardTicket, ShardedHandle, ShardedServer};
 
 /// How long `query_batch` waits out a queue saturated by traffic that
 /// is not its own before propagating the overload to the caller —
@@ -83,7 +81,7 @@ impl Backoff {
     }
 }
 
-/// A labelled NN engine serving through a [`McamServer`].
+/// A labelled NN engine serving through a one-shard [`ShardedServer`].
 ///
 /// The quantize → search pipeline matches
 /// `femcam_core::engines::McamNn`, but the array is a [`BankedMcam`]
@@ -97,47 +95,21 @@ impl Backoff {
 #[derive(Debug)]
 pub struct ServedNn {
     quantizer: Quantizer,
-    server: Server,
-    handle: ServingHandle,
+    server: ShardedServer,
+    handle: ShardedHandle,
     labels: Vec<u32>,
     bits: u8,
     precision: Precision,
-    /// Whether the dispatcher routes queries through an LSH front end
-    /// ([`Self::new_routed`]) — affects [`NnIndex::name`] only.
-    routed: bool,
     /// [`Coverage`] of the most recent winner query answered through
     /// this engine — how callers coding against the plain [`NnIndex`]
     /// trait (whose `query` cannot return coverage) observe that a
-    /// fail-open sharded back end answered from a partial topology.
+    /// fail-open server answered from a partial topology.
     last_coverage: Mutex<Option<Coverage>>,
 }
 
-/// The owned serving back end: a single dispatcher or a sharded fleet.
-#[derive(Debug)]
-enum Server {
-    Single(McamServer),
-    Sharded(ShardedServer),
-}
-
 impl ServedNn {
-    fn validate(quantizer: &Quantizer, memory: &BankedMcam) -> femcam_core::Result<()> {
-        if quantizer.n_levels() as usize != memory.ladder().n_levels() {
-            return Err(CoreError::InvalidParameter {
-                name: "n_levels",
-                value: f64::from(quantizer.n_levels()),
-            });
-        }
-        if quantizer.dims() != memory.word_len() {
-            return Err(CoreError::DimensionMismatch {
-                expected: memory.word_len(),
-                actual: quantizer.dims(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Starts a single-dispatcher server around `memory` and wraps it
-    /// as an engine.
+    /// Starts a one-shard [`ShardedServer`] around `memory` and wraps
+    /// it as an engine.
     ///
     /// # Errors
     ///
@@ -150,85 +122,29 @@ impl ServedNn {
         memory: BankedMcam,
         config: ServeConfig,
     ) -> femcam_core::Result<Self> {
-        Self::validate(&quantizer, &memory)?;
+        if quantizer.n_levels() as usize != memory.ladder().n_levels() {
+            return Err(CoreError::InvalidParameter {
+                name: "n_levels",
+                value: f64::from(quantizer.n_levels()),
+            });
+        }
+        if quantizer.dims() != memory.word_len() {
+            return Err(CoreError::DimensionMismatch {
+                expected: memory.word_len(),
+                actual: quantizer.dims(),
+            });
+        }
         let bits = memory.ladder().bits();
         let precision = config.precision;
-        let server = McamServer::start(memory, config);
-        let handle = ServingHandle::Single(server.handle());
+        let server = ShardedServer::start(memory, 1, config);
+        let handle = server.handle();
         Ok(ServedNn {
             quantizer,
-            server: Server::Single(server),
+            server,
             handle,
             labels: Vec::new(),
             bits,
             precision,
-            routed: false,
-            last_coverage: Mutex::new("serve.nn.last_coverage", None),
-        })
-    }
-
-    /// Starts a single-dispatcher server around a [`RoutedMcam`]
-    /// ([`McamServer::start_routed`]) and wraps it as an engine: every
-    /// query routes through the LSH bank router before the exact
-    /// masked MCAM re-rank, so results follow the routed-memory
-    /// contract — exact over the probed banks, approximate overall.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`new`](Self::new).
-    pub fn new_routed(
-        quantizer: Quantizer,
-        routed: RoutedMcam,
-        config: ServeConfig,
-    ) -> femcam_core::Result<Self> {
-        Self::validate(&quantizer, routed.memory())?;
-        let bits = routed.memory().ladder().bits();
-        let precision = config.precision;
-        let server = McamServer::start_routed(routed, config);
-        let handle = ServingHandle::Single(server.handle());
-        Ok(ServedNn {
-            quantizer,
-            server: Server::Single(server),
-            handle,
-            labels: Vec::new(),
-            bits,
-            precision,
-            routed: true,
-            last_coverage: Mutex::new("serve.nn.last_coverage", None),
-        })
-    }
-
-    /// Starts a [`ShardedServer`] (`shards` dispatchers over the
-    /// partitioned memory) and wraps it as an engine; results stay
-    /// bit-identical to [`new`](Self::new) by the shard-merge
-    /// contract.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`new`](Self::new).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero (see [`ShardedServer::start`]).
-    pub fn new_sharded(
-        quantizer: Quantizer,
-        memory: BankedMcam,
-        shards: usize,
-        config: ServeConfig,
-    ) -> femcam_core::Result<Self> {
-        Self::validate(&quantizer, &memory)?;
-        let bits = memory.ladder().bits();
-        let precision = config.precision;
-        let server = ShardedServer::start(memory, shards, config);
-        let handle = ServingHandle::Sharded(server.handle());
-        Ok(ServedNn {
-            quantizer,
-            server: Server::Sharded(server),
-            handle,
-            labels: Vec::new(),
-            bits,
-            precision,
-            routed: false,
             last_coverage: Mutex::new("serve.nn.last_coverage", None),
         })
     }
@@ -236,46 +152,38 @@ impl ServedNn {
     /// A cloneable client handle to the underlying server (e.g. for
     /// concurrent submitters).
     ///
-    /// Note: rows written through [`ServingHandle::store`] bypass this
+    /// Note: rows written through [`ShardedHandle::store`] bypass this
     /// engine's label bookkeeping. The engine stays safe — queries
     /// whose winner is an unlabeled row, and any later
     /// [`add`](NnIndex::add), report [`CoreError::Unavailable`]
     /// instead of mislabeling — but labelled serving should go through
     /// [`add`](NnIndex::add) exclusively.
     #[must_use]
-    pub fn handle(&self) -> ServingHandle {
+    pub fn handle(&self) -> ShardedHandle {
         self.handle.clone()
     }
 
-    /// Snapshot of the serving statistics (for a sharded back end,
-    /// the [`crate::ShardedStats::merged`] aggregate).
+    /// Snapshot of the serving statistics (the
+    /// [`crate::ShardedStats::merged`] aggregate).
     #[must_use]
     pub fn stats(&self) -> ServeStats {
-        match &self.server {
-            Server::Single(s) => s.stats(),
-            Server::Sharded(s) => s.stats().merged(),
-        }
+        self.server.stats().merged()
     }
 
-    /// Shuts the server down and returns the live memory (a sharded
-    /// back end reassembles its partition first).
+    /// Shuts the server down and returns the live memory.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Unavailable`] if a dispatcher thread died outside
-    /// supervision, so its part of the memory is unrecoverable.
+    /// [`CoreError::Unavailable`] if the dispatcher thread died outside
+    /// supervision, so the memory is unrecoverable.
     pub fn into_memory(self) -> femcam_core::Result<BankedMcam> {
-        match self.server {
-            Server::Single(s) => s.shutdown(),
-            Server::Sharded(s) => s.shutdown(),
-        }
-        .map_err(CoreError::from)
+        self.server.shutdown().map_err(CoreError::from)
     }
 
     /// Like [`NnIndex::query`], but also reports the [`Coverage`] the
     /// winner was merged over: full on a healthy server, partial when
-    /// a sharded back end lost shards and the fail-open policy
-    /// answered from the survivors.
+    /// the dispatcher could not answer in time and the fail-open policy
+    /// answered from what was left.
     ///
     /// # Errors
     ///
@@ -290,7 +198,7 @@ impl ServedNn {
         let covered = self
             .handle
             .submit(&levels)
-            .and_then(ServingTicket::wait_covered)
+            .and_then(ShardTicket::wait_covered)
             .map_err(CoreError::from)?;
         self.record_coverage(&covered.coverage);
         let (index, score) = covered.value;
@@ -299,11 +207,10 @@ impl ServedNn {
 
     /// [`Coverage`] of the most recent winner query ([`NnIndex::query`]
     /// or [`query_with_coverage`](Self::query_with_coverage)) answered
-    /// through this engine, or `None` before the first one. Full on a
-    /// single-dispatcher back end; on a fail-open sharded back end a
-    /// partial record here is how plain [`NnIndex`] callers — whose
-    /// `query` signature cannot carry coverage — learn that the last
-    /// answer was merged over a degraded topology.
+    /// through this engine, or `None` before the first one. A partial
+    /// record here is how plain [`NnIndex`] callers — whose `query`
+    /// signature cannot carry coverage — learn that the last answer
+    /// was merged over a degraded topology.
     #[must_use]
     pub fn last_coverage(&self) -> Option<Coverage> {
         crate::lock(&self.last_coverage).clone()
@@ -314,7 +221,7 @@ impl ServedNn {
     }
 
     fn result(&self, index: usize, score: f64) -> femcam_core::Result<QueryResult> {
-        // Rows written through the raw ServeHandle (bypassing `add`)
+        // Rows written through the raw handle (bypassing `add`)
         // carry no label; surface that as an error instead of
         // panicking on the winning row.
         match self.labels.get(index) {
@@ -361,7 +268,7 @@ impl NnIndex for ServedNn {
         let covered = self
             .handle
             .submit(&levels)
-            .and_then(ServingTicket::wait_covered)
+            .and_then(ShardTicket::wait_covered)
             .map_err(CoreError::from)?;
         self.record_coverage(&covered.coverage);
         let (index, score) = covered.value;
@@ -415,7 +322,7 @@ impl NnIndex for ServedNn {
         // in-flight ticket to free a slot instead of failing the whole
         // batch. Tickets drain in submission order, so `out` stays in
         // query order.
-        let mut in_flight: VecDeque<ServingTicket> = VecDeque::new();
+        let mut in_flight: VecDeque<ShardTicket> = VecDeque::new();
         let mut overloaded_since: Option<Instant> = None;
         let mut backoff = Backoff::new();
         let mut pending = levels.iter();
@@ -474,24 +381,11 @@ impl NnIndex for ServedNn {
     }
 
     fn name(&self) -> String {
-        match &self.server {
-            Server::Single(_) if self.routed => format!(
-                "mcam-routed-{}bit{}",
-                self.bits,
-                self.precision.name_suffix()
-            ),
-            Server::Single(_) => format!(
-                "mcam-served-{}bit{}",
-                self.bits,
-                self.precision.name_suffix()
-            ),
-            Server::Sharded(s) => format!(
-                "mcam-sharded{}-{}bit{}",
-                s.n_shards(),
-                self.bits,
-                self.precision.name_suffix()
-            ),
-        }
+        format!(
+            "mcam-served-{}bit{}",
+            self.bits,
+            self.precision.name_suffix()
+        )
     }
 }
 
@@ -619,42 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn routed_served_engine_answers_exact_matches() {
-        use femcam_core::RouterConfig;
-        let (features, labels) = clustered_data();
-        let ladder = LevelLadder::new(3).unwrap();
-        let lut = ConductanceLut::from_device(&FefetModel::default(), &ladder);
-        let quantizer = Quantizer::fit(
-            features.iter().map(|r| r.as_slice()),
-            3,
-            ladder.n_levels() as u16,
-            QuantizeStrategy::PerFeatureMinMax,
-        )
-        .unwrap();
-        let memory = BankedMcam::new(ladder, lut, 3, 4);
-        let routed = RoutedMcam::new(memory, RouterConfig::default()).unwrap();
-        let mut served = ServedNn::new_routed(quantizer, routed, ServeConfig::default()).unwrap();
-        for (f, &l) in features.iter().zip(&labels) {
-            served.add(f, l).unwrap();
-        }
-        assert!(served.name().starts_with("mcam-routed-3bit"));
-        // Every stored vector is its own nearest neighbor, and routed
-        // search always reaches an exact match (stores update the
-        // router's buckets), so each query must label itself.
-        for (f, &l) in features.iter().zip(&labels) {
-            let got = served.query(f).unwrap();
-            assert_eq!(got.label, l);
-        }
-        let refs: Vec<&[f32]> = features.iter().map(|f| f.as_slice()).collect();
-        let batched = served.query_batch(&refs).unwrap();
-        for (b, &l) in batched.iter().zip(&labels) {
-            assert_eq!(b.label, l);
-        }
-        let memory = served.into_memory().unwrap();
-        assert_eq!(memory.n_rows(), features.len());
-    }
-
-    #[test]
     fn served_engine_validates_construction() {
         let (features, _) = clustered_data();
         let ladder = LevelLadder::new(3).unwrap();
@@ -714,7 +572,7 @@ mod tests {
         }
         served.query(&features[0]).unwrap();
         let coverage = served.last_coverage().expect("query records coverage");
-        assert!(!coverage.degraded(), "single dispatcher is always full");
+        assert!(!coverage.degraded(), "a healthy server answers in full");
         assert_eq!(coverage.searched, coverage.banks.len());
         // The explicit coverage face records the same thing.
         let (_, explicit) = served.query_with_coverage(&features[1]).unwrap();

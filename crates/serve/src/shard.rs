@@ -1,17 +1,16 @@
-//! Sharded serving front end: one micro-batching dispatcher per bank
+//! The serving front end: one micro-batching dispatcher per bank
 //! shard, fan-out searches, a fixed-order winner merge.
 //!
-//! [`ShardedServer`] partitions a [`BankedMcam`]'s banks across `N`
-//! single-dispatcher [`McamServer`] shards
-//! ([`BankedMcam::partition`]). Searches fan out to every shard and
-//! merge by ascending `(conductance, global_row)` — the same
-//! contractual order the banked winner merge already pins — so sharded
-//! results are **bit-identical** to a single-dispatcher server and to
-//! a direct search over the unpartitioned memory. Stores route only to
-//! the shard that owns the append tail, so a write is a batch barrier
-//! on *one* shard's queue while every other shard keeps coalescing
-//! searches. See the crate-level
-//! ["Sharding and deadlines"](crate#sharding-and-deadlines) section
+//! [`ShardedServer`] partitions a [`BankedMcam`]'s banks across `N ≥ 1`
+//! shards ([`BankedMcam::partition`]), each served by its own
+//! dispatcher (the crate-private `McamServer`). Searches fan out to
+//! every shard and merge by ascending `(conductance, global_row)` —
+//! the same contractual order the banked winner merge already pins —
+//! so results are **bit-identical** at every shard count to a direct
+//! search over the unpartitioned memory. Stores route only to the
+//! shard that owns the append tail, so a write is a batch barrier on
+//! *one* shard's queue while every other shard keeps coalescing
+//! searches. See the crate-level ["Serving"](crate#serving) section
 //! for the full semantics.
 //!
 //! **Routed fan-out.** [`ShardedServer::start_routed`] puts the
@@ -23,9 +22,11 @@
 //! owns — so shard-level routing can only raise recall relative to
 //! bank-level routing while skipping the dispatcher round-trip, the
 //! admission slot, and the sweep on every shard the router ruled out.
-//! An empty route falls back to the full fan-out, and stores keep the
-//! router's buckets synchronized (tail store, then
-//! [`LshRouter::note_store`]) so a new row is immediately routable.
+//! At one shard the route can only name that shard, so a 1-shard
+//! routed server sweeps its whole memory. An empty route falls back to
+//! the full fan-out, and stores keep the router's buckets synchronized
+//! (tail store, then [`LshRouter::note_store`]) so a new row is
+//! immediately routable.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
@@ -40,9 +41,7 @@ use femcam_core::{BankedMcam, CoreError, LshRouter, Metric, RoutedMcam};
 #[cfg(feature = "chaos")]
 use crate::fault;
 use crate::health::{Coverage, Covered, DegradedPolicy, HealthBoard, ShardHealth};
-use crate::{
-    McamServer, MemoryReport, ServeConfig, ServeError, ServeHandle, ServeStats, Ticket, TopKTicket,
-};
+use crate::{McamServer, MemoryReport, ServeConfig, ServeError, ServeHandle, ServeStats, Ticket};
 
 /// Client-level counters a [`ShardedHandle`] keeps in addition to the
 /// per-shard dispatcher stats (a fanned request executes once per
@@ -213,10 +212,10 @@ impl Topology {
     }
 }
 
-/// A sharded micro-batching server: `N` single-dispatcher shards over
-/// a partitioned [`BankedMcam`], plus the fan-out/merge front end and
+/// The micro-batching server: `N ≥ 1` dispatcher shards over a
+/// partitioned [`BankedMcam`], plus the fan-out/merge front end and
 /// the probe/re-admit supervisor that resurrects quarantined shards.
-/// See the [module docs](self).
+/// See the [crate docs](crate#serving).
 #[derive(Debug)]
 pub struct ShardedServer {
     /// Per-shard dispatcher servers behind slots the re-admit path can
@@ -253,9 +252,10 @@ impl ShardedServer {
 
     /// Like [`start`](Self::start), but keeps the [`LshRouter`] of
     /// `routed` at the front end: searches fan only to the shards
-    /// owning the query's routed banks (see the [module
-    /// docs](self#)). Results follow the routed-memory contract —
-    /// exact over the probed shard subset, approximate overall — and
+    /// owning the query's routed banks (see the [crate-level "Routed
+    /// serving"](crate#serving)). Results follow the routed-memory
+    /// contract — exact over the probed shard subset, approximate
+    /// overall; a 1-shard server sweeps its whole memory — and
     /// [`shutdown`](Self::shutdown) returns the reassembled
     /// [`BankedMcam`] (the router is dropped; rebuild one with
     /// [`RoutedMcam::new`] to keep routing).
@@ -744,7 +744,12 @@ fn try_readmit_shard(
     let replacement = server.handle();
     let served: Result<Vec<Vec<(usize, f64)>>, ServeError> = suite
         .iter()
-        .map(|c| replacement.search_top_k(&c.query, c.k))
+        .map(|c| {
+            replacement.admit()?;
+            replacement
+                .enqueue_top_k(&c.query, c.k, None, Metric::default())?
+                .wait()
+        })
         .collect();
     let canary_ok = served.is_ok_and(|served| canaries_pass(&oracle, &served));
     // The replacement holds the memory either way; a canary mismatch
@@ -802,36 +807,183 @@ pub struct ShardedHandle {
     faults: Option<fault::FaultPlan>,
 }
 
-/// One contacted shard's stake in a fanned request: its ticket plus
-/// the global row/bank geometry the merge and coverage accounting
+/// One contacted shard's stake in a fanned request: its ticket, the
+/// shard handle it was admitted on (pinned for the request's life),
+/// plus the global row/bank geometry the merge and coverage accounting
 /// need.
 #[derive(Debug)]
 struct Part<T> {
     shard: usize,
     row_base: usize,
     bank_base: usize,
-    ticket: T,
+    handle: ServeHandle,
+    ticket: Ticket<T>,
 }
 
-/// What a fan-out actually reached: tickets on the live shards, plus
-/// the banks intended but unreachable (owning shard quarantined).
-struct FanOut<T> {
+/// The shards (and their banks) a request lost, with the causes
+/// tallied so a request that lost *every* shard reports the one cause
+/// they all share.
+#[derive(Debug, Default)]
+struct Losses {
+    shards: usize,
+    banks: usize,
+    /// Losses to an orderly shutdown.
+    shutdowns: usize,
+    /// Losses to a `DispatcherFailed` answer, and the first such error.
+    failures: usize,
+    failure: Option<ServeError>,
+}
+
+impl Losses {
+    fn lose(&mut self, banks: usize) {
+        self.shards += 1;
+        self.banks += banks;
+    }
+
+    /// The error of a request that nothing answered: `ShuttingDown`
+    /// when every loss was an orderly shutdown, the `DispatcherFailed`
+    /// (with its panic payload) when every loss was a failed
+    /// dispatcher answer, else `Degraded` with nothing searched.
+    fn verdict(self) -> ServeError {
+        if self.shutdowns == self.shards {
+            return ServeError::ShuttingDown;
+        }
+        match self.failure {
+            Some(failure) if self.failures == self.shards => failure,
+            _ => ServeError::Degraded {
+                searched: 0,
+                total: self.banks,
+            },
+        }
+    }
+}
+
+/// What both ticket kinds hold: one part per contacted shard, in
+/// ascending shard (and so global-row) order, plus the losses the
+/// fan-out already took and the merge policy.
+#[derive(Debug)]
+struct Fanned<T> {
     parts: Vec<Part<T>>,
-    lost_banks: usize,
+    losses: Losses,
+    /// Per-shard answer deadline ([`ServeConfig::shard_timeout`]).
+    shard_deadline: Option<Instant>,
+    policy: DegradedPolicy,
+    topo: Arc<Topology>,
+}
+
+impl<T> Fanned<T> {
+    /// Waits on every part in shard order and hands each answer to
+    /// `on_answer` with its shard's global row base; returns the
+    /// [`Coverage`] of the merge.
+    ///
+    /// A shard that is gone ([`ServeError::ShuttingDown`], or a
+    /// [`ServeError::DispatcherFailed`] from a dispatcher whose breaker
+    /// tripped) is quarantined; one that missed the per-shard deadline
+    /// is marked degraded. A `DispatcherFailed` from a dispatcher that
+    /// healed in place costs no health: the shard only drops out of
+    /// this merge. Every lost shard's banks count as lost coverage.
+    fn collect(self, mut on_answer: impl FnMut(usize, T)) -> Result<Coverage, ServeError> {
+        let mut banks: Vec<usize> = Vec::new();
+        let mut losses = self.losses;
+        let mut answered = false;
+        let mut dead: Option<ServeError> = None;
+        for part in self.parts {
+            let n_banks = part.ticket.banks_count();
+            let answer = match self.shard_deadline {
+                Some(deadline) => match part.ticket.wait_deadline(deadline) {
+                    Some(answer) => answer,
+                    None => {
+                        // Missed the per-shard deadline: the shard is
+                        // slow, not gone — degraded, banks lost from
+                        // this merge only.
+                        self.topo.mark_degraded(part.shard);
+                        losses.lose(n_banks);
+                        continue;
+                    }
+                },
+                None => part.ticket.wait(),
+            };
+            match answer {
+                Ok(value) => {
+                    answered = true;
+                    banks.extend(part.bank_base..part.bank_base + n_banks);
+                    on_answer(part.row_base, value);
+                }
+                // An empty shard covered its (zero or more) banks; it
+                // just has no rows to contribute.
+                Err(ServeError::Core(CoreError::EmptyArray)) => {
+                    answered = true;
+                    banks.extend(part.bank_base..part.bank_base + n_banks);
+                }
+                // Expiry on any shard kills the merged request, but
+                // counts once at the client level, however many
+                // shards rejected their copy.
+                Err(e @ ServeError::DeadlineExceeded { .. }) => {
+                    dead.get_or_insert(e);
+                }
+                Err(ServeError::ShuttingDown) => {
+                    self.topo.mark_quarantined(part.shard);
+                    losses.lose(n_banks);
+                    losses.shutdowns += 1;
+                }
+                Err(e @ ServeError::DispatcherFailed { .. }) => {
+                    if part.handle.is_failed() {
+                        self.topo.mark_quarantined(part.shard);
+                    }
+                    losses.lose(n_banks);
+                    losses.failures += 1;
+                    losses.failure.get_or_insert(e);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        if let Some(e) = dead {
+            // ORDERING: Relaxed — monotone client-stats counter.
+            self.topo
+                .counters
+                .deadline_rejected
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
+        if !answered && losses.shards > 0 {
+            return Err(losses.verdict());
+        }
+        let coverage = Coverage {
+            searched: banks.len(),
+            total: banks.len() + losses.banks,
+            banks,
+        };
+        if coverage.degraded()
+            && (self.policy == DegradedPolicy::FailClosed || coverage.searched == 0)
+        {
+            return Err(ServeError::Degraded {
+                searched: coverage.searched,
+                total: coverage.total,
+            });
+        }
+        Ok(coverage)
+    }
 }
 
 impl ShardedHandle {
     /// Submits one query to every shard without blocking; the returned
     /// [`ShardTicket`] merges the per-shard winners. Queries are
-    /// validated here, synchronously, exactly like
-    /// [`ServeHandle::submit`].
+    /// validated here, at admission time, so a malformed request is
+    /// rejected synchronously and can never fail a micro-batch it
+    /// would have shared with well-formed neighbors.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ServeHandle::submit`]; admission is
-    /// all-or-nothing — a slot is reserved on *every* shard before
-    /// anything is enqueued, so a rejection by one shard never leaves
-    /// the others executing work nobody waits for.
+    /// * [`ServeError::Core`] with [`CoreError::WordLengthMismatch`] /
+    ///   [`CoreError::LevelOutOfRange`] for malformed queries (exactly
+    ///   as a direct search would report them).
+    /// * [`ServeError::Overloaded`] when a contacted shard's queue is
+    ///   at capacity. Admission is all-or-nothing — a slot is reserved
+    ///   on *every* contacted shard before anything is enqueued, so a
+    ///   rejection by one shard never leaves the others executing work
+    ///   nobody waits for.
+    /// * [`ServeError::ShuttingDown`] when the server has exited, and
+    ///   [`ServeError::Degraded`] when no contacted shard is live.
     pub fn submit(&self, query: &[u8]) -> Result<ShardTicket, ServeError> {
         self.submit_at(query, None, Metric::default())
     }
@@ -877,7 +1029,9 @@ impl ShardedHandle {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ServeHandle::submit_with_deadline`].
+    /// * [`ServeError::DeadlineExceeded`] immediately when `budget`
+    ///   is zero (after query validation).
+    /// * Otherwise the same conditions as [`submit`](Self::submit).
     pub fn submit_with_deadline(
         &self,
         query: &[u8],
@@ -971,25 +1125,25 @@ impl ShardedHandle {
     fn fan_out<T>(
         &self,
         intended: &[usize],
-        enqueue: impl Fn(&ServeHandle) -> Result<T, ServeError>,
-    ) -> Result<FanOut<T>, ServeError> {
-        let mut lost_shards: Vec<usize> = Vec::new();
+        enqueue: impl Fn(&ServeHandle) -> Result<Ticket<T>, ServeError>,
+    ) -> Result<Fanned<T>, ServeError> {
+        let mut losses = Losses::default();
         let mut live: Vec<usize> = Vec::with_capacity(intended.len());
         for &i in intended {
             if self.quarantined(i) {
-                lost_shards.push(i);
+                losses.lose(self.shard_banks(i));
             } else {
                 live.push(i);
             }
         }
-        if live.is_empty() && !lost_shards.is_empty() {
+        if live.is_empty() {
             // Every intended shard is gone: surviving-shard full sweep.
             live = self
                 .topo
                 .targets
                 .iter()
                 .copied()
-                .filter(|&i| !lost_shards.contains(&i) && !self.quarantined(i))
+                .filter(|i| !intended.contains(i) && !self.quarantined(*i))
                 .collect();
         }
         // The request pins each shard's *current* handle for its whole
@@ -997,10 +1151,6 @@ impl ShardedHandle {
         // slots are still released on the dispatcher that reserved
         // them, never on the replacement.
         let mut admitted: Vec<(usize, ServeHandle)> = Vec::with_capacity(live.len());
-        // Losses from an *orderly* shutdown are not faults: when every
-        // loss this call was a clean `ShuttingDown`, the caller gets
-        // that error back instead of a degraded-coverage verdict.
-        let mut clean_shutdowns = 0usize;
         for &i in &live {
             let shard = self.topo.shard(i);
             match shard.admit() {
@@ -1013,67 +1163,67 @@ impl ShardedHandle {
                     self.topo.counters.rejected.fetch_add(1, Ordering::Relaxed);
                     return Err(e);
                 }
+                // Losses from an *orderly* shutdown are not faults.
                 Err(ServeError::ShuttingDown) => {
-                    clean_shutdowns += 1;
-                    lost_shards.push(i);
+                    losses.lose(shard.banks_snapshot());
+                    losses.shutdowns += 1;
                 }
                 // A terminally-failed shard rejects admission: skip it
                 // and keep the request alive on the survivors.
                 Err(_) => {
                     self.topo.mark_quarantined(i);
-                    lost_shards.push(i);
+                    losses.lose(shard.banks_snapshot());
                 }
             }
         }
         let mut parts: Vec<Part<T>> = Vec::with_capacity(admitted.len());
-        for (pos, (i, shard)) in admitted.iter().enumerate() {
-            let i = *i;
-            match enqueue(shard) {
+        let mut admitted = admitted.into_iter();
+        while let Some((i, shard)) = admitted.next() {
+            match enqueue(&shard) {
                 Ok(ticket) => parts.push(Part {
                     shard: i,
                     row_base: self.topo.bases[i],
                     bank_base: self.topo.bank_bases[i],
+                    handle: shard,
                     ticket,
                 }),
                 // The shard shut down between admit and enqueue (the
                 // enqueue released its own slot): a clean loss, not a
                 // fault worth quarantining over.
                 Err(ServeError::ShuttingDown) => {
-                    clean_shutdowns += 1;
-                    lost_shards.push(i);
+                    losses.lose(shard.banks_snapshot());
+                    losses.shutdowns += 1;
                 }
                 // The shard's dispatcher died between admit and
                 // enqueue: quarantine it, count its banks as lost
                 // coverage, and keep the request alive on survivors.
                 Err(ServeError::DispatcherFailed { .. }) => {
                     self.topo.mark_quarantined(i);
-                    lost_shards.push(i);
+                    losses.lose(shard.banks_snapshot());
                 }
                 // Any other enqueue failure aborts the fan-out; roll
                 // back the slots the loop has not reached yet.
                 Err(e) => {
-                    for (_, unreached) in &admitted[pos + 1..] {
+                    for (_, unreached) in admitted {
                         unreached.release_slot();
                     }
                     return Err(e);
                 }
             }
         }
-        let lost_banks: usize = lost_shards.iter().map(|&i| self.shard_banks(i)).sum();
-        if parts.is_empty() && !lost_shards.is_empty() {
+        if parts.is_empty() {
             // Nothing live at all — not even a fallback survivor.
-            if clean_shutdowns == lost_shards.len() {
-                // The server is going away in an orderly fashion.
-                return Err(ServeError::ShuttingDown);
-            }
-            return Err(ServeError::Degraded {
-                searched: 0,
-                total: lost_banks,
-            });
+            return Err(losses.verdict());
         }
         // ORDERING: Relaxed — monotone client-stats counter.
         self.topo.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(FanOut { parts, lost_banks })
+        Ok(Fanned {
+            parts,
+            losses,
+            shard_deadline: self.shard_timeout.map(|t| Instant::now() + t),
+            policy: self.policy,
+            topo: Arc::clone(&self.topo),
+        })
     }
 
     /// The shard subset a (validated) query fans to: the full target
@@ -1127,19 +1277,10 @@ impl ShardedHandle {
         validate_query(self.word_len, self.n_levels, query)?;
         let targets = self.route_targets(query)?;
         let enqueue_deadline = deadline.map(|(instant, _)| instant);
-        let fan = self.deadline_outranks(
-            self.fan_out(&targets, |shard| {
-                shard.enqueue_search(query, enqueue_deadline, metric)
-            }),
-            deadline,
-        )?;
-        Ok(ShardTicket {
-            parts: fan.parts,
-            lost_banks: fan.lost_banks,
-            shard_deadline: self.shard_timeout.map(|t| Instant::now() + t),
-            policy: self.policy,
-            topo: Arc::clone(&self.topo),
-        })
+        let fanned = self.fan_out(&targets, |shard| {
+            shard.enqueue_search(query, enqueue_deadline, metric)
+        });
+        self.deadline_outranks(fanned, deadline).map(ShardTicket)
     }
 
     /// Submits one query to every shard and blocks for the merged
@@ -1245,25 +1386,16 @@ impl ShardedHandle {
         validate_query(self.word_len, self.n_levels, query)?;
         let targets = self.route_targets(query)?;
         let enqueue_deadline = deadline.map(|(instant, _)| instant);
-        let fan = self.deadline_outranks(
-            self.fan_out(&targets, |shard| {
-                shard.enqueue_top_k(query, k, enqueue_deadline, metric)
-            }),
-            deadline,
-        )?;
+        let fanned = self.fan_out(&targets, |shard| {
+            shard.enqueue_top_k(query, k, enqueue_deadline, metric)
+        });
+        let fanned = self.deadline_outranks(fanned, deadline)?;
         // ORDERING: Relaxed — monotone client-stats counter.
         self.topo
             .counters
             .topk_submitted
             .fetch_add(1, Ordering::Relaxed);
-        Ok(ShardTopKTicket {
-            parts: fan.parts,
-            lost_banks: fan.lost_banks,
-            k,
-            shard_deadline: self.shard_timeout.map(|t| Instant::now() + t),
-            policy: self.policy,
-            topo: Arc::clone(&self.topo),
-        })
+        Ok(ShardTopKTicket { fanned, k })
     }
 
     /// The merged `k` nearest rows for one query, nearest first —
@@ -1286,7 +1418,13 @@ impl ShardedHandle {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ServeHandle::store`].
+    /// * [`ServeError::Core`] for malformed words (validated like
+    ///   queries).
+    /// * [`ServeError::ShuttingDown`] when the server has exited, or
+    ///   [`ServeError::DispatcherFailed`] when the tail shard failed
+    ///   terminally or panicked while applying this store (a store
+    ///   panic is caught *before* the word is applied — a failed store
+    ///   never half-mutates the memory).
     pub fn store(&self, word: &[u8]) -> Result<usize, ServeError> {
         let local = self.topo.shard(self.topo.tail).store(word)?;
         let global = self.topo.bases[self.topo.tail] + local;
@@ -1391,16 +1529,7 @@ impl ShardedHandle {
 /// An in-flight fanned winner search: wait on it to receive the
 /// merged `(global_row, total_conductance)` winner.
 #[derive(Debug)]
-pub struct ShardTicket {
-    /// Per-shard stakes, ascending shard (and so global-row) order.
-    parts: Vec<Part<Ticket>>,
-    /// Banks lost before enqueue (quarantined shards).
-    lost_banks: usize,
-    /// Per-shard answer deadline ([`crate::ServeConfig::shard_timeout`]).
-    shard_deadline: Option<Instant>,
-    policy: DegradedPolicy,
-    topo: Arc<Topology>,
-}
+pub struct ShardTicket(Fanned<(usize, f64)>);
 
 impl ShardTicket {
     /// Blocks for the merged winner, discarding the coverage record —
@@ -1420,96 +1549,38 @@ impl ShardTicket {
     /// covered shard is empty the merged request reports
     /// [`CoreError::EmptyArray`].
     ///
-    /// A shard that is gone ([`ServeError::ShuttingDown`] /
-    /// [`ServeError::DispatcherFailed`]) or that missed the per-shard
-    /// deadline drops out of the merge: its banks are recorded as lost
-    /// in the result's [`Coverage`] and its health is escalated. Under
-    /// [`DegradedPolicy::FailOpen`] the merge over the surviving banks
-    /// is returned with `coverage.degraded() == true` — exactly the
-    /// bank-mask merge over `coverage.banks`; under
-    /// [`DegradedPolicy::FailClosed`] (or when *nothing* survived) the
+    /// A shard that cannot answer drops out of the merge, its banks
+    /// recorded as lost in the result's [`Coverage`] (see the
+    /// [crate-level "Failure model"](crate#failure-model) for which
+    /// losses change its health). Under [`DegradedPolicy::FailOpen`]
+    /// the merge over the surviving banks is returned with
+    /// `coverage.degraded() == true` — exactly the bank-mask merge
+    /// over `coverage.banks`; under [`DegradedPolicy::FailClosed`] the
     /// request fails with [`ServeError::Degraded`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Ticket::wait`], plus
-    /// [`ServeError::Degraded`] as above; any shard's
-    /// [`ServeError::DeadlineExceeded`] (the *request* deadline) still
-    /// fails the merged request.
+    /// * [`ServeError::Core`] if the search failed (e.g. the memory is
+    ///   empty).
+    /// * [`ServeError::DeadlineExceeded`] if any shard rejected its
+    ///   copy of the request as expired.
+    /// * When no shard answered: [`ServeError::ShuttingDown`] if every
+    ///   loss was an orderly shutdown, [`ServeError::DispatcherFailed`]
+    ///   (with the panic payload) if every loss was a dispatcher
+    ///   failure, else [`ServeError::Degraded`].
+    /// * [`ServeError::Degraded`] for partial coverage under the
+    ///   fail-closed policy.
     pub fn wait_covered(self) -> Result<Covered<(usize, f64)>, ServeError> {
         let mut best: Option<(usize, f64)> = None;
-        let mut banks: Vec<usize> = Vec::new();
-        let mut lost_banks = self.lost_banks;
-        let mut dead: Option<ServeError> = None;
-        for part in self.parts {
-            let n_banks = part.ticket.banks_count();
-            let answer = match self.shard_deadline {
-                Some(deadline) => match part.ticket.wait_deadline(deadline) {
-                    Some(answer) => answer,
-                    None => {
-                        // Missed the per-shard deadline: the shard is
-                        // slow, not gone — degraded, banks lost from
-                        // this merge only.
-                        self.topo.mark_degraded(part.shard);
-                        lost_banks += n_banks;
-                        continue;
-                    }
-                },
-                None => part.ticket.wait(),
-            };
-            match answer {
-                Ok((local, g)) => {
-                    banks.extend(part.bank_base..part.bank_base + n_banks);
-                    // Shards fold in ascending global-row order with a
-                    // strict `<`, so exact cross-shard ties keep the
-                    // earlier (lower global row) winner — identical to
-                    // the in-memory banked merge.
-                    if best.is_none_or(|(_, bg)| g < bg) {
-                        best = Some((part.row_base + local, g));
-                    }
-                }
-                // An empty shard covered its (zero or more) banks; it
-                // just has no rows to contribute.
-                Err(ServeError::Core(CoreError::EmptyArray)) => {
-                    banks.extend(part.bank_base..part.bank_base + n_banks);
-                }
-                // Expiry on any shard kills the merged request, but
-                // counts once at the client level, however many
-                // shards rejected their copy.
-                Err(e @ ServeError::DeadlineExceeded { .. }) => {
-                    if dead.is_none() {
-                        dead = Some(e);
-                    }
-                }
-                // The shard died with this request in flight.
-                Err(ServeError::ShuttingDown | ServeError::DispatcherFailed { .. }) => {
-                    self.topo.mark_quarantined(part.shard);
-                    lost_banks += n_banks;
-                }
-                Err(e) => return Err(e),
+        let coverage = self.0.collect(|row_base, (local, g)| {
+            // Shards fold in ascending global-row order with a strict
+            // `<`, so exact cross-shard ties keep the earlier (lower
+            // global row) winner — identical to the in-memory banked
+            // merge.
+            if best.is_none_or(|(_, bg)| g < bg) {
+                best = Some((row_base + local, g));
             }
-        }
-        if let Some(e) = dead {
-            // ORDERING: Relaxed — monotone client-stats counter.
-            self.topo
-                .counters
-                .deadline_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        let coverage = Coverage {
-            searched: banks.len(),
-            total: banks.len() + lost_banks,
-            banks,
-        };
-        if coverage.degraded()
-            && (self.policy == DegradedPolicy::FailClosed || coverage.searched == 0)
-        {
-            return Err(ServeError::Degraded {
-                searched: coverage.searched,
-                total: coverage.total,
-            });
-        }
+        })?;
         match best {
             Some(value) => Ok(Covered { value, coverage }),
             None => Err(ServeError::Core(CoreError::EmptyArray)),
@@ -1521,12 +1592,8 @@ impl ShardTicket {
 /// hits, nearest first.
 #[derive(Debug)]
 pub struct ShardTopKTicket {
-    parts: Vec<Part<TopKTicket>>,
-    lost_banks: usize,
+    fanned: Fanned<Vec<(usize, f64)>>,
     k: usize,
-    shard_deadline: Option<Instant>,
-    policy: DegradedPolicy,
-    topo: Arc<Topology>,
 }
 
 impl ShardTopKTicket {
@@ -1552,68 +1619,11 @@ impl ShardTopKTicket {
     /// Same conditions as [`ShardTicket::wait_covered`].
     pub fn wait_covered(self) -> Result<Covered<Vec<(usize, f64)>>, ServeError> {
         let mut candidates: Vec<(usize, f64)> = Vec::new();
-        let mut banks: Vec<usize> = Vec::new();
-        let mut lost_banks = self.lost_banks;
         let mut any = false;
-        let mut dead: Option<ServeError> = None;
-        for part in self.parts {
-            let n_banks = part.ticket.banks_count();
-            let answer = match self.shard_deadline {
-                Some(deadline) => match part.ticket.wait_deadline(deadline) {
-                    Some(answer) => answer,
-                    None => {
-                        self.topo.mark_degraded(part.shard);
-                        lost_banks += n_banks;
-                        continue;
-                    }
-                },
-                None => part.ticket.wait(),
-            };
-            match answer {
-                Ok(hits) => {
-                    any = true;
-                    banks.extend(part.bank_base..part.bank_base + n_banks);
-                    candidates.extend(
-                        hits.into_iter()
-                            .map(|(local, g)| (part.row_base + local, g)),
-                    );
-                }
-                Err(ServeError::Core(CoreError::EmptyArray)) => {
-                    banks.extend(part.bank_base..part.bank_base + n_banks);
-                }
-                Err(e @ ServeError::DeadlineExceeded { .. }) => {
-                    if dead.is_none() {
-                        dead = Some(e);
-                    }
-                }
-                Err(ServeError::ShuttingDown | ServeError::DispatcherFailed { .. }) => {
-                    self.topo.mark_quarantined(part.shard);
-                    lost_banks += n_banks;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(e) = dead {
-            // ORDERING: Relaxed — monotone client-stats counter.
-            self.topo
-                .counters
-                .deadline_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        let coverage = Coverage {
-            searched: banks.len(),
-            total: banks.len() + lost_banks,
-            banks,
-        };
-        if coverage.degraded()
-            && (self.policy == DegradedPolicy::FailClosed || coverage.searched == 0)
-        {
-            return Err(ServeError::Degraded {
-                searched: coverage.searched,
-                total: coverage.total,
-            });
-        }
+        let coverage = self.fanned.collect(|row_base, hits| {
+            any = true;
+            candidates.extend(hits.into_iter().map(|(local, g)| (row_base + local, g)));
+        })?;
         if !any {
             return Err(ServeError::Core(CoreError::EmptyArray));
         }
@@ -1625,7 +1635,6 @@ impl ShardTopKTicket {
         })
     }
 }
-
 /// Serving statistics of a [`ShardedServer`]: client-level counters
 /// plus each shard's own [`ServeStats`].
 #[derive(Debug, Clone)]
@@ -1669,8 +1678,7 @@ impl ShardedStats {
     /// counters**: `queries`, `topk_queries`, `rejected`,
     /// `deadline_rejected`, and `queries_per_s` count each fanned
     /// request once — not once per shard — so the numbers stay
-    /// comparable with a single-dispatcher server under the same
-    /// client load. Execution-cost fields keep per-shard semantics:
+    /// comparable across shard counts under the same client load. Execution-cost fields keep per-shard semantics:
     /// `batches`/`mean_batch`/`max_batch` aggregate the dispatchers'
     /// windows (weighted by batches), `mean_exec_us_per_query` is the
     /// mean over per-shard *executions* (each fanned request executes
@@ -1739,175 +1747,6 @@ impl ShardedStats {
             quarantined: self.quarantined,
             readmitted: self.readmitted,
             probe_failures: self.probe_failures,
-        }
-    }
-}
-
-/// A client handle to either serving front end — what lets adapters
-/// (e.g. [`crate::ServedNn`]) treat a single-dispatcher and a sharded
-/// server uniformly.
-#[derive(Debug, Clone)]
-pub enum ServingHandle {
-    /// Handle to a single-dispatcher [`McamServer`].
-    Single(ServeHandle),
-    /// Handle to a [`ShardedServer`].
-    Sharded(ShardedHandle),
-}
-
-/// An in-flight winner search on either front end.
-#[derive(Debug)]
-pub enum ServingTicket {
-    /// Ticket from a single-dispatcher server.
-    Single(Ticket),
-    /// Merged fan-out ticket from a sharded server.
-    Sharded(ShardTicket),
-}
-
-impl ServingTicket {
-    /// Blocks until the winner arrives.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Ticket::wait`] / [`ShardTicket::wait`].
-    pub fn wait(self) -> Result<(usize, f64), ServeError> {
-        match self {
-            ServingTicket::Single(t) => t.wait(),
-            ServingTicket::Sharded(t) => t.wait(),
-        }
-    }
-
-    /// Blocks for the winner plus its [`Coverage`] record (always full
-    /// on a single-dispatcher server; possibly degraded on a sharded
-    /// one).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Ticket::wait_covered`] /
-    /// [`ShardTicket::wait_covered`].
-    pub fn wait_covered(self) -> Result<Covered<(usize, f64)>, ServeError> {
-        match self {
-            ServingTicket::Single(t) => t.wait_covered(),
-            ServingTicket::Sharded(t) => t.wait_covered(),
-        }
-    }
-}
-
-impl ServingHandle {
-    /// Submits one query without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ServeHandle::submit`] /
-    /// [`ShardedHandle::submit`].
-    pub fn submit(&self, query: &[u8]) -> Result<ServingTicket, ServeError> {
-        match self {
-            ServingHandle::Single(h) => h.submit(query).map(ServingTicket::Single),
-            ServingHandle::Sharded(h) => h.submit(query).map(ServingTicket::Sharded),
-        }
-    }
-
-    /// Submits one query and blocks for the winner.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ServeHandle::search`] /
-    /// [`ShardedHandle::search`].
-    pub fn search(&self, query: &[u8]) -> Result<(usize, f64), ServeError> {
-        match self {
-            ServingHandle::Single(h) => h.search(query),
-            ServingHandle::Sharded(h) => h.search(query),
-        }
-    }
-
-    /// Submits one query at a chosen per-request [`Metric`] and blocks
-    /// for the winner.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ServeHandle::search_with_metric`] /
-    /// [`ShardedHandle::search_with_metric`].
-    pub fn search_with_metric(
-        &self,
-        query: &[u8],
-        metric: Metric,
-    ) -> Result<(usize, f64), ServeError> {
-        match self {
-            ServingHandle::Single(h) => h.search_with_metric(query, metric),
-            ServingHandle::Sharded(h) => h.search_with_metric(query, metric),
-        }
-    }
-
-    /// The `k` nearest rows at a chosen per-request [`Metric`],
-    /// nearest first.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ServeHandle::search_top_k_with_metric`] /
-    /// [`ShardedHandle::search_top_k_with_metric`].
-    pub fn search_top_k_with_metric(
-        &self,
-        query: &[u8],
-        k: usize,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>, ServeError> {
-        match self {
-            ServingHandle::Single(h) => h.search_top_k_with_metric(query, k, metric),
-            ServingHandle::Sharded(h) => h.search_top_k_with_metric(query, k, metric),
-        }
-    }
-
-    /// Submits one query with a deadline and blocks for the winner.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ServeHandle::search_with_deadline`] /
-    /// [`ShardedHandle::search_with_deadline`].
-    pub fn search_with_deadline(
-        &self,
-        query: &[u8],
-        budget: Duration,
-    ) -> Result<(usize, f64), ServeError> {
-        match self {
-            ServingHandle::Single(h) => h.search_with_deadline(query, budget),
-            ServingHandle::Sharded(h) => h.search_with_deadline(query, budget),
-        }
-    }
-
-    /// The `k` nearest rows for one query, nearest first.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ServeHandle::search_top_k`] /
-    /// [`ShardedHandle::search_top_k`].
-    pub fn search_top_k(&self, query: &[u8], k: usize) -> Result<Vec<(usize, f64)>, ServeError> {
-        match self {
-            ServingHandle::Single(h) => h.search_top_k(query, k),
-            ServingHandle::Sharded(h) => h.search_top_k(query, k),
-        }
-    }
-
-    /// Stores one word; returns the new global row index.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ServeHandle::store`] /
-    /// [`ShardedHandle::store`].
-    pub fn store(&self, word: &[u8]) -> Result<usize, ServeError> {
-        match self {
-            ServingHandle::Single(h) => h.store(word),
-            ServingHandle::Sharded(h) => h.store(word),
-        }
-    }
-
-    /// Merged live plan-memory report.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::ShuttingDown`] when a dispatcher has exited.
-    pub fn memory_report(&self) -> Result<MemoryReport, ServeError> {
-        match self {
-            ServingHandle::Single(h) => h.memory_report(),
-            ServingHandle::Sharded(h) => h.memory_report(),
         }
     }
 }

@@ -100,7 +100,9 @@ pub struct ServeStats {
     pub failed: bool,
     /// Health transitions observed on the sharded front end, monotone
     /// over the server's lifetime: shards seen entering `Degraded`.
-    /// Always zero for a single-dispatcher server (no health board).
+    /// Always zero in a per-shard entry of
+    /// [`crate::ShardedStats::per_shard`] (the health board lives at
+    /// the front end; see [`crate::ShardedStats::merged`]).
     pub degraded: u64,
     /// Shards seen entering `Quarantined` (sharded front end only).
     pub quarantined: u64,

@@ -14,8 +14,10 @@
 //!    the answer equals [`BankedMcam::search_masked_with`] over that
 //!    subset, bitwise.
 //! 4. **Terminal failure is clean** — a tripped restart breaker stops
-//!    the crash-loop, rejects new work with `DispatcherFailed`, and
-//!    still hands the memory back on shutdown.
+//!    the crash-loop, quarantines the shard (new searches find no live
+//!    shard, stores get `DispatcherFailed`), and still hands the
+//!    memory back on shutdown. A panic the dispatcher heals from, by
+//!    contrast, costs the shard nothing beyond the one merge.
 //! 5. **Quarantine is survivable and reversible** — killing N−1 of N
 //!    shards under closed-loop load loses no ticket, every degraded
 //!    answer stays exact over its reported coverage, the probe/
@@ -40,9 +42,7 @@ use proptest::prelude::*;
 use femcam_core::{BankedMcam, ConductanceLut, LevelLadder, Precision, RoutedMcam, RouterConfig};
 use femcam_device::FefetModel;
 use femcam_serve::fault::{FaultKind, FaultPlan, FaultRule, FaultSite, CHAOS_PANIC};
-use femcam_serve::{
-    DegradedPolicy, McamServer, ServeConfig, ServeError, ServingHandle, ShardHealth, ShardedServer,
-};
+use femcam_serve::{DegradedPolicy, ServeConfig, ServeError, ShardHealth, ShardedServer};
 
 /// Injected panics unwind dispatcher threads by design; silence their
 /// default-hook backtraces (real panics still print).
@@ -144,7 +144,7 @@ fn dispatcher_heals_and_post_heal_results_are_bit_identical() {
         7,
         vec![FaultRule::sure(FaultSite::PreBatch, FaultKind::Panic, 3)],
     );
-    let server = McamServer::start(memory, chaos_config(plan.clone()));
+    let server = ShardedServer::start(memory, 1, chaos_config(plan.clone()));
     let handle = server.handle();
     let probe = gen_word(41, 2);
     // Healthy warm-up: the plan is still disarmed.
@@ -162,9 +162,9 @@ fn dispatcher_heals_and_post_heal_results_are_bit_identical() {
         }
     }
     assert_eq!(plan.injected(FaultSite::PreBatch), 3);
-    assert_eq!(handle.restarts(), 3);
+    assert_eq!(server.stats().per_shard[0].restarts, 3);
     assert!(
-        !handle.is_failed(),
+        !server.stats().per_shard[0].failed,
         "3 restarts are within the default budget"
     );
     // Healed: every post-heal answer is bit-identical to the oracle.
@@ -183,8 +183,9 @@ fn dispatcher_heals_and_post_heal_results_are_bit_identical() {
 
 /// Contract 4: an unlimited panic schedule against a tiny restart
 /// budget trips the breaker into the terminal `Failed` state — new
-/// work is rejected with `DispatcherFailed` instead of crash-looping,
-/// and shutdown still recovers the memory.
+/// work is rejected (`Degraded` with nothing searched for a search,
+/// `DispatcherFailed` for a store) instead of crash-looping, and
+/// shutdown still recovers the memory.
 #[test]
 fn restart_breaker_trips_to_terminal_failed_state() {
     quiet_chaos_panics();
@@ -198,8 +199,9 @@ fn restart_breaker_trips_to_terminal_failed_state() {
             budget: None,
         }],
     );
-    let server = McamServer::start(
+    let server = ShardedServer::start(
         memory,
+        1,
         ServeConfig {
             restart_budget: 2,
             restart_window: Duration::from_secs(60),
@@ -221,17 +223,21 @@ fn restart_breaker_trips_to_terminal_failed_state() {
     // The waiter is answered just before the dispatcher records the
     // tripping restart: give the flag a moment to become visible.
     for _ in 0..200 {
-        if handle.is_failed() {
+        if server.stats().per_shard[0].failed {
             break;
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(handle.is_failed(), "breaker past budget is terminal");
-    assert!(handle.restarts() >= 3);
-    // Terminal state rejects rather than hangs or crash-loops.
+    assert!(
+        server.stats().per_shard[0].failed,
+        "breaker past budget is terminal"
+    );
+    assert!(server.stats().per_shard[0].restarts >= 3);
+    // Terminal state rejects rather than hangs or crash-loops: the
+    // front end quarantined its only shard, so no shard is live.
     assert!(matches!(
         handle.search(&probe),
-        Err(ServeError::DispatcherFailed { .. })
+        Err(ServeError::Degraded { searched: 0, .. })
     ));
     assert!(matches!(
         handle.store(&probe),
@@ -242,6 +248,82 @@ fn restart_breaker_trips_to_terminal_failed_state() {
         .shutdown()
         .expect("terminal server recovers its memory");
     assert_eq!(recovered.n_rows(), 8);
+}
+
+/// A dispatcher that panics once and heals in place is not a dead
+/// shard: the panicked request loses that shard's banks from its merge
+/// only, the shard stays `Healthy`, and the very next request reaches
+/// it again with full coverage and bit-identical answers. At one shard
+/// the lone loss reports the caught `DispatcherFailed` with its panic
+/// payload; at two the survivor answers a degraded merge that is exact
+/// over its coverage.
+#[test]
+fn healed_panic_keeps_the_shard_in_service() {
+    quiet_chaos_panics();
+    for shards in [1usize, 2] {
+        let (memory, shadow) = seeded_pair(8, 73);
+        let plan = FaultPlan::armed(
+            31,
+            vec![FaultRule::sure(FaultSite::PreBatch, FaultKind::Panic, 1)],
+        );
+        let server = ShardedServer::start(memory, shards, chaos_config(plan.clone()));
+        let handle = server.handle();
+        let query = gen_word(73, 3);
+        match handle.submit(&query).expect("fan-out").wait_covered() {
+            Err(ServeError::DispatcherFailed { detail }) if shards == 1 => {
+                assert!(
+                    detail.contains(CHAOS_PANIC),
+                    "panic payload lost in the merge: {detail}"
+                );
+            }
+            Ok(covered) if shards == 2 => {
+                assert!(covered.coverage.degraded(), "one shard panicked");
+                let (want_row, want_g) = shadow
+                    .search_masked_with(&query, Precision::F64, &covered.coverage.banks)
+                    .expect("masked oracle");
+                assert_eq!(covered.value.0, want_row);
+                assert_eq!(covered.value.1.to_bits(), want_g.to_bits());
+            }
+            other => panic!("{shards} shard(s): unexpected answer under the panic: {other:?}"),
+        }
+        assert_eq!(plan.injected(FaultSite::PreBatch), 1);
+        // The next requests reach every shard again, bit-identically.
+        for salt in 0..8 {
+            let query = gen_word(73, salt);
+            let covered = handle
+                .submit(&query)
+                .expect("submit after heal")
+                .wait_covered()
+                .expect("merge after heal");
+            assert!(
+                !covered.coverage.degraded(),
+                "{shards} shard(s), salt {salt}: coverage {:?}",
+                covered.coverage
+            );
+            let (want_row, want_g) = shadow.search_with(&query, Precision::F64).expect("oracle");
+            assert_eq!(covered.value.0, want_row, "{shards} shard(s), salt {salt}");
+            assert_eq!(
+                covered.value.1.to_bits(),
+                want_g.to_bits(),
+                "{shards} shard(s), salt {salt}"
+            );
+        }
+        let stats = server.stats();
+        assert!(
+            stats.health.iter().all(|h| *h == ShardHealth::Healthy),
+            "{shards} shard(s): a healed panic escalated health to {:?}",
+            stats.health
+        );
+        assert_eq!(stats.quarantined, 0, "{shards} shard(s)");
+        assert_eq!(
+            stats.per_shard.iter().map(|s| s.restarts).sum::<u64>(),
+            1,
+            "{shards} shard(s)"
+        );
+        let recovered = server.shutdown().expect("clean shutdown");
+        assert_eq!(recovered.n_rows(), 8);
+    }
+    assert_no_lock_order_cycles();
 }
 
 /// Builds a two-shard server over 8 seeded rows (4 banks, 2 per
@@ -913,19 +995,8 @@ fn no_hang_scenario(seed: u64, precision: Precision, shards: usize, panic_budget
         restart_budget: 64,
         ..chaos_config(plan)
     };
-    enum AnyServer {
-        Single(McamServer),
-        Sharded(ShardedServer),
-    }
-    let (server, handle) = if shards == 1 {
-        let server = McamServer::start(memory, config);
-        let handle = ServingHandle::Single(server.handle());
-        (AnyServer::Single(server), handle)
-    } else {
-        let server = ShardedServer::start(memory, shards, config);
-        let handle = ServingHandle::Sharded(server.handle());
-        (AnyServer::Sharded(server), handle)
-    };
+    let server = ShardedServer::start(memory, shards, config);
+    let handle = server.handle();
     let mut tickets = Vec::new();
     for i in 0..24 {
         let word = gen_word(seed, i);
@@ -956,14 +1027,7 @@ fn no_hang_scenario(seed: u64, precision: Precision, shards: usize, panic_budget
     // Dropping the server joins the dispatchers: reaching the end of
     // this scenario also proves shutdown completes under the fault
     // schedule.
-    match server {
-        AnyServer::Single(s) => {
-            let _ = s.shutdown();
-        }
-        AnyServer::Sharded(s) => {
-            let _ = s.shutdown();
-        }
-    }
+    let _ = server.shutdown();
 }
 
 proptest! {

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use femcam_core::{BankedMcam, ConductanceLut, LevelLadder, Precision};
 use femcam_device::FefetModel;
-use femcam_serve::{McamServer, ServeConfig, ServeError};
+use femcam_serve::{ServeConfig, ServeError, ShardedServer};
 
 fn precision_from(tag: u8) -> Precision {
     match tag % 3 {
@@ -61,7 +61,7 @@ proptest! {
         let n_levels = 1usize << bits;
         let memory = empty_memory(bits, word_len, rows_per_bank);
         let mut shadow = empty_memory(bits, word_len, rows_per_bank);
-        let server = McamServer::start(memory, ServeConfig {
+        let server = ShardedServer::start(memory, 1, ServeConfig {
             max_batch: 4,
             max_wait: Duration::from_micros(50),
             precision,
@@ -118,7 +118,7 @@ proptest! {
             memory.store(&word).expect("store");
             shadow.store(&word).expect("shadow store");
         }
-        let server = McamServer::start(memory, ServeConfig {
+        let server = ShardedServer::start(memory, 1, ServeConfig {
             max_batch: 8,
             max_wait: Duration::from_micros(100),
             precision,
@@ -144,7 +144,7 @@ proptest! {
             prop_assert_eq!(served.0, direct.0);
             prop_assert_eq!(served.1.to_bits(), direct.1.to_bits());
         }
-        let stats = server.stats();
+        let stats = server.stats().merged();
         prop_assert_eq!(stats.queries, burst as u64);
     }
 }
@@ -155,8 +155,9 @@ proptest! {
 fn rejected_requests_fail_cleanly() {
     let mut memory = empty_memory(3, 4, 4);
     memory.store(&[1, 2, 3, 4]).expect("store");
-    let server = McamServer::start(
+    let server = ShardedServer::start(
         memory,
+        1,
         ServeConfig {
             max_batch: 1,
             max_wait: Duration::from_millis(50),

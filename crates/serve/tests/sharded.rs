@@ -1,13 +1,13 @@
 //! The sharded serving layer's determinism contract, pinned as
 //! properties:
 //!
-//! 1. **Three-way bit-identity** — every winner served by a
-//!    [`ShardedServer`] equals both a single-dispatcher
-//!    [`McamServer`]'s answer and a direct
-//!    [`BankedMcam::search_with`] against an identically mutated
-//!    shadow memory: same winning global row, same `f64` conductance,
-//!    bitwise — at every precision, every shard count, and under
-//!    interleaved stores (which route to the tail shard only).
+//! 1. **Three-way bit-identity** — every winner served by an
+//!    N-shard [`ShardedServer`] equals both a one-shard server's
+//!    answer and a direct [`BankedMcam::search_with`] against an
+//!    identically mutated shadow memory: same winning global row,
+//!    same `f64` conductance, bitwise — at every precision, every
+//!    shard count, and under interleaved stores (which route to the
+//!    tail shard only).
 //! 2. **Top-k merge identity** — the fanned, per-shard-truncated
 //!    top-k merge equals [`BankedMcam::search_top_k_with`] exactly
 //!    (order, rows, and conductance bits).
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use femcam_core::{BankedMcam, ConductanceLut, LevelLadder, Precision};
 use femcam_device::FefetModel;
-use femcam_serve::{McamServer, ServeConfig, ServeError, ShardedServer};
+use femcam_serve::{ServeConfig, ServeError, ShardedServer};
 
 fn precision_from(tag: u8) -> Precision {
     match tag % 3 {
@@ -57,10 +57,10 @@ fn serve_config(precision: Precision) -> ServeConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// An interleaved store/search sequence through the sharded
+    /// An interleaved store/search sequence through the N-shard
     /// server is bit-identical, step by step, to the same sequence
-    /// through a single-dispatcher server AND applied directly to a
-    /// shadow memory.
+    /// through a one-shard server AND applied directly to a shadow
+    /// memory.
     #[test]
     fn sharded_bit_identical_to_single_and_direct_under_stores(
         bits in 2u8..=3,
@@ -84,7 +84,7 @@ proptest! {
             shadow.store(&word).expect("store");
         }
         let sharded = ShardedServer::start(initial, n_shards, serve_config(precision));
-        let single = McamServer::start(single, serve_config(precision));
+        let single = ShardedServer::start(single, 1, serve_config(precision));
         let sh = sharded.handle();
         let sg = single.handle();
         for (i, is_store) in ops.iter().enumerate() {

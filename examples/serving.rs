@@ -1,5 +1,6 @@
 //! Serving: run the async micro-batching front end over a banked MCAM
-//! and watch single-query traffic coalesce into batched executions.
+//! and watch single-query traffic coalesce into batched executions —
+//! first at one shard, then sharded across four dispatchers.
 //!
 //! ```sh
 //! cargo run --release -p femcam-harness --example serving
@@ -35,8 +36,8 @@ fn main() -> femcam_core::Result<()> {
         shadow.store(&word)?;
     }
 
-    // 2. Start the server: codes-mode execution, a 200 µs batching
-    //    window, and a plan-memory budget to report against.
+    // 2. Start a one-shard server: codes-mode execution, a 200 µs
+    //    batching window, and a plan-memory budget to report against.
     let config = ServeConfig {
         max_batch: 64,
         max_wait: Duration::from_micros(200),
@@ -44,12 +45,12 @@ fn main() -> femcam_core::Result<()> {
         plan_budget_bytes: Some(64 * 1024 * 1024),
         ..ServeConfig::default()
     };
-    let server = McamServer::start(memory, config);
+    let server = ShardedServer::start(memory, 1, config);
     println!(
         "server up: {} rows x {} cells, queue capacity {}",
         ROWS,
         WORD_LEN,
-        server.handle().queue_capacity()
+        server.stats().merged().queue_capacity
     );
 
     // 3. Closed-loop clients: each submits one query at a time and
@@ -90,7 +91,7 @@ fn main() -> femcam_core::Result<()> {
 
     // 5. Serving stats: achieved batch size is what turns the batch
     //    kernel's amortization into single-query throughput.
-    let stats = server.stats();
+    let stats = server.stats().merged();
     println!(
         "\n{} clients, {} queries in {:.0} ms -> {:.0} queries/s ({:.1} us/query)",
         CLIENTS,
@@ -136,7 +137,7 @@ fn main() -> femcam_core::Result<()> {
 
     // 8. Shard the same memory across 4 dispatchers: searches fan out
     //    and merge by (conductance, global_row), so results stay
-    //    bit-identical to the single-dispatcher server — while a store
+    //    bit-identical to the one-shard server — while a store
     //    barriers only the tail shard's queue.
     let sharded = ShardedServer::start(
         memory,

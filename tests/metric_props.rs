@@ -22,7 +22,7 @@
 //! 5. **Banked/masked parity** — banked full-sweep and masked winners
 //!    and top-k match the flat oracle restricted to the masked banks'
 //!    global rows, per metric.
-//! 6. **Served per-request metric** — a [`McamServer`] answer at a
+//! 6. **Served per-request metric** — a [`ShardedServer`] answer at a
 //!    per-request metric equals the direct [`BankedMcam`] search under
 //!    interleaved stores, with mixed-metric traffic in flight.
 
@@ -415,7 +415,7 @@ fn served_per_request_metric_matches_direct_under_stores() {
     let lut = ConductanceLut::from_device(&FefetModel::default(), &ladder);
     let mut direct = BankedMcam::new(ladder, lut.clone(), 4, 2);
     let memory = BankedMcam::new(ladder, lut, 4, 2);
-    let server = McamServer::start(memory, ServeConfig::default());
+    let server = ShardedServer::start(memory, 1, ServeConfig::default());
     let handle = server.handle();
 
     let mut n_queries = 0usize;
@@ -428,7 +428,7 @@ fn served_per_request_metric_matches_direct_under_stores() {
         let queries: Vec<Vec<u8>> = (0..Metric::ALL.len())
             .map(|s| gen_word(4, 8, 42, step * 7 + s))
             .collect();
-        let tickets: Vec<(Ticket, Metric, &Vec<u8>)> = Metric::ALL
+        let tickets: Vec<(ShardTicket, Metric, &Vec<u8>)> = Metric::ALL
             .into_iter()
             .zip(&queries)
             .map(|(metric, q)| (handle.submit_with_metric(q, metric).unwrap(), metric, q))
@@ -459,7 +459,7 @@ fn served_per_request_metric_matches_direct_under_stores() {
         }
     }
 
-    let stats = server.stats();
+    let stats = server.stats().merged();
     assert_eq!(stats.queries as usize, n_queries);
     let _ = server.shutdown();
 }
