@@ -82,13 +82,26 @@
 //! where the `f32` planes stream 4 and the `f64` planes 8×`n_levels`
 //! resident.
 //!
+//! **Kernel tiers:** the block kernel runs at one of three widths,
+//! picked once when the plan compiles (from the host's CPU features)
+//! and stored in it. The scalar tier is the portable expand/serve
+//! kernel. On the vector tiers the query level's whole LUT row sits in
+//! one register and stored codes index it directly: one `vpermps`
+//! looks up 8 cells on AVX2 and 16 on AVX-512 (over the zero-extended
+//! 8-entry row). The ceiling is one permute per cycle — 8 cells per
+//! cycle on AVX2 hosts, 16 on AVX-512 hosts. The vector tiers need the
+//! padded row to fit 8 lanes, so they serve ladders up to 3 bits (the
+//! paper's headline configuration); wider ladders run the scalar tier.
+//!
 //! **Exactness contract:** on shared-LUT arrays the gathered values are
 //! the very same `f32` roundings the `f32` planes hold, and each row
 //! folds them in the same ascending column order into an `f32`
 //! accumulator — so codes results are **bit-identical to
 //! [`Precision::F32`]**, not merely close, and the `f32` accuracy
-//! contract above applies verbatim. `tests/precision_props.rs` pins
-//! this bit-identity.
+//! contract above applies verbatim, on every kernel tier.
+//! `tests/precision_props.rs` pins this bit-identity, and a unit test
+//! pins each tier the host runs against the scalar tier and the `f32`
+//! planes.
 //!
 //! **When fallback triggers:** arrays realized with device variation
 //! ([`crate::array::VariationSpec`]) carry per-cell conductances that
@@ -130,8 +143,8 @@
 //! * **[`Metric::Linf`]** synthesizes `|input − state|` and folds it
 //!   with `max` instead of `+` — the one metric that exercises the
 //!   generalized reduce strategy of the block kernels (every
-//!   accumulate loop, scalar and AVX2 alike, is monomorphized over
-//!   Sum/Max at dispatch time).
+//!   accumulate loop, scalar, AVX2 and AVX-512 alike, is monomorphized
+//!   over Sum/Max at dispatch time).
 //!
 //! "Smaller score = nearer" stays the universal contract: synthesized
 //! tables hold distances, so argmin, bounded-heap top-k, and the banked
@@ -809,33 +822,226 @@ const CODES_EXPAND_BUDGET_BYTES: usize = 512 * 1024;
 /// never spills the accumulator.
 const SERVE_SUB: usize = 32;
 
-/// Bytes of one widened-index tile slab in the AVX2 codes fast path
-/// (`word_len × tile` dword indices): sized to stay L1-resident while
-/// every query in the block reads it back.
-const CODES_IDX_SLAB_BYTES: usize = 16 * 1024;
+/// Running-sum registers of the vector codes serve loop: a row's fold
+/// must stay one serial chain of `f32` adds (bit-identity forbids
+/// splitting it), so throughput comes from keeping this many
+/// independent row vectors in flight — enough to hide FP-add latency.
+/// One register block covers `SERVE_REGS × lanes` rows (64 on AVX2,
+/// 128 on AVX-512).
+const SERVE_REGS: usize = 8;
 
-/// The vector face of [`PlaneScalar::fold`]: Sum or Max across eight
-/// lanes, selected at monomorphization time. `#[inline(always)]` (and
-/// no `target_feature` of its own) so it fuses into the AVX2 callers.
+/// The vector width the codes block kernel runs at, picked once per
+/// plan when it compiles ([`CodesTier::detect`]) and stored in it, so
+/// the accumulate calls never re-run CPU feature detection. The vector
+/// tiers hold the whole (padded) LUT row in one 8-lane register, so
+/// they serve ladders up to 3 bits — the paper's headline
+/// configuration; wider ladders run the scalar tier on any host.
+///
+/// Every tier folds each row in the same ascending column order over
+/// the same `f32` LUT roundings, so all three are bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CodesTier {
+    /// The portable two-phase expand/serve kernel.
+    Scalar,
+    /// One `vpermps` looks up 8 stored cells (AVX2).
+    Avx2,
+    /// One `vpermps` looks up 16 stored cells (AVX-512F, over the
+    /// zero-extended 8-entry LUT row). The ceiling is 16 cells per
+    /// cycle, twice the AVX2 tier's.
+    Avx512,
+}
+
+impl CodesTier {
+    /// The fastest tier this host runs for LUT rows `lut_stride`
+    /// entries wide.
+    fn detect(lut_stride: usize) -> Self {
+        if Self::Avx512.available(lut_stride) {
+            Self::Avx512
+        } else if Self::Avx2.available(lut_stride) {
+            Self::Avx2
+        } else {
+            Self::Scalar
+        }
+    }
+
+    /// Whether this host can run the tier on LUT rows `lut_stride`
+    /// entries wide. The vector tiers' `unsafe` kernels rely on this:
+    /// a plan holds a vector tier only when it returned `true`. The
+    /// AVX-512 tier requires AVX2 too, because the single-query path
+    /// runs the AVX2 kernel under either vector tier.
+    fn available(self, lut_stride: usize) -> bool {
+        match self {
+            CodesTier::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            CodesTier::Avx2 => lut_stride == 8 && std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            CodesTier::Avx512 => {
+                lut_stride == 8
+                    && std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("avx512f")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            CodesTier::Avx2 | CodesTier::Avx512 => false,
+        }
+    }
+}
+
+/// One vector width of the codes kernel: the handful of operations the
+/// serve loop ([`CompiledCodes::accumulate_block_lanes`]) is generic
+/// over, so the AVX2 and AVX-512 tiers share one loop body. Every
+/// method is `#[inline(always)]` with no `target_feature` of its own,
+/// so it fuses into the tier's `target_feature` kernel.
 ///
 /// # Safety
 ///
-/// Caller must have AVX2 enabled (the only callers are
-/// `target_feature(enable = "avx2")` kernels).
+/// Every method requires the CPU features of its implementing tier
+/// (callers are that tier's `target_feature` kernels) and pointers
+/// valid for the bytes it reads or writes.
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-// SAFETY: pure register arithmetic — sound whenever AVX2 is enabled,
-// which the caller contract above guarantees (only reachable from
-// `target_feature(enable = "avx2")` kernels).
-unsafe fn fold_ps<const MAX: bool>(
-    a: std::arch::x86_64::__m256,
-    b: std::arch::x86_64::__m256,
-) -> std::arch::x86_64::__m256 {
-    use std::arch::x86_64::*;
-    if MAX {
-        _mm256_max_ps(a, b)
-    } else {
-        _mm256_add_ps(a, b)
+trait CodeLanes {
+    /// Rows (cells of one column) one permute scores.
+    const WIDTH: usize;
+    /// Bytes of one widened-index tile slab (`word_len × tile` dword
+    /// indices): sized to stay L1-resident while every query in the
+    /// block reads it back — 128 rows at `word_len` 64 on AVX-512.
+    const IDX_SLAB_BYTES: usize;
+    /// One vector of `WIDTH` `f32` lanes.
+    type Ps: Copy;
+
+    /// All lanes `0.0` (the identity of both folds).
+    // SAFETY: contract in the trait docs (the tier's CPU features).
+    unsafe fn zero() -> Self::Ps;
+    /// The 8-entry LUT row at `row` (32 readable bytes) as a permute
+    /// table.
+    // SAFETY: contract in the trait docs (features, readable bytes).
+    unsafe fn table(row: *const f32) -> Self::Ps;
+    /// Widens `WIDTH` byte codes at `codes` to `WIDTH` dword indices
+    /// at `dst`.
+    // SAFETY: contract in the trait docs (features, valid pointers).
+    unsafe fn widen(codes: *const u8, dst: *mut i32);
+    /// Looks up `WIDTH` widened indices at `idx` in `table`.
+    // SAFETY: contract in the trait docs (features, readable bytes).
+    unsafe fn gather(table: Self::Ps, idx: *const i32) -> Self::Ps;
+    /// The vector face of [`PlaneScalar::fold`]: Sum or Max across
+    /// `WIDTH` lanes, selected at monomorphization time.
+    // SAFETY: contract in the trait docs (the tier's CPU features).
+    unsafe fn fold<const MAX: bool>(a: Self::Ps, b: Self::Ps) -> Self::Ps;
+    /// Stores all `WIDTH` lanes at `dst`.
+    // SAFETY: contract in the trait docs (features, writable bytes).
+    unsafe fn store(dst: *mut f32, v: Self::Ps);
+}
+
+/// The AVX2 lanes: 8 cells per `vpermps`.
+#[cfg(target_arch = "x86_64")]
+struct Avx2Lanes;
+
+/// The AVX-512 lanes: 16 cells per `vpermps`, over the 8-entry LUT row
+/// zero-extended to 16 lanes (codes are `< 8`, so the upper half is
+/// never selected).
+#[cfg(target_arch = "x86_64")]
+struct Avx512Lanes;
+
+#[cfg(target_arch = "x86_64")]
+impl CodeLanes for Avx2Lanes {
+    const WIDTH: usize = 8;
+    const IDX_SLAB_BYTES: usize = 16 * 1024;
+    type Ps = std::arch::x86_64::__m256;
+
+    // SAFETY: register-only; the caller has AVX2 (trait contract).
+    #[inline(always)]
+    unsafe fn zero() -> Self::Ps {
+        std::arch::x86_64::_mm256_setzero_ps()
+    }
+
+    // SAFETY: reads the 32 bytes of one LUT row the caller provides.
+    #[inline(always)]
+    unsafe fn table(row: *const f32) -> Self::Ps {
+        std::arch::x86_64::_mm256_loadu_ps(row)
+    }
+
+    // SAFETY: reads 8 codes and writes 8 dwords, as the caller provides.
+    #[inline(always)]
+    unsafe fn widen(codes: *const u8, dst: *mut i32) {
+        use std::arch::x86_64::*;
+        let idx = _mm256_cvtepu8_epi32(_mm_loadl_epi64(codes.cast()));
+        _mm256_storeu_si256(dst.cast(), idx);
+    }
+
+    // SAFETY: reads the 8 dword indices the caller provides.
+    #[inline(always)]
+    unsafe fn gather(table: Self::Ps, idx: *const i32) -> Self::Ps {
+        use std::arch::x86_64::*;
+        _mm256_permutevar8x32_ps(table, _mm256_loadu_si256(idx.cast()))
+    }
+
+    // SAFETY: register-only; the caller has AVX2 (trait contract).
+    #[inline(always)]
+    unsafe fn fold<const MAX: bool>(a: Self::Ps, b: Self::Ps) -> Self::Ps {
+        use std::arch::x86_64::*;
+        if MAX {
+            _mm256_max_ps(a, b)
+        } else {
+            _mm256_add_ps(a, b)
+        }
+    }
+
+    // SAFETY: writes the 8 lanes the caller provides room for.
+    #[inline(always)]
+    unsafe fn store(dst: *mut f32, v: Self::Ps) {
+        std::arch::x86_64::_mm256_storeu_ps(dst, v);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl CodeLanes for Avx512Lanes {
+    const WIDTH: usize = 16;
+    const IDX_SLAB_BYTES: usize = 32 * 1024;
+    type Ps = std::arch::x86_64::__m512;
+
+    // SAFETY: register-only; the caller has AVX-512F (trait contract).
+    #[inline(always)]
+    unsafe fn zero() -> Self::Ps {
+        std::arch::x86_64::_mm512_setzero_ps()
+    }
+
+    // SAFETY: reads the 32 bytes of one LUT row the caller provides.
+    #[inline(always)]
+    unsafe fn table(row: *const f32) -> Self::Ps {
+        use std::arch::x86_64::*;
+        _mm512_zextps256_ps512(_mm256_loadu_ps(row))
+    }
+
+    // SAFETY: reads 16 codes and writes 16 dwords, as the caller
+    // provides.
+    #[inline(always)]
+    unsafe fn widen(codes: *const u8, dst: *mut i32) {
+        use std::arch::x86_64::*;
+        let idx = _mm512_cvtepu8_epi32(_mm_loadu_si128(codes.cast()));
+        _mm512_storeu_si512(dst.cast(), idx);
+    }
+
+    // SAFETY: reads the 16 dword indices the caller provides.
+    #[inline(always)]
+    unsafe fn gather(table: Self::Ps, idx: *const i32) -> Self::Ps {
+        use std::arch::x86_64::*;
+        _mm512_permutexvar_ps(_mm512_loadu_si512(idx.cast()), table)
+    }
+
+    // SAFETY: register-only; the caller has AVX-512F (trait contract).
+    #[inline(always)]
+    unsafe fn fold<const MAX: bool>(a: Self::Ps, b: Self::Ps) -> Self::Ps {
+        use std::arch::x86_64::*;
+        if MAX {
+            _mm512_max_ps(a, b)
+        } else {
+            _mm512_add_ps(a, b)
+        }
+    }
+
+    // SAFETY: writes the 16 lanes the caller provides room for.
+    #[inline(always)]
+    unsafe fn store(dst: *mut f32, v: Self::Ps) {
+        std::arch::x86_64::_mm512_storeu_ps(dst, v);
     }
 }
 
@@ -1278,6 +1484,11 @@ impl CompiledMcam<f64> {
 /// so the gather index `code & (stride - 1)` provably stays in bounds —
 /// the inner loop carries no bound check.
 ///
+/// The plan also records its kernel tier (scalar, AVX2 or AVX-512; see
+/// the module-level "Codes mode"), detected once when it compiles: the
+/// vector tiers score 8 or 16 cells per permute, up to one permute per
+/// cycle. Results are bit-identical on every tier.
+///
 /// Only shared-LUT arrays can compile to codes; per-cell (variation)
 /// arrays must use a plane plan ([`CoreError::PerCellBank`]). The
 /// cached entry points ([`McamArray::compiled_codes`]) make that
@@ -1323,6 +1534,11 @@ pub struct CompiledCodes {
     /// `[input][state]` per-cell values, rounded to `f32` exactly like
     /// the `f32` planes; rows padded to `lut_stride`.
     lut: Vec<f32>,
+    /// The block kernel's vector width on this host, detected once at
+    /// compile time. The vector kernels' `unsafe` loads rely on it: it
+    /// names a vector tier only if [`CodesTier::available`] held for
+    /// `lut_stride`.
+    tier: CodesTier,
 }
 
 impl CompiledCodes {
@@ -1393,6 +1609,7 @@ impl CompiledCodes {
             lut_stride,
             codes,
             lut,
+            tier: CodesTier::detect(lut_stride),
         })
     }
 
@@ -1457,22 +1674,6 @@ impl CompiledCodes {
         (ACC_BUDGET_BYTES / (self.row_tile() * std::mem::size_of::<f32>()).max(1)).clamp(1, 256)
     }
 
-    /// Whether the in-register gather fast path serves this plan on
-    /// this machine: every (padded) LUT row fits one 8-lane vector
-    /// register, and the CPU can permute by variable lane index
-    /// (AVX2). Ladders up to 3 bits — the paper's headline
-    /// configuration — qualify on any AVX2 x86-64.
-    fn simd_eligible(&self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.lut_stride == 8 && std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
-
     /// The AVX2 serve loop: the query level's whole LUT row lives in
     /// one vector register, so eight stored codes gather through it
     /// with a single lane permute — one load + one permute + one add
@@ -1487,7 +1688,7 @@ impl CompiledCodes {
     /// # Safety
     ///
     /// Caller must ensure AVX2 is available and `lut_stride == 8`
-    /// ([`simd_eligible`](Self::simd_eligible)), `query` is validated
+    /// (`self.tier` is a vector tier), `query` is validated
     /// (`word_len` levels, each `< n_levels`), and
     /// `row_start + out.len() <= n_rows`.
     #[cfg(target_arch = "x86_64")]
@@ -1528,10 +1729,10 @@ impl CompiledCodes {
                 let i1 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.add(8).cast()));
                 let i2 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.add(16).cast()));
                 let i3 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.add(24).cast()));
-                a0 = fold_ps::<MAX>(a0, _mm256_permutevar8x32_ps(table, i0));
-                a1 = fold_ps::<MAX>(a1, _mm256_permutevar8x32_ps(table, i1));
-                a2 = fold_ps::<MAX>(a2, _mm256_permutevar8x32_ps(table, i2));
-                a3 = fold_ps::<MAX>(a3, _mm256_permutevar8x32_ps(table, i3));
+                a0 = Avx2Lanes::fold::<MAX>(a0, _mm256_permutevar8x32_ps(table, i0));
+                a1 = Avx2Lanes::fold::<MAX>(a1, _mm256_permutevar8x32_ps(table, i1));
+                a2 = Avx2Lanes::fold::<MAX>(a2, _mm256_permutevar8x32_ps(table, i2));
+                a3 = Avx2Lanes::fold::<MAX>(a3, _mm256_permutevar8x32_ps(table, i3));
             }
             _mm256_storeu_ps(out_ptr.add(s), a0);
             _mm256_storeu_ps(out_ptr.add(s + 8), a1);
@@ -1545,7 +1746,7 @@ impl CompiledCodes {
                 let table = tables[level as usize];
                 let base = codes.add(c * n + row_start + s);
                 let idx = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.cast()));
-                a = fold_ps::<MAX>(a, _mm256_permutevar8x32_ps(table, idx));
+                a = Avx2Lanes::fold::<MAX>(a, _mm256_permutevar8x32_ps(table, idx));
             }
             _mm256_storeu_ps(out_ptr.add(s), a);
             s += 8;
@@ -1564,50 +1765,67 @@ impl CompiledCodes {
         }
     }
 
-    /// The block face of the AVX2 fast path: widens each row tile's
-    /// byte codes to dword permute indices **once per block** into the
-    /// `aux` slab (the widen shares the shuffle port with the permute,
-    /// so hoisting it out of the per-query loop roughly halves the
-    /// serve's critical-port pressure), then serves every query from
-    /// the widened slab — one index load, one in-register permute, one
-    /// add per eight cells, running sums for 32 rows pinned in
-    /// registers across the column sweep.
+    /// The vector block kernel, generic over lane width: widens each
+    /// row tile's byte codes to dword permute indices **once per
+    /// block** into the `aux` slab (the widen shares the shuffle port
+    /// with the permute, so hoisting it out of the per-query loop
+    /// roughly halves the serve's critical-port pressure), then serves
+    /// every query from the widened slab — one index load, one
+    /// in-register permute and one add (or max) per `L::WIDTH` cells,
+    /// with running sums for [`SERVE_REGS`] vectors of rows pinned in
+    /// registers across the column sweep. A tile's last partial vector
+    /// is widened from zero-padded codes and only its live lanes are
+    /// written back, so no row falls to a scalar tail.
     ///
     /// Same per-row ascending-column `f32` fold as every other path:
     /// bit-identical results.
     ///
     /// # Safety
     ///
-    /// Same contract as
-    /// [`accumulate_query_avx2`](Self::accumulate_query_avx2); `acc`
-    /// must hold `queries.len() * n_rows` scalars.
+    /// The CPU must have `L`'s features (the callers are the tiers'
+    /// `target_feature` wrappers below, reached only when `self.tier`
+    /// names that tier), `lut_stride == 8`, every query validated
+    /// (`word_len` levels, each `< n_levels`). `acc` must hold
+    /// `queries.len() * n_rows` scalars (checked: a shorter one
+    /// panics).
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    // SAFETY: same in-bounds argument as `accumulate_query_avx2`
-    // (padded 8-lane LUT rows, validated query levels, row tiles
-    // bounded by `n_rows`), plus `aux` is resized below to hold one
-    // widened tile before any indexed access; unaligned intrinsics
-    // throughout, so validity is the only pointer obligation.
-    unsafe fn accumulate_block_avx2<const MAX: bool>(
+    #[inline(always)]
+    // SAFETY: inside the body every raw access is in bounds under the
+    // contract above: `lut_stride == 8` makes each level's LUT row the
+    // 8 entries `L::table` reads, and validated levels `< n_levels`
+    // keep `tables` in range; widening reads `L::WIDTH` codes only for
+    // full vectors inside the tile (a partial one is copied into a
+    // zero-padded buffer first) and writes within `word_len × stride`
+    // dwords, which `aux` is resized to hold (`f32` and `i32` share
+    // size and alignment); the serve writes full vectors only below
+    // the tile's `tlen` rows, and a partial one through a lane buffer,
+    // so `acc` is written only at `qi * n + t0 + [0, tlen)`.
+    unsafe fn accumulate_block_lanes<L: CodeLanes, const MAX: bool>(
         &self,
         queries: &[&[u8]],
         acc: &mut [f32],
         aux: &mut Vec<f32>,
     ) {
-        use std::arch::x86_64::*;
+        const MAX_WIDTH: usize = 16;
+        // The padded-code and lane buffers below hold `MAX_WIDTH`
+        // entries; a wider tier fails to compile.
+        const { assert!(L::WIDTH <= MAX_WIDTH) };
         let n = self.n_rows;
         let wl = self.word_len;
-        let mut tables = [_mm256_setzero_ps(); 8];
+        let w = L::WIDTH;
+        // Bounds the raw `acc` writes below by a checked slice.
+        let acc = &mut acc[..queries.len() * n];
+        let mut tables = [L::zero(); 8];
         for (level, table) in tables.iter_mut().enumerate().take(self.n_levels) {
-            *table = _mm256_loadu_ps(self.lut.as_ptr().add(level * 8));
+            *table = L::table(self.lut.as_ptr().add(level * 8));
         }
-        // Rows per widened tile: the dword-index slab (`word_len ×
-        // tile × 4` bytes) stays within the expansion budget.
-        let tile = (CODES_IDX_SLAB_BYTES / (4 * wl.max(1)))
-            .clamp(32, 1 << 16)
-            .min(n);
-        if aux.len() < wl * tile {
-            aux.resize(wl * tile, 0.0);
+        // Rows per widened tile: whole register blocks within the
+        // slab budget, at least one.
+        let block_rows = SERVE_REGS * w;
+        let tile = ((L::IDX_SLAB_BYTES / (4 * wl.max(1)) / block_rows).max(1) * block_rows).min(n);
+        let stride = tile.next_multiple_of(w);
+        if aux.len() < wl * stride {
+            aux.resize(wl * stride, 0.0);
         }
         let idx_slab = aux.as_mut_ptr().cast::<i32>();
         let codes = self.codes.as_ptr();
@@ -1615,65 +1833,95 @@ impl CompiledCodes {
         while t0 < n {
             let t1 = (t0 + tile).min(n);
             let tlen = t1 - t0;
-            let groups = tlen / 8;
+            let full = tlen / w;
+            let rem = tlen % w;
             // Widen this tile's codes to permute indices, once for the
             // whole block.
             for c in 0..wl {
                 let col = codes.add(c * n + t0);
-                let dst = idx_slab.add(c * tile);
-                for g in 0..groups {
-                    let idx = _mm256_cvtepu8_epi32(_mm_loadl_epi64(col.add(g * 8).cast()));
-                    _mm256_storeu_si256(dst.add(g * 8).cast(), idx);
+                let dst = idx_slab.add(c * stride);
+                for g in 0..full {
+                    L::widen(col.add(g * w), dst.add(g * w));
+                }
+                if rem > 0 {
+                    let mut padded = [0u8; MAX_WIDTH];
+                    padded[..rem].copy_from_slice(&self.codes[c * n + t0 + full * w..][..rem]);
+                    L::widen(padded.as_ptr(), dst.add(full * w));
                 }
             }
-            // Serve every query from the widened slab. Eight running
-            // sums per 64-row group: a row's fold must stay a serial
-            // chain of `f32` adds (bit-identity forbids splitting it),
-            // so throughput comes from keeping eight independent row
-            // chains in flight — enough to hide FP-add latency.
             for (qi, q) in queries.iter().enumerate() {
                 let out = acc.as_mut_ptr().add(qi * n + t0);
-                let mut s = 0usize;
-                while s + 64 <= groups * 8 {
-                    let mut sums = [_mm256_setzero_ps(); 8];
+                let mut g = 0;
+                while g + SERVE_REGS <= full {
+                    let mut sums = [L::zero(); SERVE_REGS];
                     for (c, &level) in q.iter().enumerate() {
                         let table = tables[level as usize];
-                        let base = idx_slab.add(c * tile + s);
+                        let base = idx_slab.add(c * stride + g * w);
                         for (j, sum) in sums.iter_mut().enumerate() {
-                            let idx = _mm256_loadu_si256(base.add(j * 8).cast());
-                            *sum = fold_ps::<MAX>(*sum, _mm256_permutevar8x32_ps(table, idx));
+                            *sum = L::fold::<MAX>(*sum, L::gather(table, base.add(j * w)));
                         }
                     }
                     for (j, &sum) in sums.iter().enumerate() {
-                        _mm256_storeu_ps(out.add(s + j * 8), sum);
+                        L::store(out.add((g + j) * w), sum);
                     }
-                    s += 64;
+                    g += SERVE_REGS;
                 }
-                while s + 8 <= groups * 8 {
-                    let mut a = _mm256_setzero_ps();
+                while g * w < tlen {
+                    let mut sum = L::zero();
                     for (c, &level) in q.iter().enumerate() {
-                        let table = tables[level as usize];
-                        let idx = _mm256_loadu_si256(idx_slab.add(c * tile + s).cast());
-                        a = fold_ps::<MAX>(a, _mm256_permutevar8x32_ps(table, idx));
+                        let idx = idx_slab.add(c * stride + g * w);
+                        sum = L::fold::<MAX>(sum, L::gather(tables[level as usize], idx));
                     }
-                    _mm256_storeu_ps(out.add(s), a);
-                    s += 8;
-                }
-                if s < tlen {
-                    // Scalar tail (< 8 rows) straight from the codes.
-                    let out_tail = &mut acc[qi * n + t0 + s..qi * n + t1];
-                    out_tail.fill(0.0);
-                    for (c, &level) in q.iter().enumerate() {
-                        let table = &self.lut[level as usize * 8..][..8];
-                        let column = &self.codes[c * n + t0 + s..][..tlen - s];
-                        for (a, &code) in out_tail.iter_mut().zip(column) {
-                            *a = a.fold::<MAX>(table[(code & 7) as usize]);
-                        }
+                    if g < full {
+                        L::store(out.add(g * w), sum);
+                    } else {
+                        let mut lanes = [0.0f32; MAX_WIDTH];
+                        L::store(lanes.as_mut_ptr(), sum);
+                        std::ptr::copy_nonoverlapping(lanes.as_ptr(), out.add(g * w), rem);
                     }
+                    g += 1;
                 }
             }
             t0 = t1;
         }
+    }
+
+    /// The AVX2 tier of the block kernel (8 cells per permute).
+    ///
+    /// # Safety
+    ///
+    /// Same contract as
+    /// [`accumulate_block_lanes`](Self::accumulate_block_lanes), with
+    /// AVX2 available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: forwards the caller's contract unchanged.
+    unsafe fn accumulate_block_avx2<const MAX: bool>(
+        &self,
+        queries: &[&[u8]],
+        acc: &mut [f32],
+        aux: &mut Vec<f32>,
+    ) {
+        self.accumulate_block_lanes::<Avx2Lanes, MAX>(queries, acc, aux);
+    }
+
+    /// The AVX-512 tier of the block kernel (16 cells per permute).
+    ///
+    /// # Safety
+    ///
+    /// Same contract as
+    /// [`accumulate_block_lanes`](Self::accumulate_block_lanes), with
+    /// AVX-512F available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    // SAFETY: forwards the caller's contract unchanged.
+    unsafe fn accumulate_block_avx512<const MAX: bool>(
+        &self,
+        queries: &[&[u8]],
+        acc: &mut [f32],
+        aux: &mut Vec<f32>,
+    ) {
+        self.accumulate_block_lanes::<Avx512Lanes, MAX>(queries, acc, aux);
     }
 
     /// The LUT-gather inner loop over rows `row_start..row_start +
@@ -1695,9 +1943,10 @@ impl CompiledCodes {
         row_start: usize,
         out: &mut [f32],
     ) {
-        if self.simd_eligible() {
-            // SAFETY: eligibility checked AVX2 + 8-entry LUT rows;
-            // callers pass validated queries and in-range row windows.
+        if self.tier != CodesTier::Scalar {
+            // SAFETY: both vector tiers were detected with AVX2 and
+            // 8-entry LUT rows; callers pass validated queries and
+            // in-range row windows.
             #[cfg(target_arch = "x86_64")]
             unsafe {
                 self.accumulate_query_avx2::<MAX>(query, row_start, out);
@@ -1717,7 +1966,43 @@ impl CompiledCodes {
         }
     }
 
-    /// The tiled two-phase block kernel. Per row panel:
+    /// The block kernel: accumulates a block of validated queries into
+    /// `acc` (query-major) on the plan's [`CodesTier`], dispatching once
+    /// into the Sum- or Max-monomorphized fold.
+    fn accumulate_block(&self, queries: &[&[u8]], acc: &mut [f32], aux: &mut Vec<f32>) {
+        debug_assert!(acc.len() >= queries.len() * self.n_rows);
+        if self.metric.is_max_fold() {
+            self.accumulate_block_fold::<true>(queries, acc, aux);
+        } else {
+            self.accumulate_block_fold::<false>(queries, acc, aux);
+        }
+    }
+
+    fn accumulate_block_fold<const MAX: bool>(
+        &self,
+        queries: &[&[u8]],
+        acc: &mut [f32],
+        aux: &mut Vec<f32>,
+    ) {
+        match self.tier {
+            CodesTier::Scalar => self.accumulate_block_scalar::<MAX>(queries, acc, aux),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the tier was detected with AVX-512F and 8-entry
+            // LUT rows; the drivers validate queries before any work
+            // runs and size `acc` to the block.
+            CodesTier::Avx512 => unsafe { self.accumulate_block_avx512::<MAX>(queries, acc, aux) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the tier was detected with AVX2 and 8-entry LUT
+            // rows; same validated queries and block-sized `acc`.
+            CodesTier::Avx2 => unsafe { self.accumulate_block_avx2::<MAX>(queries, acc, aux) },
+            #[cfg(not(target_arch = "x86_64"))]
+            CodesTier::Avx2 | CodesTier::Avx512 => {
+                self.accumulate_block_scalar::<MAX>(queries, acc, aux)
+            }
+        }
+    }
+
+    /// The scalar tier: a tiled two-phase block kernel. Per row panel:
     ///
     /// 1. **Expand** — for every column, each *distinct* level the
     ///    block's queries drive there gathers the codes column through
@@ -1739,33 +2024,13 @@ impl CompiledCodes {
     /// rounding — per-row folds identical to
     /// [`accumulate_rows`](Self::accumulate_rows) and bit-identical to
     /// the `f32` plane kernel.
-    fn accumulate_block(&self, queries: &[&[u8]], acc: &mut [f32], aux: &mut Vec<f32>) {
-        if self.metric.is_max_fold() {
-            self.accumulate_block_fold::<true>(queries, acc, aux);
-        } else {
-            self.accumulate_block_fold::<false>(queries, acc, aux);
-        }
-    }
-
-    fn accumulate_block_fold<const MAX: bool>(
+    fn accumulate_block_scalar<const MAX: bool>(
         &self,
         queries: &[&[u8]],
         acc: &mut [f32],
         aux: &mut Vec<f32>,
     ) {
         let n = self.n_rows;
-        debug_assert!(acc.len() >= queries.len() * n);
-        if self.simd_eligible() {
-            // In-register gather with block-amortized index widening —
-            // see accumulate_block_avx2.
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: eligibility checked AVX2 + 8-entry LUT rows; the
-            // drivers validate queries before any work runs.
-            unsafe {
-                self.accumulate_block_avx2::<MAX>(queries, acc, aux);
-            }
-            return;
-        }
         acc[..queries.len() * n].fill(0.0);
         let mask = self.lut_stride - 1;
         let tile = self.row_tile();
@@ -2097,18 +2362,49 @@ impl BlockKernel for CodesDispatch {
     }
 }
 
+/// Lanes of [`argmin`]'s minimum pass: independent running minima, so
+/// the pass vectorizes instead of walking one compare-select chain.
+const ARGMIN_LANES: usize = 16;
+
 /// Index and value of the smallest scalar; ties keep the lowest index
 /// (identical to [`SearchOutcome::best_row`]'s first-minimum argmin).
+///
+/// Two vectorizable passes — a lane-parallel minimum, then the first
+/// index whose score equals it — that return exactly what a serial
+/// `<` scan from `scores[0]` returns: every lane starts at `scores[0]`,
+/// so a later NaN never enters the minimum (it never compares less), a
+/// leading NaN is returned as the serial scan returns it, and the
+/// value reported is the stored one at the first equal index, so a
+/// `0.0`/`-0.0` tie keeps the lowest row's sign.
 fn argmin<S: PlaneScalar>(scores: &[S]) -> (usize, S) {
-    let mut best = 0;
-    let mut best_g = scores[0];
-    for (i, &g) in scores.iter().enumerate().skip(1) {
-        if g < best_g {
-            best = i;
-            best_g = g;
+    let first = scores[0];
+    let mut lanes = [first; ARGMIN_LANES];
+    let chunks = scores.chunks_exact(ARGMIN_LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, &g) in lanes.iter_mut().zip(chunk) {
+            if g < *m {
+                *m = g;
+            }
         }
     }
-    (best, best_g)
+    let mut min = first;
+    for &g in lanes.iter().chain(tail) {
+        if g < min {
+            min = g;
+        }
+    }
+    for (ci, chunk) in scores.chunks(ARGMIN_LANES).enumerate() {
+        if chunk.iter().fold(false, |hit, &g| hit | (g == min)) {
+            if let Some(j) = chunk.iter().position(|&g| g == min) {
+                let i = ci * ARGMIN_LANES + j;
+                return (i, scores[i]);
+            }
+        }
+    }
+    // Only a leading NaN gets here: every lane starts at it and nothing
+    // compares less or equal, which is the serial scan's `(0, NaN)`.
+    (0, first)
 }
 
 /// A compiled multi-bank plan: one [`CompiledMcam`] per bank plus the
@@ -2529,6 +2825,7 @@ mod tests {
     use crate::levels::LevelLadder;
     use crate::lut::ConductanceLut;
     use femcam_device::FefetModel;
+    use proptest::prelude::*;
 
     fn array_with_rows(word_len: usize, rows: &[Vec<u8>]) -> McamArray {
         let ladder = LevelLadder::new(3).unwrap();
@@ -2883,5 +3180,199 @@ mod tests {
             assert_eq!(top_k_indices(&scores, k), expect, "k={k}");
         }
         assert!(top_k_indices(&[], 3).is_empty());
+    }
+
+    /// Every codes tier this host runs, against the scalar tier and
+    /// the `f32` plane plan, bitwise: single-query and batched full
+    /// outcomes, winners and top-k, over row counts on both sides of
+    /// every vector, register-block and tile edge, one-cell to 64-cell
+    /// words, and all four metrics (the L∞ max fold included). Prints
+    /// which tiers ran, so a host without AVX-512 does not pass
+    /// silently.
+    #[test]
+    fn codes_kernel_tiers_are_bit_identical() {
+        let tiers = [CodesTier::Scalar, CodesTier::Avx2, CodesTier::Avx512];
+        let ran: Vec<CodesTier> = tiers.into_iter().filter(|t| t.available(8)).collect();
+        for tier in tiers {
+            let status = if ran.contains(&tier) {
+                "ran"
+            } else {
+                "skipped (not supported on this host)"
+            };
+            println!("codes kernel tier {tier:?}: {status}");
+        }
+        let outcome_bits = |outcomes: &[SearchOutcome]| -> Vec<Vec<u64>> {
+            outcomes
+                .iter()
+                .map(|o| o.conductances().iter().map(|g| g.to_bits()).collect())
+                .collect()
+        };
+        let hit_bits = |hits: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            hits.iter().map(|&(r, g)| (r, g.to_bits())).collect()
+        };
+        // Single-query and batched outcomes, winners and top-5 of a
+        // query batch, as bits: the same calls on either plan type.
+        macro_rules! results {
+            ($plan:expr, $refs:expr) => {{
+                let (plan, refs): (_, &[&[u8]]) = ($plan, $refs);
+                let singles: Vec<SearchOutcome> =
+                    refs.iter().map(|q| plan.search(q).unwrap()).collect();
+                let top = plan.search_batch_top_k(refs, 5, 1).unwrap();
+                (
+                    outcome_bits(&singles),
+                    outcome_bits(&plan.search_batch(refs, 1).unwrap()),
+                    hit_bits(&plan.search_batch_winners(refs, 1).unwrap()),
+                    top.iter().map(|hits| hit_bits(hits)).collect::<Vec<_>>(),
+                )
+            }};
+        }
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut level = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 8) as u8
+        };
+        for word_len in [1, 6, 64] {
+            for n_rows in [
+                1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 255, 256, 300,
+            ] {
+                let mut word = |_| (0..word_len).map(|_| level()).collect::<Vec<u8>>();
+                let rows: Vec<Vec<u8>> = (0..n_rows).map(&mut word).collect();
+                let mut queries: Vec<Vec<u8>> = (0..5).map(&mut word).collect();
+                // An exact match on the last row, which sits in the
+                // last (often partial) vector.
+                queries.push(rows[n_rows - 1].clone());
+                let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+                let a = array_with_rows(word_len, &rows);
+                for metric in Metric::ALL {
+                    let ctx = format!("{metric:?} word_len={word_len} n_rows={n_rows}");
+                    let plane = CompiledMcam::<f32>::compile_metric(&a, metric).unwrap();
+                    let compiled = CompiledCodes::compile_metric(&a, metric).unwrap();
+                    let expect = results!(&plane, &refs);
+                    let scalar = results!(
+                        &CompiledCodes {
+                            tier: CodesTier::Scalar,
+                            ..compiled.clone()
+                        },
+                        &refs
+                    );
+                    assert!(
+                        scalar == expect,
+                        "scalar tier drifted from f32 planes: {ctx}"
+                    );
+                    for &tier in &ran[1..] {
+                        let got = results!(
+                            &CompiledCodes {
+                                tier,
+                                ..compiled.clone()
+                            },
+                            &refs
+                        );
+                        assert!(
+                            got == scalar,
+                            "{tier:?} drifted from the scalar tier: {ctx}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The serial first-minimum scan: the oracle the two-pass
+    /// [`argmin`] must match exactly.
+    fn argmin_serial<S: PlaneScalar>(scores: &[S]) -> (usize, S) {
+        let mut best = 0;
+        let mut best_g = scores[0];
+        for (i, &g) in scores.iter().enumerate().skip(1) {
+            if g < best_g {
+                best = i;
+                best_g = g;
+            }
+        }
+        (best, best_g)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `argmin` returns the serial scan's `(index, value)`, value
+        /// bits included, in `f32` and `f64`: scores drawn from a
+        /// palette with `0.0`/`-0.0` ties and NaN, with one value
+        /// planted on both sides of a 16-lane chunk boundary and in
+        /// the remainder.
+        #[test]
+        fn argmin_matches_the_serial_scan(
+            picks in collection::vec(0usize..6, 1..70),
+            boundary in 1usize..5,
+            plant in 0usize..5,
+        ) {
+            let palette = [0.0f32, -0.0, 1.0, 0.5, f32::NAN, 2.0];
+            let planted = [-3.0f32, 0.0, -0.0, f32::NAN, -1.0][plant];
+            let mut scores: Vec<f32> = picks.iter().map(|&p| palette[p]).collect();
+            let len = scores.len();
+            let edge = boundary * ARGMIN_LANES;
+            // The last lane before a chunk boundary, the first after
+            // it, and a slot inside the remainder (the last score when
+            // there is none).
+            let in_tail = len - 1 - len % ARGMIN_LANES / 2;
+            for at in [edge - 1, edge, in_tail] {
+                if at < len {
+                    scores[at] = planted;
+                }
+            }
+            let (i, g) = argmin(&scores);
+            let (si, sg) = argmin_serial(&scores);
+            prop_assert_eq!((i, g.to_bits()), (si, sg.to_bits()));
+            let wide: Vec<f64> = scores.iter().map(|&g| f64::from(g)).collect();
+            let (i, g) = argmin(&wide);
+            let (si, sg) = argmin_serial(&wide);
+            prop_assert_eq!((i, g.to_bits()), (si, sg.to_bits()));
+        }
+    }
+
+    /// Rows at equal distance from the query, spread over different
+    /// lanes, register blocks, tiles and banks: every precision and
+    /// metric reports the lowest global row, whichever of the tied
+    /// rows are stored.
+    #[test]
+    fn banked_ties_resolve_to_the_lowest_global_row() {
+        use crate::banked::BankedMcam;
+        const WORD: usize = 64;
+        const PER_BANK: usize = 300;
+        // Lane 5 of bank 0's first vector; lane 9 of its second
+        // 128-row tile; its last, partial vector; bank 1's second
+        // tile; bank 2.
+        let tied = [5usize, 137, 290, 450, 700];
+        let target: Vec<u8> = (0..WORD).map(|c| (c * 3 % 8) as u8).collect();
+        for first in 0..tied.len() {
+            let ladder = LevelLadder::new(3).unwrap();
+            let lut = ConductanceLut::from_device(&FefetModel::default(), &ladder);
+            let mut memory = BankedMcam::new(ladder, lut, WORD, PER_BANK);
+            for r in 0..3 * PER_BANK {
+                if tied[first..].contains(&r) {
+                    memory.store(&target).unwrap();
+                } else {
+                    // Every cell one to seven levels off the target:
+                    // strictly farther under every metric.
+                    let far: Vec<u8> = target
+                        .iter()
+                        .enumerate()
+                        .map(|(c, &t)| (t + 1 + ((r + c) % 7) as u8) % 8)
+                        .collect();
+                    memory.store(&far).unwrap();
+                }
+            }
+            for precision in [Precision::F64, Precision::F32, Precision::Codes] {
+                for metric in Metric::ALL {
+                    let winners = memory
+                        .search_batch_winners_with_metric(&[&target, &target], precision, metric)
+                        .unwrap();
+                    for (row, _) in winners {
+                        assert_eq!(row, tied[first], "{precision:?} {metric:?}");
+                    }
+                }
+            }
+        }
     }
 }
