@@ -708,6 +708,24 @@ fn measure_routing(precision: Precision) -> RoutingMeasurement {
     }
 }
 
+/// The entries recorded under `key` in an earlier `BENCH_search.json`,
+/// one per line as [`record_search_baseline`] writes them; none if the
+/// file or the key is missing.
+#[cfg(not(feature = "chaos"))]
+fn recorded_entries(json: &str, key: &str) -> Vec<String> {
+    let open = format!("\"{key}\": [\n");
+    let Some(start) = json.find(&open).map(|at| at + open.len()) else {
+        return Vec::new();
+    };
+    let body = &json[start..];
+    let end = body.find("\n  ]").unwrap_or(0);
+    body[..end]
+        .lines()
+        .map(|line| line.trim_end_matches(',').to_string())
+        .filter(|line| !line.trim().is_empty())
+        .collect()
+}
+
 /// Records the machine-readable throughput baseline the acceptance
 /// criterion checks: seed-style scalar row-by-row search vs the
 /// compiled, batched multi-bank executor, plus the full sweep grid.
@@ -1022,16 +1040,20 @@ fn record_search_baseline(_c: &mut Criterion) {
         })
         .collect();
 
-    // Fault-injected serving entry (only with `--features chaos`):
-    // closed-loop p99 through a shard kill plus recovery time. Without
-    // the feature the key records an empty sweep.
-    #[cfg(feature = "chaos")]
-    let faults = Some(measure_serving_faults());
+    // Without `--features chaos` the two chaos entries are not
+    // measured; the ones an earlier chaos run recorded are kept.
     #[cfg(not(feature = "chaos"))]
-    let faults: Option<()> = None;
-    let serving_faults_lines: Vec<String> = match &faults {
-        #[cfg(feature = "chaos")]
-        Some(m) => vec![format!(
+    let recorded = std::fs::read_to_string(femcam_bench::results_dir().join("BENCH_search.json"))
+        .unwrap_or_default();
+
+    // Fault-injected serving entry: closed-loop p99 through a shard
+    // kill plus recovery time.
+    #[cfg(feature = "chaos")]
+    let faults = measure_serving_faults();
+    #[cfg(feature = "chaos")]
+    let serving_faults_lines = {
+        let m = &faults;
+        vec![format!(
             "    {{\"precision\": \"codes\", \"shards\": 2, \
              \"clients\": {SERVE_CLIENTS}, \"queries_healthy\": {}, \
              \"p99_healthy_us\": {:.0}, \"queries_degraded\": {}, \
@@ -1043,20 +1065,20 @@ fn record_search_baseline(_c: &mut Criterion) {
             m.p99_degraded_us,
             m.failed_requests,
             m.recovery_us,
-        )],
-        _ => Vec::new(),
+        )]
     };
-
-    // Quarantine-storm entry (only with `--features chaos`): kill N−1
-    // of N shards under closed-loop load and record the time until the
-    // probe supervisor has resurrected the full board.
-    #[cfg(feature = "chaos")]
-    let storm = Some(measure_quarantine_storm());
     #[cfg(not(feature = "chaos"))]
-    let storm: Option<()> = None;
-    let quarantine_storm_lines: Vec<String> = match &storm {
-        #[cfg(feature = "chaos")]
-        Some(m) => vec![format!(
+    let serving_faults_lines = recorded_entries(&recorded, "serving_faults");
+
+    // Quarantine-storm entry: kill N−1 of N shards under closed-loop
+    // load and record the time until the probe supervisor has
+    // resurrected the full board.
+    #[cfg(feature = "chaos")]
+    let storm = measure_quarantine_storm();
+    #[cfg(feature = "chaos")]
+    let quarantine_storm_lines = {
+        let m = &storm;
+        vec![format!(
             "    {{\"precision\": \"codes\", \"shards\": {}, \
              \"clients\": {SERVE_CLIENTS}, \"kills\": {}, \
              \"readmitted\": {}, \"probe_failures\": {}, \
@@ -1069,9 +1091,10 @@ fn record_search_baseline(_c: &mut Criterion) {
             m.queries,
             m.failed_requests,
             m.recovery_us,
-        )],
-        _ => Vec::new(),
+        )]
     };
+    #[cfg(not(feature = "chaos"))]
+    let quarantine_storm_lines = recorded_entries(&recorded, "quarantine_storm");
 
     let speedup = scalar_ns / best_batched_ns;
     let json = format!(
@@ -1168,7 +1191,8 @@ fn record_search_baseline(_c: &mut Criterion) {
     }
 
     #[cfg(feature = "chaos")]
-    if let Some(m) = &faults {
+    {
+        let m = &faults;
         println!(
             "serving faults (codes, 2 shards, tail killed): healthy p99 {:.0} us \
              ({} queries), degraded p99 {:.0} us ({} queries), {} failed \
@@ -1190,7 +1214,8 @@ fn record_search_baseline(_c: &mut Criterion) {
     }
 
     #[cfg(feature = "chaos")]
-    if let Some(m) = &storm {
+    {
+        let m = &storm;
         println!(
             "quarantine storm (codes, {} shards, {} killed): full recovery in \
              {:.0} us ({} re-admitted, {} probe failures, {} queries served, \

@@ -86,6 +86,12 @@ impl Table {
 /// Resolves the `results/` directory at the workspace root, creating it
 /// if needed.
 ///
+/// The root comes from the `CARGO_MANIFEST_DIR` that `cargo run`,
+/// `cargo bench` and `cargo test` set when they start a binary, so a
+/// binary built in one checkout and run from a copy of it writes into
+/// the copy. The path baked in at compile time is the fallback, for a
+/// binary started without cargo.
+///
 /// # Panics
 ///
 /// Panics if the directory cannot be created.
@@ -97,12 +103,13 @@ pub fn results_dir() -> PathBuf {
 }
 
 fn workspace_root() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench; the workspace root is two up.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
+    // CARGO_MANIFEST_DIR = crates/<crate>; the workspace root is two up.
+    let root_of = |manifest_dir: &Path| manifest_dir.ancestors().nth(2).map(Path::to_path_buf);
+    std::env::var_os("CARGO_MANIFEST_DIR")
+        .and_then(|dir| root_of(Path::new(&dir)))
+        .filter(|root| root.join("Cargo.toml").is_file())
+        .or_else(|| root_of(Path::new(env!("CARGO_MANIFEST_DIR"))))
         .expect("workspace root")
-        .to_path_buf()
 }
 
 /// Writes a CSV file into `results/` and returns its path.

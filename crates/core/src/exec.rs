@@ -120,6 +120,33 @@
 //! per cell), so even a lone cold-cache query amortizes it
 //! ([`CODES_COMPILE_THRESHOLD`]).
 //!
+//! ## Bounded winners
+//!
+//! Batched winner searches at [`Precision::Codes`] on the vector tiers
+//! do not score every cell. Full, masked (routed) and served winner
+//! searches, and the flat `search_batch_winners`, all run through one
+//! banked merge, which carries each query's best score so far across
+//! banks. That score is an `f32` bound (exact: codes scores are `f32`
+//! widened to `f64`). A register block of rows sweeps its columns in
+//! chunks of 8, and after each chunk it is abandoned once every row in
+//! it already scores strictly above the bound. A block that finishes
+//! folds its first minimum into the query's best and tightens the
+//! bound. On near-duplicate queries, where the paper's steep distance
+//! function puts the nearest row far below the rest, most blocks stop
+//! after the first chunk.
+//!
+//! The answer is exactly the one a full sweep gives. Every LUT entry is
+//! finite and `>= 0`, so neither fold ever lowers a running sum: adding
+//! a nonnegative `f32` under round-to-nearest never lowers a sum, and
+//! `max` never does. A row's final score is therefore at least any
+//! partial sum, and an abandoned row scores above a row already seen.
+//! A plan checks this once when it compiles and ignores bounds without
+//! it. Ties resolve to the lowest global row as before: the comparison
+//! is strict, so a row that ends exactly at the bound is scored in full
+//! and then loses the strict `<` against the lower row that set it.
+//! Full outcomes, top-k, the single-query paths, the scalar tier and
+//! the plane plans never abandon.
+//!
 //! Callers pick a mode either statically (`CompiledMcam::<f32>`,
 //! [`CompiledCodes`]) or at run time through the [`Precision`] knob on
 //! the cached-plan entry points ([`McamArray::search_batch_with`],
@@ -679,10 +706,12 @@ impl std::ops::AddAssign for PlanMemoryBytes {
 /// for a worker's whole query group, so the per-query hot path
 /// allocates nothing (results excepted — they are the output).
 #[derive(Debug)]
-struct BatchScratch<S> {
+pub(crate) struct BatchScratch<S> {
     acc: Vec<S>,
     /// Kernel-private auxiliary slab (the codes kernel's per-block
-    /// level-expansion panel); plane kernels leave it empty.
+    /// level-expansion panel or widened index slab, which the bounded
+    /// winner sweep reuses across banks); plane kernels leave it
+    /// empty.
     aux: Vec<S>,
     heap: BinaryHeap<(TotalF64, usize)>,
     sorted: Vec<(TotalF64, usize)>,
@@ -830,6 +859,92 @@ const SERVE_SUB: usize = 32;
 /// 128 on AVX-512).
 const SERVE_REGS: usize = 8;
 
+/// Lanes of the widest codes vector tier (AVX-512): the size of the
+/// vector kernels' padded-code and lane buffers.
+#[cfg(target_arch = "x86_64")]
+const MAX_LANES: usize = 16;
+
+/// Columns the bounded winner sweep scores between abandon checks, and
+/// the granularity at which it widens a tile's codes.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const ABANDON_CHUNK: usize = 8;
+
+/// One widened row tile of the vector codes kernels: rows
+/// `t0..t0 + tlen`, whose permute indices for column `c` sit at
+/// `idx[c * stride..]`, filled for columns `..widened`.
+#[cfg(target_arch = "x86_64")]
+struct LaneTile {
+    t0: usize,
+    tlen: usize,
+    stride: usize,
+    idx: *mut i32,
+    widened: usize,
+}
+
+/// The vector kernels' dword index slab: `aux`, grown to `len` entries
+/// and viewed as `i32` (`f32` and `i32` share size and alignment).
+#[cfg(target_arch = "x86_64")]
+fn index_slab(aux: &mut Vec<f32>, len: usize) -> *mut i32 {
+    if aux.len() < len {
+        aux.resize(len, 0.0);
+    }
+    aux.as_mut_ptr().cast::<i32>()
+}
+
+/// The first lane, in ascending row order, holding the minimum of
+/// `sums` and its stored value — if that minimum is strictly below
+/// `bound`. The vector face of the first-minimum [`argmin`]: a `0.0`/
+/// `-0.0` tie keeps the lower lane and its sign.
+///
+/// # Safety
+///
+/// `L`'s CPU features.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// SAFETY: register work plus one store into a `MAX_LANES` buffer, which
+// holds `L::WIDTH` lanes.
+unsafe fn first_below<L: CodeLanes, const R: usize>(
+    sums: &[L::Ps; R],
+    bound: f32,
+) -> Option<(usize, f32)> {
+    let low = sums[1..].iter().fold(sums[0], |m, &s| L::min(m, s));
+    if L::gt_mask(L::splat(bound), low) == 0 {
+        return None;
+    }
+    let min = L::splat(L::hmin(low));
+    for (j, &sum) in sums.iter().enumerate() {
+        let hits = L::eq_mask(sum, min);
+        if hits != 0 {
+            let lane = hits.trailing_zeros() as usize;
+            let mut lanes = [0.0f32; MAX_LANES];
+            L::store(lanes.as_mut_ptr(), sum);
+            return Some((j * L::WIDTH + lane, lanes[lane]));
+        }
+    }
+    None
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Vector-columns the bounded sweep scored on this thread, and the
+    /// vector-columns a full sweep of the same rows would have scored.
+    static BOUNDED_WORK: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Counts the work of one register block of the bounded sweep (tests
+/// read it back; other builds compile it away).
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[inline(always)]
+fn tally_bounded_work(scored: usize, nominal: usize) {
+    #[cfg(test)]
+    BOUNDED_WORK.with(|work| {
+        let (s, n) = work.get();
+        work.set((s + scored as u64, n + nominal as u64));
+    });
+    #[cfg(not(test))]
+    let _ = (scored, nominal);
+}
+
 /// The vector width the codes block kernel runs at, picked once per
 /// plan when it compiles ([`CodesTier::detect`]) and stored in it, so
 /// the accumulate calls never re-run CPU feature detection. The vector
@@ -929,6 +1044,23 @@ trait CodeLanes {
     /// Stores all `WIDTH` lanes at `dst`.
     // SAFETY: contract in the trait docs (features, writable bytes).
     unsafe fn store(dst: *mut f32, v: Self::Ps);
+    /// `x` in every lane.
+    // SAFETY: contract in the trait docs (the tier's CPU features).
+    unsafe fn splat(x: f32) -> Self::Ps;
+    /// Lane-wise minimum (the winner scan's and the abandon check's
+    /// reduce; plan values are never NaN).
+    // SAFETY: contract in the trait docs (the tier's CPU features).
+    unsafe fn min(a: Self::Ps, b: Self::Ps) -> Self::Ps;
+    /// The minimum across all `WIDTH` lanes.
+    // SAFETY: contract in the trait docs (the tier's CPU features).
+    unsafe fn hmin(a: Self::Ps) -> f32;
+    /// Bit `i` set where lane `i` of `a` is strictly greater than lane
+    /// `i` of `b` (ordered: a NaN lane compares false).
+    // SAFETY: contract in the trait docs (the tier's CPU features).
+    unsafe fn gt_mask(a: Self::Ps, b: Self::Ps) -> u32;
+    /// Bit `i` set where lane `i` of `a` equals lane `i` of `b`.
+    // SAFETY: contract in the trait docs (the tier's CPU features).
+    unsafe fn eq_mask(a: Self::Ps, b: Self::Ps) -> u32;
 }
 
 /// The AVX2 lanes: 8 cells per `vpermps`.
@@ -990,6 +1122,41 @@ impl CodeLanes for Avx2Lanes {
     unsafe fn store(dst: *mut f32, v: Self::Ps) {
         std::arch::x86_64::_mm256_storeu_ps(dst, v);
     }
+
+    // SAFETY: register-only; the caller has AVX2 (trait contract).
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self::Ps {
+        std::arch::x86_64::_mm256_set1_ps(x)
+    }
+
+    // SAFETY: register-only; the caller has AVX2 (trait contract).
+    #[inline(always)]
+    unsafe fn min(a: Self::Ps, b: Self::Ps) -> Self::Ps {
+        std::arch::x86_64::_mm256_min_ps(a, b)
+    }
+
+    // SAFETY: register-only; the caller has AVX2 (trait contract).
+    #[inline(always)]
+    unsafe fn hmin(a: Self::Ps) -> f32 {
+        use std::arch::x86_64::*;
+        let m = _mm_min_ps(_mm256_castps256_ps128(a), _mm256_extractf128_ps::<1>(a));
+        let m = _mm_min_ps(m, _mm_movehl_ps(m, m));
+        _mm_cvtss_f32(_mm_min_ss(m, _mm_shuffle_ps::<1>(m, m)))
+    }
+
+    // SAFETY: register-only; the caller has AVX2 (trait contract).
+    #[inline(always)]
+    unsafe fn gt_mask(a: Self::Ps, b: Self::Ps) -> u32 {
+        use std::arch::x86_64::*;
+        _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(a, b)) as u32
+    }
+
+    // SAFETY: register-only; the caller has AVX2 (trait contract).
+    #[inline(always)]
+    unsafe fn eq_mask(a: Self::Ps, b: Self::Ps) -> u32 {
+        use std::arch::x86_64::*;
+        _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(a, b)) as u32
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1042,6 +1209,38 @@ impl CodeLanes for Avx512Lanes {
     #[inline(always)]
     unsafe fn store(dst: *mut f32, v: Self::Ps) {
         std::arch::x86_64::_mm512_storeu_ps(dst, v);
+    }
+
+    // SAFETY: register-only; the caller has AVX-512F (trait contract).
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self::Ps {
+        std::arch::x86_64::_mm512_set1_ps(x)
+    }
+
+    // SAFETY: register-only; the caller has AVX-512F (trait contract).
+    #[inline(always)]
+    unsafe fn min(a: Self::Ps, b: Self::Ps) -> Self::Ps {
+        std::arch::x86_64::_mm512_min_ps(a, b)
+    }
+
+    // SAFETY: register-only; the caller has AVX-512F (trait contract).
+    #[inline(always)]
+    unsafe fn hmin(a: Self::Ps) -> f32 {
+        std::arch::x86_64::_mm512_reduce_min_ps(a)
+    }
+
+    // SAFETY: register-only; the caller has AVX-512F (trait contract).
+    #[inline(always)]
+    unsafe fn gt_mask(a: Self::Ps, b: Self::Ps) -> u32 {
+        use std::arch::x86_64::*;
+        u32::from(_mm512_cmp_ps_mask::<_CMP_GT_OQ>(a, b))
+    }
+
+    // SAFETY: register-only; the caller has AVX-512F (trait contract).
+    #[inline(always)]
+    unsafe fn eq_mask(a: Self::Ps, b: Self::Ps) -> u32 {
+        use std::arch::x86_64::*;
+        u32::from(_mm512_cmp_ps_mask::<_CMP_EQ_OQ>(a, b))
     }
 }
 
@@ -1265,7 +1464,8 @@ impl<S: PlaneScalar> CompiledMcam<S> {
     /// Like [`search_batch`](Self::search_batch), but returns only each
     /// query's nearest row as `(row, total_conductance)` — the winner
     /// argmin runs on the worker's scratch accumulators, so no per-row
-    /// vector is ever materialized per query.
+    /// vector is ever materialized per query. A flat plan runs as the
+    /// one-bank case of the banked winner merge.
     ///
     /// # Errors
     ///
@@ -1275,7 +1475,7 @@ impl<S: PlaneScalar> CompiledMcam<S> {
         queries: &[&[u8]],
         n_threads: usize,
     ) -> Result<Vec<(usize, f64)>> {
-        kernel_search_batch_winners(self, queries, n_threads)
+        banked_winner_batch_kernel(&[self], &[0], queries, n_threads)
     }
 
     /// Like [`search_batch`](Self::search_batch), but returns each
@@ -1300,7 +1500,9 @@ impl<S: PlaneScalar> CompiledMcam<S> {
 /// ([`CompiledMcam`]) and the packed-code kernel ([`CompiledCodes`] /
 /// [`CodesDispatch`]): everything the generic batch drivers below need.
 /// The drivers own the group/block orchestration exactly once; a kernel
-/// only supplies its block accumulator and its work-sizing.
+/// supplies its block accumulator, its work-sizing and, for winner
+/// searches, a winner fold that may carry a bound
+/// ([`fold_winners`](Self::fold_winners)).
 pub(crate) trait BlockKernel: Sync {
     /// The scalar the kernel's match-line accumulators fold in.
     type Acc: PlaneScalar;
@@ -1320,6 +1522,30 @@ pub(crate) trait BlockKernel: Sync {
     /// reusable scratch (the codes kernel's level-expansion panel);
     /// kernels that need none ignore it.
     fn accumulate_block(&self, queries: &[&[u8]], acc: &mut [Self::Acc], aux: &mut Vec<Self::Acc>);
+
+    /// Folds each query's nearest row among this kernel's rows into
+    /// `best` (one slot per query, `None` before the first bank): a row
+    /// replaces the slot only with a strictly smaller score, and `base`
+    /// is added to its local index. Callers visit banks in ascending
+    /// base order, so ties keep the lowest global row.
+    ///
+    /// The default scores every row ([`accumulate_block`]) and scans
+    /// each query's scores with [`argmin`]. The packed-code kernel
+    /// overrides it on the vector tiers with the bounded sweep: the
+    /// slot's score is an upper bound, and a register block of rows is
+    /// abandoned once every row in it already scores above it (the
+    /// module-level ["Bounded winners"](self#bounded-winners)).
+    ///
+    /// [`accumulate_block`]: Self::accumulate_block
+    fn fold_winners(
+        &self,
+        queries: &[&[u8]],
+        base: usize,
+        best: &mut [Option<(usize, f64)>],
+        scratch: &mut BatchScratch<Self::Acc>,
+    ) {
+        fold_winners_full(self, queries, base, best, scratch);
+    }
 
     /// Thread-gating cost of one query against this kernel, in
     /// plane-step units ([`par::PAR_CHUNK_WORK`]'s currency) — cheaper
@@ -1349,6 +1575,32 @@ impl<S: PlaneScalar> BlockKernel for CompiledMcam<S> {
 
     fn batch_work_per_query(&self) -> usize {
         self.n_rows * self.word_len
+    }
+}
+
+/// The unbounded winner fold behind [`BlockKernel::fold_winners`]:
+/// scores every row of `kernel` for the block into `scratch.acc`, then
+/// folds each query's first minimum into its slot with strict `<`.
+fn fold_winners_full<K: BlockKernel + ?Sized>(
+    kernel: &K,
+    queries: &[&[u8]],
+    base: usize,
+    best: &mut [Option<(usize, f64)>],
+    scratch: &mut BatchScratch<K::Acc>,
+) {
+    let n = kernel.n_rows();
+    let need = queries.len() * n;
+    let BatchScratch { acc, aux, .. } = scratch;
+    if acc.len() < need {
+        acc.resize(need, K::Acc::ZERO);
+    }
+    kernel.accumulate_block(queries, &mut acc[..need], aux);
+    for (rows, slot) in acc[..need].chunks_exact(n).zip(best) {
+        let (local, g) = argmin(rows);
+        let g = g.to_f64();
+        if slot.is_none_or(|(_, bg)| g < bg) {
+            *slot = Some((base + local, g));
+        }
     }
 }
 
@@ -1421,19 +1673,6 @@ fn kernel_search_batch<K: BlockKernel>(
     })
 }
 
-/// Generic batched winners driver (see
-/// [`CompiledMcam::search_batch_winners`]).
-fn kernel_search_batch_winners<K: BlockKernel>(
-    kernel: &K,
-    queries: &[&[u8]],
-    n_threads: usize,
-) -> Result<Vec<(usize, f64)>> {
-    kernel_batch_driver(kernel, queries, n_threads, |rows, _, _| {
-        let (row, g) = argmin(rows);
-        (row, g.to_f64())
-    })
-}
-
 /// Generic batched top-k driver (see
 /// [`CompiledMcam::search_batch_top_k`]).
 fn kernel_search_batch_top_k<K: BlockKernel>(
@@ -1487,7 +1726,12 @@ impl CompiledMcam<f64> {
 /// The plan also records its kernel tier (scalar, AVX2 or AVX-512; see
 /// the module-level "Codes mode"), detected once when it compiles: the
 /// vector tiers score 8 or 16 cells per permute, up to one permute per
-/// cycle. Results are bit-identical on every tier.
+/// cycle. Results are bit-identical on every tier. It also records
+/// whether its LUT lets batched winner searches abandon rows early
+/// (every entry finite and nonnegative); on the vector tiers those
+/// searches then skip most of the cells of rows that cannot win, with
+/// the same answers (the module-level
+/// ["Bounded winners"](self#bounded-winners)).
 ///
 /// Only shared-LUT arrays can compile to codes; per-cell (variation)
 /// arrays must use a plane plan ([`CoreError::PerCellBank`]). The
@@ -1539,6 +1783,12 @@ pub struct CompiledCodes {
     /// names a vector tier only if [`CodesTier::available`] held for
     /// `lut_stride`.
     tier: CodesTier,
+    /// Every LUT entry is finite and nonnegative, and no row score can
+    /// overflow: both folds then never lower a running sum, which is
+    /// what makes the bounded winner sweep's abandoning exact. Checked
+    /// once at compile time ([`CompiledCodes::lut_allows_abandon`]); a
+    /// plan without it ignores bounds.
+    abandon_exact: bool,
 }
 
 impl CompiledCodes {
@@ -1608,9 +1858,22 @@ impl CompiledCodes {
             metric,
             lut_stride,
             codes,
+            abandon_exact: Self::lut_allows_abandon(&lut, word_len),
             lut,
             tier: CodesTier::detect(lut_stride),
         })
+    }
+
+    /// Whether a `word_len`-cell plan over `lut` may abandon rows: every
+    /// entry finite and `>= 0` (so neither fold ever lowers a running
+    /// sum), and `word_len` times the largest entry at most half of
+    /// `f32::MAX` (so no row score rounds up to infinity).
+    /// [`ConductanceLut::from_device`](crate::ConductanceLut::from_device)
+    /// does not validate signs, so this is checked per plan.
+    fn lut_allows_abandon(lut: &[f32], word_len: usize) -> bool {
+        let max = lut.iter().fold(0.0f32, |m, &v| m.max(v));
+        lut.iter().all(|&v| v.is_finite() && v >= 0.0)
+            && f64::from(max) * word_len as f64 <= f64::from(f32::MAX) / 2.0
     }
 
     /// Rows in the compiled snapshot.
@@ -1765,6 +2028,72 @@ impl CompiledCodes {
         }
     }
 
+    /// The LUT row of every query level as a permute table.
+    ///
+    /// # Safety
+    ///
+    /// `L`'s CPU features and `lut_stride == 8`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    // SAFETY: each read is one 8-entry LUT row, in range for
+    // `level < n_levels` under the contract above.
+    unsafe fn lane_tables<L: CodeLanes>(&self) -> [L::Ps; 8] {
+        let mut tables = [L::zero(); 8];
+        for (level, table) in tables.iter_mut().enumerate().take(self.n_levels) {
+            *table = L::table(self.lut.as_ptr().add(level * 8));
+        }
+        tables
+    }
+
+    /// Rows per widened tile of the vector kernels — whole register
+    /// blocks within `L`'s index-slab budget, at least one, at most
+    /// `n_rows` — and the slab's per-column stride in dwords (the tile
+    /// rounded up to whole vectors).
+    #[cfg(target_arch = "x86_64")]
+    fn lane_tile<L: CodeLanes>(&self) -> (usize, usize) {
+        let block_rows = SERVE_REGS * L::WIDTH;
+        let blocks = (L::IDX_SLAB_BYTES / (4 * self.word_len.max(1)) / block_rows).max(1);
+        let tile = (blocks * block_rows).min(self.n_rows);
+        (tile, tile.next_multiple_of(L::WIDTH))
+    }
+
+    /// Widens the codes of tile rows `tile.t0..tile.t0 + tile.tlen`,
+    /// columns `cols`, to dword permute indices at
+    /// `tile.idx[c * tile.stride..]`. A last partial vector is widened
+    /// from zero-padded codes.
+    ///
+    /// # Safety
+    ///
+    /// `L`'s CPU features; `tile` describes rows inside the plan and an
+    /// index slab of `word_len × stride` writable dwords, with `stride`
+    /// at least the tile rounded up to whole vectors; `cols.end <=
+    /// word_len`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    // SAFETY: reads `L::WIDTH` codes only for full vectors inside the
+    // tile (a partial one is copied into a zero-padded buffer first) and
+    // writes within column `c`'s `stride` dwords, under the contract
+    // above.
+    unsafe fn widen_columns<L: CodeLanes>(&self, tile: &LaneTile, cols: std::ops::Range<usize>) {
+        const { assert!(L::WIDTH <= MAX_LANES) };
+        let n = self.n_rows;
+        let w = L::WIDTH;
+        let full = tile.tlen / w;
+        let rem = tile.tlen % w;
+        for c in cols {
+            let col = self.codes.as_ptr().add(c * n + tile.t0);
+            let dst = tile.idx.add(c * tile.stride);
+            for g in 0..full {
+                L::widen(col.add(g * w), dst.add(g * w));
+            }
+            if rem > 0 {
+                let mut padded = [0u8; MAX_LANES];
+                padded[..rem].copy_from_slice(&self.codes[c * n + tile.t0 + full * w..][..rem]);
+                L::widen(padded.as_ptr(), dst.add(full * w));
+            }
+        }
+    }
+
     /// The vector block kernel, generic over lane width: widens each
     /// row tile's byte codes to dword permute indices **once per
     /// block** into the `aux` slab (the widen shares the shuffle port
@@ -1778,7 +2107,9 @@ impl CompiledCodes {
     /// written back, so no row falls to a scalar tail.
     ///
     /// Same per-row ascending-column `f32` fold as every other path:
-    /// bit-identical results.
+    /// bit-identical results. This kernel scores every row; the winner
+    /// searches run the bounded sweep
+    /// ([`winners_block_lanes`](Self::winners_block_lanes)) instead.
     ///
     /// # Safety
     ///
@@ -1791,64 +2122,42 @@ impl CompiledCodes {
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     // SAFETY: inside the body every raw access is in bounds under the
-    // contract above: `lut_stride == 8` makes each level's LUT row the
-    // 8 entries `L::table` reads, and validated levels `< n_levels`
-    // keep `tables` in range; widening reads `L::WIDTH` codes only for
-    // full vectors inside the tile (a partial one is copied into a
-    // zero-padded buffer first) and writes within `word_len × stride`
-    // dwords, which `aux` is resized to hold (`f32` and `i32` share
-    // size and alignment); the serve writes full vectors only below
-    // the tile's `tlen` rows, and a partial one through a lane buffer,
-    // so `acc` is written only at `qi * n + t0 + [0, tlen)`.
+    // contract above: `lane_tables` and `widen_columns` get their
+    // contracts met (`aux` is resized to the `word_len × stride` dwords
+    // the slab spans; `f32` and `i32` share size and alignment), and
+    // validated levels `< n_levels` keep `tables` in range; the serve
+    // writes full vectors only below the tile's `tlen` rows, and a
+    // partial one through a lane buffer, so `acc` is written only at
+    // `qi * n + t0 + [0, tlen)`.
     unsafe fn accumulate_block_lanes<L: CodeLanes, const MAX: bool>(
         &self,
         queries: &[&[u8]],
         acc: &mut [f32],
         aux: &mut Vec<f32>,
     ) {
-        const MAX_WIDTH: usize = 16;
-        // The padded-code and lane buffers below hold `MAX_WIDTH`
-        // entries; a wider tier fails to compile.
-        const { assert!(L::WIDTH <= MAX_WIDTH) };
+        const { assert!(L::WIDTH <= MAX_LANES) };
         let n = self.n_rows;
-        let wl = self.word_len;
         let w = L::WIDTH;
         // Bounds the raw `acc` writes below by a checked slice.
         let acc = &mut acc[..queries.len() * n];
-        let mut tables = [L::zero(); 8];
-        for (level, table) in tables.iter_mut().enumerate().take(self.n_levels) {
-            *table = L::table(self.lut.as_ptr().add(level * 8));
-        }
-        // Rows per widened tile: whole register blocks within the
-        // slab budget, at least one.
-        let block_rows = SERVE_REGS * w;
-        let tile = ((L::IDX_SLAB_BYTES / (4 * wl.max(1)) / block_rows).max(1) * block_rows).min(n);
-        let stride = tile.next_multiple_of(w);
-        if aux.len() < wl * stride {
-            aux.resize(wl * stride, 0.0);
-        }
-        let idx_slab = aux.as_mut_ptr().cast::<i32>();
-        let codes = self.codes.as_ptr();
+        let tables = self.lane_tables::<L>();
+        let (tile_rows, stride) = self.lane_tile::<L>();
+        let idx = index_slab(aux, self.word_len * stride);
         let mut t0 = 0;
         while t0 < n {
-            let t1 = (t0 + tile).min(n);
-            let tlen = t1 - t0;
-            let full = tlen / w;
-            let rem = tlen % w;
+            let t1 = (t0 + tile_rows).min(n);
+            let tile = LaneTile {
+                t0,
+                tlen: t1 - t0,
+                stride,
+                idx,
+                widened: self.word_len,
+            };
+            let full = tile.tlen / w;
+            let rem = tile.tlen % w;
             // Widen this tile's codes to permute indices, once for the
             // whole block.
-            for c in 0..wl {
-                let col = codes.add(c * n + t0);
-                let dst = idx_slab.add(c * stride);
-                for g in 0..full {
-                    L::widen(col.add(g * w), dst.add(g * w));
-                }
-                if rem > 0 {
-                    let mut padded = [0u8; MAX_WIDTH];
-                    padded[..rem].copy_from_slice(&self.codes[c * n + t0 + full * w..][..rem]);
-                    L::widen(padded.as_ptr(), dst.add(full * w));
-                }
-            }
+            self.widen_columns::<L>(&tile, 0..self.word_len);
             for (qi, q) in queries.iter().enumerate() {
                 let out = acc.as_mut_ptr().add(qi * n + t0);
                 let mut g = 0;
@@ -1856,7 +2165,7 @@ impl CompiledCodes {
                     let mut sums = [L::zero(); SERVE_REGS];
                     for (c, &level) in q.iter().enumerate() {
                         let table = tables[level as usize];
-                        let base = idx_slab.add(c * stride + g * w);
+                        let base = idx.add(c * stride + g * w);
                         for (j, sum) in sums.iter_mut().enumerate() {
                             *sum = L::fold::<MAX>(*sum, L::gather(table, base.add(j * w)));
                         }
@@ -1866,20 +2175,180 @@ impl CompiledCodes {
                     }
                     g += SERVE_REGS;
                 }
-                while g * w < tlen {
+                while g * w < tile.tlen {
                     let mut sum = L::zero();
                     for (c, &level) in q.iter().enumerate() {
-                        let idx = idx_slab.add(c * stride + g * w);
-                        sum = L::fold::<MAX>(sum, L::gather(tables[level as usize], idx));
+                        let at = idx.add(c * stride + g * w);
+                        sum = L::fold::<MAX>(sum, L::gather(tables[level as usize], at));
                     }
                     if g < full {
                         L::store(out.add(g * w), sum);
                     } else {
-                        let mut lanes = [0.0f32; MAX_WIDTH];
+                        let mut lanes = [0.0f32; MAX_LANES];
                         L::store(lanes.as_mut_ptr(), sum);
                         std::ptr::copy_nonoverlapping(lanes.as_ptr(), out.add(g * w), rem);
                     }
                     g += 1;
+                }
+            }
+            t0 = t1;
+        }
+    }
+
+    /// Scores `R` vectors of tile rows, from vector `g` on, for query
+    /// `q` — the serve loop of the bounded sweep. Columns go in
+    /// [`ABANDON_CHUNK`]-column chunks; each chunk is widened the first
+    /// time any query reaches it (`tile.widened` records how far). After
+    /// every chunk but the last, while `bound` is finite, the rows are
+    /// abandoned once every lane of all `R` running sums is strictly
+    /// above it. Returns the finished sums, or `None` when abandoned.
+    ///
+    /// Exact because the plan's LUT is finite and nonnegative: adding a
+    /// nonnegative `f32` under round-to-nearest never lowers a sum, and
+    /// `max` never lowers one, so a row's final score is at least any
+    /// partial sum. The strict `>` means a row that will end exactly at
+    /// the bound is always scored in full.
+    ///
+    /// # Safety
+    ///
+    /// As [`widen_columns`](Self::widen_columns); `q` validated; rows
+    /// `g * L::WIDTH..(g + R) * L::WIDTH` inside the tile's `stride`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    // SAFETY: every index load reads `R` vectors of column `c` of the
+    // slab at vectors `g..g + R`, inside `stride` by the contract above,
+    // after `widen_columns` filled that column; `tables` is indexed by
+    // validated levels `< n_levels <= 8`.
+    unsafe fn serve_bounded<L: CodeLanes, const MAX: bool, const R: usize>(
+        &self,
+        tables: &[L::Ps; 8],
+        q: &[u8],
+        tile: &mut LaneTile,
+        g: usize,
+        bound: f32,
+    ) -> Option<[L::Ps; R]> {
+        let wl = self.word_len;
+        let w = L::WIDTH;
+        let every_lane = u32::MAX >> (32 - w);
+        let limit = L::splat(bound);
+        let checking = bound < f32::INFINITY;
+        let mut sums = [L::zero(); R];
+        let mut c0 = 0;
+        while c0 < wl {
+            let c1 = (c0 + ABANDON_CHUNK).min(wl);
+            if c1 > tile.widened {
+                self.widen_columns::<L>(tile, tile.widened..c1);
+                tile.widened = c1;
+            }
+            for (c, &level) in q.iter().enumerate().take(c1).skip(c0) {
+                let table = tables[level as usize];
+                let base = tile.idx.add(c * tile.stride + g * w);
+                for (j, sum) in sums.iter_mut().enumerate() {
+                    *sum = L::fold::<MAX>(*sum, L::gather(table, base.add(j * w)));
+                }
+            }
+            c0 = c1;
+            if checking && c0 < wl {
+                let low = sums[1..].iter().fold(sums[0], |m, &s| L::min(m, s));
+                if L::gt_mask(low, limit) == every_lane {
+                    tally_bounded_work(R * c0, R * wl);
+                    return None;
+                }
+            }
+        }
+        tally_bounded_work(R * wl, R * wl);
+        Some(sums)
+    }
+
+    /// The bounded winner sweep behind [`BlockKernel::fold_winners`] on
+    /// the vector tiers (the module-level
+    /// ["Bounded winners"](self#bounded-winners)). Per query, the
+    /// slot's score is the bound, as `f32` (exact: codes scores are
+    /// `f32` widened to `f64`). Rows go in ascending order, in register
+    /// blocks through [`serve_bounded`](Self::serve_bounded); a block
+    /// that finishes folds its first minimum into the slot with strict
+    /// `<` and tightens the bound. The slot so ends at exactly the first
+    /// minimum a full sweep reports, with no `acc` write-back and no
+    /// separate [`argmin`] pass.
+    ///
+    /// # Safety
+    ///
+    /// As [`accumulate_block_lanes`](Self::accumulate_block_lanes), and
+    /// `self.abandon_exact` holds (which makes abandoning exact).
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    // SAFETY: the slab is sized to `word_len × stride` dwords as
+    // `widen_columns` requires, and each `serve_bounded` call covers
+    // whole vectors below the tile's `tlen` rows (the partial one reads
+    // its zero-padded vector); results go through `best` and a lane
+    // buffer only.
+    unsafe fn winners_block_lanes<L: CodeLanes, const MAX: bool>(
+        &self,
+        queries: &[&[u8]],
+        base: usize,
+        best: &mut [Option<(usize, f64)>],
+        aux: &mut Vec<f32>,
+    ) {
+        const { assert!(L::WIDTH <= MAX_LANES) };
+        let n = self.n_rows;
+        let w = L::WIDTH;
+        let tables = self.lane_tables::<L>();
+        let (tile_rows, stride) = self.lane_tile::<L>();
+        let idx = index_slab(aux, self.word_len * stride);
+        let mut t0 = 0;
+        while t0 < n {
+            let t1 = (t0 + tile_rows).min(n);
+            let mut tile = LaneTile {
+                t0,
+                tlen: t1 - t0,
+                stride,
+                idx,
+                widened: 0,
+            };
+            let full = tile.tlen / w;
+            let rem = tile.tlen % w;
+            for (q, slot) in queries.iter().zip(best.iter_mut()) {
+                // The bound restarts from each query's own best.
+                let mut bound = slot.map_or(f32::INFINITY, |(_, g)| g as f32);
+                // Records tile row `row` as the query's best; returns
+                // its score, the new bound.
+                let mut take = |row: usize, v: f32| {
+                    *slot = Some((base + t0 + row, f64::from(v)));
+                    v
+                };
+                let mut g = 0;
+                while g + SERVE_REGS <= full {
+                    let sums =
+                        self.serve_bounded::<L, MAX, SERVE_REGS>(&tables, q, &mut tile, g, bound);
+                    if let Some((lane, v)) =
+                        sums.and_then(|s| first_below::<L, SERVE_REGS>(&s, bound))
+                    {
+                        bound = take(g * w + lane, v);
+                    }
+                    g += SERVE_REGS;
+                }
+                while g < full {
+                    let sums = self.serve_bounded::<L, MAX, 1>(&tables, q, &mut tile, g, bound);
+                    if let Some((lane, v)) = sums.and_then(|s| first_below::<L, 1>(&s, bound)) {
+                        bound = take(g * w + lane, v);
+                    }
+                    g += 1;
+                }
+                if rem > 0 {
+                    // The partial vector's padded lanes hold real scores
+                    // (of code 0), so they may keep it from being
+                    // abandoned but never win: only live lanes are read.
+                    if let Some([sum]) =
+                        self.serve_bounded::<L, MAX, 1>(&tables, q, &mut tile, g, bound)
+                    {
+                        let mut lanes = [0.0f32; MAX_LANES];
+                        L::store(lanes.as_mut_ptr(), sum);
+                        for (lane, &v) in lanes[..rem].iter().enumerate() {
+                            if v < bound {
+                                bound = take(g * w + lane, v);
+                            }
+                        }
+                    }
                 }
             }
             t0 = t1;
@@ -1922,6 +2391,74 @@ impl CompiledCodes {
         aux: &mut Vec<f32>,
     ) {
         self.accumulate_block_lanes::<Avx512Lanes, MAX>(queries, acc, aux);
+    }
+
+    /// The AVX2 tier of the bounded winner sweep.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as
+    /// [`winners_block_lanes`](Self::winners_block_lanes), with AVX2
+    /// available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: forwards the caller's contract unchanged.
+    unsafe fn winners_block_avx2<const MAX: bool>(
+        &self,
+        queries: &[&[u8]],
+        base: usize,
+        best: &mut [Option<(usize, f64)>],
+        aux: &mut Vec<f32>,
+    ) {
+        self.winners_block_lanes::<Avx2Lanes, MAX>(queries, base, best, aux);
+    }
+
+    /// The AVX-512 tier of the bounded winner sweep.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as
+    /// [`winners_block_lanes`](Self::winners_block_lanes), with
+    /// AVX-512F available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    // SAFETY: forwards the caller's contract unchanged.
+    unsafe fn winners_block_avx512<const MAX: bool>(
+        &self,
+        queries: &[&[u8]],
+        base: usize,
+        best: &mut [Option<(usize, f64)>],
+        aux: &mut Vec<f32>,
+    ) {
+        self.winners_block_lanes::<Avx512Lanes, MAX>(queries, base, best, aux);
+    }
+
+    /// The winner fold on the plan's tier: the bounded sweep on the
+    /// vector tiers when the LUT makes abandoning exact, otherwise the
+    /// full sweep plus [`argmin`].
+    fn fold_winners_fold<const MAX: bool>(
+        &self,
+        queries: &[&[u8]],
+        base: usize,
+        best: &mut [Option<(usize, f64)>],
+        scratch: &mut BatchScratch<f32>,
+    ) {
+        match self.tier {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the tier was detected with AVX-512F and 8-entry
+            // LUT rows, the LUT check held, and the drivers validate
+            // queries before any work runs.
+            CodesTier::Avx512 if self.abandon_exact => unsafe {
+                self.winners_block_avx512::<MAX>(queries, base, best, &mut scratch.aux);
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the tier was detected with AVX2 and 8-entry LUT
+            // rows; same LUT check and validated queries.
+            CodesTier::Avx2 if self.abandon_exact => unsafe {
+                self.winners_block_avx2::<MAX>(queries, base, best, &mut scratch.aux);
+            },
+            _ => fold_winners_full(self, queries, base, best, scratch),
+        }
     }
 
     /// The LUT-gather inner loop over rows `row_start..row_start +
@@ -2138,7 +2675,10 @@ impl CompiledCodes {
     }
 
     /// Batched winners — same contract as
-    /// [`CompiledMcam::search_batch_winners`].
+    /// [`CompiledMcam::search_batch_winners`]. On the vector tiers this
+    /// runs the bounded sweep (the module-level
+    /// ["Bounded winners"](self#bounded-winners)): same answers, most
+    /// cells of rows that cannot win never scored.
     ///
     /// # Errors
     ///
@@ -2148,7 +2688,7 @@ impl CompiledCodes {
         queries: &[&[u8]],
         n_threads: usize,
     ) -> Result<Vec<(usize, f64)>> {
-        kernel_search_batch_winners(self, queries, n_threads)
+        banked_winner_batch_kernel(&[self], &[0], queries, n_threads)
     }
 
     /// Batched top-k — same contract as
@@ -2184,6 +2724,20 @@ impl BlockKernel for CompiledCodes {
 
     fn accumulate_block(&self, queries: &[&[u8]], acc: &mut [f32], aux: &mut Vec<f32>) {
         CompiledCodes::accumulate_block(self, queries, acc, aux);
+    }
+
+    fn fold_winners(
+        &self,
+        queries: &[&[u8]],
+        base: usize,
+        best: &mut [Option<(usize, f64)>],
+        scratch: &mut BatchScratch<f32>,
+    ) {
+        if self.metric.is_max_fold() {
+            self.fold_winners_fold::<true>(queries, base, best, scratch);
+        } else {
+            self.fold_winners_fold::<false>(queries, base, best, scratch);
+        }
     }
 
     fn batch_work_per_query(&self) -> usize {
@@ -2308,7 +2862,7 @@ impl CodesDispatch {
         queries: &[&[u8]],
         n_threads: usize,
     ) -> Result<Vec<(usize, f64)>> {
-        kernel_search_batch_winners(self, queries, n_threads)
+        banked_winner_batch_kernel(&[self], &[0], queries, n_threads)
     }
 
     /// Batched top-k on the serving engine.
@@ -2351,6 +2905,19 @@ impl BlockKernel for CodesDispatch {
         match self {
             CodesDispatch::Packed(c) => c.accumulate_block(queries, acc, aux),
             CodesDispatch::Planes(p) => p.accumulate_block(queries, acc),
+        }
+    }
+
+    fn fold_winners(
+        &self,
+        queries: &[&[u8]],
+        base: usize,
+        best: &mut [Option<(usize, f64)>],
+        scratch: &mut BatchScratch<f32>,
+    ) {
+        match self {
+            CodesDispatch::Packed(c) => c.as_ref().fold_winners(queries, base, best, scratch),
+            CodesDispatch::Planes(p) => p.as_ref().fold_winners(queries, base, best, scratch),
         }
     }
 
@@ -2591,26 +3158,9 @@ pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
         let mut scratch = BatchScratch::<K::Acc>::new();
         let mut best: Vec<Option<(usize, f64)>> = vec![None; group.len()];
         for (plan, &base) in plans.iter().zip(bases) {
-            let n = plan.n_rows();
-            let mut done = 0;
-            for block in group.chunks(plan.block_len()) {
-                let need = block.len() * n;
-                let BatchScratch { acc, aux, .. } = &mut scratch;
-                if acc.len() < need {
-                    acc.resize(need, K::Acc::ZERO);
-                }
-                plan.accumulate_block(block, &mut acc[..need], aux);
-                for qi in 0..block.len() {
-                    let rows = &acc[qi * n..(qi + 1) * n];
-                    let (local, g) = argmin(rows);
-                    let g = g.to_f64();
-                    let global = base + local;
-                    let slot = &mut best[done + qi];
-                    if slot.is_none_or(|(_, bg)| g < bg) {
-                        *slot = Some((global, g));
-                    }
-                }
-                done += block.len();
+            let len = plan.block_len();
+            for (block, slots) in group.chunks(len).zip(best.chunks_mut(len)) {
+                plan.fold_winners(block, base, slots, &mut scratch);
             }
         }
         best.into_iter()
@@ -3372,6 +3922,361 @@ mod tests {
                         assert_eq!(row, tied[first], "{precision:?} {metric:?}");
                     }
                 }
+            }
+        }
+    }
+
+    /// Reads and resets this thread's bounded-sweep work counter:
+    /// `(vector-columns scored, vector-columns a full sweep scores)`.
+    fn take_bounded_work() -> (u64, u64) {
+        BOUNDED_WORK.with(|work| work.replace((0, 0)))
+    }
+
+    const ALL_TIERS: [CodesTier; 3] = [CodesTier::Scalar, CodesTier::Avx2, CodesTier::Avx512];
+
+    /// The codes tiers this host runs, scalar first.
+    fn host_tiers() -> Vec<CodesTier> {
+        ALL_TIERS.into_iter().filter(|t| t.available(8)).collect()
+    }
+
+    /// A fresh copy of `plan` running on `tier`.
+    fn on_tier(plan: &CompiledCodes, tier: CodesTier) -> CodesDispatch {
+        CodesDispatch::Packed(Arc::new(CompiledCodes {
+            tier,
+            ..plan.clone()
+        }))
+    }
+
+    /// Winners as `(row, score bits)`.
+    fn winner_bits(hits: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        hits.iter().map(|&(r, g)| (r, g.to_bits())).collect()
+    }
+
+    /// The first minimum of `scores` over `rows` (ascending), as
+    /// `(row, score bits)` — the winner a full sweep reports.
+    fn first_min(scores: &[f64], rows: impl Iterator<Item = usize>) -> (usize, u64) {
+        let mut best: Option<(usize, f64)> = None;
+        for r in rows {
+            if best.is_none_or(|(_, g)| scores[r] < g) {
+                best = Some((r, scores[r]));
+            }
+        }
+        let (r, g) = best.unwrap();
+        (r, g.to_bits())
+    }
+
+    /// A 3-bit banked memory and the flat array holding the same rows.
+    fn banked_and_flat(
+        rows: &[Vec<u8>],
+        word_len: usize,
+        rows_per_bank: usize,
+    ) -> (crate::banked::BankedMcam, McamArray) {
+        let ladder = LevelLadder::new(3).unwrap();
+        let lut = ConductanceLut::from_device(&FefetModel::default(), &ladder);
+        let mut memory = crate::banked::BankedMcam::new(ladder, lut, word_len, rows_per_bank);
+        for r in rows {
+            memory.store(r).unwrap();
+        }
+        (memory, array_with_rows(word_len, rows))
+    }
+
+    /// Every batched codes winner path of `memory` — the public full and
+    /// masked entry points on the host's tier, and the banked driver on
+    /// every tier the host runs at 1 and 2 threads, full and masked —
+    /// against the first minimum of the `f32` plane scores of `flat`,
+    /// bitwise. For the digital metrics, whose `f32` scores are exact
+    /// small integers, that reference is itself pinned to the scalar
+    /// oracle ([`McamArray::search_metric`]).
+    fn check_bounded_winners(
+        memory: &crate::banked::BankedMcam,
+        flat: &McamArray,
+        queries: &[Vec<u8>],
+        mask: &[usize],
+    ) {
+        let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+        let n = flat.n_rows();
+        let rpb = memory.rows_per_bank();
+        let all: Vec<usize> = (0..memory.n_banks()).collect();
+        let bank_rows = |banks: &[usize]| -> Vec<usize> {
+            banks
+                .iter()
+                .flat_map(|&b| b * rpb..((b + 1) * rpb).min(n))
+                .collect()
+        };
+        for metric in Metric::ALL {
+            let ctx = format!("{metric:?} rows={n} per_bank={rpb} mask={mask:?}");
+            let planes = CompiledMcam::<f32>::compile_metric(flat, metric)
+                .unwrap()
+                .search_batch(&refs, 1)
+                .unwrap();
+            let expect = |banks: &[usize]| -> Vec<(usize, u64)> {
+                let rows = bank_rows(banks);
+                planes
+                    .iter()
+                    .map(|o| first_min(o.conductances(), rows.iter().copied()))
+                    .collect()
+            };
+            let (want_all, want_mask) = (expect(&all), expect(mask));
+            if metric != Metric::McamConductance {
+                for (q, want) in refs.iter().zip(&want_all) {
+                    let oracle = flat.search_metric(q, metric).unwrap();
+                    assert_eq!(first_min(oracle.conductances(), 0..n), *want, "{ctx}");
+                }
+            }
+            let public = memory
+                .search_batch_winners_with_metric(&refs, Precision::Codes, metric)
+                .unwrap();
+            assert_eq!(winner_bits(&public), want_all, "public full: {ctx}");
+            let public = memory
+                .search_batch_winners_masked_metric(&refs, Precision::Codes, metric, mask)
+                .unwrap();
+            assert_eq!(winner_bits(&public), want_mask, "public masked: {ctx}");
+            let plans: Vec<CompiledCodes> = memory
+                .banks()
+                .iter()
+                .map(|b| CompiledCodes::compile_metric(b, metric).unwrap())
+                .collect();
+            for tier in host_tiers() {
+                let banks: Vec<CodesDispatch> = plans.iter().map(|p| on_tier(p, tier)).collect();
+                for threads in [1, 2] {
+                    for (subset, want) in [(&all[..], &want_all), (mask, &want_mask)] {
+                        let kernels: Vec<&CodesDispatch> =
+                            subset.iter().map(|&b| &banks[b]).collect();
+                        let bases: Vec<usize> = subset.iter().map(|&b| b * rpb).collect();
+                        let got =
+                            banked_winner_batch_kernel(&kernels, &bases, &refs, threads).unwrap();
+                        assert_eq!(
+                            winner_bits(&got),
+                            *want,
+                            "{tier:?} threads={threads} banks={subset:?}: {ctx}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The bounded (early-abandon) codes winner sweep reports
+        /// exactly the full sweep's winner: all four metrics (Hamming's
+        /// zero entries keep partial sums flat, L∞ folds with max),
+        /// banks on both sides of every vector and register-block edge,
+        /// one-chunk to eight-chunk words, every tier the host runs,
+        /// 1 and 2 threads, full and masked sweeps. Queries are
+        /// near-duplicates of stored rows (so blocks abandon) plus
+        /// uniform random ones, and one word is planted at several rows
+        /// — neighbouring lanes, the same and the next register block,
+        /// later banks — so rows ending exactly at the carried bound
+        /// must lose to the lowest copy the sweep covers.
+        #[test]
+        fn bounded_winners_match_the_full_sweep(
+            bank_pick in 0usize..6,
+            n_banks in 1usize..4,
+            word_pick in 0usize..3,
+            seed in 0u64..1_000_000,
+            mask_bits in 1usize..8,
+        ) {
+            let rows_per_bank = [1usize, 127, 128, 129, 256, 300][bank_pick];
+            let word_len = [3usize, 20, 64][word_pick];
+            let total = rows_per_bank * n_banks;
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut rows: Vec<Vec<u8>> = (0..total)
+                .map(|_| (0..word_len).map(|_| (next() % 8) as u8).collect())
+                .collect();
+            let planted: Vec<u8> = (0..word_len).map(|_| (next() % 8) as u8).collect();
+            let first = (next() % 40) as usize;
+            for at in [
+                first,
+                first + 1 + (next() % 15) as usize,
+                first + 17 + (next() % 200) as usize,
+                first + rows_per_bank,
+                first + 2 * rows_per_bank + (next() % 64) as usize,
+            ] {
+                if at < total {
+                    rows[at] = planted.clone();
+                }
+            }
+            // The planted word, then near-duplicates (0 to 3 cells one
+            // level off) of it and of random stored rows.
+            let mut queries = vec![planted.clone()];
+            for i in 0..13u64 {
+                let source = if i == 0 {
+                    &planted
+                } else {
+                    &rows[(next() % total as u64) as usize]
+                };
+                let mut q = source.clone();
+                for _ in 0..(i % 4).max(1) {
+                    let c = (next() % word_len as u64) as usize;
+                    q[c] = if q[c] == 7 { 6 } else { q[c] + 1 };
+                }
+                queries.push(q);
+            }
+            for _ in 0..2 {
+                queries.push((0..word_len).map(|_| (next() % 8) as u8).collect());
+            }
+            let mask: Vec<usize> = (0..n_banks).filter(|b| mask_bits >> b & 1 == 1).collect();
+            let mask = if mask.is_empty() { vec![n_banks - 1] } else { mask };
+            let (memory, flat) = banked_and_flat(&rows, word_len, rows_per_bank);
+            check_bounded_winners(&memory, &flat, &queries, &mask);
+        }
+    }
+
+    /// Non-vacuity and the CI report: on near-duplicate queries the
+    /// vector tiers abandon most column work and still report the full
+    /// sweep's winners; uniform random queries report their share too.
+    /// Prints which tiers ran and the fraction abandoned on each.
+    #[test]
+    fn bounded_winners_abandon_work_on_near_duplicates() {
+        const WORD: usize = 64;
+        let tiers = host_tiers();
+        for tier in ALL_TIERS {
+            let status = if tiers.contains(&tier) {
+                "ran"
+            } else {
+                "skipped (not supported on this host)"
+            };
+            println!("bounded_winners: codes kernel tier {tier:?}: {status}");
+        }
+        let mut state = 0x5DEE_CE66_D1CE_4E5Bu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let rows: Vec<Vec<u8>> = (0..2048)
+            .map(|_| (0..WORD).map(|_| (next() % 8) as u8).collect())
+            .collect();
+        let near: Vec<Vec<u8>> = (0..48)
+            .map(|_| {
+                let mut q = rows[(next() % 2048) as usize].clone();
+                for _ in 0..3 {
+                    q[(next() % WORD as u64) as usize] = (next() % 8) as u8;
+                }
+                q
+            })
+            .collect();
+        let uniform: Vec<Vec<u8>> = (0..48)
+            .map(|_| (0..WORD).map(|_| (next() % 8) as u8).collect())
+            .collect();
+        let (memory, flat) = banked_and_flat(&rows, WORD, 256);
+        for (name, queries) in [("near-duplicate", &near), ("uniform random", &uniform)] {
+            let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+            let plans: Vec<CompiledCodes> = memory
+                .banks()
+                .iter()
+                .map(|b| CompiledCodes::compile(b).unwrap())
+                .collect();
+            let bases = bank_bases(plans.len(), 256);
+            let planes = CompiledMcam::<f32>::compile(&flat)
+                .unwrap()
+                .search_batch(&refs, 1)
+                .unwrap();
+            let want: Vec<(usize, u64)> = planes
+                .iter()
+                .map(|o| first_min(o.conductances(), 0..flat.n_rows()))
+                .collect();
+            for &tier in &tiers {
+                let banks: Vec<CodesDispatch> = plans.iter().map(|p| on_tier(p, tier)).collect();
+                let kernels: Vec<&CodesDispatch> = banks.iter().collect();
+                take_bounded_work();
+                let got = banked_winner_batch_kernel(&kernels, &bases, &refs, 1).unwrap();
+                let (scored, nominal) = take_bounded_work();
+                assert_eq!(winner_bits(&got), want, "{tier:?} {name}");
+                if tier == CodesTier::Scalar {
+                    assert_eq!(nominal, 0, "the scalar tier never bounds");
+                    continue;
+                }
+                let abandoned = 1.0 - scored as f64 / nominal as f64;
+                println!(
+                    "bounded_winners: tier {tier:?}, {name} queries: abandoned {abandoned:.3} \
+                     of column work ({scored} of {nominal} vector-columns scored)"
+                );
+                if name == "near-duplicate" {
+                    assert!(abandoned > 0.2, "{tier:?} abandoned only {abandoned:.3}");
+                }
+            }
+        }
+    }
+
+    /// The abandon check is strict: rows whose partial score already
+    /// equals the bound — every row a copy of the winner, the query
+    /// differing only in the first column chunk, so under the digital
+    /// metrics the partial score after that chunk is the final one —
+    /// are scored in full and lose to the lowest copy.
+    #[test]
+    fn bounded_winners_score_rows_at_the_bound_in_full() {
+        const WORD: usize = 64;
+        let row: Vec<u8> = (0..WORD).map(|c| (c * 5 % 8) as u8).collect();
+        let mut query = row.clone();
+        for cell in query.iter_mut().take(ABANDON_CHUNK).step_by(3) {
+            *cell = (*cell + 3) % 8;
+        }
+        let a = array_with_rows(WORD, &vec![row; 600]);
+        for tier in host_tiers() {
+            for metric in [Metric::L1, Metric::Linf, Metric::Hamming] {
+                let plan = on_tier(&CompiledCodes::compile_metric(&a, metric).unwrap(), tier);
+                take_bounded_work();
+                let got = banked_winner_batch_kernel(&[&plan], &[0], &[&query], 1).unwrap();
+                let (scored, nominal) = take_bounded_work();
+                assert_eq!(got[0].0, 0, "{tier:?} {metric:?}");
+                assert_eq!(
+                    scored, nominal,
+                    "{tier:?} {metric:?} abandoned a row at the bound"
+                );
+            }
+        }
+    }
+
+    /// A LUT with a negative entry fails the plan's abandon check, and
+    /// the sweep then scores every row. The rows are built so that
+    /// abandoning would be wrong: rows `0..128` score `16` (1 per
+    /// column); rows `128..256` score `5` per column over the first
+    /// chunk, already above that bound, then `-4` per column after it,
+    /// ending at `8`.
+    #[test]
+    fn bounded_winners_ignore_a_lut_that_can_decrease() {
+        const WORD: usize = 16;
+        let mut rows = vec![vec![1u8; WORD]; 128];
+        let mut tricky = vec![2u8; ABANDON_CHUNK];
+        tricky.resize(WORD, 3);
+        rows.extend(std::iter::repeat_n(tricky, 128));
+        let compiled = CompiledCodes::compile(&array_with_rows(WORD, &rows)).unwrap();
+        assert!(compiled.abandon_exact, "device LUTs are nonnegative");
+        let mut lut = compiled.lut.clone();
+        lut[1] = 1.0;
+        lut[2] = 5.0;
+        lut[3] = -4.0;
+        assert!(!CompiledCodes::lut_allows_abandon(&lut, WORD));
+        assert!(!CompiledCodes::lut_allows_abandon(&[f32::MAX / 8.0], WORD));
+        let query = [0u8; WORD];
+        for tier in host_tiers() {
+            let plan = CompiledCodes {
+                lut: lut.clone(),
+                abandon_exact: CompiledCodes::lut_allows_abandon(&lut, WORD),
+                tier,
+                ..compiled.clone()
+            };
+            let got = banked_winner_batch_kernel(&[&plan], &[0], &[&query], 1).unwrap();
+            assert_eq!(got, vec![(128, 8.0)], "{tier:?}");
+            if tier != CodesTier::Scalar {
+                // What the check prevents: forced on, the vector sweep
+                // abandons rows 128.. and reports row 0.
+                let forced = CompiledCodes {
+                    abandon_exact: true,
+                    ..plan
+                };
+                let got = banked_winner_batch_kernel(&[&forced], &[0], &[&query], 1).unwrap();
+                assert_eq!(got, vec![(0, 16.0)], "{tier:?}");
             }
         }
     }
