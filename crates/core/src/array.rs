@@ -436,7 +436,9 @@ impl McamArray {
     }
 
     /// Conductance contributed by cell `c` of row `r` under `input`
-    /// (the compiled executor reads this when building planes).
+    /// (the scalar oracle's per-cell read; compiled plans fill whole
+    /// planes through [`fill_metric_plane`](Self::fill_metric_plane)).
+    #[inline]
     pub(crate) fn cell_conductance(&self, r: usize, c: usize, input: u8) -> f64 {
         match &self.bank {
             Bank::Shared => self.lut.get(input, self.states[r * self.word_len + c]),
@@ -455,6 +457,52 @@ impl McamArray {
         match metric {
             Metric::McamConductance => self.cell_conductance(r, c, input),
             _ => metric.level_distance(input, self.states[r * self.word_len + c]),
+        }
+    }
+
+    /// Fills one input's compiled plane: the value of every stored cell
+    /// under `input` for `metric`, column-outer and row-inner (the
+    /// [`CompiledMcam`] plane layout), into `plane` (`n_rows × word_len`
+    /// entries). Each entry is
+    /// `S::from_f64(self.cell_metric_value(r, c, input, metric))`. A
+    /// realized per-cell bank under the conductance metric is read
+    /// directly; otherwise one `n_levels` row of values for `input` is
+    /// built and indexed by stored state, so a digital metric never
+    /// sees the bank.
+    pub(crate) fn fill_metric_plane<S: PlaneScalar>(
+        &self,
+        input: u8,
+        metric: Metric,
+        plane: &mut [S],
+    ) {
+        let w = self.word_len;
+        let n = self.ladder.n_levels();
+        let columns = plane.chunks_exact_mut(self.n_rows().max(1)).take(w);
+        match (&self.bank, metric) {
+            (Bank::PerCell(bank), Metric::McamConductance) => {
+                for (c, column) in columns.enumerate() {
+                    let cells = bank.iter().skip(c * n + input as usize).step_by(w * n);
+                    for (dst, &g) in column.iter_mut().zip(cells) {
+                        *dst = S::from_f64(g);
+                    }
+                }
+            }
+            _ => {
+                let by_state: Vec<S> = (0..n as u8)
+                    .map(|s| {
+                        S::from_f64(match metric {
+                            Metric::McamConductance => self.lut.get(input, s),
+                            _ => metric.level_distance(input, s),
+                        })
+                    })
+                    .collect();
+                for (c, column) in columns.enumerate() {
+                    let states = self.states.iter().skip(c).step_by(w);
+                    for (dst, &s) in column.iter_mut().zip(states) {
+                        *dst = by_state[s as usize];
+                    }
+                }
+            }
         }
     }
 

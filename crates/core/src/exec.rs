@@ -1273,25 +1273,17 @@ impl<S: PlaneScalar> CompiledMcam<S> {
         let n_rows = array.n_rows();
         let word_len = array.word_len();
         let n_levels = array.ladder().n_levels();
-        let inputs: Vec<u8> = (0..n_levels as u8).collect();
         let plane_work = word_len * n_rows;
-        let per_input = par::par_map(
-            &inputs,
+        // One allocation for every plane, filled in place: per-input
+        // vectors concatenated afterwards cost more than the fill on
+        // small arrays.
+        let mut planes = vec![S::ZERO; n_levels * plane_work];
+        par::par_chunks_mut(
+            &mut planes,
+            plane_work,
             par::threads_for(plane_work * n_levels),
-            |_, &input| {
-                let mut plane = Vec::with_capacity(plane_work);
-                for c in 0..word_len {
-                    for r in 0..n_rows {
-                        plane.push(S::from_f64(array.cell_metric_value(r, c, input, metric)));
-                    }
-                }
-                plane
-            },
+            |input, plane| array.fill_metric_plane(input as u8, metric, plane),
         );
-        let mut planes = Vec::with_capacity(n_levels * plane_work);
-        for plane in per_input {
-            planes.extend(plane);
-        }
         Ok(CompiledMcam {
             n_rows,
             word_len,
@@ -3398,6 +3390,72 @@ mod tests {
             let scalar = a.search(&q).unwrap();
             let compiled = plan.search(&q).unwrap();
             assert_eq!(scalar.conductances(), compiled.conductances());
+        }
+    }
+
+    /// Every plane entry of a compiled plan, bitwise, against the
+    /// per-cell oracle `S::from_f64(cell_metric_value(..))`.
+    fn assert_planes_match_cells<S: PlaneScalar + Into<f64>>(a: &McamArray, metric: Metric) {
+        let plan = CompiledMcam::<S>::compile_metric(a, metric).unwrap();
+        let (n_rows, word_len) = (a.n_rows(), a.word_len());
+        for input in 0..a.ladder().n_levels() as u8 {
+            for c in 0..word_len {
+                for r in 0..n_rows {
+                    let got = plan.planes[(input as usize * word_len + c) * n_rows + r];
+                    let want = S::from_f64(a.cell_metric_value(r, c, input, metric));
+                    assert_eq!(
+                        got.into().to_bits(),
+                        want.into().to_bits(),
+                        "{:?} {metric:?} plane entry (input {input}, col {c}, row {r})",
+                        S::PRECISION
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_planes_match_per_cell_values_bitwise() {
+        let ladder = LevelLadder::new(3).unwrap();
+        let model = FefetModel::default();
+        let lut = ConductanceLut::from_device(&model, &ladder);
+        let shared = McamArray::new(ladder, lut.clone(), 5);
+        let varied = McamArrayBuilder::new(ladder, lut)
+            .word_len(5)
+            .variation(
+                VariationSpec {
+                    sigma_v: 0.08,
+                    seed: 23,
+                },
+                model,
+            )
+            .build();
+        for mut a in [shared, varied] {
+            for i in 0..11u8 {
+                a.store(&[i % 8, (i * 3) % 8, (i + 4) % 8, 7 - i % 8, (i * 5 + 1) % 8])
+                    .unwrap();
+            }
+            for metric in Metric::ALL {
+                assert_planes_match_cells::<f64>(&a, metric);
+                assert_planes_match_cells::<f32>(&a, metric);
+            }
+            if a.has_per_cell_bank() {
+                // A digital metric reads stored states, never the
+                // realized bank: its planes equal the shared array's
+                // level distances, while the conductance planes do not.
+                let rows: Vec<Vec<u8>> = (0..a.n_rows()).map(|r| a.row(r).to_vec()).collect();
+                let nominal = array_with_rows(5, &rows);
+                for metric in [Metric::L1, Metric::Hamming] {
+                    let got = CompiledMcam::<f64>::compile_metric(&a, metric).unwrap();
+                    let want = CompiledMcam::<f64>::compile_metric(&nominal, metric).unwrap();
+                    assert_eq!(got.planes, want.planes, "{metric:?} saw the bank");
+                }
+                assert_ne!(
+                    CompiledMcam::<f64>::compile(&a).unwrap().planes,
+                    CompiledMcam::<f64>::compile(&nominal).unwrap().planes,
+                    "conductance planes must read the realized bank"
+                );
+            }
         }
     }
 

@@ -226,9 +226,54 @@ where
     par_map(items, n_threads, f).into_iter().collect()
 }
 
+/// Runs `f(i, chunk)` over the `chunk_len`-element chunks of `data`
+/// (the last may be shorter) on up to `n_threads` scoped workers, each
+/// filling a contiguous run of chunks in place; inline with one thread.
+/// Every chunk sees the same `f`, so the result is independent of the
+/// thread count.
+pub(crate) fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, n_threads: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let chunk_len = chunk_len.max(1);
+    let n = data.len().div_ceil(chunk_len);
+    let threads = n_threads.clamp(1, n.max(1));
+    let per = n.div_ceil(threads);
+    if threads <= 1 {
+        data.chunks_mut(chunk_len)
+            .enumerate()
+            .for_each(|(i, chunk)| f(i, chunk));
+        return;
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        for (g, group) in data.chunks_mut(chunk_len * per).enumerate() {
+            scope.spawn(move || {
+                for (j, chunk) in group.chunks_mut(chunk_len).enumerate() {
+                    f(g * per + j, chunk);
+                }
+            });
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn par_chunks_mut_fills_every_chunk_at_any_thread_count() {
+        for threads in [1, 2, 3, 8] {
+            let mut data = vec![0usize; 23];
+            par_chunks_mut(&mut data, 4, threads, |i, chunk| {
+                for (j, x) in chunk.iter_mut().enumerate() {
+                    *x = i * 4 + j;
+                }
+            });
+            assert_eq!(data, (0..23).collect::<Vec<_>>(), "{threads} threads");
+        }
+    }
 
     #[test]
     fn par_map_preserves_order() {

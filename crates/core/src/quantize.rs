@@ -94,8 +94,12 @@ impl Quantizer {
                 value: 0.0,
             });
         }
-        // Collect per-feature samples.
-        let mut columns: Vec<Vec<f32>> = vec![Vec::new(); dims];
+        // Collect per-feature samples, presized to the row count when
+        // the iterator knows it.
+        let rows = rows.into_iter();
+        let mut columns: Vec<Vec<f32>> = (0..dims)
+            .map(|_| Vec::with_capacity(rows.size_hint().0))
+            .collect();
         for row in rows {
             if row.len() != dims {
                 return Err(CoreError::DimensionMismatch {
@@ -137,12 +141,13 @@ impl Quantizer {
             QuantizeStrategy::PerFeatureQuantile => {
                 let mut edges = Vec::with_capacity(dims);
                 let mut centers = Vec::with_capacity(dims);
-                for col in &columns {
-                    let mut sorted = col.clone();
+                for col in &mut columns {
+                    // Stable, so `-0.0`/`+0.0` keep their sample order
+                    // and the edges their bits.
                     // femcam::allow(no_panic): features were rejected as
                     // non-finite at ingestion.
-                    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite features"));
-                    let (e, c) = quantile_grid(&sorted, n_levels);
+                    col.sort_by(|a, b| a.partial_cmp(b).expect("finite features"));
+                    let (e, c) = quantile_grid(col, n_levels);
                     edges.push(e);
                     centers.push(c);
                 }

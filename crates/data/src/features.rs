@@ -106,6 +106,17 @@ impl PrototypeFeatureModel {
         v.iter_mut().for_each(|x| *x /= norm);
         v.into_iter().map(|x| x as f32).collect()
     }
+
+    /// One unit-normalized noisy draw around `proto`.
+    fn perturb(&mut self, proto: &[f32]) -> Vec<f32> {
+        let mut v: Vec<f64> = proto
+            .iter()
+            .map(|&p| p as f64 + self.noise_sigma * normal(&mut self.rng))
+            .collect();
+        let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
+        v.iter_mut().for_each(|x| *x /= norm);
+        v.into_iter().map(|x| x as f32).collect()
+    }
 }
 
 impl ClassFeatureSource for PrototypeFeatureModel {
@@ -115,13 +126,15 @@ impl ClassFeatureSource for PrototypeFeatureModel {
 
     fn sample(&mut self, class: u64) -> Vec<f32> {
         let proto = self.prototype(class);
-        let mut v: Vec<f64> = proto
-            .iter()
-            .map(|&p| p as f64 + self.noise_sigma * normal(&mut self.rng))
-            .collect();
-        let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
-        v.iter_mut().for_each(|x| *x /= norm);
-        v.into_iter().map(|x| x as f32).collect()
+        self.perturb(&proto)
+    }
+
+    /// Draws the `n` samples around one prototype computation; the same
+    /// `self.rng` stream in the same order as `n` calls to
+    /// [`sample`](ClassFeatureSource::sample), so bit-identical to them.
+    fn sample_n(&mut self, class: u64, n: usize) -> Vec<Vec<f32>> {
+        let proto = self.prototype(class);
+        (0..n).map(|_| self.perturb(&proto)).collect()
     }
 }
 
@@ -214,6 +227,31 @@ mod tests {
         let mut b = PrototypeFeatureModel::paper_default(11);
         assert_eq!(a.sample(5), b.sample(5));
         assert_eq!(a.sample_n(6, 3), b.sample_n(6, 3));
+    }
+
+    #[test]
+    fn sample_n_equals_consecutive_samples_bitwise() {
+        let bits = |xs: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            xs.iter()
+                .map(|x| x.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        for n in [0usize, 1, 5] {
+            let mut batched = PrototypeFeatureModel::paper_default(17);
+            // Advance the stream first so the draw starts mid-stream.
+            let _ = batched.sample(2);
+            let mut single = batched.clone();
+            let a = batched.sample_n(9, n);
+            let b: Vec<Vec<f32>> = (0..n).map(|_| single.sample(9)).collect();
+            assert_eq!(a.len(), n);
+            assert_eq!(bits(&a), bits(&b), "sample_n({n}) diverged from sample");
+            // Both models advanced their RNG identically.
+            assert_eq!(
+                bits(&[batched.sample(4)]),
+                bits(&[single.sample(4)]),
+                "stream position differs after sample_n({n})"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! Search-backend configurations (the paper's three NN implementations).
 //!
 //! A [`Backend`] is a *configuration*; [`Backend::build_index`]
-//! instantiates a fresh engine per episode (MCAM arrays are reprogrammed
-//! per episode; device variation redraws per episode with a derived
-//! seed, modeling a different physical array each time).
+//! instantiates a fresh engine per episode. Construction has two steps,
+//! as on the chip (paper §IV-A). Calibration fits the input quantizer
+//! (the input driver's DAC configuration) and the nominal LUT once per
+//! evaluation. Each episode then reprograms only the array, and device
+//! variation redraws per episode with a derived seed, modeling a
+//! different physical array each time. The episodic evaluators
+//! calibrate once and build every episode from that; the public
+//! `build_index` runs both steps, so it returns the same engines.
 
 use femcam_core::{BankedMcam, ConductanceLut, LevelLadder, McamArray, McamArrayBuilder};
 use femcam_core::{
@@ -245,6 +250,13 @@ impl Backend {
     /// `episode_seed` derives per-episode stochastic state (device
     /// variation draws, LSH planes).
     ///
+    /// This fits the quantizer and the nominal LUT on every call. The
+    /// episodic evaluators ([`evaluate`](crate::evaluate),
+    /// [`evaluate_with_factory`](crate::evaluate_with_factory)) fit them
+    /// once per evaluation and reprogram only the array per episode,
+    /// through the same construction path, so their engines are the
+    /// ones this returns.
+    ///
     /// # Errors
     ///
     /// Propagates engine-construction failures.
@@ -255,13 +267,40 @@ impl Backend {
         episode_seed: u64,
         model: &FefetModel,
     ) -> femcam_core::Result<Box<dyn NnIndex>> {
-        match self {
-            Backend::Software(kind) => Ok(match kind {
-                DistanceKind::Cosine => Box::new(SoftwareNn::new(Cosine, dims)),
-                DistanceKind::Euclidean => Box::new(SoftwareNn::new(Euclidean, dims)),
-                DistanceKind::Manhattan => Box::new(SoftwareNn::new(Manhattan, dims)),
-                DistanceKind::Linf => Box::new(SoftwareNn::new(Linf, dims)),
-            }),
+        self.calibrate(calibration, dims, model)?
+            .build_index(episode_seed)
+    }
+
+    /// Fits the per-evaluation state of this backend: for the MCAM
+    /// backends, the input quantizer on `calibration`, the level ladder
+    /// and the nominal (or overriding measured) LUT. Nothing here
+    /// depends on the episode.
+    pub(crate) fn calibrate(
+        &self,
+        calibration: &[&[f32]],
+        dims: usize,
+        model: &FefetModel,
+    ) -> femcam_core::Result<Calibrated> {
+        let fit = |bits: u8, strategy: QuantizeStrategy, lut: Option<&ConductanceLut>| {
+            let ladder = LevelLadder::new(bits)?;
+            let quantizer = Quantizer::fit(
+                calibration.iter().copied(),
+                dims,
+                ladder.n_levels() as u16,
+                strategy,
+            )?;
+            let lut = match lut {
+                Some(l) => l.clone(),
+                None => ConductanceLut::from_device(model, &ladder),
+            };
+            femcam_core::Result::Ok(InputDriver {
+                quantizer,
+                ladder,
+                lut,
+            })
+        };
+        Ok(match self {
+            Backend::Software(kind) => Calibrated::Software { kind: *kind, dims },
             Backend::Mcam {
                 bits,
                 strategy,
@@ -269,70 +308,146 @@ impl Backend {
                 lut,
                 precision,
                 metric,
-            } => {
-                let ladder = LevelLadder::new(*bits)?;
-                let quantizer = Quantizer::fit(
-                    calibration.iter().copied(),
-                    dims,
-                    ladder.n_levels() as u16,
-                    *strategy,
-                )?;
-                let nominal_lut = match lut {
-                    Some(l) => l.clone(),
-                    None => ConductanceLut::from_device(model, &ladder),
-                };
-                let array = if *variation_sigma > 0.0 {
-                    McamArrayBuilder::new(ladder, nominal_lut)
-                        .word_len(dims)
-                        .variation(
-                            VariationSpec {
-                                sigma_v: *variation_sigma,
-                                seed: episode_seed,
-                            },
-                            *model,
-                        )
-                        .build()
-                } else {
-                    McamArray::new(ladder, nominal_lut, dims)
-                };
-                Ok(Box::new(
-                    McamNn::new(quantizer, array)?
-                        .with_precision(*precision)
-                        .with_metric(*metric),
-                ))
-            }
+            } => Calibrated::Mcam {
+                driver: fit(*bits, *strategy, lut.as_ref())?,
+                variation: (*variation_sigma > 0.0).then_some((*variation_sigma, *model)),
+                precision: *precision,
+                metric: *metric,
+            },
             Backend::McamServed {
                 bits,
                 strategy,
                 precision,
                 rows_per_bank,
+            } => Calibrated::Served {
+                driver: fit(*bits, *strategy, None)?,
+                precision: *precision,
+                rows_per_bank: (*rows_per_bank).max(1),
+            },
+            Backend::TcamLsh { signature_bits } => Calibrated::TcamLsh {
+                bits: signature_bits.unwrap_or(dims),
+                dims,
+            },
+        })
+    }
+}
+
+/// The fitted input driver of an MCAM backend: quantizer, level ladder
+/// and nominal LUT, shared by every episode of one evaluation.
+#[derive(Debug)]
+pub(crate) struct InputDriver {
+    quantizer: Quantizer,
+    ladder: LevelLadder,
+    lut: ConductanceLut,
+}
+
+impl InputDriver {
+    /// A fresh, empty array programmed through this driver, with its
+    /// own `Vth` variation draw when `variation` is set.
+    fn array(&self, variation: Option<(f64, FefetModel)>, episode_seed: u64) -> McamArray {
+        let builder =
+            McamArrayBuilder::new(self.ladder, self.lut.clone()).word_len(self.quantizer.dims());
+        match variation {
+            Some((sigma_v, model)) => builder
+                .variation(
+                    VariationSpec {
+                        sigma_v,
+                        seed: episode_seed,
+                    },
+                    model,
+                )
+                .build(),
+            None => builder.build(),
+        }
+    }
+}
+
+/// A [`Backend`] with its per-evaluation state fitted
+/// ([`Backend::calibrate`]); [`build_index`](Self::build_index) then
+/// programs one episode's engine.
+#[derive(Debug)]
+pub(crate) enum Calibrated {
+    Software {
+        kind: DistanceKind,
+        dims: usize,
+    },
+    Mcam {
+        driver: InputDriver,
+        /// `(sigma_v, model)` when the array draws `Vth` variation.
+        variation: Option<(f64, FefetModel)>,
+        precision: Precision,
+        metric: Metric,
+    },
+    Served {
+        driver: InputDriver,
+        precision: Precision,
+        rows_per_bank: usize,
+    },
+    TcamLsh {
+        bits: usize,
+        dims: usize,
+    },
+}
+
+impl Calibrated {
+    /// Builds a fresh engine for one episode: a new array (with its own
+    /// variation draw when the backend has one) behind the calibrated
+    /// input driver.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine-construction failures.
+    pub(crate) fn build_index(&self, episode_seed: u64) -> femcam_core::Result<Box<dyn NnIndex>> {
+        match self {
+            Calibrated::Software { kind, dims } => Ok(match kind {
+                DistanceKind::Cosine => Box::new(SoftwareNn::new(Cosine, *dims)),
+                DistanceKind::Euclidean => Box::new(SoftwareNn::new(Euclidean, *dims)),
+                DistanceKind::Manhattan => Box::new(SoftwareNn::new(Manhattan, *dims)),
+                DistanceKind::Linf => Box::new(SoftwareNn::new(Linf, *dims)),
+            }),
+            Calibrated::Mcam {
+                driver,
+                variation,
+                precision,
+                metric,
+            } => Ok(Box::new(
+                McamNn::new(
+                    driver.quantizer.clone(),
+                    driver.array(*variation, episode_seed),
+                )?
+                .with_precision(*precision)
+                .with_metric(*metric),
+            )),
+            Calibrated::Served {
+                driver,
+                precision,
+                rows_per_bank,
             } => {
-                let ladder = LevelLadder::new(*bits)?;
-                let quantizer = Quantizer::fit(
-                    calibration.iter().copied(),
-                    dims,
-                    ladder.n_levels() as u16,
-                    *strategy,
-                )?;
-                let lut = ConductanceLut::from_device(model, &ladder);
-                let memory = BankedMcam::new(ladder, lut, dims, (*rows_per_bank).max(1));
+                let memory = BankedMcam::new(
+                    driver.ladder,
+                    driver.lut.clone(),
+                    driver.quantizer.dims(),
+                    *rows_per_bank,
+                );
                 let config = ServeConfig {
                     precision: *precision,
                     ..ServeConfig::default()
                 };
-                Ok(Box::new(ServedNn::new(quantizer, memory, config)?))
+                Ok(Box::new(ServedNn::new(
+                    driver.quantizer.clone(),
+                    memory,
+                    config,
+                )?))
             }
-            Backend::TcamLsh { signature_bits } => {
-                let bits = signature_bits.unwrap_or(dims);
-                // LSH planes are fixed hardware: derive them from the
-                // evaluation seed space but not per episode, so every
-                // episode shares the same encoder. The constant is
-                // arbitrary; it was retuned from 0xC0FE when the
-                // offline vendored RNG (vendor/rand, xoshiro256++)
-                // replaced upstream StdRng's ChaCha stream, under
-                // which that draw produced a degenerate 4-plane
-                // encoder.
-                Ok(Box::new(TcamLshNn::new(bits, dims, 0xC0FFEE)?))
+            // LSH planes are fixed hardware: derive them from the
+            // evaluation seed space but not per episode, so every
+            // episode shares the same encoder. The constant is
+            // arbitrary; it was retuned from 0xC0FE when the offline
+            // vendored RNG (vendor/rand, xoshiro256++) replaced upstream
+            // StdRng's ChaCha stream, under which that draw produced a
+            // degenerate 4-plane encoder.
+            Calibrated::TcamLsh { bits, dims } => {
+                Ok(Box::new(TcamLshNn::new(*bits, *dims, 0xC0FFEE)?))
             }
         }
     }

@@ -157,18 +157,39 @@ fn calibration_set<S: ClassFeatureSource + ?Sized>(
 /// Runs the episodic evaluation of `backend` on features drawn from
 /// `source`.
 ///
+/// The backend is calibrated once, on the calibration set drawn before
+/// the episodes (the input driver's fixed DAC configuration); each
+/// episode then programs a fresh array (see [`Backend::build_index`]).
+///
 /// # Errors
 ///
-/// Propagates engine construction and query failures.
+/// Propagates calibration, engine construction and query failures.
 pub fn evaluate<S: ClassFeatureSource + ?Sized>(
     source: &mut S,
     backend: &Backend,
     cfg: &EvalConfig,
 ) -> femcam_core::Result<FewShotResult> {
+    let accuracies = run_episodes(source, backend, cfg, |e| {
+        cfg.seed.wrapping_add(e).wrapping_mul(0x9E37_79B9)
+    })?;
+    Ok(summarize(&accuracies))
+}
+
+/// One evaluator's episode loop: draws the calibration set, calibrates
+/// `backend` once, then runs `cfg.n_episodes` episodes, building
+/// episode `e`'s index with seed `episode_seed(e)`. Returns the
+/// per-episode accuracies in episode order.
+fn run_episodes<S: ClassFeatureSource + ?Sized>(
+    source: &mut S,
+    backend: &Backend,
+    cfg: &EvalConfig,
+    episode_seed: impl Fn(u64) -> u64,
+) -> femcam_core::Result<Vec<f64>> {
     let model = FefetModel::default();
     let dims = source.dims();
     let calibration = calibration_set(source, cfg);
     let cal_refs: Vec<&[f32]> = calibration.iter().map(|r| r.as_slice()).collect();
+    let calibrated = backend.calibrate(&cal_refs, dims, &model)?;
     let mut sampler = EpisodeSampler::new(
         cfg.task.n_way,
         cfg.task.k_shot,
@@ -176,21 +197,16 @@ pub fn evaluate<S: ClassFeatureSource + ?Sized>(
         cfg.class_pool,
         cfg.seed,
     );
-    let mut episode_accuracies = Vec::with_capacity(cfg.n_episodes);
+    let mut accuracies = Vec::with_capacity(cfg.n_episodes);
     for e in 0..cfg.n_episodes {
         let episode = sampler.sample(source);
-        let mut index = backend.build_index(
-            &cal_refs,
-            dims,
-            cfg.seed.wrapping_add(e as u64).wrapping_mul(0x9E37_79B9),
-            &model,
-        )?;
+        let mut index = calibrated.build_index(episode_seed(e as u64))?;
         for (f, l) in memory_rows(&episode.support, cfg.task.n_way, cfg.memory_policy) {
             index.add(&f, l)?;
         }
-        episode_accuracies.push(episode_accuracy(index.as_ref(), &episode.queries)?);
+        accuracies.push(episode_accuracy(index.as_ref(), &episode.queries)?);
     }
-    Ok(summarize(&episode_accuracies))
+    Ok(accuracies)
 }
 
 /// Classifies one episode's query set through the engine's batched
@@ -213,6 +229,8 @@ fn episode_accuracy(
 /// independent feature source per worker; episodes are partitioned over
 /// `n_threads` workers.
 ///
+/// Each worker draws its own calibration set and calibrates the backend
+/// once, like [`evaluate`]; its episodes then program fresh arrays.
 /// Statistically equivalent to [`evaluate`] (same episode count, same
 /// backend), though the exact RNG stream differs.
 ///
@@ -233,50 +251,22 @@ where
     let n_threads = n_threads.max(1).min(cfg.n_episodes.max(1));
     let per_thread = cfg.n_episodes.div_ceil(n_threads);
     let results: Vec<femcam_core::Result<Vec<f64>>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..n_threads {
-            let factory = &factory;
-            let backend = backend.clone();
-            let n_here = per_thread.min(cfg.n_episodes.saturating_sub(t * per_thread));
-            let thread_cfg = EvalConfig {
-                n_episodes: n_here,
-                seed: cfg.seed ^ ((t as u64 + 1) << 32),
-                ..*cfg
-            };
-            handles.push(scope.spawn(move || {
-                let mut source = factory(thread_cfg.seed);
-                let model = FefetModel::default();
-                let dims = source.dims();
-                let calibration = calibration_set(&mut source, &thread_cfg);
-                let cal_refs: Vec<&[f32]> = calibration.iter().map(|r| r.as_slice()).collect();
-                let mut sampler = EpisodeSampler::new(
-                    thread_cfg.task.n_way,
-                    thread_cfg.task.k_shot,
-                    thread_cfg.task.n_query,
-                    thread_cfg.class_pool,
-                    thread_cfg.seed,
-                );
-                let mut accs = Vec::with_capacity(thread_cfg.n_episodes);
-                for e in 0..thread_cfg.n_episodes {
-                    let episode = sampler.sample(&mut source);
-                    let mut index = backend.build_index(
-                        &cal_refs,
-                        dims,
-                        thread_cfg.seed.wrapping_add(e as u64),
-                        &model,
-                    )?;
-                    for (f, l) in memory_rows(
-                        &episode.support,
-                        thread_cfg.task.n_way,
-                        thread_cfg.memory_policy,
-                    ) {
-                        index.add(&f, l)?;
-                    }
-                    accs.push(episode_accuracy(index.as_ref(), &episode.queries)?);
-                }
-                Ok(accs)
-            }));
-        }
+        let handles: Vec<_> = (0..n_threads)
+            .map(|t| {
+                let factory = &factory;
+                let thread_cfg = EvalConfig {
+                    n_episodes: per_thread.min(cfg.n_episodes.saturating_sub(t * per_thread)),
+                    seed: cfg.seed ^ ((t as u64 + 1) << 32),
+                    ..*cfg
+                };
+                scope.spawn(move || {
+                    let mut source = factory(thread_cfg.seed);
+                    run_episodes(&mut source, backend, &thread_cfg, |e| {
+                        thread_cfg.seed.wrapping_add(e)
+                    })
+                })
+            })
+            .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
@@ -402,6 +392,168 @@ mod tests {
             "serial {} vs parallel {}",
             serial.accuracy,
             parallel.accuracy
+        );
+    }
+
+    /// The per-episode reference loop: the public
+    /// [`Backend::build_index`] (calibration refitted every episode) with
+    /// the evaluators' calibration draw, sampler and seeds.
+    fn reference_accuracies(
+        source: &mut PrototypeFeatureModel,
+        backend: &Backend,
+        cfg: &EvalConfig,
+        episode_seed: impl Fn(u64) -> u64,
+    ) -> Vec<f64> {
+        let model = FefetModel::default();
+        let dims = source.dims();
+        let calibration = calibration_set(source, cfg);
+        let cal_refs: Vec<&[f32]> = calibration.iter().map(|r| r.as_slice()).collect();
+        let t = cfg.task;
+        let mut sampler =
+            EpisodeSampler::new(t.n_way, t.k_shot, t.n_query, cfg.class_pool, cfg.seed);
+        (0..cfg.n_episodes as u64)
+            .map(|e| {
+                let episode = sampler.sample(source);
+                let mut index = backend
+                    .build_index(&cal_refs, dims, episode_seed(e), &model)
+                    .unwrap();
+                for (f, l) in &episode.support {
+                    index.add(f, *l).unwrap();
+                }
+                episode_accuracy(index.as_ref(), &episode.queries).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn calibrating_once_is_bit_identical_to_per_episode_build() {
+        use femcam_core::{measured_lut, ExperimentConfig, LevelLadder};
+        let lut = measured_lut(
+            &FefetModel::default(),
+            &LevelLadder::new(3).unwrap(),
+            ExperimentConfig::default(),
+        )
+        .unwrap();
+        let backends = [
+            Backend::mcam(3),
+            Backend::mcam_with_variation(3, 0.08),
+            Backend::mcam_with_lut(3, lut),
+            Backend::mcam_served(3),
+            Backend::tcam_lsh(),
+            Backend::cosine(),
+        ];
+        let cfg = EvalConfig::new(FewShotTask::new(20, 1), 7, 61);
+        let model = FefetModel::default();
+        let mut source = PrototypeFeatureModel::paper_default(61);
+        let calibration = calibration_set(&mut source, &cfg);
+        let cal_refs: Vec<&[f32]> = calibration.iter().map(|r| r.as_slice()).collect();
+        let episode = EpisodeSampler::new(5, 1, 5, None, 61).sample(&mut source);
+        let queries: Vec<&[f32]> = episode.queries.iter().map(|(f, _)| f.as_slice()).collect();
+        for backend in &backends {
+            let name = backend.name();
+            // Engine level: one calibration serves every episode seed,
+            // scores and all.
+            let calibrated = backend.calibrate(&cal_refs, source.dims(), &model).unwrap();
+            for seed in [0u64, 1, 0x9E37_79B9] {
+                let mut once = calibrated.build_index(seed).unwrap();
+                let mut per_episode = backend
+                    .build_index(&cal_refs, source.dims(), seed, &model)
+                    .unwrap();
+                for index in [&mut once, &mut per_episode] {
+                    for (f, l) in &episode.support {
+                        index.add(f, *l).unwrap();
+                    }
+                }
+                let a = once.query_batch(&queries).unwrap();
+                let b = per_episode.query_batch(&queries).unwrap();
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!((x.index, x.label), (y.index, y.label), "{name}");
+                    assert_eq!(x.score.to_bits(), y.score.to_bits(), "{name} seed {seed}");
+                }
+            }
+            // Evaluation level: the evaluators' accuracy, bit for bit.
+            let library =
+                evaluate(&mut PrototypeFeatureModel::paper_default(61), backend, &cfg).unwrap();
+            let reference = summarize(&reference_accuracies(
+                &mut PrototypeFeatureModel::paper_default(61),
+                backend,
+                &cfg,
+                |e| cfg.seed.wrapping_add(e).wrapping_mul(0x9E37_79B9),
+            ));
+            assert_eq!(
+                library.accuracy.to_bits(),
+                reference.accuracy.to_bits(),
+                "{name}"
+            );
+            assert_eq!(
+                library.std_error.to_bits(),
+                reference.std_error.to_bits(),
+                "{name}"
+            );
+            for n_threads in [1usize, 3] {
+                let parallel = evaluate_with_factory(
+                    PrototypeFeatureModel::paper_default,
+                    backend,
+                    &cfg,
+                    n_threads,
+                )
+                .unwrap();
+                // The factory's partition: worker `t` runs a contiguous
+                // share of the episodes on its own seed and source.
+                let per_thread = cfg.n_episodes.div_ceil(n_threads);
+                let mut all = Vec::new();
+                for t in 0..n_threads {
+                    let thread_cfg = EvalConfig {
+                        n_episodes: per_thread.min(cfg.n_episodes.saturating_sub(t * per_thread)),
+                        seed: cfg.seed ^ ((t as u64 + 1) << 32),
+                        ..cfg
+                    };
+                    all.extend(reference_accuracies(
+                        &mut PrototypeFeatureModel::paper_default(thread_cfg.seed),
+                        backend,
+                        &thread_cfg,
+                        |e| thread_cfg.seed.wrapping_add(e),
+                    ));
+                }
+                let reference = summarize(&all);
+                assert_eq!(
+                    parallel.accuracy.to_bits(),
+                    reference.accuracy.to_bits(),
+                    "{name} at {n_threads} threads"
+                );
+                assert_eq!(parallel.n_episodes, cfg.n_episodes);
+            }
+        }
+    }
+
+    #[test]
+    fn calibrated_variation_backend_redraws_per_episode() {
+        // One calibration, two episode seeds: two physical arrays.
+        let mut source = PrototypeFeatureModel::paper_default(62);
+        let cfg = EvalConfig::new(FewShotTask::new(5, 1), 1, 62);
+        let calibration = calibration_set(&mut source, &cfg);
+        let cal_refs: Vec<&[f32]> = calibration.iter().map(|r| r.as_slice()).collect();
+        let calibrated = Backend::mcam_with_variation(3, 0.08)
+            .calibrate(&cal_refs, source.dims(), &FefetModel::default())
+            .unwrap();
+        let row = source.sample(5);
+        let scores: Vec<f64> = [1u64, 2, 1]
+            .iter()
+            .map(|&seed| {
+                let mut index = calibrated.build_index(seed).unwrap();
+                index.add(&row, 0).unwrap();
+                index.query(&row).unwrap().score
+            })
+            .collect();
+        assert_ne!(
+            scores[0].to_bits(),
+            scores[1].to_bits(),
+            "draw must differ per episode"
+        );
+        assert_eq!(
+            scores[0].to_bits(),
+            scores[2].to_bits(),
+            "draw must follow the seed"
         );
     }
 
