@@ -18,7 +18,7 @@ use crate::array::{McamArray, McamArrayBuilder, SearchOutcome};
 use crate::error::CoreError;
 use crate::exec::{
     self, CodesDispatch, CompiledBanked, CompiledBankedCodes, CompiledMcam, Metric,
-    PlanMemoryBytes, PlaneScalar, Precision,
+    PlanMemoryBytes, PlaneScalar, Precision, WinnerSweep,
 };
 use crate::levels::LevelLadder;
 use crate::lut::ConductanceLut;
@@ -369,11 +369,16 @@ impl BankedMcam {
         exec::banked_winner_kernel(&refs, &bases, query, threads)
     }
 
-    fn search_batch_codes(&self, queries: &[&[u8]], metric: Metric) -> Result<Vec<(usize, f64)>> {
+    fn search_batch_codes(
+        &self,
+        queries: &[&[u8]],
+        metric: Metric,
+        sweep: WinnerSweep<'_>,
+    ) -> Result<Vec<(usize, f64)>> {
         let plans = self.codes_bank_plans(metric)?;
         let refs: Vec<&CodesDispatch> = plans.iter().collect();
         let bases = exec::bank_bases(refs.len(), self.rows_per_bank);
-        exec::banked_winner_batch_kernel(&refs, &bases, queries, par::max_threads())
+        exec::banked_winner_batch_kernel(&refs, &bases, queries, sweep, par::max_threads())
     }
 
     /// Searches every bank — through the cached per-bank compiled
@@ -512,7 +517,7 @@ impl BankedMcam {
         match precision {
             Precision::F64 => self.search_batch_f64_metric(queries, metric),
             Precision::F32 => self.search_batch_impl::<f32>(queries, metric),
-            Precision::Codes => self.search_batch_codes(queries, metric),
+            Precision::Codes => self.search_batch_codes(queries, metric, WinnerSweep::Full),
         }
     }
 
@@ -552,6 +557,90 @@ impl BankedMcam {
         metric: Metric,
     ) -> Result<Vec<(usize, f64)>> {
         self.search_batch_with_metric(queries, precision, metric)
+    }
+
+    /// [`search_batch_winners_with_metric`](Self::search_batch_winners_with_metric),
+    /// bit for bit, with a per-query *seed hint*: `seeds[i]` lists banks
+    /// likely to hold query `i`'s winner (a router's banks, say).
+    ///
+    /// At [`Precision::Codes`] each query first scores its seed banks
+    /// alone. Its best score there then bounds the full sweep, which
+    /// can abandon row blocks from the first bank on instead of only
+    /// once it reaches the winner's bank (`crate::exec`'s "Seeded
+    /// winners"). A hint only changes the work: an empty, wrong,
+    /// out-of-range, repeated or unsorted one still gives the unseeded
+    /// answer, including its lowest-global-row tie-break. The plane
+    /// precisions never abandon, so they ignore the hint.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::DimensionMismatch`] if `seeds` is neither empty
+    ///   (no hints) nor one hint per query.
+    /// * Same conditions as [`search_batch`](Self::search_batch).
+    pub fn search_batch_winners_seeded(
+        &self,
+        queries: &[&[u8]],
+        precision: Precision,
+        metric: Metric,
+        seeds: &[&[usize]],
+    ) -> Result<Vec<(usize, f64)>> {
+        if !seeds.is_empty() && seeds.len() != queries.len() {
+            return Err(CoreError::DimensionMismatch {
+                expected: queries.len(),
+                actual: seeds.len(),
+            });
+        }
+        if precision != Precision::Codes || self.is_empty() || queries.is_empty() {
+            return self.search_batch_with_metric(queries, precision, metric);
+        }
+        self.search_batch_codes(queries, metric, WinnerSweep::Seeded(seeds))
+    }
+
+    /// Each query's winner over only its own `routes[i]` banks, per
+    /// query bit-identical to
+    /// [`search_batch_winners_masked_metric`](Self::search_batch_winners_masked_metric)
+    /// over that route (ascending banks, strict `<`). One batched
+    /// seeding pass serves every route: each bank a route names
+    /// compiles once, and each query carries one bound across its
+    /// banks.
+    ///
+    /// Same errors as
+    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked),
+    /// for each route as its mask.
+    pub(crate) fn search_batch_winners_routed(
+        &self,
+        queries: &[&[u8]],
+        precision: Precision,
+        metric: Metric,
+        routes: &[Vec<usize>],
+    ) -> Result<Vec<(usize, f64)>> {
+        if self.is_empty() {
+            return Err(CoreError::EmptyArray);
+        }
+        for route in routes {
+            self.check_bank_mask(route)?;
+        }
+        let mut touched: Vec<usize> = routes.iter().flatten().copied().collect();
+        touched.sort_unstable();
+        touched.dedup();
+        // Each route as positions among the touched banks' plans.
+        let positions: Vec<Vec<usize>> = routes
+            .iter()
+            .map(|route| {
+                route
+                    .iter()
+                    .map(|&b| touched.partition_point(|&t| t < b))
+                    .collect()
+            })
+            .collect();
+        let hints: Vec<&[usize]> = positions.iter().map(Vec::as_slice).collect();
+        self.masked_winners(
+            queries,
+            precision,
+            metric,
+            &touched,
+            WinnerSweep::Hinted(&hints),
+        )
     }
 
     /// The `k` nearest rows for one query as
@@ -680,12 +769,32 @@ impl BankedMcam {
         banks.iter().map(|&b| b * self.rows_per_bank).collect()
     }
 
+    /// Runs the batched winner kernel over the (validated) `banks` at
+    /// `precision`; `sweep`'s hints are positions in `banks`.
+    fn masked_winners(
+        &self,
+        queries: &[&[u8]],
+        precision: Precision,
+        metric: Metric,
+        banks: &[usize],
+        sweep: WinnerSweep<'_>,
+    ) -> Result<Vec<(usize, f64)>> {
+        if queries.is_empty() {
+            return Ok(Vec::new());
+        }
+        match precision {
+            Precision::F64 => self.masked_plane_winners::<f64>(queries, banks, metric, sweep),
+            Precision::F32 => self.masked_plane_winners::<f32>(queries, banks, metric, sweep),
+            Precision::Codes => self.masked_codes_winners(queries, banks, metric, sweep),
+        }
+    }
+
     fn masked_plane_winners<S: PlaneScalar>(
         &self,
         queries: &[&[u8]],
         banks: &[usize],
         metric: Metric,
-        n_threads: usize,
+        sweep: WinnerSweep<'_>,
     ) -> Result<Vec<(usize, f64)>> {
         let plans: Vec<Arc<CompiledMcam<S>>> = banks
             .iter()
@@ -693,7 +802,7 @@ impl BankedMcam {
             .collect::<Result<_>>()?;
         let refs: Vec<&CompiledMcam<S>> = plans.iter().map(Arc::as_ref).collect();
         let bases = self.masked_bases(banks);
-        exec::banked_winner_batch_kernel(&refs, &bases, queries, n_threads)
+        exec::banked_winner_batch_kernel(&refs, &bases, queries, sweep, par::max_threads())
     }
 
     fn masked_codes_winners(
@@ -701,7 +810,7 @@ impl BankedMcam {
         queries: &[&[u8]],
         banks: &[usize],
         metric: Metric,
-        n_threads: usize,
+        sweep: WinnerSweep<'_>,
     ) -> Result<Vec<(usize, f64)>> {
         let plans: Vec<CodesDispatch> = banks
             .iter()
@@ -709,7 +818,7 @@ impl BankedMcam {
             .collect::<Result<_>>()?;
         let refs: Vec<&CodesDispatch> = plans.iter().collect();
         let bases = self.masked_bases(banks);
-        exec::banked_winner_batch_kernel(&refs, &bases, queries, n_threads)
+        exec::banked_winner_batch_kernel(&refs, &bases, queries, sweep, par::max_threads())
     }
 
     /// Each query's merged `(global_row, total_conductance)` winner over
@@ -755,41 +864,11 @@ impl BankedMcam {
         metric: Metric,
         banks: &[usize],
     ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_winners_masked_threads(
-            queries,
-            precision,
-            metric,
-            banks,
-            par::max_threads(),
-        )
-    }
-
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked)
-    /// with an explicit worker-thread budget, for callers that already
-    /// parallelize *across* masked sweeps (the routed batch path runs
-    /// one sweep per distinct mask concurrently and hands each sweep a
-    /// share of the machine). Results are bit-identical at any budget;
-    /// only timing changes.
-    pub(crate) fn search_batch_winners_masked_threads(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-        banks: &[usize],
-        n_threads: usize,
-    ) -> Result<Vec<(usize, f64)>> {
         if self.is_empty() {
             return Err(CoreError::EmptyArray);
         }
         self.check_bank_mask(banks)?;
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        match precision {
-            Precision::F64 => self.masked_plane_winners::<f64>(queries, banks, metric, n_threads),
-            Precision::F32 => self.masked_plane_winners::<f32>(queries, banks, metric, n_threads),
-            Precision::Codes => self.masked_codes_winners(queries, banks, metric, n_threads),
-        }
+        self.masked_winners(queries, precision, metric, banks, WinnerSweep::Full)
     }
 
     /// Single-query face of

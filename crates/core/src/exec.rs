@@ -147,6 +147,40 @@
 //! Full outcomes, top-k, the single-query paths, the scalar tier and
 //! the plane plans never abandon.
 //!
+//! ## Seeded winners
+//!
+//! A bound only saves work once it is tight, and in an ascending sweep
+//! it becomes tight only when the sweep reaches the winner's bank. A
+//! caller that can guess that bank — a router, say — passes each query
+//! a *seed hint* of banks ([`crate::banked::BankedMcam::search_batch_winners_seeded`]),
+//! and the batched winner kernel then runs in two passes:
+//!
+//! 1. **Seeding pass.** Each query is scored over its hinted banks
+//!    only: bank-major in ascending bank order within each worker's
+//!    query group, its slot carried across its banks exactly as in the
+//!    full sweep. Its best score there is the *seed*.
+//! 2. **Seeded full sweep.** The ordinary ascending sweep over every
+//!    bank, each query's bound starting at `f32::next_up(seed)` rather
+//!    than `+∞`.
+//!
+//! The answer is the full sweep's, bit for bit. The seed is the score
+//! of a real row, so the true first minimum scores `<= seed`, below
+//! the bound: it is never abandoned and is always taken. Codes scores
+//! are `f32` widened to `f64`, so `next_up` admits exactly the rows
+//! scoring `<= seed` and no others. Ties still go to the lowest global
+//! row: the seeding pass's row is not carried in as the answer (the
+//! final sweep scores it again, like any other row), the last pass
+//! visits banks in ascending order, and the abandon check stays strict
+//! `>`. So a hint changes only the work, and any hint is safe: an
+//! empty, wrong, out-of-range, repeated or unsorted one gives the same
+//! answer, at worst after some wasted seeding work. Plans that never
+//! abandon (the plane plans, the scalar tier, LUTs that fail the check
+//! above) skip the seeding pass, which would be pure extra work.
+//!
+//! The seeding pass alone, with no sweep after it, is a masked sweep
+//! per query: [`crate::router::RoutedMcam`] re-ranks each query over
+//! its own routed banks this way, one batch for every route.
+//!
 //! Callers pick a mode either statically (`CompiledMcam::<f32>`,
 //! [`CompiledCodes`]) or at run time through the [`Precision`] knob on
 //! the cached-plan entry points ([`McamArray::search_batch_with`],
@@ -1467,7 +1501,7 @@ impl<S: PlaneScalar> CompiledMcam<S> {
         queries: &[&[u8]],
         n_threads: usize,
     ) -> Result<Vec<(usize, f64)>> {
-        banked_winner_batch_kernel(&[self], &[0], queries, n_threads)
+        banked_winner_batch_kernel(&[self], &[0], queries, WinnerSweep::Full, n_threads)
     }
 
     /// Like [`search_batch`](Self::search_batch), but returns each
@@ -1537,6 +1571,13 @@ pub(crate) trait BlockKernel: Sync {
         scratch: &mut BatchScratch<Self::Acc>,
     ) {
         fold_winners_full(self, queries, base, best, scratch);
+    }
+
+    /// Whether [`fold_winners`](Self::fold_winners) abandons rows above
+    /// the carried bound — the only case in which a tighter starting
+    /// bound saves work. The default scores every row.
+    fn bounds_winners(&self) -> bool {
+        false
     }
 
     /// Thread-gating cost of one query against this kernel, in
@@ -2680,7 +2721,7 @@ impl CompiledCodes {
         queries: &[&[u8]],
         n_threads: usize,
     ) -> Result<Vec<(usize, f64)>> {
-        banked_winner_batch_kernel(&[self], &[0], queries, n_threads)
+        banked_winner_batch_kernel(&[self], &[0], queries, WinnerSweep::Full, n_threads)
     }
 
     /// Batched top-k — same contract as
@@ -2730,6 +2771,10 @@ impl BlockKernel for CompiledCodes {
         } else {
             self.fold_winners_fold::<false>(queries, base, best, scratch);
         }
+    }
+
+    fn bounds_winners(&self) -> bool {
+        self.abandon_exact && self.tier != CodesTier::Scalar
     }
 
     fn batch_work_per_query(&self) -> usize {
@@ -2854,7 +2899,7 @@ impl CodesDispatch {
         queries: &[&[u8]],
         n_threads: usize,
     ) -> Result<Vec<(usize, f64)>> {
-        banked_winner_batch_kernel(&[self], &[0], queries, n_threads)
+        banked_winner_batch_kernel(&[self], &[0], queries, WinnerSweep::Full, n_threads)
     }
 
     /// Batched top-k on the serving engine.
@@ -2910,6 +2955,13 @@ impl BlockKernel for CodesDispatch {
         match self {
             CodesDispatch::Packed(c) => c.as_ref().fold_winners(queries, base, best, scratch),
             CodesDispatch::Planes(p) => p.as_ref().fold_winners(queries, base, best, scratch),
+        }
+    }
+
+    fn bounds_winners(&self) -> bool {
+        match self {
+            CodesDispatch::Packed(c) => c.bounds_winners(),
+            CodesDispatch::Planes(_) => false,
         }
     }
 
@@ -3119,6 +3171,75 @@ pub(crate) fn banked_winner_kernel<K: BlockKernel>(
     Ok(best.expect("merge over at least one bank"))
 }
 
+/// Which banks a batched winner sweep scores for each query (see
+/// [`banked_winner_batch_kernel`] and the module-level
+/// ["Seeded winners"](self#seeded-winners)). A hint lists positions in
+/// the sweep's `plans`, one list per query; positions out of range are
+/// ignored, and order and repeats do not matter.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum WinnerSweep<'h> {
+    /// Every bank, in ascending order.
+    Full,
+    /// Each query's hinted banks first (the seeding pass), then every
+    /// bank from that bound. The answer is [`Full`](Self::Full)'s for
+    /// any hint; only the work changes.
+    Seeded(&'h [&'h [usize]]),
+    /// Each query's hinted banks only, in ascending order: per query, a
+    /// masked sweep of exactly those banks. A query whose hint names no
+    /// bank fails the batch.
+    Hinted(&'h [&'h [usize]]),
+}
+
+/// The bound a seeded sweep starts from: the least `f32` above
+/// `score`. Seeding runs only on plans that bound winners, whose scores
+/// are `f32` widened to `f64`, so a row is admitted under this bound
+/// exactly when it scores `<= score`.
+fn seed_bound(score: f64) -> f64 {
+    f64::from((score as f32).next_up())
+}
+
+/// The seeding pass of a worker's query group: folds each query over
+/// its hinted banks only, bank-major in ascending bank order (one
+/// sub-batch per bank of the queries that hint it), carrying each
+/// query's slot across its banks exactly as the full sweep does.
+fn seed_winners<K: BlockKernel>(
+    plans: &[&K],
+    bases: &[usize],
+    queries: &[&[u8]],
+    hints: &[&[usize]],
+    best: &mut [Option<(usize, f64)>],
+    scratch: &mut BatchScratch<K::Acc>,
+) {
+    let mut visits: Vec<(usize, usize)> = hints
+        .iter()
+        .enumerate()
+        .flat_map(|(q, banks)| {
+            banks
+                .iter()
+                .filter(|&&b| b < plans.len())
+                .map(move |&b| (b, q))
+        })
+        .collect();
+    visits.sort_unstable();
+    visits.dedup();
+    let mut block: Vec<&[u8]> = Vec::new();
+    let mut slots: Vec<Option<(usize, f64)>> = Vec::new();
+    for run in visits.chunk_by(|a, b| a.0 == b.0) {
+        let (plan, base) = (plans[run[0].0], bases[run[0].0]);
+        block.clear();
+        block.extend(run.iter().map(|&(_, q)| queries[q]));
+        slots.clear();
+        slots.extend(run.iter().map(|&(_, q)| best[q]));
+        let len = plan.block_len();
+        for (b, s) in block.chunks(len).zip(slots.chunks_mut(len)) {
+            plan.fold_winners(b, base, s, scratch);
+        }
+        for (&(_, q), &slot) in run.iter().zip(&slots) {
+            best[q] = slot;
+        }
+    }
+}
+
 /// Batched hierarchical winner-take-all over per-bank kernels:
 /// contiguous query groups shard across workers; each worker sweeps
 /// banks in ascending order for its group with one reusable scratch,
@@ -3126,11 +3247,16 @@ pub(crate) fn banked_winner_kernel<K: BlockKernel>(
 ///
 /// `bases[i]` is the global base row of `plans[i]` (see
 /// [`banked_winner_kernel`] and the module-level
-/// ["Bank-mask contract"](self#bank-mask-contract)).
+/// ["Bank-mask contract"](self#bank-mask-contract)). `sweep` picks the
+/// banks each query visits: all of them, all of them after a seeding
+/// pass over its hinted banks (skipped, as pure extra work, unless some
+/// plan bounds its winners; with no hint at all this is exactly
+/// [`WinnerSweep::Full`]), or its hinted banks alone.
 pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
     plans: &[&K],
     bases: &[usize],
     queries: &[&[u8]],
+    sweep: WinnerSweep<'_>,
     n_threads: usize,
 ) -> Result<Vec<(usize, f64)>> {
     debug_assert_eq!(plans.len(), bases.len(), "one base per bank kernel");
@@ -3143,25 +3269,70 @@ pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
     if queries.is_empty() {
         return Ok(Vec::new());
     }
-    let threads = par::batch_threads(queries.len(), banked_work_per_query(plans), n_threads);
+    let seeding = |hints: &[&[usize]]| {
+        hints.iter().any(|h| !h.is_empty()) && plans.iter().any(|p| p.bounds_winners())
+    };
+    let (hints, full): (&[&[usize]], bool) = match sweep {
+        WinnerSweep::Seeded(hints) if seeding(hints) => (hints, true),
+        WinnerSweep::Full | WinnerSweep::Seeded(_) => (&[], true),
+        WinnerSweep::Hinted(hints) => (hints, false),
+    };
+    debug_assert!(
+        hints.is_empty() || hints.len() == queries.len(),
+        "one hint per query"
+    );
+    let per_query = if full {
+        banked_work_per_query(plans)
+    } else {
+        let hinted: usize = hints
+            .iter()
+            .flat_map(|banks| banks.iter().filter_map(|&b| plans.get(b)))
+            .map(|p| p.batch_work_per_query())
+            .sum();
+        hinted.div_ceil(queries.len())
+    };
+    let threads = par::batch_threads(queries.len(), per_query, n_threads);
     let group = queries.len().div_ceil(threads).max(1);
-    let groups: Vec<&[&[u8]]> = queries.chunks(group).collect();
-    let per_group = par::par_map(&groups, threads, |_, group| {
+    let starts: Vec<usize> = (0..queries.len()).step_by(group).collect();
+    let per_group = par::par_map(&starts, threads, |_, &start| {
+        let span = start..(start + group).min(queries.len());
+        let hints = hints.get(span.clone()).unwrap_or(&[]);
+        let group = &queries[span];
         let mut scratch = BatchScratch::<K::Acc>::new();
         let mut best: Vec<Option<(usize, f64)>> = vec![None; group.len()];
-        for (plan, &base) in plans.iter().zip(bases) {
-            let len = plan.block_len();
-            for (block, slots) in group.chunks(len).zip(best.chunks_mut(len)) {
-                plan.fold_winners(block, base, slots, &mut scratch);
+        if !hints.is_empty() {
+            seed_winners(plans, bases, group, hints, &mut best, &mut scratch);
+            if full {
+                // The seed row keeps its place but its score rises to
+                // the seed bound: the sweep below scores it again, so
+                // the slot always ends on a row it took itself.
+                for slot in &mut best {
+                    *slot = slot
+                        .filter(|(_, g)| g.is_finite())
+                        .map(|(row, g)| (row, seed_bound(g)));
+                }
             }
         }
-        best.into_iter()
-            // femcam::allow(no_panic): every query saw every bank, so each
-            // slot was filled.
-            .map(|b| b.expect("at least one bank per query"))
-            .collect::<Vec<_>>()
+        if full {
+            for (plan, &base) in plans.iter().zip(bases) {
+                let len = plan.block_len();
+                for (block, slots) in group.chunks(len).zip(best.chunks_mut(len)) {
+                    plan.fold_winners(block, base, slots, &mut scratch);
+                }
+            }
+        }
+        best
     });
-    Ok(per_group.into_iter().flatten().collect())
+    per_group
+        .into_iter()
+        .flatten()
+        .map(|slot| {
+            slot.ok_or(CoreError::InvalidParameter {
+                name: "bank mask",
+                value: 0.0,
+            })
+        })
+        .collect()
 }
 
 /// Single-query winner merge over per-bank plane plans (the
@@ -3192,6 +3363,7 @@ pub(crate) fn banked_winner_batch<S: PlaneScalar>(
         plans,
         &bank_bases(plans.len(), rows_per_bank),
         queries,
+        WinnerSweep::Full,
         n_threads,
     )
 }
@@ -3289,7 +3461,7 @@ impl CompiledBankedCodes {
     pub fn search_batch(&self, queries: &[&[u8]], n_threads: usize) -> Result<Vec<(usize, f64)>> {
         let plans: Vec<&CodesDispatch> = self.plans.iter().collect();
         let bases = bank_bases(plans.len(), self.rows_per_bank);
-        banked_winner_batch_kernel(&plans, &bases, queries, n_threads)
+        banked_winner_batch_kernel(&plans, &bases, queries, WinnerSweep::Full, n_threads)
     }
 }
 
@@ -4101,8 +4273,14 @@ mod tests {
                         let kernels: Vec<&CodesDispatch> =
                             subset.iter().map(|&b| &banks[b]).collect();
                         let bases: Vec<usize> = subset.iter().map(|&b| b * rpb).collect();
-                        let got =
-                            banked_winner_batch_kernel(&kernels, &bases, &refs, threads).unwrap();
+                        let got = banked_winner_batch_kernel(
+                            &kernels,
+                            &bases,
+                            &refs,
+                            WinnerSweep::Full,
+                            threads,
+                        )
+                        .unwrap();
                         assert_eq!(
                             winner_bits(&got),
                             *want,
@@ -4247,7 +4425,8 @@ mod tests {
                 let banks: Vec<CodesDispatch> = plans.iter().map(|p| on_tier(p, tier)).collect();
                 let kernels: Vec<&CodesDispatch> = banks.iter().collect();
                 take_bounded_work();
-                let got = banked_winner_batch_kernel(&kernels, &bases, &refs, 1).unwrap();
+                let got = banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Full, 1)
+                    .unwrap();
                 let (scored, nominal) = take_bounded_work();
                 assert_eq!(winner_bits(&got), want, "{tier:?} {name}");
                 if tier == CodesTier::Scalar {
@@ -4284,7 +4463,9 @@ mod tests {
             for metric in [Metric::L1, Metric::Linf, Metric::Hamming] {
                 let plan = on_tier(&CompiledCodes::compile_metric(&a, metric).unwrap(), tier);
                 take_bounded_work();
-                let got = banked_winner_batch_kernel(&[&plan], &[0], &[&query], 1).unwrap();
+                let got =
+                    banked_winner_batch_kernel(&[&plan], &[0], &[&query], WinnerSweep::Full, 1)
+                        .unwrap();
                 let (scored, nominal) = take_bounded_work();
                 assert_eq!(got[0].0, 0, "{tier:?} {metric:?}");
                 assert_eq!(
@@ -4324,7 +4505,8 @@ mod tests {
                 tier,
                 ..compiled.clone()
             };
-            let got = banked_winner_batch_kernel(&[&plan], &[0], &[&query], 1).unwrap();
+            let got = banked_winner_batch_kernel(&[&plan], &[0], &[&query], WinnerSweep::Full, 1)
+                .unwrap();
             assert_eq!(got, vec![(128, 8.0)], "{tier:?}");
             if tier != CodesTier::Scalar {
                 // What the check prevents: forced on, the vector sweep
@@ -4333,9 +4515,280 @@ mod tests {
                     abandon_exact: true,
                     ..plan
                 };
-                let got = banked_winner_batch_kernel(&[&forced], &[0], &[&query], 1).unwrap();
+                let got =
+                    banked_winner_batch_kernel(&[&forced], &[0], &[&query], WinnerSweep::Full, 1)
+                        .unwrap();
                 assert_eq!(got, vec![(0, 16.0)], "{tier:?}");
             }
+        }
+    }
+
+    /// Seed hints for `n_queries` queries over `n_banks` banks, each
+    /// kind the seeded sweep must shrug off: empty, every bank,
+    /// repeated, unsorted, out of range, and one arbitrary bank.
+    fn seed_hint_cases(
+        n_queries: usize,
+        n_banks: usize,
+        pick: u64,
+    ) -> Vec<(&'static str, Vec<Vec<usize>>)> {
+        let all: Vec<usize> = (0..n_banks).collect();
+        let each = |f: &dyn Fn(usize) -> Vec<usize>| (0..n_queries).map(f).collect::<Vec<_>>();
+        vec![
+            ("empty", each(&|_| Vec::new())),
+            ("all banks", each(&|_| all.clone())),
+            ("repeated", each(&|q| vec![q % n_banks; 3])),
+            ("unsorted", each(&|_| all.iter().rev().copied().collect())),
+            ("out of range", each(&|q| vec![n_banks + q, usize::MAX])),
+            (
+                "arbitrary",
+                each(&|q| vec![(pick as usize + q) % n_banks, n_banks]),
+            ),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// A seeded sweep reports the unseeded full sweep's winners bit
+        /// for bit, whatever the hint: every tier the host runs, every
+        /// metric (L∞'s max fold included), 1 and 2 threads, and the
+        /// public seeded entry point at every precision. A planted word
+        /// repeated across banks makes ties at the seed bound common.
+        /// The hint alone, swept as `Hinted`, is the masked sweep of its
+        /// in-range banks.
+        #[test]
+        fn seeded_winners_match_the_unseeded_sweep(
+            bank_pick in 0usize..4,
+            n_banks in 1usize..5,
+            seed in 0u64..1_000_000,
+        ) {
+            const WORD: usize = 24;
+            let rows_per_bank = [1usize, 64, 129, 200][bank_pick];
+            let total = rows_per_bank * n_banks;
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut rows: Vec<Vec<u8>> = (0..total)
+                .map(|_| (0..WORD).map(|_| (next() % 8) as u8).collect())
+                .collect();
+            let planted: Vec<u8> = (0..WORD).map(|_| (next() % 8) as u8).collect();
+            for at in [total - 1, (next() as usize) % total, total / 2] {
+                rows[at] = planted.clone();
+            }
+            let mut queries = vec![planted.clone()];
+            for i in 0..11 {
+                let mut q = rows[(next() % total as u64) as usize].clone();
+                for _ in 0..i % 3 {
+                    q[(next() % WORD as u64) as usize] = (next() % 8) as u8;
+                }
+                queries.push(q);
+            }
+            queries.push((0..WORD).map(|_| (next() % 8) as u8).collect());
+            let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+            let (memory, _) = banked_and_flat(&rows, WORD, rows_per_bank);
+            let bases = bank_bases(n_banks, rows_per_bank);
+            let cases = seed_hint_cases(refs.len(), n_banks, next());
+            for metric in Metric::ALL {
+                let plans: Vec<CompiledCodes> = memory
+                    .banks()
+                    .iter()
+                    .map(|b| CompiledCodes::compile_metric(b, metric).unwrap())
+                    .collect();
+                for tier in host_tiers() {
+                    let banks: Vec<CodesDispatch> = plans.iter().map(|p| on_tier(p, tier)).collect();
+                    let kernels: Vec<&CodesDispatch> = banks.iter().collect();
+                    let want = winner_bits(
+                        &banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Full, 1)
+                            .unwrap(),
+                    );
+                    for (name, hints) in &cases {
+                        let hints: Vec<&[usize]> = hints.iter().map(Vec::as_slice).collect();
+                        let ctx = format!("{tier:?} {metric:?} hint {name} rows_per_bank={rows_per_bank}");
+                        for threads in [1, 2] {
+                            let got = banked_winner_batch_kernel(
+                                &kernels,
+                                &bases,
+                                &refs,
+                                WinnerSweep::Seeded(&hints),
+                                threads,
+                            )
+                            .unwrap();
+                            prop_assert_eq!(winner_bits(&got), want.clone(), "{} threads={}", ctx, threads);
+                        }
+                        for (q, hint) in refs.iter().zip(&hints) {
+                            let mut mask: Vec<usize> =
+                                hint.iter().copied().filter(|&b| b < n_banks).collect();
+                            mask.sort_unstable();
+                            mask.dedup();
+                            let got = banked_winner_batch_kernel(
+                                &kernels,
+                                &bases,
+                                &[q],
+                                WinnerSweep::Hinted(&[hint]),
+                                1,
+                            );
+                            if mask.is_empty() {
+                                prop_assert!(got.is_err(), "{}: no bank to sweep", ctx);
+                                continue;
+                            }
+                            let sub: Vec<&CodesDispatch> = mask.iter().map(|&b| kernels[b]).collect();
+                            let sub_bases: Vec<usize> = mask.iter().map(|&b| bases[b]).collect();
+                            let masked =
+                                banked_winner_batch_kernel(&sub, &sub_bases, &[q], WinnerSweep::Full, 1)
+                                    .unwrap();
+                            prop_assert_eq!(winner_bits(&got.unwrap()), winner_bits(&masked), "{}", ctx);
+                        }
+                    }
+                }
+                for precision in [Precision::F64, Precision::F32, Precision::Codes] {
+                    let want = memory
+                        .search_batch_winners_with_metric(&refs, precision, metric)
+                        .unwrap();
+                    for (name, hints) in &cases {
+                        let hints: Vec<&[usize]> = hints.iter().map(Vec::as_slice).collect();
+                        let got = memory
+                            .search_batch_winners_seeded(&refs, precision, metric, &hints)
+                            .unwrap();
+                        prop_assert_eq!(
+                            winner_bits(&got),
+                            winner_bits(&want),
+                            "public {:?} {:?} hint {}",
+                            precision,
+                            metric,
+                            name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The tie trap: one word stored in bank 0 and again in bank 2,
+    /// the query hinting only bank 2. The seeding pass finds the copy
+    /// in bank 2, but the seeded sweep must still answer with bank 0's
+    /// copy, the lowest global row, on every tier and metric, exact and
+    /// near-duplicate queries alike.
+    #[test]
+    fn seeded_winners_resolve_ties_to_the_lowest_row() {
+        const WORD: usize = 32;
+        const PER_BANK: usize = 128;
+        let mut state = 0xA076_1D64_78BD_642Fu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut rows: Vec<Vec<u8>> = (0..3 * PER_BANK)
+            .map(|_| (0..WORD).map(|_| (next() % 8) as u8).collect())
+            .collect();
+        let word: Vec<u8> = (0..WORD).map(|c| (c * 3 % 8) as u8).collect();
+        let (low, high) = (5, 2 * PER_BANK + 7);
+        rows[low] = word.clone();
+        rows[high] = word.clone();
+        let mut near = word.clone();
+        near[WORD - 1] = (near[WORD - 1] + 1) % 8;
+        let (memory, _) = banked_and_flat(&rows, WORD, PER_BANK);
+        let bases = bank_bases(3, PER_BANK);
+        let queries: [&[u8]; 2] = [&word, &near];
+        let hints: [&[usize]; 2] = [&[2], &[2]];
+        for metric in Metric::ALL {
+            for tier in host_tiers() {
+                let banks: Vec<CodesDispatch> = memory
+                    .banks()
+                    .iter()
+                    .map(|b| on_tier(&CompiledCodes::compile_metric(b, metric).unwrap(), tier))
+                    .collect();
+                let kernels: Vec<&CodesDispatch> = banks.iter().collect();
+                let seeded = banked_winner_batch_kernel(
+                    &kernels,
+                    &bases,
+                    &queries,
+                    WinnerSweep::Seeded(&hints),
+                    1,
+                )
+                .unwrap();
+                let hinted = banked_winner_batch_kernel(
+                    &kernels,
+                    &bases,
+                    &queries,
+                    WinnerSweep::Hinted(&hints),
+                    1,
+                )
+                .unwrap();
+                for ((s, h), q) in seeded.iter().zip(&hinted).zip(["exact", "near"]) {
+                    assert_eq!(s.0, low, "{tier:?} {metric:?} {q}: seeded sweep");
+                    assert_eq!(h.0, high, "{tier:?} {metric:?} {q}: the seed itself");
+                    assert_eq!(s.1.to_bits(), h.1.to_bits(), "{tier:?} {metric:?} {q}");
+                }
+            }
+        }
+    }
+
+    /// Non-vacuity: on near-duplicate queries seeded with the bank of
+    /// their source row, the seeded sweep — seeding pass included —
+    /// scores strictly fewer vector-columns than the unseeded one, and
+    /// reports the same winners. Prints both counts per vector tier.
+    #[test]
+    fn seeded_winners_score_less_work_on_near_duplicates() {
+        const WORD: usize = 64;
+        const PER_BANK: usize = 256;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let rows: Vec<Vec<u8>> = (0..8 * PER_BANK)
+            .map(|_| (0..WORD).map(|_| (next() % 8) as u8).collect())
+            .collect();
+        let mut queries = Vec::new();
+        let mut seeds = Vec::new();
+        for _ in 0..48 {
+            let source = (next() % rows.len() as u64) as usize;
+            let mut q = rows[source].clone();
+            for _ in 0..3 {
+                q[(next() % WORD as u64) as usize] = (next() % 8) as u8;
+            }
+            queries.push(q);
+            seeds.push(vec![source / PER_BANK]);
+        }
+        let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+        let hints: Vec<&[usize]> = seeds.iter().map(Vec::as_slice).collect();
+        let (memory, _) = banked_and_flat(&rows, WORD, PER_BANK);
+        let bases = bank_bases(memory.n_banks(), PER_BANK);
+        for tier in host_tiers() {
+            if tier == CodesTier::Scalar {
+                continue;
+            }
+            let banks: Vec<CodesDispatch> = memory
+                .banks()
+                .iter()
+                .map(|b| on_tier(&CompiledCodes::compile(b).unwrap(), tier))
+                .collect();
+            let kernels: Vec<&CodesDispatch> = banks.iter().collect();
+            take_bounded_work();
+            let full =
+                banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Full, 1).unwrap();
+            let (unseeded, nominal) = take_bounded_work();
+            let seeded =
+                banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Seeded(&hints), 1)
+                    .unwrap();
+            let (scored, _) = take_bounded_work();
+            assert_eq!(winner_bits(&seeded), winner_bits(&full), "{tier:?}");
+            println!(
+                "seeded_winners: tier {tier:?}, near-duplicate queries: seeded sweep scored \
+                 {scored} vector-columns, unseeded {unseeded} (full sweep {nominal})"
+            );
+            assert!(
+                scored < unseeded,
+                "{tier:?}: seeded {scored} >= unseeded {unseeded}"
+            );
         }
     }
 }

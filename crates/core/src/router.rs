@@ -11,11 +11,22 @@
 //!    maps the signature bucket (plus its Hamming-ball neighbors,
 //!    multi-probe style) to the set of banks that hold rows of those
 //!    buckets.
-//! 2. **Re-rank** — the compiled kernel sweeps *only the routed banks*
-//!    through [`BankedMcam::search_batch_winners_masked`], so the
-//!    winner inside the candidate set is exact, with the same
+//! 2. **Re-rank** — the compiled kernel sweeps *only the routed banks*,
+//!    so the winner inside the candidate set is exact, with the same
 //!    bit-identical `(conductance, global_row)` merge contract as a
 //!    full sweep (the [bank-mask contract](crate::exec#bank-mask-contract)).
+//!    A batch re-ranks in one pass (the kernel's seeding pass, see
+//!    [`crate::exec`]'s "Seeded winners"): each bank sweeps the
+//!    queries routed to it together, and each query carries one
+//!    bound across its routed banks, so banks after its nearest one
+//!    abandon row blocks early. Per query the answer is
+//!    [`BankedMcam::search_batch_winners_masked`]'s over its route.
+//!
+//! A served router goes one step further: a routed server's shards
+//! score each query's routed banks first and then sweep all of their
+//! banks from that bound
+//! ([`BankedMcam::search_batch_winners_seeded`]), which answers
+//! exactly like the full sweep while skipping most of its work.
 //!
 //! [`RoutedMcam`] binds the two together and keeps them consistent:
 //! every [`store`](RoutedMcam::store) updates the router's buckets the
@@ -500,23 +511,20 @@ impl RoutedMcam {
             .search_masked_with_metric(query, precision, metric, &banks)
     }
 
-    /// Routes every query, then executes the re-rank **bank-major**:
-    /// per bank, one batched sweep over every query routed to it, then
-    /// a per-query fold of the per-bank winners in ascending bank
-    /// order. Routing shatters a batch into many small per-mask query
-    /// groups; sweeping mask-by-mask would stream each bank's compiled
-    /// plan once per tiny group, losing exactly the block-level
-    /// amortization that makes batched search fast. Bank-major keeps
-    /// every plan traversal fully batched, and the per-bank sweeps run
-    /// concurrently, each with a proportional share of the machine's
-    /// worker threads.
+    /// Routes every query, then re-ranks each one over its routed banks
+    /// in one batched pass: per worker, bank-major in ascending bank
+    /// order, each bank sweeping the queries routed to it as one block,
+    /// and each query carrying one bound across its banks (the kernel's
+    /// seeding pass, `crate::exec`'s "Seeded winners"). A query's
+    /// bound is as tight after its first near bank as a full sweep's
+    /// would be there, so later banks abandon row blocks early.
     ///
     /// Results come back in query order. Per query, the winner is
     /// bit-identical to a masked sweep of its routed banks
     /// ([`BankedMcam::search_batch_winners_masked`]): within a bank the
     /// same compiled plan produces the same conductances, and the fold
-    /// here is the kernel's own merge — ascending bank order, strict
-    /// `<` on conductance, so exact ties keep the lowest global row.
+    /// is the masked sweep's own — ascending bank order, strict `<` on
+    /// conductance, so exact ties keep the lowest global row.
     ///
     /// # Errors
     ///
@@ -532,7 +540,7 @@ impl RoutedMcam {
 
     /// [`search_batch_winners_with`](Self::search_batch_winners_with)
     /// at a chosen [`Metric`] — routing stays metric-agnostic, the
-    /// bank-major re-rank honors the request metric.
+    /// re-rank honors the request metric.
     ///
     /// # Errors
     ///
@@ -547,40 +555,12 @@ impl RoutedMcam {
         if self.memory.is_empty() {
             return Err(CoreError::EmptyArray);
         }
-        // Bank-major gather: which queries probe each bank.
-        let mut per_bank: Vec<Vec<usize>> = vec![Vec::new(); self.memory.n_banks()];
-        for (i, query) in queries.iter().enumerate() {
-            for b in self.route(query)? {
-                per_bank[b].push(i);
-            }
-        }
-        let touched: Vec<usize> = (0..per_bank.len())
-            .filter(|&b| !per_bank[b].is_empty())
-            .collect();
-        // Each concurrent per-bank sweep gets an even share of the
-        // thread budget so the fan-out never oversubscribes the
-        // machine; a single touched bank keeps the whole budget.
-        let share = (par::max_threads() / touched.len().max(1)).max(1);
-        let per_bank_winners = par::try_par_map(&touched, par::max_threads(), |_, &b| {
-            let group: Vec<&[u8]> = per_bank[b].iter().map(|&i| queries[i]).collect();
-            self.memory
-                .search_batch_winners_masked_threads(&group, precision, metric, &[b], share)
-        })?;
-        let mut out: Vec<Option<(usize, f64)>> = vec![None; queries.len()];
-        for (&b, winners) in touched.iter().zip(per_bank_winners) {
-            for (&i, w) in per_bank[b].iter().zip(winners) {
-                let slot = &mut out[i];
-                if slot.is_none_or(|(_, best)| w.1 < best) {
-                    *slot = Some(w);
-                }
-            }
-        }
-        Ok(out
-            .into_iter()
-            // femcam::allow(no_panic): the fallback arm above routes
-            // unmatched queries to all banks.
-            .map(|w| w.expect("every query routes to at least one bank"))
-            .collect())
+        let routes: Vec<Vec<usize>> = queries
+            .iter()
+            .map(|q| self.route(q))
+            .collect::<Result<_>>()?;
+        self.memory
+            .search_batch_winners_routed(queries, precision, metric, &routes)
     }
 
     /// The top-k face of

@@ -90,10 +90,15 @@
 //! [`RoutedMcam`](femcam_core::RoutedMcam) at the front end: each
 //! query is hashed once at the client, its routed banks map to the
 //! shards that own them, and the request fans only to that shard
-//! subset. A contacted shard sweeps *all* of its banks, so
-//! routing skips whole shards (their round-trip, admission slot and
-//! sweep), never banks within a shard — and a 1-shard routed server
-//! sweeps its whole memory, answering exactly like the full sweep.
+//! subset. A contacted shard answers over *all* of its banks, so for
+//! the answer routing skips whole shards (their round-trip, admission
+//! slot and sweep), never banks within a shard — and a 1-shard routed
+//! server answers exactly like the full sweep. For the work it does
+//! more: each contacted shard gets the routed banks it owns as a seed
+//! hint, scores those first, and starts its full sweep from the bound
+//! they give, so rows far from the query are abandoned from the first
+//! bank on ([`BankedMcam::search_batch_winners_seeded`]). Winner
+//! searches only; top-k takes no hint.
 //! Stores keep the router's buckets in sync (the tail store, then
 //! [`LshRouter::note_store`](femcam_core::LshRouter::note_store)), so
 //! a new row is routable the moment its store returns.
@@ -680,6 +685,10 @@ impl<T> Ticket<T> {
 struct PendingSearch {
     query: Vec<u8>,
     metric: Metric,
+    /// Shard-local banks the sweep scores first (the query's routed
+    /// banks in this shard; empty without a router). Only the work
+    /// depends on it, never the answer.
+    seeds: Vec<usize>,
     submitted: Instant,
     deadline: Option<Instant>,
     responder: Responder<(usize, f64)>,
@@ -747,17 +756,20 @@ pub(crate) struct ServeHandle {
 
 impl ServeHandle {
     /// Enqueues a (validated) winner search whose admission slot the
-    /// caller already holds (a failed send releases it).
+    /// caller already holds (a failed send releases it). `seeds` are
+    /// the shard-local banks to score first.
     pub(crate) fn enqueue_search(
         &self,
         query: &[u8],
         deadline: Option<Instant>,
         metric: Metric,
+        seeds: Vec<usize>,
     ) -> Result<Ticket<(usize, f64)>, ServeError> {
         self.enqueue(|responder| {
             Request::Search(PendingSearch {
                 query: query.to_vec(),
                 metric,
+                seeds,
                 submitted: Instant::now(),
                 deadline,
                 responder,
@@ -1135,6 +1147,7 @@ fn push_search(window: &mut Window, search: PendingSearch, shared: &Shared) {
     let PendingSearch {
         query,
         metric,
+        seeds,
         submitted,
         deadline,
         responder,
@@ -1145,6 +1158,7 @@ fn push_search(window: &mut Window, search: PendingSearch, shared: &Shared) {
         window.searches.push(PendingSearch {
             query,
             metric,
+            seeds,
             submitted,
             deadline,
             responder,
@@ -1440,8 +1454,9 @@ fn execute_window(
                 continue;
             }
             let queries: Vec<&[u8]> = group.iter().map(|s| s.query.as_slice()).collect();
+            let seeds: Vec<&[usize]> = group.iter().map(|s| s.seeds.as_slice()).collect();
             winners[metric.index()] =
-                Some(memory.search_batch_winners_with_metric(&queries, precision, metric));
+                Some(memory.search_batch_winners_seeded(&queries, precision, metric, &seeds));
         }
         let mut topk_hits: TopKSweeps = Default::default();
         for metric in Metric::ALL {

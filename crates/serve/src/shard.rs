@@ -18,15 +18,19 @@
 //! query is hashed once at the client, its routed banks are mapped to
 //! the shards that own them (bank ranges are contiguous per shard),
 //! and the request fans only to that shard subset. A contacted shard
-//! still sweeps *all* of its banks — a superset of the routed banks it
-//! owns — so shard-level routing can only raise recall relative to
-//! bank-level routing while skipping the dispatcher round-trip, the
-//! admission slot, and the sweep on every shard the router ruled out.
-//! At one shard the route can only name that shard, so a 1-shard
-//! routed server sweeps its whole memory. An empty route falls back to
-//! the full fan-out, and stores keep the router's buckets synchronized
-//! (tail store, then [`LshRouter::note_store`]) so a new row is
-//! immediately routable.
+//! still answers over *all* of its banks — a superset of the routed
+//! banks it owns — so shard-level routing can only raise recall
+//! relative to bank-level routing while skipping the dispatcher
+//! round-trip, the admission slot, and the sweep on every shard the
+//! router ruled out. At one shard the route can only name that shard,
+//! so a 1-shard routed server answers over its whole memory. Within a
+//! shard the route still saves work: the routed banks it owns travel
+//! with the query as shard-local seed banks, which its winner sweep
+//! scores first, so the full sweep after them starts from a tight
+//! bound (`femcam_core::exec`'s "Seeded winners"). An empty route
+//! falls back to the full fan-out with no seed banks, and stores keep
+//! the router's buckets synchronized (tail store, then
+//! [`LshRouter::note_store`]) so a new row is immediately routable.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
@@ -154,6 +158,12 @@ impl Topology {
             eprintln!("femcam-serve: shard {shard} {prev:?} -> quarantined (dispatcher gone)");
             self.displace_orphaned_routes(shard);
         }
+    }
+
+    /// The shard that owns global bank `bank`: its partition range's,
+    /// or the tail's for banks appended after start.
+    fn bank_owner(&self, bank: usize) -> usize {
+        self.bank_shard.get(bank).copied().unwrap_or(self.tail)
     }
 
     /// The start-time bank indices owned by `shard` (banks appended by
@@ -1122,10 +1132,15 @@ impl ShardedHandle {
     /// survivors. Intended targets that are all quarantined fall back
     /// to a full sweep of the surviving target set (routed searches
     /// keep answering, degraded, when their routed shards die).
+    ///
+    /// `enqueue` also receives the shard's seed hint: the routed
+    /// `banks` that shard owns, as shard-local indices (empty for a
+    /// shard that owns none of them, or when `banks` is empty).
     fn fan_out<T>(
         &self,
         intended: &[usize],
-        enqueue: impl Fn(&ServeHandle) -> Result<Ticket<T>, ServeError>,
+        banks: &[usize],
+        enqueue: impl Fn(&ServeHandle, Vec<usize>) -> Result<Ticket<T>, ServeError>,
     ) -> Result<Fanned<T>, ServeError> {
         let mut losses = Losses::default();
         let mut live: Vec<usize> = Vec::with_capacity(intended.len());
@@ -1179,11 +1194,17 @@ impl ShardedHandle {
         let mut parts: Vec<Part<T>> = Vec::with_capacity(admitted.len());
         let mut admitted = admitted.into_iter();
         while let Some((i, shard)) = admitted.next() {
-            match enqueue(&shard) {
+            let bank_base = self.topo.bank_bases[i];
+            let seeds: Vec<usize> = banks
+                .iter()
+                .filter(|&&b| self.topo.bank_owner(b) == i)
+                .filter_map(|&b| b.checked_sub(bank_base))
+                .collect();
+            match enqueue(&shard, seeds) {
                 Ok(ticket) => parts.push(Part {
                     shard: i,
                     row_base: self.topo.bases[i],
-                    bank_base: self.topo.bank_bases[i],
+                    bank_base,
                     handle: shard,
                     ticket,
                 }),
@@ -1226,15 +1247,20 @@ impl ShardedHandle {
         })
     }
 
-    /// The shard subset a (validated) query fans to: the full target
-    /// set without a router, else the shards owning the query's routed
-    /// banks. A contacted shard sweeps all of its banks, so this is a
-    /// superset of the routed banks; an empty route (unseen bucket
-    /// region) falls back to every target. The returned list is
-    /// ascending, deduplicated, and always a subset of `self.targets`.
-    fn route_targets(&self, query: &[u8]) -> Result<Vec<usize>, ServeError> {
+    /// The shard subset a (validated) query fans to, and the routed
+    /// banks that seed each contacted shard's sweep: the full target
+    /// set and no banks without a router, else the shards owning the
+    /// query's routed banks, and those banks. The query is hashed once
+    /// for both. A contacted shard still answers over all of its banks
+    /// — scoring its routed banks first only tightens the bound its
+    /// full sweep starts from, so it skips work, never rows. An empty
+    /// route (unseen bucket region) or a poisoned router falls back to
+    /// every target with no banks. The shard list is ascending,
+    /// deduplicated, and always a subset of `self.targets`.
+    fn route_targets(&self, query: &[u8]) -> Result<(Vec<usize>, Vec<usize>), ServeError> {
+        let everywhere = || Ok((self.topo.targets.to_vec(), Vec::new()));
         let Some(router) = &self.topo.router else {
-            return Ok(self.topo.targets.to_vec());
+            return everywhere();
         };
         #[cfg(feature = "chaos")]
         self.inject_router_fault();
@@ -1243,29 +1269,20 @@ impl ShardedHandle {
             // the buckets may be stale. Degrade to the full fan-out —
             // a recall-safe superset of any route — instead of
             // panicking the client thread.
-            return Ok(self.topo.targets.to_vec());
+            return everywhere();
         };
         let banks = guard.route(query).map_err(ServeError::Core)?;
         drop(guard);
-        if banks.is_empty() {
-            return Ok(self.topo.targets.to_vec());
-        }
         let mut targets: Vec<usize> = banks
             .iter()
-            .map(|&b| {
-                self.topo
-                    .bank_shard
-                    .get(b)
-                    .copied()
-                    .unwrap_or(self.topo.tail)
-            })
+            .map(|&b| self.topo.bank_owner(b))
             .filter(|s| self.topo.targets.binary_search(s).is_ok())
             .collect();
         targets.dedup();
         if targets.is_empty() {
-            return Ok(self.topo.targets.to_vec());
+            return everywhere();
         }
-        Ok(targets)
+        Ok((targets, banks))
     }
 
     fn submit_at(
@@ -1275,10 +1292,10 @@ impl ShardedHandle {
         metric: Metric,
     ) -> Result<ShardTicket, ServeError> {
         validate_query(self.word_len, self.n_levels, query)?;
-        let targets = self.route_targets(query)?;
+        let (targets, banks) = self.route_targets(query)?;
         let enqueue_deadline = deadline.map(|(instant, _)| instant);
-        let fanned = self.fan_out(&targets, |shard| {
-            shard.enqueue_search(query, enqueue_deadline, metric)
+        let fanned = self.fan_out(&targets, &banks, |shard, seeds| {
+            shard.enqueue_search(query, enqueue_deadline, metric, seeds)
         });
         self.deadline_outranks(fanned, deadline).map(ShardTicket)
     }
@@ -1384,9 +1401,10 @@ impl ShardedHandle {
         metric: Metric,
     ) -> Result<ShardTopKTicket, ServeError> {
         validate_query(self.word_len, self.n_levels, query)?;
-        let targets = self.route_targets(query)?;
+        // Top-k never abandons, so it takes no seed banks.
+        let (targets, _) = self.route_targets(query)?;
         let enqueue_deadline = deadline.map(|(instant, _)| instant);
-        let fanned = self.fan_out(&targets, |shard| {
+        let fanned = self.fan_out(&targets, &[], |shard, _| {
             shard.enqueue_top_k(query, k, enqueue_deadline, metric)
         });
         let fanned = self.deadline_outranks(fanned, deadline)?;

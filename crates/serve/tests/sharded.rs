@@ -15,12 +15,15 @@
 //!    different shards tie bit-for-bit, and the merged winner is the
 //!    lowest global row, exactly as the in-memory banked merge
 //!    resolves it.
+//! 4. **Routed serving** — a routed server's shards score the routed
+//!    banks first, yet every winner equals a sweep of all the banks of
+//!    the shards the route contacts: the whole memory at one shard.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use femcam_core::{BankedMcam, ConductanceLut, LevelLadder, Precision};
+use femcam_core::{BankedMcam, ConductanceLut, LevelLadder, Precision, RoutedMcam, RouterConfig};
 use femcam_device::FefetModel;
 use femcam_serve::{ServeConfig, ServeError, ShardedServer};
 
@@ -202,6 +205,129 @@ proptest! {
             if w[0].1.to_bits() == w[1].1.to_bits() {
                 prop_assert!(w[0].0 < w[1].0, "tied hits out of global-row order");
             }
+        }
+    }
+}
+
+/// `word` with `cells` random cells (repeats allowed) one level up.
+fn jitter(word: &[u8], cells: usize, next: &mut impl FnMut() -> usize) -> Vec<u8> {
+    let mut w = word.to_vec();
+    for _ in 0..cells {
+        let c = next() % w.len();
+        w[c] = (w[c] + 1) % 8;
+    }
+    w
+}
+
+/// The shard owning each of `n_banks` start-time banks after
+/// `BankedMcam::partition(n_shards)`, and the append-tail shard that
+/// owns every bank added later.
+fn bank_owners(n_banks: usize, n_shards: usize) -> (Vec<usize>, usize) {
+    let takes: Vec<usize> = (0..n_shards)
+        .map(|i| n_banks / n_shards + usize::from(i < n_banks % n_shards))
+        .collect();
+    let owners: Vec<usize> = takes
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &take)| std::iter::repeat_n(i, take))
+        .collect();
+    let tail = takes.iter().rposition(|&t| t > 0).unwrap_or(0);
+    (owners, tail)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Routed serving with interleaved stores, at `Codes` and `F32`:
+    /// every winner is bitwise the full sweep's at one shard, and at
+    /// two and three shards the masked sweep over every bank of the
+    /// shards the route contacts — the shards score their routed banks
+    /// first, which must change the work only. A word stored in the
+    /// first bank and again in a later one answers with its first copy.
+    #[test]
+    fn routed_serving_matches_the_contacted_shards_sweep(
+        seed in 0u64..10_000,
+        codes in any::<bool>(),
+        ops in proptest::collection::vec(0u8..4, 6..14),
+    ) {
+        const WORD: usize = 8;
+        const PER_BANK: usize = 4;
+        let precision = if codes { Precision::Codes } else { Precision::F32 };
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as usize
+        };
+        let centres: Vec<Vec<u8>> = (0..4)
+            .map(|_| (0..WORD).map(|_| (next() % 8) as u8).collect())
+            .collect();
+        let mut rows: Vec<Vec<u8>> = (0..26).map(|i| jitter(&centres[i % 4], i % 3, &mut next)).collect();
+        let dup = rows[1].clone();
+        rows[PER_BANK * 4 + 2] = dup.clone();
+        let stores: Vec<Vec<u8>> = (0..8).map(|i| jitter(&centres[i % 4], 1, &mut next)).collect();
+        for shards in [1usize, 2, 3] {
+            let mut memory = empty_memory(3, WORD, PER_BANK);
+            for r in &rows {
+                memory.store(r).expect("store");
+            }
+            let start_banks = memory.n_banks();
+            let routed = RoutedMcam::new(memory, RouterConfig::default()).expect("router");
+            let config = ServeConfig { max_batch: 8, ..serve_config(precision) };
+            let server = ShardedServer::start_routed(routed, shards, config);
+            let handle = server.handle();
+            let mut shadow = empty_memory(3, WORD, PER_BANK);
+            for r in &rows {
+                shadow.store(r).expect("store");
+            }
+            let mut shadow = RoutedMcam::new(shadow, RouterConfig::default()).expect("router");
+            let (owners, tail) = bank_owners(start_banks, shards);
+            let owner = |b: usize| owners.get(b).copied().unwrap_or(tail);
+            let mut n_stores = 0;
+            for (step, &op) in ops.iter().enumerate() {
+                if op == 0 {
+                    let word = &stores[n_stores % stores.len()];
+                    n_stores += 1;
+                    let got = handle.store(word).expect("served store");
+                    prop_assert_eq!(got, shadow.store(word).expect("shadow store"));
+                    continue;
+                }
+                // A batch of in-flight searches: the duplicated word,
+                // stored rows, near-duplicates and an arbitrary word.
+                let mut queries = vec![dup.clone()];
+                for i in 0..6 {
+                    let r = rows[next() % rows.len()].clone();
+                    queries.push(if i % 2 == 0 { r } else { jitter(&r, 1 + i % 3, &mut next) });
+                }
+                queries.push((0..WORD).map(|_| (next() % 8) as u8).collect());
+                let tickets: Vec<_> = queries
+                    .iter()
+                    .map(|q| handle.submit(q).expect("submit"))
+                    .collect();
+                let all: Vec<usize> = (0..shadow.memory().n_banks()).collect();
+                for (q, ticket) in queries.iter().zip(tickets) {
+                    let (row, g) = ticket.wait().expect("served search");
+                    let contacted: Vec<usize> =
+                        shadow.route(q).expect("route").iter().map(|&b| owner(b)).collect();
+                    let banks: Vec<usize> =
+                        all.iter().copied().filter(|&b| contacted.contains(&owner(b))).collect();
+                    let want = if shards == 1 {
+                        shadow.memory().search_batch_winners_with(&[q], precision)
+                    } else {
+                        shadow.memory().search_batch_winners_masked(&[q], precision, &banks)
+                    }
+                    .expect("oracle")[0];
+                    let ctx = format!("{shards} shards, step {step}, {precision:?}, query {q:?}");
+                    prop_assert_eq!(row, want.0, "{}", ctx);
+                    prop_assert_eq!(g.to_bits(), want.1.to_bits(), "{}", ctx);
+                    if *q == dup {
+                        prop_assert_eq!(row, 1, "{}: a duplicate resolves to its first copy", ctx);
+                    }
+                }
+            }
+            drop(handle);
+            let _ = server.shutdown();
         }
     }
 }
