@@ -34,6 +34,19 @@
 //! approaches the number of concurrent clients; an isolated request
 //! pays at most [`ServeConfig::max_wait`] of extra latency.
 //!
+//! The window is answered in two steps: every answer is published
+//! first, then the waiters that are asleep are woken, once each. A
+//! waiter marks itself asleep under its slot mutex just before it
+//! blocks, so an answer that lands while its waiter is still awake
+//! costs no notify at all. Waking each waiter as its answer lands
+//! would undo the batching: on a shared CPU every wake preempts the
+//! dispatcher mid-window, and a pipelined client holding many tickets
+//! of one window would sleep and wake once per answer. The order is
+//! fixed: stats, admission-slot release, publish, wake. A waiter that
+//! is awake sees its answer the moment it is published, so its batch
+//! is already counted and its slot already free; a client resubmitting
+//! at capacity is never refused by its own finished batch.
+//!
 //! **Deadlines.** The window's default close time is `max_wait` after
 //! it opened — the *global* patience of a batching window. A request
 //! submitted through [`ShardedHandle::submit_with_deadline`] carries
@@ -136,7 +149,10 @@
 //!   every in-flight waiter with [`ServeError::DispatcherFailed`]
 //!   (never a hang), keeps the owned memory, and restarts the loop in
 //!   place. Dispatcher exit paths drain the queue; abandoned responders
-//!   wake their waiters with [`ServeError::ShuttingDown`].
+//!   wake their waiters with [`ServeError::ShuttingDown`]. A published
+//!   answer's wake-up lives in a `Wake` guard whose `Drop` notifies,
+//!   so an unwind between a window's publish and its wake still wakes
+//!   every sleeper.
 //! * **Self-healing, with a circuit breaker.** Each recovery
 //!   increments that shard's [`ServeStats::restarts`] (in
 //!   [`ShardedStats::per_shard`]). More than
@@ -253,7 +269,7 @@
 //! counters are relaxed, ordered — where a test or caller needs
 //! ordering — by the one-shot ticket mutex they are read behind or by
 //! a thread join. The restart counter is bumped **before** the failed
-//! window's waiters are fulfilled, so any client observing
+//! window's answers are published, so any client observing
 //! [`ServeError::DispatcherFailed`] already sees its restart counted
 //! (and a tripped breaker's failed flag). The dispatcher's hot loop
 //! (`fn dispatch` in this file) never reads the clock directly: window
@@ -553,10 +569,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One-shot result slot a waiter blocks on.
+/// One-shot result slot a waiter blocks on. `asleep` is set by the
+/// waiter, under the slot mutex, just before it blocks on the condvar
+/// (and cleared whenever it re-checks the slot): a publisher that finds
+/// it unset knows the waiter will read the answer before it ever
+/// sleeps, and skips the notify.
 #[derive(Debug)]
 enum SlotState<T> {
-    Pending,
+    Pending { asleep: bool },
     Done(Result<T, ServeError>),
     Abandoned,
 }
@@ -571,10 +591,11 @@ impl<T> OneShot<T> {
     fn wait(&self) -> Result<T, ServeError> {
         let mut st = lock(&self.state);
         loop {
-            match std::mem::replace(&mut *st, SlotState::Pending) {
+            match std::mem::replace(&mut *st, SlotState::Pending { asleep: false }) {
                 SlotState::Done(r) => return r,
                 SlotState::Abandoned => return Err(ServeError::ShuttingDown),
-                SlotState::Pending => {
+                SlotState::Pending { .. } => {
+                    *st = SlotState::Pending { asleep: true };
                     st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
                 }
             }
@@ -588,14 +609,15 @@ impl<T> OneShot<T> {
     fn wait_deadline(&self, deadline: Instant) -> Option<Result<T, ServeError>> {
         let mut st = lock(&self.state);
         loop {
-            match std::mem::replace(&mut *st, SlotState::Pending) {
+            match std::mem::replace(&mut *st, SlotState::Pending { asleep: false }) {
                 SlotState::Done(r) => return Some(r),
                 SlotState::Abandoned => return Some(Err(ServeError::ShuttingDown)),
-                SlotState::Pending => {
+                SlotState::Pending { .. } => {
                     let now = Instant::now();
                     if now >= deadline {
                         return None;
                     }
+                    *st = SlotState::Pending { asleep: true };
                     let (guard, _timed_out) = self
                         .cv
                         .wait_timeout(st, deadline - now)
@@ -605,11 +627,56 @@ impl<T> OneShot<T> {
             }
         }
     }
+
+    /// Settles the slot (its one write) and reports whether the waiter
+    /// was asleep on it — the only case that needs a notify.
+    fn settle(&self, state: SlotState<T>) -> bool {
+        let prior = std::mem::replace(&mut *lock(&self.state), state);
+        matches!(prior, SlotState::Pending { asleep: true })
+    }
 }
 
-/// The dispatcher-side half of a one-shot: fulfilling it wakes the
-/// waiter; dropping it unfulfilled (dispatcher exit) wakes the waiter
-/// with [`ServeError::ShuttingDown`] — a request can never strand its
+/// A slot whose waiter is asleep, type-erased so one window's winner
+/// and top-k answers share a single [`Wake`] list.
+trait Sleeper {
+    fn wake(&self);
+}
+
+impl<T> Sleeper for OneShot<T> {
+    fn wake(&self) {
+        self.cv.notify_all();
+    }
+}
+
+/// The wake half of a [`Responder::publish`]: dropping it notifies the
+/// waiter — after the slot mutex is released, and only if the waiter
+/// was asleep when the answer landed. Because the notify lives in
+/// `Drop`, an unwind between publish and wake still wakes everyone.
+#[must_use = "dropping a Wake is what wakes its waiter"]
+struct Wake {
+    sleeper: Option<Arc<dyn Sleeper>>,
+}
+
+impl Wake {
+    /// `true` when this answer's waiter is asleep and the drop will
+    /// notify it.
+    fn wakes_sleeper(&self) -> bool {
+        self.sleeper.is_some()
+    }
+}
+
+impl Drop for Wake {
+    fn drop(&mut self) {
+        if let Some(sleeper) = self.sleeper.take() {
+            sleeper.wake();
+        }
+    }
+}
+
+/// The dispatcher-side half of a one-shot: publishing into it answers
+/// the waiter (the returned [`Wake`] wakes it if it sleeps); dropping
+/// it unpublished (dispatcher exit) wakes the waiter with
+/// [`ServeError::ShuttingDown`] — a request can never strand its
 /// client.
 #[derive(Debug)]
 struct Responder<T> {
@@ -617,10 +684,10 @@ struct Responder<T> {
     done: bool,
 }
 
-impl<T> Responder<T> {
+impl<T: 'static> Responder<T> {
     fn new() -> (Responder<T>, Arc<OneShot<T>>) {
         let slot = Arc::new(OneShot {
-            state: Mutex::new("serve.oneshot", SlotState::Pending),
+            state: Mutex::new("serve.oneshot", SlotState::Pending { asleep: false }),
             cv: Condvar::new(),
         });
         (
@@ -632,24 +699,28 @@ impl<T> Responder<T> {
         )
     }
 
-    fn fulfill(mut self, result: Result<T, ServeError>) {
-        {
-            let mut st = lock(&self.slot.state);
-            *st = SlotState::Done(result);
-            self.slot.cv.notify_all();
-        }
+    /// Writes the answer under the slot mutex and hands back the wake:
+    /// a window publishes every answer first and wakes the sleepers
+    /// once, after it has published the last one.
+    fn publish(mut self, result: Result<T, ServeError>) -> Wake {
         self.done = true;
+        let asleep = self.slot.settle(SlotState::Done(result));
+        Wake {
+            sleeper: asleep.then(|| Arc::clone(&self.slot) as Arc<dyn Sleeper>),
+        }
+    }
+
+    /// Publishes and wakes at once: the single-request paths (store
+    /// ack, report, dead-on-arrival reject, exit drain).
+    fn fulfill(self, result: Result<T, ServeError>) {
+        drop(self.publish(result));
     }
 }
 
 impl<T> Drop for Responder<T> {
     fn drop(&mut self) {
-        if !self.done {
-            let mut st = lock(&self.slot.state);
-            if matches!(*st, SlotState::Pending) {
-                *st = SlotState::Abandoned;
-                self.slot.cv.notify_all();
-            }
+        if !self.done && self.slot.settle(SlotState::Abandoned) {
+            self.slot.wake();
         }
     }
 }
@@ -730,6 +801,10 @@ struct Shared {
     rejected: AtomicU64,
     /// Requests rejected because their deadline passed unexecuted.
     deadline_rejected: AtomicU64,
+    /// Batch answers whose waiter was asleep when published, so the
+    /// dispatcher had to wake it (atomic for the same reason as
+    /// `rejected`).
+    woken: AtomicU64,
     stats: Mutex<StatsInner>,
     started: Instant,
     /// Banks the served memory currently holds (maintained by the
@@ -797,7 +872,7 @@ impl ServeHandle {
         })
     }
 
-    fn enqueue<T>(
+    fn enqueue<T: 'static>(
         &self,
         request: impl FnOnce(Responder<T>) -> Request,
     ) -> Result<Ticket<T>, ServeError> {
@@ -912,13 +987,14 @@ impl ServeHandle {
         // ORDERING: Relaxed — a stats snapshot tolerates counters read
         // at slightly different instants; each is individually recent.
         // `restarts` needs no edge of its own: `note_restart` counts a
-        // batch's restart before any of its waiters wake, and the
+        // batch's restart before any of its answers is published, and the
         // waiter's one-shot mutex hand-off orders that count before
         // this load.
         stats::snapshot(
             &inner,
             self.shared.rejected.load(Ordering::Relaxed),
             self.shared.deadline_rejected.load(Ordering::Relaxed),
+            self.shared.woken.load(Ordering::Relaxed),
             self.shared.started.elapsed(),
             self.shared.depth.load(Ordering::Relaxed),
             self.shared.capacity,
@@ -974,6 +1050,7 @@ impl McamServer {
             n_levels: memory.ladder().n_levels(),
             rejected: AtomicU64::new(0),
             deadline_rejected: AtomicU64::new(0),
+            woken: AtomicU64::new(0),
             stats: Mutex::new("serve.stats", StatsInner::default()),
             started: Instant::now(),
             n_banks: AtomicUsize::new(memory.n_banks()),
@@ -1119,7 +1196,7 @@ impl Window {
 /// the request is still live, or rejects it (dead on arrival at the
 /// dispatcher — its deadline passed while it sat queued) and returns
 /// `None`.
-fn live_or_reject<T>(
+fn live_or_reject<T: 'static>(
     deadline: Option<Instant>,
     submitted: Instant,
     now: Instant,
@@ -1353,7 +1430,7 @@ fn answer_exit(request: Request, shared: &Shared) {
 /// its terminal `Failed` state instead of restarting again.
 fn note_restart(shared: &Shared, breaker: &mut RestartBreaker) -> bool {
     // ORDERING: Relaxed — the count is published to waiters by the
-    // one-shot mutex hand-off that wakes them (fulfill happens after
+    // one-shot mutex hand-off that answers them (publish happens after
     // this call), not by the counter itself.
     shared.restarts.fetch_add(1, Ordering::Relaxed);
     if breaker.record(Instant::now()) {
@@ -1407,8 +1484,8 @@ struct BatchPanic {
 
 /// The sweeps run under `catch_unwind`: a panic counts the restart
 /// against `breaker` (so the restart — and a tripped breaker's
-/// terminal `failed` flag — is visible before any waiter wakes), then
-/// answers every request in the window with
+/// terminal `failed` flag — is visible before any answer is
+/// published), then answers every request in the window with
 /// [`ServeError::DispatcherFailed`] (slots released, nobody stranded)
 /// and returns the [`BatchPanic`]. The metric groups stay owned out
 /// here — an unwind can never drop a live responder.
@@ -1477,41 +1554,46 @@ fn execute_window(
         Ok(pair) => pair,
         Err(payload) => {
             let detail = panic_detail(payload.as_ref());
-            // Restart accounting first: a waiter that observes its
-            // `DispatcherFailed` and immediately reads `restarts()` or
+            // Restart accounting and slot release before the first
+            // publish: a waiter that finds its `DispatcherFailed`
+            // without sleeping and immediately reads `restarts()` or
             // `is_failed()` must see this batch already counted.
             let tripped = note_restart(shared, breaker);
             // ORDERING: Relaxed — batch slot release; see `release_slot`.
             shared.depth.fetch_sub(size, Ordering::Relaxed);
+            let failed = || ServeError::DispatcherFailed {
+                detail: detail.clone(),
+            };
+            let mut wakes = Vec::with_capacity(size);
             for s in search_groups.iter_mut().flat_map(|g| g.drain(..)) {
-                s.responder.fulfill(Err(ServeError::DispatcherFailed {
-                    detail: detail.clone(),
-                }));
+                wakes.push(s.responder.publish(Err(failed())));
             }
             for t in topk_groups.iter_mut().flat_map(|g| g.drain(..)) {
-                t.responder.fulfill(Err(ServeError::DispatcherFailed {
-                    detail: detail.clone(),
-                }));
+                wakes.push(t.responder.publish(Err(failed())));
             }
+            wake_window(shared, wakes);
             return Err(BatchPanic { tripped });
         }
     };
     let exec_ns = exec_start.elapsed().as_nanos();
+    // Stats, then slot release, then publish, then wake. A waiter that
+    // is not asleep sees its answer the moment it is published, so
+    // everything it may observe next must already be in place: its
+    // batch counted, and its admission slot free (a client resubmitting
+    // the instant its result arrives must not be spuriously rejected
+    // against a queue that is actually drained).
     {
         let mut stats = lock(&shared.stats);
         stats.record_batch(waits.into_iter(), size, n_topk, exec_ns);
     }
-    // Release the admission slots *before* waking any waiter: a client
-    // that resubmits the instant its result arrives must find its slot
-    // free, or a full wave of closed-loop clients would be spuriously
-    // rejected against a queue that is actually drained.
     // ORDERING: Relaxed — batch slot release; see `release_slot`.
     shared.depth.fetch_sub(size, Ordering::Relaxed);
+    let mut wakes = Vec::with_capacity(size);
     for (group, sweep) in search_groups.iter_mut().zip(winners) {
         match sweep {
             Some(Ok(hits)) => {
                 for (s, winner) in group.drain(..).zip(hits) {
-                    s.responder.fulfill(Ok(winner));
+                    wakes.push(s.responder.publish(Ok(winner)));
                 }
             }
             // Queries were validated at admission, so a sweep-level
@@ -1519,7 +1601,7 @@ fn execute_window(
             // the group equally.
             Some(Err(e)) => {
                 for s in group.drain(..) {
-                    s.responder.fulfill(Err(ServeError::Core(e.clone())));
+                    wakes.push(s.responder.publish(Err(ServeError::Core(e.clone()))));
                 }
             }
             None => {}
@@ -1530,18 +1612,30 @@ fn execute_window(
             Some(Ok(per_query)) => {
                 for (t, mut hits) in group.drain(..).zip(per_query) {
                     hits.truncate(t.k);
-                    t.responder.fulfill(Ok(hits));
+                    wakes.push(t.responder.publish(Ok(hits)));
                 }
             }
             Some(Err(e)) => {
                 for t in group.drain(..) {
-                    t.responder.fulfill(Err(ServeError::Core(e.clone())));
+                    wakes.push(t.responder.publish(Err(ServeError::Core(e.clone()))));
                 }
             }
             None => {}
         }
     }
+    wake_window(shared, wakes);
     Ok(())
+}
+
+/// Wakes the sleepers among a window's published answers — once,
+/// after the last publish — and counts them in [`ServeStats::woken`].
+fn wake_window(shared: &Shared, wakes: Vec<Wake>) {
+    let sleepers = wakes.iter().filter(|w| w.wakes_sleeper()).count();
+    // ORDERING: Relaxed — monotone stats counter; it orders nothing
+    // (a waiter may read stats before this lands, which only
+    // under-counts the batch it was woken by).
+    shared.woken.fetch_add(sleepers as u64, Ordering::Relaxed);
+    drop(wakes);
 }
 
 fn report(memory: &BankedMcam, config: &ServeConfig) -> MemoryReport {
@@ -1885,5 +1979,216 @@ mod tests {
         assert!(report.plan.codes > 0);
         assert!(report.resident_bytes() >= report.plan.codes);
         assert!(report.over_budget(), "1-byte budget must be exceeded");
+    }
+
+    /// Wake protocol: a window publishes every answer before it wakes
+    /// anyone, so the waiter woken by the first answer finds all the
+    /// others already in their slots.
+    #[test]
+    fn wake_protocol_publishes_the_whole_window_before_any_wake() {
+        const N: usize = 32;
+        let rows: Vec<[u8; 4]> = (0..12u8)
+            .map(|i| [i % 8, (i * 3) % 8, (i * 5 + 1) % 8, (i / 2) % 8])
+            .collect();
+        let direct = memory_with_rows(&rows);
+        let server = McamServer::start(
+            memory_with_rows(&rows),
+            ServeConfig {
+                max_batch: N,
+                // Only a full window closes it: all N land in one batch.
+                max_wait: Duration::from_secs(30),
+                queue_capacity: Some(N),
+                ..ServeConfig::default()
+            },
+        );
+        let handle = server.handle();
+        let queries: Vec<[u8; 4]> = (0..N as u8)
+            .map(|i| [(i * 7) % 8, i % 8, (i / 8) % 8, (i * 3 + 2) % 8])
+            .collect();
+        let mut tickets: Vec<_> = queries
+            .iter()
+            .map(|q| {
+                handle.admit().unwrap();
+                handle
+                    .enqueue_search(q, None, Metric::default(), Vec::new())
+                    .unwrap()
+            })
+            .collect();
+        let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
+        let want = direct
+            .search_batch_winners_with(&refs, Precision::F64)
+            .unwrap();
+        let rest = tickets.split_off(1);
+        let first = tickets.pop().unwrap().wait().unwrap();
+        let mut got = vec![first];
+        for (i, ticket) in rest.into_iter().enumerate() {
+            let answer = ticket
+                .wait_deadline(Instant::now())
+                .unwrap_or_else(|| panic!("ticket {} unpublished after the first woke", i + 1));
+            got.push(answer.unwrap());
+        }
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.0, w.0);
+            assert_eq!(g.1.to_bits(), w.1.to_bits());
+        }
+        let stats = handle.stats();
+        assert_eq!((stats.batches, stats.queries), (1, N as u64));
+        assert!(stats.woken <= 1, "one sleeper, {} wakes", stats.woken);
+        let _ = server.shutdown();
+    }
+
+    /// Wake protocol, with every waiter asleep: each sleeper wakes to
+    /// a window whose last answer is already published (a per-answer
+    /// wake would let the first sleepers run before the dispatcher
+    /// reached it).
+    #[test]
+    fn wake_protocol_sleepers_wake_to_a_fully_published_window() {
+        const N: usize = 16;
+        let rows = [[0u8, 1, 2, 3], [7, 7, 7, 7], [1, 1, 2, 3], [4, 4, 4, 4]];
+        let server = McamServer::start(
+            memory_with_rows(&rows),
+            ServeConfig {
+                max_batch: N,
+                max_wait: Duration::from_secs(30),
+                queue_capacity: Some(N),
+                ..ServeConfig::default()
+            },
+        );
+        let handle = server.handle();
+        let submit = |i: usize| {
+            handle.admit().unwrap();
+            let q = [(i % 8) as u8, 1, 2, 3];
+            handle
+                .enqueue_search(&q, None, Metric::default(), Vec::new())
+                .unwrap()
+        };
+        let last_slot = Arc::new(std::sync::OnceLock::<Arc<OneShot<(usize, f64)>>>::new());
+        let (seen, collected) = mpsc::channel();
+        let (mut sleepers, mut waiters) = (Vec::new(), Vec::new());
+        for i in 0..N - 1 {
+            let ticket = submit(i);
+            sleepers.push(Arc::clone(&ticket.slot));
+            let (seen, last_slot) = (seen.clone(), Arc::clone(&last_slot));
+            waiters.push(std::thread::spawn(move || {
+                let answer = ticket.wait();
+                // Checked on the woken thread itself, the moment it runs
+                // (the submitter records the last slot right after its
+                // send, possibly after the window already ran).
+                let last = loop {
+                    match last_slot.get() {
+                        Some(slot) => break slot,
+                        None => std::thread::yield_now(),
+                    }
+                };
+                let last_published = matches!(*lock(&last.state), SlotState::Done(_));
+                seen.send((answer, last_published)).unwrap();
+            }));
+        }
+        for slot in &sleepers {
+            while !matches!(*lock(&slot.state), SlotState::Pending { asleep: true }) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // The last submission fills the window; its answer is the
+        // last one the dispatcher publishes.
+        let last = submit(N - 1);
+        last_slot.set(Arc::clone(&last.slot)).unwrap();
+        for _ in 0..N - 1 {
+            let (answer, last_published) = collected.recv_timeout(Duration::from_secs(10)).unwrap();
+            answer.unwrap();
+            assert!(
+                last_published,
+                "a sleeper woke before the window's last answer was published"
+            );
+        }
+        last.wait().unwrap();
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
+        assert_eq!(handle.stats().woken, (N - 1) as u64);
+        let _ = server.shutdown();
+    }
+
+    /// Wake protocol: the wake-up lives in the `Wake` guard, so an
+    /// unwind after a window is published but before it is woken still
+    /// wakes every sleeper with its published answer.
+    #[test]
+    fn wake_protocol_unwind_between_publish_and_wake_strands_no_one() {
+        const WAITERS: usize = 4;
+        let (answers, collected) = mpsc::channel();
+        let (mut responders, mut waiters) = (Vec::new(), Vec::new());
+        let mut slots = Vec::new();
+        for i in 0..WAITERS {
+            let (responder, slot) = Responder::<usize>::new();
+            responders.push(responder);
+            slots.push(Arc::clone(&slot));
+            let answers = answers.clone();
+            waiters.push(std::thread::spawn(move || {
+                answers.send((i, slot.wait())).unwrap();
+            }));
+        }
+        // Publish only once every waiter is asleep on its slot, so each
+        // answer needs a wake the unwind must not lose.
+        for slot in &slots {
+            while !matches!(*lock(&slot.state), SlotState::Pending { asleep: true }) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let wakes: Vec<Wake> = responders
+                .into_iter()
+                .enumerate()
+                .map(|(i, r)| r.publish(Ok(100 + i)))
+                .collect();
+            assert!(wakes.iter().all(Wake::wakes_sleeper));
+            // Never dropped explicitly: only the unwind drops the guards.
+            std::panic::resume_unwind(Box::new(wakes.len()));
+        }));
+        assert!(unwound.is_err());
+        let mut seen = [false; WAITERS];
+        for _ in 0..WAITERS {
+            let (i, answer) = collected
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a published waiter was stranded by the unwind");
+            assert_eq!(answer, Ok(100 + i));
+            seen[i] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
+    }
+
+    /// Wake protocol: one pipelined client holds at most one sleeping
+    /// ticket at a time, so it costs at most one wake per batch.
+    #[test]
+    fn wake_protocol_wakes_a_pipelined_client_at_most_once_per_batch() {
+        let rows = [[0u8, 1, 2, 3], [7, 7, 7, 7], [1, 1, 2, 3], [4, 4, 4, 4]];
+        let server = ShardedServer::start(memory_with_rows(&rows), 2, ServeConfig::default());
+        let handle = server.handle();
+        for round in 0..20u8 {
+            let tickets: Vec<_> = (0..16u8)
+                .map(|i| handle.submit(&[i % 8, round % 8, 3, 4]).unwrap())
+                .collect();
+            for t in tickets {
+                t.wait().unwrap();
+            }
+        }
+        let stats = server.stats();
+        for shard in &stats.per_shard {
+            assert_eq!(shard.queries, 320);
+            assert!(
+                shard.woken <= shard.batches,
+                "{} wakes over {} batches",
+                shard.woken,
+                shard.batches
+            );
+        }
+        let merged = stats.merged();
+        assert_eq!(
+            merged.woken,
+            stats.per_shard.iter().map(|s| s.woken).sum::<u64>()
+        );
+        let _ = server.shutdown();
     }
 }

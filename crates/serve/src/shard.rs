@@ -1700,9 +1700,10 @@ impl ShardedStats {
     /// `batches`/`mean_batch`/`max_batch` aggregate the dispatchers'
     /// windows (weighted by batches), `mean_exec_us_per_query` is the
     /// mean over per-shard *executions* (each fanned request executes
-    /// once per shard), and the wait percentiles are the **worst
-    /// shard's** (conservative — the merged answer is gated by its
-    /// slowest shard anyway).
+    /// once per shard), `woken` sums the dispatchers' wake-ups (a
+    /// fanned request can cost one per shard), and the wait
+    /// percentiles are the **worst shard's** (conservative — the
+    /// merged answer is gated by its slowest shard anyway).
     #[must_use]
     pub fn merged(&self) -> ServeStats {
         let executed: u64 = self.per_shard.iter().map(|s| s.queries).sum();
@@ -1724,6 +1725,7 @@ impl ShardedStats {
             batches,
             rejected: self.rejected,
             deadline_rejected: self.deadline_rejected,
+            woken: self.per_shard.iter().map(|s| s.woken).sum(),
             mean_batch: if batches == 0 {
                 0.0
             } else {

@@ -73,6 +73,12 @@ pub struct ServeStats {
     /// Requests rejected because their deadline passed before the
     /// dispatcher could execute them.
     pub deadline_rejected: u64,
+    /// Searches whose waiter was asleep when the dispatcher published
+    /// the answer, so it had to be woken. A window publishes every
+    /// answer before it wakes anyone, so a client holding several
+    /// tickets of one window is woken once for all of them: `woken /
+    /// queries` is the share of answers that cost a wake-up.
+    pub woken: u64,
     /// Mean achieved micro-batch size (`queries / batches`).
     pub mean_batch: f64,
     /// Largest micro-batch executed.
@@ -131,6 +137,7 @@ pub(crate) fn snapshot(
     inner: &StatsInner,
     rejected: u64,
     deadline_rejected: u64,
+    woken: u64,
     elapsed: Duration,
     queue_depth: usize,
     queue_capacity: usize,
@@ -147,6 +154,7 @@ pub(crate) fn snapshot(
         batches: inner.batches,
         rejected,
         deadline_rejected,
+        woken,
         mean_batch: if inner.batches == 0 {
             0.0
         } else {
@@ -216,7 +224,7 @@ mod tests {
         assert_eq!(inner.queries, 12);
         assert_eq!(inner.topk_queries, 3);
         assert_eq!(inner.batches, 3);
-        let stats = snapshot(&inner, 0, 0, Duration::from_secs(1), 0, 64, 0, false);
+        let stats = snapshot(&inner, 0, 0, 0, Duration::from_secs(1), 0, 64, 0, false);
         assert_eq!(stats.mean_batch, 4.0);
         assert_eq!(stats.max_batch, 4);
         assert!((stats.mean_exec_us_per_query - 10.0).abs() < 1e-9);

@@ -101,8 +101,12 @@ fn main() -> femcam_core::Result<()> {
         elapsed.as_secs_f64() * 1e6 / total as f64,
     );
     println!(
-        "micro-batches: {} executed, mean batch {:.1}, max {}",
-        stats.batches, stats.mean_batch, stats.max_batch
+        "micro-batches: {} executed, mean batch {:.1}, max {}; {} waiters woken ({:.2} per query)",
+        stats.batches,
+        stats.mean_batch,
+        stats.max_batch,
+        stats.woken,
+        stats.woken as f64 / stats.queries.max(1) as f64
     );
     println!(
         "wait (submit -> execute): p50 {:.0} us, p99 {:.0} us; executor {:.1} us/query",
