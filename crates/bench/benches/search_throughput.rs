@@ -63,11 +63,11 @@ use rand::{Rng, SeedableRng};
 use femcam_core::{
     par, BankedMcam, CodesDispatch, ConductanceLut, Euclidean, LevelLadder, McamArray,
     McamSoftware, Metric, NnIndex, Precision, QuantizeStrategy, Quantizer, RoutedMcam,
-    RouterConfig, SoftwareNn, TcamArray,
+    RouterConfig, SearchSpec, SoftwareNn, TcamArray,
 };
 use femcam_device::FefetModel;
 use femcam_lsh::RandomHyperplanes;
-use femcam_serve::{ServeConfig, ShardedServer};
+use femcam_serve::{ServeConfig, ShardTicket, ShardedServer};
 
 const WORD_LEN: usize = 64;
 
@@ -286,7 +286,10 @@ fn measure_serving(precision: Precision, shards: usize) -> ServingMeasurement {
                 let mut done = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let query = random_levels(&mut rng, WORD_LEN);
-                    handle.search(&query).expect("served search");
+                    handle
+                        .submit(&query)
+                        .and_then(ShardTicket::wait)
+                        .expect("served search");
                     done += 1;
                 }
                 done
@@ -396,7 +399,7 @@ fn measure_serving_faults() -> FaultMeasurement {
                 while !stop.load(Ordering::Relaxed) {
                     let query = random_levels(&mut rng, WORD_LEN);
                     let start = Instant::now();
-                    match handle.search(&query) {
+                    match handle.submit(&query).and_then(ShardTicket::wait) {
                         Ok(_) => {
                             let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
                             if degraded.load(Ordering::Relaxed) {
@@ -426,7 +429,7 @@ fn measure_serving_faults() -> FaultMeasurement {
     // Recovery: how long until the front end answers a fresh search
     // again (over the surviving shard, with degraded coverage).
     let recovery_us = loop {
-        if handle.search(&probe).is_ok() {
+        if handle.submit(&probe).and_then(ShardTicket::wait).is_ok() {
             break killed.elapsed().as_micros() as f64;
         }
     };
@@ -514,7 +517,7 @@ fn measure_quarantine_storm() -> StormMeasurement {
                 let mut failed = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let query = random_levels(&mut rng, WORD_LEN);
-                    match handle.search(&query) {
+                    match handle.submit(&query).and_then(ShardTicket::wait) {
                         Ok(_) => done += 1,
                         // In-flight work on a killed shard fails
                         // cleanly; the next iteration re-probes.
@@ -919,12 +922,26 @@ fn record_search_baseline(_c: &mut Criterion) {
         // Warm the (codes, metric) cache slot so the compile is not
         // part of the timed window.
         banked
-            .search_batch_winners_with_metric(&metric_refs, Precision::Codes, metric)
+            .search_batch_winners_with(
+                &metric_refs,
+                SearchSpec {
+                    precision: Precision::Codes,
+                    metric,
+                    ..SearchSpec::default()
+                },
+            )
             .unwrap();
         let ns = ns_per_query(metric_batch, 2, || {
             std::hint::black_box(
                 banked
-                    .search_batch_winners_with_metric(&metric_refs, Precision::Codes, metric)
+                    .search_batch_winners_with(
+                        &metric_refs,
+                        SearchSpec {
+                            precision: Precision::Codes,
+                            metric,
+                            ..SearchSpec::default()
+                        },
+                    )
                     .unwrap(),
             );
         });

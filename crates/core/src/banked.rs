@@ -6,32 +6,79 @@
 //! fixed-size banks, searches them in parallel, and merges the per-bank
 //! winners in a second (digital) stage — a hierarchical winner-take-all.
 //! [`BankedMcam`] models exactly that on top of [`McamArray`], and the
-//! simulation really is parallel: single-query searches shard banks
-//! across worker threads ([`crate::par`]), batched searches run through
-//! per-bank compiled plans ([`crate::exec`]), and the winner merge is a
-//! fixed-order fold over per-bank results in bank order, so every path
-//! is bit-identical to a sequential bank-by-bank sweep.
+//! simulation really is parallel: searches run batched through per-bank
+//! compiled plans ([`crate::exec`]), sharding query groups across worker
+//! threads ([`crate::par`]), and the winner merge is a fixed-order fold
+//! over per-bank results in bank order, so every path is bit-identical
+//! to a sequential bank-by-bank sweep.
+//!
+//! A search takes its parameters at search time, as the hardware does:
+//! one [`SearchSpec`] carries the precision, the metric, an optional
+//! bank mask and optional per-query seed hints, and there is one entry
+//! point per result shape ([`BankedMcam::search_batch_winners_with`],
+//! [`BankedMcam::search_batch_top_k_with`]). A single query is a batch
+//! of one. Single-query latency on warm plans is therefore no longer
+//! bank-parallel: a batch of one runs on one worker. No benchmark
+//! workload issues single banked queries; the serving layer batches
+//! them first.
 
 use std::sync::Arc;
 
 use crate::array::{McamArray, McamArrayBuilder, SearchOutcome};
 use crate::error::CoreError;
 use crate::exec::{
-    self, CodesDispatch, CompiledBanked, CompiledBankedCodes, CompiledMcam, Metric,
-    PlanMemoryBytes, PlaneScalar, Precision, WinnerSweep,
+    self, BlockKernel, CodesDispatch, CompiledBanked, CompiledBankedCodes, CompiledMcam, Metric,
+    PlanMemoryBytes, Precision, WinnerSweep,
 };
 use crate::levels::LevelLadder;
 use crate::lut::ConductanceLut;
 use crate::par;
 use crate::Result;
 
+/// What a banked search asks for beside its queries, set per search:
+/// the plan [`Precision`], the [`Metric`], an optional bank mask, and
+/// optional per-query seed hints. [`Default`] is the plain search:
+/// `f64`, the MCAM conductance metric, every bank, no hints. A bare
+/// [`Precision`] converts into that spec at that precision.
+///
+/// `banks` and `seeds` are global bank indices. A mask must be strictly
+/// ascending and name at least one existing bank; it changes the answer
+/// (the winner within those banks). Seeds only change the work (see
+/// [`BankedMcam::search_batch_winners_with`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SearchSpec<'a> {
+    /// Plan element type (see [`crate::exec`]'s "Precision modes").
+    pub precision: Precision,
+    /// Distance semantics (see [`crate::exec`]'s "Metric modes").
+    pub metric: Metric,
+    /// Banks to search, strictly ascending; `None` searches every bank.
+    pub banks: Option<&'a [usize]>,
+    /// Per-query seed hints: empty, or one list of banks per query
+    /// that likely hold its winner (a router's banks, say).
+    pub seeds: &'a [&'a [usize]],
+}
+
+impl From<Precision> for SearchSpec<'_> {
+    fn from(precision: Precision) -> Self {
+        SearchSpec {
+            precision,
+            ..SearchSpec::default()
+        }
+    }
+}
+
 /// A row-tiled stack of MCAM banks sharing one ladder/LUT.
+///
+/// Searches go through two batched entry points, one per result shape —
+/// [`search_batch_winners_with`](Self::search_batch_winners_with) and
+/// [`search_batch_top_k_with`](Self::search_batch_top_k_with) — each
+/// taking a [`SearchSpec`].
 ///
 /// # Examples
 ///
 /// ```
 /// use femcam_core::banked::BankedMcam;
-/// use femcam_core::{ConductanceLut, LevelLadder};
+/// use femcam_core::{ConductanceLut, LevelLadder, SearchSpec};
 /// use femcam_device::FefetModel;
 ///
 /// # fn main() -> femcam_core::Result<()> {
@@ -42,7 +89,9 @@ use crate::Result;
 ///     banked.store(&row)?;
 /// }
 /// assert_eq!(banked.n_banks(), 2);
-/// assert_eq!(banked.search(&[1, 1, 2, 3])?.0, 2); // global row index
+/// let query: &[u8] = &[1, 1, 2, 3];
+/// let winners = banked.search_batch_winners_with(&[query], SearchSpec::default())?;
+/// assert_eq!(winners[0].0, 2); // global row index
 /// # Ok(())
 /// # }
 /// ```
@@ -131,7 +180,8 @@ impl BankedMcam {
     ///
     /// [`CoreError::WordLengthMismatch`] /
     /// [`CoreError::LevelOutOfRange`] exactly as
-    /// [`search`](Self::search) would report them.
+    /// [`search_batch_winners_with`](Self::search_batch_winners_with)
+    /// would report them.
     pub fn check_query(&self, query: &[u8]) -> Result<()> {
         exec::validate_query(self.word_len, self.ladder.n_levels(), query)
     }
@@ -266,55 +316,60 @@ impl BankedMcam {
         Ok(bank_idx * self.rows_per_bank + local)
     }
 
-    /// The per-bank cached compiled plans for plane scalar `S`; each
-    /// bank compiles lazily and recompiles only when *that* bank has
-    /// mutated since its last compile (storing a row dirties one bank,
-    /// not the whole memory).
-    fn bank_plans<S: PlaneScalar>(&self, metric: Metric) -> Result<Vec<Arc<CompiledMcam<S>>>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        self.banks
-            .iter()
-            .map(|b| b.cached_plan_metric::<S>(metric))
-            .collect()
+    /// The banks a search selects, with their global bank indices, in
+    /// ascending order: every bank without a mask, else the (already
+    /// validated) mask's banks. Its size hint is exact, so collecting
+    /// the selection (or plans for it) allocates once.
+    fn selected<'s>(
+        &'s self,
+        banks: Option<&'s [usize]>,
+    ) -> impl Iterator<Item = (usize, &'s McamArray)> + 's {
+        let (all, mask) = match banks {
+            None => (0..self.banks.len(), &[][..]),
+            Some(mask) => (0..0, mask),
+        };
+        all.chain(mask.iter().copied()).map(|b| (b, &self.banks[b]))
     }
 
-    /// Like [`bank_plans`](Self::bank_plans), but only when every bank
-    /// already holds a warm plan, or `batch` queries amortize compiling
-    /// the cold ones; `None` means the bit-identical scalar sweep
-    /// should serve this call (cold cache, workload too small to pay
-    /// for `n_levels` plane fills per bank).
-    fn f64_bank_plans_for(
+    /// One cached plan per selected bank; each bank compiles lazily and
+    /// recompiles only when *that* bank has mutated since its last
+    /// compile (storing a row dirties one bank, not the whole memory).
+    fn plans<T>(
         &self,
-        batch: usize,
-        metric: Metric,
-    ) -> Result<Option<Vec<Arc<CompiledMcam<f64>>>>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        let warm: Option<Vec<_>> = self
-            .banks
-            .iter()
-            .map(|b| b.cached_plan_if_warm_metric::<f64>(metric))
-            .collect();
-        if warm.is_some() {
-            return Ok(warm);
-        }
-        if batch >= self.ladder.n_levels() {
-            return self.bank_plans::<f64>(metric).map(Some);
-        }
-        Ok(None)
+        banks: Option<&[usize]>,
+        plan: impl Fn(&McamArray) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        self.selected(banks).map(|(_, bank)| plan(bank)).collect()
     }
 
-    /// The pre-PR-2 scalar reference sweep: per-bank physics-path
-    /// searches (sharded across workers), winners merged in bank order.
-    fn search_scalar(&self, query: &[u8], metric: Metric) -> Result<(usize, f64)> {
-        let per_bank = par::try_par_map(&self.banks, self.search_threads(), |_, bank| {
+    /// Whether compiled `f64` plans should serve `batch` queries over
+    /// the selected banks: always when every one is already warm, else
+    /// only once `batch` queries amortize compiling the cold ones.
+    /// Otherwise the bit-identical scalar sweep serves the call (cold
+    /// cache, workload too small to pay for `n_levels` plane fills per
+    /// bank).
+    fn f64_plans_pay(&self, batch: usize, metric: Metric, banks: Option<&[usize]>) -> bool {
+        batch >= self.ladder.n_levels()
+            || self
+                .selected(banks)
+                .all(|(_, bank)| bank.cached_plan_if_warm_metric::<f64>(metric).is_some())
+    }
+
+    /// The scalar reference sweep: per-bank physics-path searches of the
+    /// selected banks (sharded across workers), winners merged in bank
+    /// order.
+    fn search_scalar(
+        &self,
+        query: &[u8],
+        metric: Metric,
+        banks: Option<&[usize]>,
+    ) -> Result<(usize, f64)> {
+        let selected: Vec<(usize, &McamArray)> = self.selected(banks).collect();
+        let per_bank = par::try_par_map(&selected, self.search_threads(), |_, (_, bank)| {
             bank.search_metric(query, metric)
         })?;
         let mut best: Option<(usize, f64)> = None;
-        for (bank_idx, outcome) in per_bank.iter().enumerate() {
+        for ((bank_idx, _), outcome) in selected.iter().zip(&per_bank) {
             let local = outcome.best_row();
             let g = outcome.conductance(local);
             let global = bank_idx * self.rows_per_bank + local;
@@ -322,291 +377,205 @@ impl BankedMcam {
                 best = Some((global, g));
             }
         }
-        // femcam::allow(no_panic): guarded by the is_empty check above.
-        Ok(best.expect("nonempty banked memory"))
+        // femcam::allow(no_panic): searches validate that the memory is
+        // nonempty and that a mask names at least one bank.
+        Ok(best.expect("at least one selected bank"))
     }
 
-    fn search_impl<S: PlaneScalar>(&self, query: &[u8], metric: Metric) -> Result<(usize, f64)> {
-        let plans = self.bank_plans::<S>(metric)?;
-        let refs: Vec<&CompiledMcam<S>> = plans.iter().map(Arc::as_ref).collect();
-        exec::banked_winner(&refs, self.rows_per_bank, query, self.search_threads())
-    }
-
-    fn search_batch_impl<S: PlaneScalar>(
+    /// Runs the batched winner kernel over the selected banks at
+    /// `precision`; `sweep`'s hints are positions among those banks.
+    fn sweep_winners(
         &self,
         queries: &[&[u8]],
+        precision: Precision,
         metric: Metric,
+        banks: Option<&[usize]>,
+        sweep: WinnerSweep<'_>,
     ) -> Result<Vec<(usize, f64)>> {
-        let plans = self.bank_plans::<S>(metric)?;
-        let refs: Vec<&CompiledMcam<S>> = plans.iter().map(Arc::as_ref).collect();
-        exec::banked_winner_batch(&refs, self.rows_per_bank, queries, par::max_threads())
+        match precision {
+            Precision::F64 => {
+                let plans = self.plans(banks, |b| b.cached_plan_metric::<f64>(metric))?;
+                let refs: Vec<&CompiledMcam<f64>> = plans.iter().map(Arc::as_ref).collect();
+                self.winner_kernel(&refs, banks, queries, sweep)
+            }
+            Precision::F32 => {
+                let plans = self.plans(banks, |b| b.cached_plan_metric::<f32>(metric))?;
+                let refs: Vec<&CompiledMcam<f32>> = plans.iter().map(Arc::as_ref).collect();
+                self.winner_kernel(&refs, banks, queries, sweep)
+            }
+            // Codes plans compile eagerly, with no cold-cache gate:
+            // compiling one costs about one scalar query over the bank
+            // ([`exec::CODES_COMPILE_THRESHOLD`]).
+            Precision::Codes => {
+                let plans = self.plans(banks, |b| b.compiled_codes_metric(metric))?;
+                let refs: Vec<&CodesDispatch> = plans.iter().collect();
+                self.winner_kernel(&refs, banks, queries, sweep)
+            }
+        }
     }
 
-    /// The per-bank cached codes-mode engines ([`Precision::Codes`]):
-    /// packed-code plans on shared-LUT banks, transparent `f32` plane
-    /// fallbacks otherwise, each invalidated only when its own bank
-    /// mutates. Codes plans compile eagerly — no cold-cache
-    /// amortization gate, because compiling one costs about one scalar
-    /// query over the bank ([`exec::CODES_COMPILE_THRESHOLD`]).
-    fn codes_bank_plans(&self, metric: Metric) -> Result<Vec<CodesDispatch>> {
+    fn winner_kernel<K: BlockKernel>(
+        &self,
+        plans: &[&K],
+        banks: Option<&[usize]>,
+        queries: &[&[u8]],
+        sweep: WinnerSweep<'_>,
+    ) -> Result<Vec<(usize, f64)>> {
+        let bases: Vec<usize> = self
+            .selected(banks)
+            .map(|(b, _)| b * self.rows_per_bank)
+            .collect();
+        exec::banked_winner_batch_kernel(plans, &bases, queries, sweep, par::max_threads())
+    }
+
+    /// Validates what a [`SearchSpec`] asks of this memory: something is
+    /// stored, the mask (if any) is a valid one, and `seeds` is either
+    /// empty or one hint per query.
+    fn check_spec(&self, n_queries: usize, spec: &SearchSpec<'_>) -> Result<()> {
         if self.is_empty() {
             return Err(CoreError::EmptyArray);
         }
-        self.banks
-            .iter()
-            .map(|b| b.compiled_codes_metric(metric))
-            .collect()
-    }
-
-    fn search_codes(&self, query: &[u8], metric: Metric) -> Result<(usize, f64)> {
-        let plans = self.codes_bank_plans(metric)?;
-        let refs: Vec<&CodesDispatch> = plans.iter().collect();
-        let bases = exec::bank_bases(refs.len(), self.rows_per_bank);
-        // Work is summed per bank by what each dispatch actually
-        // executes (codes discount for packed banks, full plane cost
-        // for variation fallbacks).
-        let threads = par::threads_for(exec::banked_work_per_query(&refs));
-        exec::banked_winner_kernel(&refs, &bases, query, threads)
-    }
-
-    fn search_batch_codes(
-        &self,
-        queries: &[&[u8]],
-        metric: Metric,
-        sweep: WinnerSweep<'_>,
-    ) -> Result<Vec<(usize, f64)>> {
-        let plans = self.codes_bank_plans(metric)?;
-        let refs: Vec<&CodesDispatch> = plans.iter().collect();
-        let bases = exec::bank_bases(refs.len(), self.rows_per_bank);
-        exec::banked_winner_batch_kernel(&refs, &bases, queries, sweep, par::max_threads())
-    }
-
-    /// Searches every bank — through the cached per-bank compiled
-    /// plans, sharded across worker threads when the array is large
-    /// enough to justify forking — and merges the per-bank winners in
-    /// ascending bank order; returns `(global_row, total_conductance)`
-    /// of the overall nearest row.
-    ///
-    /// The merge is a fixed-order fold, so the result (including
-    /// lowest-index tie-breaks) is bit-identical to a sequential
-    /// bank-by-bank scalar sweep regardless of thread count.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::EmptyArray`] if nothing is stored.
-    /// * Propagates per-bank search failures.
-    pub fn search(&self, query: &[u8]) -> Result<(usize, f64)> {
-        self.search_f64_metric(query, Metric::default())
-    }
-
-    fn search_f64_metric(&self, query: &[u8], metric: Metric) -> Result<(usize, f64)> {
-        match self.f64_bank_plans_for(1, metric)? {
-            Some(plans) => {
-                let refs: Vec<&CompiledMcam<f64>> = plans.iter().map(Arc::as_ref).collect();
-                exec::banked_winner(&refs, self.rows_per_bank, query, self.search_threads())
-            }
-            None => self.search_scalar(query, metric),
+        if let Some(mask) = spec.banks {
+            self.check_bank_mask(mask)?;
         }
-    }
-
-    /// [`search`](Self::search) at a chosen [`Precision`]
-    /// ([`Precision::F32`] is the opt-in fast mode; see
-    /// [`crate::exec`]'s "Precision modes").
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_with(&self, query: &[u8], precision: Precision) -> Result<(usize, f64)> {
-        self.search_with_metric(query, precision, Metric::default())
-    }
-
-    /// [`search_with`](Self::search_with) at a chosen [`Metric`] (see
-    /// [`crate::exec`]'s "Metric modes") — per-bank winners still merge
-    /// in ascending bank order, so lowest-global-row tie-breaks hold
-    /// under every metric.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_with_metric(
-        &self,
-        query: &[u8],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<(usize, f64)> {
-        match precision {
-            Precision::F64 => self.search_f64_metric(query, metric),
-            Precision::F32 => self.search_impl::<f32>(query, metric),
-            Precision::Codes => self.search_codes(query, metric),
+        if !spec.seeds.is_empty() && spec.seeds.len() != n_queries {
+            return Err(CoreError::DimensionMismatch {
+                expected: n_queries,
+                actual: spec.seeds.len(),
+            });
         }
+        Ok(())
     }
 
-    /// Searches a batch of queries and returns each query's merged
-    /// `(global_row, total_conductance)` winner, in query order.
+    /// Each query's merged `(global_row, total_conductance)` winner, in
+    /// query order — the one winner search of a banked memory, and the
+    /// default serving path. A single query is a batch of one.
     ///
-    /// Contiguous query groups shard across worker threads; each worker
-    /// sweeps every bank's cached compiled plan for its queries with
-    /// one reusable scratch, so a whole batch costs a single fork–join
-    /// no matter how many banks the memory spans. Bit-identical to a
-    /// per-query [`search`](Self::search) sweep at any thread count.
+    /// `spec` sets the [`Precision`] and [`Metric`] (a bare
+    /// [`Precision`] converts, with the default metric), an optional
+    /// bank mask, and optional per-query seed hints:
+    ///
+    /// * **Full sweep** (`banks: None`). Contiguous query groups shard
+    ///   across worker threads; each worker folds every bank's cached
+    ///   compiled plan for its queries on one reusable scratch, merging
+    ///   winners in ascending bank order, so the result (lowest global
+    ///   row on exact ties) is bit-identical to a sequential
+    ///   bank-by-bank scalar sweep at any thread count. No per-query
+    ///   row vector is ever materialized. Cold `f64` plans compile only
+    ///   once the batch amortizes them; until then the bit-identical
+    ///   scalar sweep answers.
+    /// * **Masked sweep** (`banks: Some(mask)`, strictly ascending bank
+    ///   indices): the second (exact re-rank) stage of two-stage
+    ///   retrieval (see [`crate::router`]). Per query, the winner is
+    ///   exactly what a sequential scan of the masked banks would
+    ///   report, and a mask covering every bank is bit-identical to the
+    ///   full sweep — the
+    ///   [bank-mask contract](crate::exec#bank-mask-contract).
+    /// * **Seed hints** (`seeds`, global bank indices, one list per
+    ///   query or none): at [`Precision::Codes`] each query first
+    ///   scores its hinted banks alone, and its best score there bounds
+    ///   the sweep, which can then abandon row blocks from the first
+    ///   bank on (`crate::exec`'s "Seeded winners"). A hint only
+    ///   changes the work: an empty, wrong, out-of-range, repeated or
+    ///   unsorted one, or one outside the mask (ignored), gives the
+    ///   unseeded answer, tie-break included. The plane precisions
+    ///   never abandon, so they ignore hints.
     ///
     /// # Errors
     ///
     /// * [`CoreError::EmptyArray`] if nothing is stored — even for an
-    ///   empty batch, matching [`search`](Self::search) (see the
-    ///   empty-batch contract on [`McamArray::search_batch`]).
+    ///   empty batch (see the empty-batch contract on
+    ///   [`McamArray::search_batch`]).
+    /// * [`CoreError::InvalidParameter`] if the mask is empty, not
+    ///   strictly ascending, or names a bank that does not exist.
+    /// * [`CoreError::DimensionMismatch`] if `seeds` is neither empty
+    ///   nor one hint per query.
     /// * The first failing query (in query order) fails the batch.
-    pub fn search_batch(&self, queries: &[&[u8]]) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_f64_metric(queries, Metric::default())
-    }
-
-    fn search_batch_f64_metric(
+    pub fn search_batch_winners_with<'a>(
         &self,
         queries: &[&[u8]],
-        metric: Metric,
+        spec: impl Into<SearchSpec<'a>>,
     ) -> Result<Vec<(usize, f64)>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
+        self.winners(queries, spec.into())
+    }
+
+    /// The non-generic body of
+    /// [`search_batch_winners_with`](Self::search_batch_winners_with),
+    /// compiled once here rather than once per caller's spec type.
+    fn winners(&self, queries: &[&[u8]], spec: SearchSpec<'_>) -> Result<Vec<(usize, f64)>> {
+        self.check_spec(queries.len(), &spec)?;
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        match self.f64_bank_plans_for(queries.len(), metric)? {
-            Some(plans) => {
-                let refs: Vec<&CompiledMcam<f64>> = plans.iter().map(Arc::as_ref).collect();
-                exec::banked_winner_batch(&refs, self.rows_per_bank, queries, par::max_threads())
-            }
-            None => queries
+        let SearchSpec {
+            precision,
+            metric,
+            banks,
+            seeds,
+        } = spec;
+        if precision == Precision::F64 && !self.f64_plans_pay(queries.len(), metric, banks) {
+            return queries
                 .iter()
-                .map(|q| self.search_f64_metric(q, metric))
-                .collect(),
+                .map(|q| self.search_scalar(q, metric, banks))
+                .collect();
         }
-    }
-
-    /// [`search_batch`](Self::search_batch) at a chosen [`Precision`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_with(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-    ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_with_metric(queries, precision, Metric::default())
-    }
-
-    /// [`search_batch_with`](Self::search_batch_with) at a chosen
-    /// [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_with_metric(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
+        if seeds.is_empty() {
+            return self.sweep_winners(queries, precision, metric, banks, WinnerSweep::Full);
         }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        match precision {
-            Precision::F64 => self.search_batch_f64_metric(queries, metric),
-            Precision::F32 => self.search_batch_impl::<f32>(queries, metric),
-            Precision::Codes => self.search_batch_codes(queries, metric, WinnerSweep::Full),
-        }
-    }
-
-    /// Each query's merged `(global_row, total_conductance)` winner at
-    /// a chosen [`Precision`] — the **default serving path**: winners
-    /// fold on the workers' reusable scratch, no per-query row vector
-    /// is ever materialized, and results are bit-identical to calling
-    /// [`search_with`](Self::search_with) per query at any thread
-    /// count.
-    ///
-    /// On a banked memory the batch path already reduces to winners
-    /// (the hierarchical winner-take-all merge), so this is the same
-    /// kernel as [`search_batch_with`](Self::search_batch_with) under
-    /// a name that pins the serving contract.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_winners_with(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-    ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_with(queries, precision)
+        let Some(mask) = banks else {
+            // Without a mask, global bank indices are plan positions.
+            let sweep = WinnerSweep::Seeded(seeds);
+            return self.sweep_winners(queries, precision, metric, None, sweep);
+        };
+        // Hints as positions in the mask; banks outside it drop out.
+        let positions: Vec<Vec<usize>> = seeds
+            .iter()
+            .map(|hint| {
+                hint.iter()
+                    .filter_map(|b| mask.binary_search(b).ok())
+                    .collect()
+            })
+            .collect();
+        let hints: Vec<&[usize]> = positions.iter().map(Vec::as_slice).collect();
+        self.sweep_winners(
+            queries,
+            precision,
+            metric,
+            banks,
+            WinnerSweep::Seeded(&hints),
+        )
     }
 
     /// [`search_batch_winners_with`](Self::search_batch_winners_with)
-    /// at a chosen [`Metric`] — the per-request-metric serving path.
+    /// over the `banks` mask at the default metric, with no hints.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_winners_with_metric(
+    /// Same conditions as
+    /// [`search_batch_winners_with`](Self::search_batch_winners_with).
+    pub fn search_batch_winners_masked(
         &self,
         queries: &[&[u8]],
         precision: Precision,
-        metric: Metric,
+        banks: &[usize],
     ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_with_metric(queries, precision, metric)
-    }
-
-    /// [`search_batch_winners_with_metric`](Self::search_batch_winners_with_metric),
-    /// bit for bit, with a per-query *seed hint*: `seeds[i]` lists banks
-    /// likely to hold query `i`'s winner (a router's banks, say).
-    ///
-    /// At [`Precision::Codes`] each query first scores its seed banks
-    /// alone. Its best score there then bounds the full sweep, which
-    /// can abandon row blocks from the first bank on instead of only
-    /// once it reaches the winner's bank (`crate::exec`'s "Seeded
-    /// winners"). A hint only changes the work: an empty, wrong,
-    /// out-of-range, repeated or unsorted one still gives the unseeded
-    /// answer, including its lowest-global-row tie-break. The plane
-    /// precisions never abandon, so they ignore the hint.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::DimensionMismatch`] if `seeds` is neither empty
-    ///   (no hints) nor one hint per query.
-    /// * Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_winners_seeded(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-        seeds: &[&[usize]],
-    ) -> Result<Vec<(usize, f64)>> {
-        if !seeds.is_empty() && seeds.len() != queries.len() {
-            return Err(CoreError::DimensionMismatch {
-                expected: queries.len(),
-                actual: seeds.len(),
-            });
-        }
-        if precision != Precision::Codes || self.is_empty() || queries.is_empty() {
-            return self.search_batch_with_metric(queries, precision, metric);
-        }
-        self.search_batch_codes(queries, metric, WinnerSweep::Seeded(seeds))
+        let spec = SearchSpec {
+            precision,
+            banks: Some(banks),
+            ..SearchSpec::default()
+        };
+        self.search_batch_winners_with(queries, spec)
     }
 
     /// Each query's winner over only its own `routes[i]` banks, per
-    /// query bit-identical to
-    /// [`search_batch_winners_masked_metric`](Self::search_batch_winners_masked_metric)
+    /// query bit-identical to a masked
+    /// [`search_batch_winners_with`](Self::search_batch_winners_with)
     /// over that route (ascending banks, strict `<`). One batched
     /// seeding pass serves every route: each bank a route names
     /// compiles once, and each query carries one bound across its
     /// banks.
     ///
-    /// Same errors as
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked),
-    /// for each route as its mask.
+    /// Same errors as a masked search, for each route as its mask.
     pub(crate) fn search_batch_winners_routed(
         &self,
         queries: &[&[u8]],
@@ -619,6 +588,9 @@ impl BankedMcam {
         }
         for route in routes {
             self.check_bank_mask(route)?;
+        }
+        if queries.is_empty() {
+            return Ok(Vec::new());
         }
         let mut touched: Vec<usize> = routes.iter().flatten().copied().collect();
         touched.sort_unstable();
@@ -634,111 +606,85 @@ impl BankedMcam {
             })
             .collect();
         let hints: Vec<&[usize]> = positions.iter().map(Vec::as_slice).collect();
-        self.masked_winners(
+        self.sweep_winners(
             queries,
             precision,
             metric,
-            &touched,
+            Some(&touched),
             WinnerSweep::Hinted(&hints),
         )
     }
 
-    /// The `k` nearest rows for one query as
-    /// `(global_row, total_conductance)` pairs, nearest first:
-    /// per-bank bounded-heap top-k through each bank's cached plan at
-    /// `precision`, merged by ascending `(conductance, global_row)` —
-    /// so exact ties resolve to the lowest global row, identically to
-    /// the flat [`McamArray::search_batch_top_k_with`] ordering.
-    ///
-    /// `k` is clamped, never an error: `0` returns an empty vector,
-    /// `k > n_rows()` returns every row (the
-    /// [`crate::engines::NnIndex::query_k`] contract).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_top_k_with(
-        &self,
-        query: &[u8],
-        k: usize,
-        precision: Precision,
-    ) -> Result<Vec<(usize, f64)>> {
-        self.search_top_k_with_metric(query, k, precision, Metric::default())
-    }
-
-    /// [`search_top_k_with`](Self::search_top_k_with) at a chosen
-    /// [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_top_k_with_metric(
-        &self,
-        query: &[u8],
-        k: usize,
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        let mut hits = self.search_batch_top_k_with_metric(&[query], k, precision, metric)?;
-        // femcam::allow(no_panic): the batch call returns exactly one entry
-        // per query.
-        Ok(hits.pop().expect("one query in, one out"))
-    }
-
     /// Each query's `k` nearest rows as `(global_row, total_conductance)`
-    /// pairs (nearest first) — the batched face of
-    /// [`search_top_k_with`](Self::search_top_k_with), and what lets a
-    /// serving front end coalesce k-NN traffic into micro-batches
-    /// instead of running each top-k solo. Every bank executes one
-    /// batched bounded-heap sweep over its cached plan (the same
-    /// `BlockKernel` drivers as the flat
-    /// [`McamArray::search_batch_top_k_with`]); per-bank candidates
-    /// merge by ascending `(conductance, global_row)`, so results are
-    /// bit-identical, per query, to a solo
-    /// [`search_top_k_with`](Self::search_top_k_with) call.
+    /// pairs, nearest first — the one top-k search of a banked memory,
+    /// and what lets a serving front end coalesce k-NN traffic into
+    /// micro-batches. A single query is a batch of one.
     ///
-    /// `k` is clamped, never an error (the
+    /// Every selected bank (all of them, or `spec.banks`'s mask) runs
+    /// one batched bounded-heap sweep over its cached plan at the
+    /// spec's precision and metric (the same `BlockKernel` drivers as
+    /// the flat [`McamArray::search_batch_top_k_with`]); per-bank
+    /// candidates merge by ascending `(conductance, global_row)`, so
+    /// exact ties resolve to the lowest global row, identically to the
+    /// flat ordering. Bounded-heap semantics hold under every metric
+    /// because every metric's scores obey "smaller = nearer". Top-k
+    /// never abandons, so it ignores `spec.seeds` (beyond checking
+    /// their count).
+    ///
+    /// `k` is clamped to the rows the selected banks hold, never an
+    /// error: `0` returns empty lists (the
     /// [`crate::engines::NnIndex::query_k`] contract).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_top_k_with(
+    /// Same conditions as
+    /// [`search_batch_winners_with`](Self::search_batch_winners_with).
+    pub fn search_batch_top_k_with<'a>(
         &self,
         queries: &[&[u8]],
         k: usize,
-        precision: Precision,
+        spec: impl Into<SearchSpec<'a>>,
     ) -> Result<Vec<Vec<(usize, f64)>>> {
-        self.search_batch_top_k_with_metric(queries, k, precision, Metric::default())
+        self.top_k(queries, k, spec.into())
     }
 
-    /// [`search_batch_top_k_with`](Self::search_batch_top_k_with) at a
-    /// chosen [`Metric`] — bounded-heap semantics carry over unchanged
-    /// because every metric's scores obey "smaller = nearer".
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_top_k_with_metric(
+    /// The non-generic body of
+    /// [`search_batch_top_k_with`](Self::search_batch_top_k_with).
+    fn top_k(
         &self,
         queries: &[&[u8]],
         k: usize,
-        precision: Precision,
-        metric: Metric,
+        spec: SearchSpec<'_>,
     ) -> Result<Vec<Vec<(usize, f64)>>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
+        self.check_spec(queries.len(), &spec)?;
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        // The full sweep is the all-banks instantiation of the masked
-        // path — one implementation, bit-identity by construction.
-        let all: Vec<usize> = (0..self.banks.len()).collect();
-        self.search_batch_top_k_masked_metric(queries, k, precision, metric, &all)
+        for query in queries {
+            self.check_query(query)?;
+        }
+        let selected_rows: usize = self
+            .selected(spec.banks)
+            .map(|(_, bank)| bank.n_rows())
+            .sum();
+        let k = k.min(selected_rows);
+        if k == 0 {
+            return Ok(vec![Vec::new(); queries.len()]);
+        }
+        let mut merged: Vec<Vec<(usize, f64)>> = vec![Vec::new(); queries.len()];
+        for (bank_idx, bank) in self.selected(spec.banks) {
+            let base = bank_idx * self.rows_per_bank;
+            let per_bank =
+                bank.search_batch_top_k_with_metric(queries, k, spec.precision, spec.metric)?;
+            for (slot, hits) in merged.iter_mut().zip(per_bank) {
+                slot.extend(hits.into_iter().map(|(local, g)| (base + local, g)));
+            }
+        }
+        for slot in &mut merged {
+            slot.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            slot.truncate(k);
+        }
+        Ok(merged)
     }
 
     /// Validates a bank mask: strictly ascending, in-range bank
@@ -764,225 +710,10 @@ impl BankedMcam {
         Ok(())
     }
 
-    /// Global base rows of the masked banks (mask already validated).
-    fn masked_bases(&self, banks: &[usize]) -> Vec<usize> {
-        banks.iter().map(|&b| b * self.rows_per_bank).collect()
-    }
-
-    /// Runs the batched winner kernel over the (validated) `banks` at
-    /// `precision`; `sweep`'s hints are positions in `banks`.
-    fn masked_winners(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-        banks: &[usize],
-        sweep: WinnerSweep<'_>,
-    ) -> Result<Vec<(usize, f64)>> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        match precision {
-            Precision::F64 => self.masked_plane_winners::<f64>(queries, banks, metric, sweep),
-            Precision::F32 => self.masked_plane_winners::<f32>(queries, banks, metric, sweep),
-            Precision::Codes => self.masked_codes_winners(queries, banks, metric, sweep),
-        }
-    }
-
-    fn masked_plane_winners<S: PlaneScalar>(
-        &self,
-        queries: &[&[u8]],
-        banks: &[usize],
-        metric: Metric,
-        sweep: WinnerSweep<'_>,
-    ) -> Result<Vec<(usize, f64)>> {
-        let plans: Vec<Arc<CompiledMcam<S>>> = banks
-            .iter()
-            .map(|&b| self.banks[b].cached_plan_metric::<S>(metric))
-            .collect::<Result<_>>()?;
-        let refs: Vec<&CompiledMcam<S>> = plans.iter().map(Arc::as_ref).collect();
-        let bases = self.masked_bases(banks);
-        exec::banked_winner_batch_kernel(&refs, &bases, queries, sweep, par::max_threads())
-    }
-
-    fn masked_codes_winners(
-        &self,
-        queries: &[&[u8]],
-        banks: &[usize],
-        metric: Metric,
-        sweep: WinnerSweep<'_>,
-    ) -> Result<Vec<(usize, f64)>> {
-        let plans: Vec<CodesDispatch> = banks
-            .iter()
-            .map(|&b| self.banks[b].compiled_codes_metric(metric))
-            .collect::<Result<_>>()?;
-        let refs: Vec<&CodesDispatch> = plans.iter().collect();
-        let bases = self.masked_bases(banks);
-        exec::banked_winner_batch_kernel(&refs, &bases, queries, sweep, par::max_threads())
-    }
-
-    /// Each query's merged `(global_row, total_conductance)` winner over
-    /// **only the masked banks** — the second (exact re-rank) stage of
-    /// two-stage retrieval (see [`crate::router`]). `banks` lists the
-    /// bank subset to sweep, strictly ascending.
-    ///
-    /// Per query, the winner is exactly what a sequential scan of the
-    /// masked banks would report: conductances are bit-identical to the
-    /// full sweep (a bank's fold never sees the mask) and exact ties
-    /// resolve to the lowest global row within the mask. A mask
-    /// covering every bank is bit-identical to
-    /// [`search_batch_winners_with`](Self::search_batch_winners_with)
-    /// — the [bank-mask contract](crate::exec#bank-mask-contract).
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::EmptyArray`] if nothing is stored.
-    /// * [`CoreError::InvalidParameter`] if the mask is empty, not
-    ///   strictly ascending, or names a bank that does not exist.
-    /// * The first failing query (in query order) fails the batch.
-    pub fn search_batch_winners_masked(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        banks: &[usize],
-    ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_winners_masked_metric(queries, precision, Metric::default(), banks)
-    }
-
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked)
-    /// at a chosen [`Metric`] — what lets the routed re-rank honor a
-    /// per-request metric while the router itself stays metric-agnostic.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked).
-    pub fn search_batch_winners_masked_metric(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-        banks: &[usize],
-    ) -> Result<Vec<(usize, f64)>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        self.check_bank_mask(banks)?;
-        self.masked_winners(queries, precision, metric, banks, WinnerSweep::Full)
-    }
-
-    /// Single-query face of
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked).
-    pub fn search_masked_with(
-        &self,
-        query: &[u8],
-        precision: Precision,
-        banks: &[usize],
-    ) -> Result<(usize, f64)> {
-        let mut winners = self.search_batch_winners_masked(&[query], precision, banks)?;
-        // femcam::allow(no_panic): the batch call returns exactly one entry
-        // per query.
-        Ok(winners.pop().expect("one query in, one out"))
-    }
-
-    /// [`search_masked_with`](Self::search_masked_with) at a chosen
-    /// [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked).
-    pub fn search_masked_with_metric(
-        &self,
-        query: &[u8],
-        precision: Precision,
-        metric: Metric,
-        banks: &[usize],
-    ) -> Result<(usize, f64)> {
-        let mut winners =
-            self.search_batch_winners_masked_metric(&[query], precision, metric, banks)?;
-        // femcam::allow(no_panic): the batch call returns exactly one entry
-        // per query.
-        Ok(winners.pop().expect("one query in, one out"))
-    }
-
-    /// Each query's `k` nearest rows over **only the masked banks** —
-    /// the top-k face of
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked),
-    /// with the same merge ordering as
-    /// [`search_batch_top_k_with`](Self::search_batch_top_k_with):
-    /// ascending `(conductance, global_row)`, `k` clamped to the rows
-    /// the mask exposes (never an error).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked).
-    pub fn search_batch_top_k_masked(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        precision: Precision,
-        banks: &[usize],
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
-        self.search_batch_top_k_masked_metric(queries, k, precision, Metric::default(), banks)
-    }
-
-    /// [`search_batch_top_k_masked`](Self::search_batch_top_k_masked)
-    /// at a chosen [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked).
-    pub fn search_batch_top_k_masked_metric(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        precision: Precision,
-        metric: Metric,
-        banks: &[usize],
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        self.check_bank_mask(banks)?;
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        for query in queries {
-            self.check_query(query)?;
-        }
-        let masked_rows: usize = banks.iter().map(|&b| self.banks[b].n_rows()).sum();
-        let k = k.min(masked_rows);
-        if k == 0 {
-            return Ok(vec![Vec::new(); queries.len()]);
-        }
-        let mut merged: Vec<Vec<(usize, f64)>> = vec![Vec::new(); queries.len()];
-        for &bank_idx in banks {
-            let base = bank_idx * self.rows_per_bank;
-            let per_bank = self.banks[bank_idx]
-                .search_batch_top_k_with_metric(queries, k, precision, metric)?;
-            for (slot, hits) in merged.iter_mut().zip(per_bank) {
-                slot.extend(hits.into_iter().map(|(local, g)| (base + local, g)));
-            }
-        }
-        for slot in &mut merged {
-            slot.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            slot.truncate(k);
-        }
-        Ok(merged)
-    }
-
     /// Compiles every bank into a reusable multi-bank query plan (see
     /// [`crate::exec`]); an explicit snapshot for callers that want to
-    /// pin the contents — the cached entry points above are usually
-    /// preferable.
+    /// pin the contents and the worker count — the cached entry points
+    /// above are usually preferable.
     ///
     /// # Errors
     ///
@@ -1031,30 +762,32 @@ impl BankedMcam {
     }
 
     /// Full per-bank outcomes (for energy accounting or inspection),
-    /// banks sharded across worker threads like [`search`](Self::search).
+    /// banks sharded across worker threads.
     ///
     /// Runs through the cached per-bank compiled `f64` plans under the
-    /// same amortization gate as [`search`](Self::search) (warm plans
-    /// always, cold ones only once a compile pays for itself), falling
-    /// back to the scalar physics path otherwise. Compiled `f64`
-    /// conductances are bit-identical to the scalar sweep (see
-    /// [`crate::exec`]'s "Determinism guarantee"), so the outcomes are
-    /// the same either way.
+    /// same amortization gate as a single-query
+    /// [`search_batch_winners_with`](Self::search_batch_winners_with)
+    /// (warm plans always, cold ones only once a compile pays for
+    /// itself), falling back to the scalar physics path otherwise.
+    /// Compiled `f64` conductances are bit-identical to the scalar
+    /// sweep (see [`crate::exec`]'s "Determinism guarantee"), so the
+    /// outcomes are the same either way.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`search`](Self::search).
+    /// [`CoreError::EmptyArray`] if nothing is stored, or the query's
+    /// validation error.
     pub fn search_all_banks(&self, query: &[u8]) -> Result<Vec<SearchOutcome>> {
         if self.is_empty() {
             return Err(CoreError::EmptyArray);
         }
-        match self.f64_bank_plans_for(1, Metric::default())? {
-            Some(plans) => {
-                par::try_par_map(&plans, self.search_threads(), |_, plan| plan.search(query))
-            }
-            None => par::try_par_map(&self.banks, self.search_threads(), |_, bank| {
+        if self.f64_plans_pay(1, Metric::default(), None) {
+            let plans = self.plans(None, McamArray::cached_plan::<f64>)?;
+            par::try_par_map(&plans, self.search_threads(), |_, plan| plan.search(query))
+        } else {
+            par::try_par_map(&self.banks, self.search_threads(), |_, bank| {
                 bank.search(query)
-            }),
+            })
         }
     }
 
@@ -1122,7 +855,9 @@ mod tests {
         }
         for _ in 0..30 {
             let query: Vec<u8> = (0..16).map(|_| rng.gen_range(0..8)).collect();
-            let (banked_row, banked_g) = banked.search(&query).unwrap();
+            let (banked_row, banked_g) = banked
+                .search_batch_winners_with(&[&query[..]], Precision::F64)
+                .unwrap()[0];
             let outcome = flat.search(&query).unwrap();
             assert_eq!(banked_row, outcome.best_row());
             assert!((banked_g - outcome.conductance(outcome.best_row())).abs() < 1e-18);
@@ -1144,13 +879,20 @@ mod tests {
             .map(|_| (0..8).map(|_| rng.gen_range(0..8)).collect())
             .collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
-        let batched = banked.search_batch(&refs).unwrap();
+        let batched = banked
+            .search_batch_winners_with(&refs, Precision::F64)
+            .unwrap();
         for (q, &(row, g)) in refs.iter().zip(&batched) {
-            let (row1, g1) = banked.search(q).unwrap();
+            let (row1, g1) = banked
+                .search_batch_winners_with(&[*q], Precision::F64)
+                .unwrap()[0];
             assert_eq!(row, row1);
             assert_eq!(g, g1, "batched conductance must be bit-identical");
         }
-        assert!(banked.search_batch(&[]).unwrap().is_empty());
+        assert!(banked
+            .search_batch_winners_with(&[], Precision::F64)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -1168,7 +910,10 @@ mod tests {
         let query: Vec<u8> = (0..6).map(|_| rng.gen_range(0..8)).collect();
         for precision in [Precision::F64, Precision::F32, Precision::Codes] {
             for k in [0usize, 1, 5, 17, 100] {
-                let banked_k = banked.search_top_k_with(&query, k, precision).unwrap();
+                let banked_k = banked
+                    .search_batch_top_k_with(&[&query[..]], k, precision)
+                    .unwrap()
+                    .remove(0);
                 let flat_k = flat
                     .search_batch_top_k_with(&[&query], k, precision)
                     .unwrap()
@@ -1190,7 +935,12 @@ mod tests {
         assert_eq!(plan.n_banks(), 3);
         assert_eq!(plan.n_rows(), 5);
         for q in [[0u8, 0, 0, 0], [3, 3, 3, 3], [1, 2, 1, 2]] {
-            assert_eq!(plan.search(&q, 2).unwrap(), banked.search(&q).unwrap());
+            assert_eq!(
+                plan.search_batch(&[&q], 2).unwrap(),
+                banked
+                    .search_batch_winners_with(&[&q], Precision::F64)
+                    .unwrap()
+            );
         }
     }
 
@@ -1209,14 +959,22 @@ mod tests {
             .collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         // Cached front door: codes batch == f32 batch, bit-identical.
-        let codes = banked.search_batch_with(&refs, Precision::Codes).unwrap();
-        let f32s = banked.search_batch_with(&refs, Precision::F32).unwrap();
+        let codes = banked
+            .search_batch_winners_with(&refs, Precision::Codes)
+            .unwrap();
+        let f32s = banked
+            .search_batch_winners_with(&refs, Precision::F32)
+            .unwrap();
         assert_eq!(codes, f32s);
         // Single-query front door agrees too.
         for q in &refs {
             assert_eq!(
-                banked.search_with(q, Precision::Codes).unwrap(),
-                banked.search_with(q, Precision::F32).unwrap(),
+                banked
+                    .search_batch_winners_with(&[*q], Precision::Codes)
+                    .unwrap(),
+                banked
+                    .search_batch_winners_with(&[*q], Precision::F32)
+                    .unwrap(),
             );
         }
         // Explicit snapshot plan: same winners, small resident bytes.
@@ -1225,7 +983,7 @@ mod tests {
         assert_eq!(plan.n_rows(), banked.n_rows());
         assert_eq!(plan.precision(), Precision::Codes);
         assert_eq!(plan.search_batch(&refs, 2).unwrap(), codes);
-        assert_eq!(plan.search(refs[0], 2).unwrap(), codes[0]);
+        assert_eq!(plan.search_batch(&refs[..1], 2).unwrap()[0], codes[0]);
         let f64_plan = banked.compile().unwrap();
         assert!(f64_plan.plan_bytes() >= 16 * plan.plan_bytes());
         // Cached per-bank plan memory introspection sums across banks
@@ -1239,12 +997,18 @@ mod tests {
     #[test]
     fn empty_banked_memory_refuses_search() {
         let b = setup(4);
-        assert!(matches!(b.search(&[0; 8]), Err(CoreError::EmptyArray)));
+        assert!(matches!(
+            b.search_batch_winners_with(&[&[0; 8]], Precision::F64),
+            Err(CoreError::EmptyArray)
+        ));
         // The batch entry points share the contract — even for an
         // empty batch (see McamArray::search_batch's contract docs).
-        assert!(matches!(b.search_batch(&[]), Err(CoreError::EmptyArray)));
         assert!(matches!(
-            b.search_batch_with(&[], Precision::Codes),
+            b.search_batch_winners_with(&[], SearchSpec::default()),
+            Err(CoreError::EmptyArray)
+        ));
+        assert!(matches!(
+            b.search_batch_winners_with(&[], Precision::Codes),
             Err(CoreError::EmptyArray)
         ));
         assert!(matches!(
@@ -1303,7 +1067,10 @@ mod tests {
                 let batched = banked.search_batch_top_k_with(&refs, k, precision).unwrap();
                 assert_eq!(batched.len(), refs.len());
                 for (q, hits) in refs.iter().zip(&batched) {
-                    let solo = banked.search_top_k_with(q, k, precision).unwrap();
+                    let solo = banked
+                        .search_batch_top_k_with(&[*q], k, precision)
+                        .unwrap()
+                        .remove(0);
                     assert_eq!(hits, &solo, "k={k} {precision:?}");
                 }
             }
@@ -1345,7 +1112,10 @@ mod tests {
             for (row, w) in words.iter().enumerate() {
                 // Duplicates resolve to the first occurrence.
                 let expected = words.iter().position(|x| x == w).unwrap_or(row);
-                assert_eq!(rejoined.search(w).unwrap().0, expected);
+                let hit = rejoined
+                    .search_batch_winners_with(&[w], Precision::F64)
+                    .unwrap()[0];
+                assert_eq!(hit.0, expected);
             }
         }
     }

@@ -35,7 +35,7 @@
 //! The batched kernel is cache-tiled: rows advance in panels sized so
 //! one plane-column slice stays L1-resident while it serves every query
 //! in the block, and each worker thread owns one reusable
-//! [`BatchScratch`] of accumulators and top-k heap storage — the hot
+//! `BatchScratch` of accumulators and top-k heap storage — the hot
 //! path performs **no per-query heap allocation**.
 //!
 //! # Precision modes
@@ -144,15 +144,17 @@
 //! it. Ties resolve to the lowest global row as before: the comparison
 //! is strict, so a row that ends exactly at the bound is scored in full
 //! and then loses the strict `<` against the lower row that set it.
-//! Full outcomes, top-k, the single-query paths, the scalar tier and
-//! the plane plans never abandon.
+//! Full outcomes, top-k, the scalar tier and the plane plans never
+//! abandon.
 //!
 //! ## Seeded winners
 //!
 //! A bound only saves work once it is tight, and in an ascending sweep
 //! it becomes tight only when the sweep reaches the winner's bank. A
 //! caller that can guess that bank — a router, say — passes each query
-//! a *seed hint* of banks ([`crate::banked::BankedMcam::search_batch_winners_seeded`]),
+//! a *seed hint* of banks (the `seeds` of a
+//! [`SearchSpec`](crate::banked::SearchSpec) given to
+//! [`BankedMcam::search_batch_winners_with`](crate::banked::BankedMcam::search_batch_winners_with)),
 //! and the batched winner kernel then runs in two passes:
 //!
 //! 1. **Seeding pass.** Each query is scored over its hinted banks
@@ -175,7 +177,10 @@
 //! empty, wrong, out-of-range, repeated or unsorted one gives the same
 //! answer, at worst after some wasted seeding work. Plans that never
 //! abandon (the plane plans, the scalar tier, LUTs that fail the check
-//! above) skip the seeding pass, which would be pure extra work.
+//! above) skip the seeding pass, which would be pure extra work. A
+//! spec that also sets a bank mask seeds from its hinted banks inside
+//! the mask and then sweeps the mask, so its answer is the masked
+//! sweep's.
 //!
 //! The seeding pass alone, with no sweep after it, is a masked sweep
 //! per query: [`crate::router::RoutedMcam`] re-ranks each query over
@@ -255,14 +260,18 @@
 //!
 //! # Bank-mask contract
 //!
-//! The banked drivers ([`banked_winner_kernel`],
-//! [`banked_winner_batch_kernel`]) never assume they are sweeping every
-//! bank: each per-bank kernel arrives paired with the **global base
-//! row** of that bank, and a winner is always reported as
-//! `base + local`. A full sweep is just the instantiation whose bases
-//! are `[0, rows_per_bank, 2·rows_per_bank, ..]`; a routed sweep (see
-//! [`crate::router`]) passes the same kernels for a *subset* of banks,
-//! in ascending bank order, with each bank's true base.
+//! The banked winner driver (`banked_winner_batch_kernel`) never
+//! assumes it is sweeping every bank: each per-bank kernel arrives
+//! paired with the **global base row** of that bank, and a winner is
+//! always reported as `base + local`. A full sweep is just the
+//! instantiation whose bases are `[0, rows_per_bank, 2·rows_per_bank,
+//! ..]`; a masked sweep — the `banks` of a
+//! [`SearchSpec`](crate::banked::SearchSpec), which is how the router's
+//! re-rank (see [`crate::router`]) and a degraded server search — passes
+//! the same kernels for a *subset* of banks, in ascending bank order,
+//! with each bank's true base. Seed hints in the same spec name global
+//! banks; those outside the mask are ignored, so hints never widen a
+//! masked sweep.
 //!
 //! Because the merge is the same fixed-order fold either way, a masked
 //! sweep obeys the full-sweep contract restricted to its subset: per
@@ -270,7 +279,7 @@
 //! banks would report, conductances are bit-identical to the full sweep
 //! (each bank's fold never sees the mask), and exact ties still resolve
 //! to the lowest global row *within the mask*. A mask that covers every
-//! bank is therefore bit-identical to the unmasked entry points — the
+//! bank is therefore bit-identical to the unmasked search — the
 //! property `tests/routing_props.rs` pins across all precisions.
 
 use std::cmp::Ordering;
@@ -3084,18 +3093,6 @@ impl<S: PlaneScalar> CompiledBanked<S> {
         self.plans.iter().map(CompiledMcam::plan_bytes).sum()
     }
 
-    /// Searches every bank (banks shard across up to `n_threads`
-    /// workers) and merges the per-bank winners in bank order; returns
-    /// `(global_row, total_conductance)` of the overall nearest row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-bank query validation failures.
-    pub fn search(&self, query: &[u8], n_threads: usize) -> Result<(usize, f64)> {
-        let plans: Vec<&CompiledMcam<S>> = self.plans.iter().collect();
-        banked_winner(&plans, self.rows_per_bank, query, n_threads)
-    }
-
     /// Searches a batch of queries, sharding contiguous query groups
     /// across up to `n_threads` workers (each worker sweeps every bank
     /// for its queries, so one fork–join serves the whole batch); each
@@ -3111,7 +3108,8 @@ impl<S: PlaneScalar> CompiledBanked<S> {
     /// The first failing query (in input order) fails the batch.
     pub fn search_batch(&self, queries: &[&[u8]], n_threads: usize) -> Result<Vec<(usize, f64)>> {
         let plans: Vec<&CompiledMcam<S>> = self.plans.iter().collect();
-        banked_winner_batch(&plans, self.rows_per_bank, queries, n_threads)
+        let bases = bank_bases(plans.len(), self.rows_per_bank);
+        banked_winner_batch_kernel(&plans, &bases, queries, WinnerSweep::Full, n_threads)
     }
 }
 
@@ -3128,47 +3126,6 @@ pub(crate) fn banked_work_per_query<K: BlockKernel>(plans: &[&K]) -> usize {
 /// ["Bank-mask contract"](self#bank-mask-contract)).
 pub(crate) fn bank_bases(n_banks: usize, rows_per_bank: usize) -> Vec<usize> {
     (0..n_banks).map(|b| b * rows_per_bank).collect()
-}
-
-/// Single-query hierarchical winner-take-all over per-bank kernels:
-/// banks shard across up to `n_threads` workers, winners merge in
-/// ascending bank order (fixed-order fold, lowest-global-row
-/// tie-break). Generic over the kernel, so the plane and packed-code
-/// banked paths share one merge.
-///
-/// `bases[i]` is the global base row of `plans[i]` — pass
-/// [`bank_bases`] for a full sweep, or any ascending bank subset's true
-/// bases for a masked sweep (the module-level
-/// ["Bank-mask contract"](self#bank-mask-contract)).
-pub(crate) fn banked_winner_kernel<K: BlockKernel>(
-    plans: &[&K],
-    bases: &[usize],
-    query: &[u8],
-    n_threads: usize,
-) -> Result<(usize, f64)> {
-    debug_assert_eq!(plans.len(), bases.len(), "one base per bank kernel");
-    // femcam::allow(no_panic): callers pass one plan per bank and banked
-    // memories have >= 1 bank.
-    let first = plans.first().expect("at least one bank");
-    first.check_query(query)?;
-    let block = [query];
-    let per_bank = par::par_map(plans, n_threads.min(plans.len()), |_, plan| {
-        let mut acc = vec![K::Acc::ZERO; plan.n_rows()];
-        let mut aux = Vec::new();
-        plan.accumulate_block(&block, &mut acc, &mut aux);
-        let (local, g) = argmin(&acc);
-        (local, g.to_f64())
-    });
-    let mut best: Option<(usize, f64)> = None;
-    for (&base, &(local, g)) in bases.iter().zip(per_bank.iter()) {
-        let global = base + local;
-        if best.is_none_or(|(_, bg)| g < bg) {
-            best = Some((global, g));
-        }
-    }
-    // femcam::allow(no_panic): the loop above ran over >= 1 bank, so a
-    // winner exists.
-    Ok(best.expect("merge over at least one bank"))
 }
 
 /// Which banks a batched winner sweep scores for each query (see
@@ -3245,8 +3202,9 @@ fn seed_winners<K: BlockKernel>(
 /// banks in ascending order for its group with one reusable scratch,
 /// merging per-query winners in bank order as it goes.
 ///
-/// `bases[i]` is the global base row of `plans[i]` (see
-/// [`banked_winner_kernel`] and the module-level
+/// `bases[i]` is the global base row of `plans[i]`: [`bank_bases`]
+/// for a full sweep, or any ascending bank subset's true bases for a
+/// masked sweep (the module-level
 /// ["Bank-mask contract"](self#bank-mask-contract)). `sweep` picks the
 /// banks each query visits: all of them, all of them after a seeding
 /// pass over its hinted banks (skipped, as pure extra work, unless some
@@ -3335,44 +3293,11 @@ pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
         .collect()
 }
 
-/// Single-query winner merge over per-bank plane plans (the
-/// [`banked_winner_kernel`] instantiation the plane paths use).
-pub(crate) fn banked_winner<S: PlaneScalar>(
-    plans: &[&CompiledMcam<S>],
-    rows_per_bank: usize,
-    query: &[u8],
-    n_threads: usize,
-) -> Result<(usize, f64)> {
-    banked_winner_kernel(
-        plans,
-        &bank_bases(plans.len(), rows_per_bank),
-        query,
-        n_threads,
-    )
-}
-
-/// Batched winner merge over per-bank plane plans (the
-/// [`banked_winner_batch_kernel`] instantiation the plane paths use).
-pub(crate) fn banked_winner_batch<S: PlaneScalar>(
-    plans: &[&CompiledMcam<S>],
-    rows_per_bank: usize,
-    queries: &[&[u8]],
-    n_threads: usize,
-) -> Result<Vec<(usize, f64)>> {
-    banked_winner_batch_kernel(
-        plans,
-        &bank_bases(plans.len(), rows_per_bank),
-        queries,
-        WinnerSweep::Full,
-        n_threads,
-    )
-}
-
 /// A compiled multi-bank packed-code plan: one [`CodesDispatch`] per
 /// bank (packed codes for shared-LUT banks, `f32` plane fallback for
 /// variation banks) plus the same fixed-order winner merge as
 /// [`CompiledBanked`]. An explicit snapshot — the cached entry points
-/// ([`crate::banked::BankedMcam::search_batch_with`] at
+/// ([`crate::banked::BankedMcam::search_batch_winners_with`] at
 /// [`Precision::Codes`]) are usually preferable.
 #[derive(Debug, Clone)]
 pub struct CompiledBankedCodes {
@@ -3437,19 +3362,6 @@ impl CompiledBankedCodes {
     #[must_use]
     pub fn plan_bytes(&self) -> usize {
         self.plans.iter().map(CodesDispatch::plan_bytes).sum()
-    }
-
-    /// Searches every bank and merges the per-bank winners in bank
-    /// order — same contract as [`CompiledBanked::search`],
-    /// bit-identical to the `f32` banked plan on shared-LUT banks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-bank query validation failures.
-    pub fn search(&self, query: &[u8], n_threads: usize) -> Result<(usize, f64)> {
-        let plans: Vec<&CodesDispatch> = self.plans.iter().collect();
-        let bases = bank_bases(plans.len(), self.rows_per_bank);
-        banked_winner_kernel(&plans, &bases, query, n_threads)
     }
 
     /// Batched multi-bank search — same contract as
@@ -3536,6 +3448,7 @@ pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::array::{McamArrayBuilder, VariationSpec};
+    use crate::banked::SearchSpec;
     use crate::levels::LevelLadder;
     use crate::lut::ConductanceLut;
     use femcam_device::FefetModel;
@@ -4145,8 +4058,13 @@ mod tests {
             }
             for precision in [Precision::F64, Precision::F32, Precision::Codes] {
                 for metric in Metric::ALL {
+                    let spec = SearchSpec {
+                        precision,
+                        metric,
+                        ..SearchSpec::default()
+                    };
                     let winners = memory
-                        .search_batch_winners_with_metric(&[&target, &target], precision, metric)
+                        .search_batch_winners_with(&[&target, &target], spec)
                         .unwrap();
                     for (row, _) in winners {
                         assert_eq!(row, tied[first], "{precision:?} {metric:?}");
@@ -4253,13 +4171,18 @@ mod tests {
                     assert_eq!(first_min(oracle.conductances(), 0..n), *want, "{ctx}");
                 }
             }
-            let public = memory
-                .search_batch_winners_with_metric(&refs, Precision::Codes, metric)
-                .unwrap();
+            let spec = SearchSpec {
+                precision: Precision::Codes,
+                metric,
+                ..SearchSpec::default()
+            };
+            let public = memory.search_batch_winners_with(&refs, spec).unwrap();
             assert_eq!(winner_bits(&public), want_all, "public full: {ctx}");
-            let public = memory
-                .search_batch_winners_masked_metric(&refs, Precision::Codes, metric, mask)
-                .unwrap();
+            let masked = SearchSpec {
+                banks: Some(mask),
+                ..spec
+            };
+            let public = memory.search_batch_winners_with(&refs, masked).unwrap();
             assert_eq!(winner_bits(&public), want_mask, "public masked: {ctx}");
             let plans: Vec<CompiledCodes> = memory
                 .banks()
@@ -4552,10 +4475,12 @@ mod tests {
         /// A seeded sweep reports the unseeded full sweep's winners bit
         /// for bit, whatever the hint: every tier the host runs, every
         /// metric (L∞'s max fold included), 1 and 2 threads, and the
-        /// public seeded entry point at every precision. A planted word
+        /// public entry point at every precision. A planted word
         /// repeated across banks makes ties at the seed bound common.
         /// The hint alone, swept as `Hinted`, is the masked sweep of its
-        /// in-range banks.
+        /// in-range banks. The spec's mask and seeds are orthogonal: a
+        /// drawn mask with any hint answers as the masked sweep without
+        /// one, ties included.
         #[test]
         fn seeded_winners_match_the_unseeded_sweep(
             bank_pick in 0usize..4,
@@ -4592,6 +4517,10 @@ mod tests {
             let (memory, _) = banked_and_flat(&rows, WORD, rows_per_bank);
             let bases = bank_bases(n_banks, rows_per_bank);
             let cases = seed_hint_cases(refs.len(), n_banks, next());
+            let mut bank_mask: Vec<usize> = (0..n_banks).filter(|_| next() % 2 == 0).collect();
+            if bank_mask.is_empty() {
+                bank_mask.push((next() % n_banks as u64) as usize);
+            }
             for metric in Metric::ALL {
                 let plans: Vec<CompiledCodes> = memory
                     .banks()
@@ -4645,13 +4574,14 @@ mod tests {
                     }
                 }
                 for precision in [Precision::F64, Precision::F32, Precision::Codes] {
-                    let want = memory
-                        .search_batch_winners_with_metric(&refs, precision, metric)
-                        .unwrap();
+                    let full = SearchSpec { precision, metric, ..SearchSpec::default() };
+                    let masked = SearchSpec { banks: Some(&bank_mask), ..full };
+                    let want = memory.search_batch_winners_with(&refs, full).unwrap();
+                    let want_masked = memory.search_batch_winners_with(&refs, masked).unwrap();
                     for (name, hints) in &cases {
                         let hints: Vec<&[usize]> = hints.iter().map(Vec::as_slice).collect();
                         let got = memory
-                            .search_batch_winners_seeded(&refs, precision, metric, &hints)
+                            .search_batch_winners_with(&refs, SearchSpec { seeds: &hints, ..full })
                             .unwrap();
                         prop_assert_eq!(
                             winner_bits(&got),
@@ -4660,6 +4590,19 @@ mod tests {
                             precision,
                             metric,
                             name
+                        );
+                        let seeded_masked = SearchSpec { seeds: &hints, ..masked };
+                        let got = memory
+                            .search_batch_winners_with(&refs, seeded_masked)
+                            .unwrap();
+                        prop_assert_eq!(
+                            winner_bits(&got),
+                            winner_bits(&want_masked),
+                            "public {:?} {:?} hint {} mask {:?}",
+                            precision,
+                            metric,
+                            name,
+                            bank_mask
                         );
                     }
                 }

@@ -14,7 +14,7 @@
 //! * [`lut`] — the 2-D conductance lookup table `F(I, S) = G`, the
 //!   paper's own simulation vehicle, plus the Fig. 4 distance-function
 //!   curves and their derivative.
-//! * [`array`] — MCAM arrays with match-line RC discharge, sense-amp
+//! * [`array`](mod@array) — MCAM arrays with match-line RC discharge, sense-amp
 //!   winner-take-all, and optional per-cell `Vth` variation.
 //! * [`exec`] / [`par`] — the compiled, batched query executor:
 //!   plane-major conductance plans (precision-generic: `f64` reference
@@ -86,7 +86,7 @@ pub mod tcam;
 
 pub use acam::{AcamArray, AcamCell};
 pub use array::{McamArray, McamArrayBuilder, MlTiming, SearchOutcome, SenseAmp, VariationSpec};
-pub use banked::BankedMcam;
+pub use banked::{BankedMcam, SearchSpec};
 pub use cell::McamCell;
 pub use distance::{Cosine, Distance, DistanceKind, Euclidean, Linf, Manhattan, McamSoftware};
 pub use engines::{accuracy, classify_knn, McamNn, NnIndex, QueryResult, SoftwareNn, TcamLshNn};

@@ -3,8 +3,9 @@
 //!
 //! A full-sweep search costs O(rows) per query no matter how large the
 //! memory grows, so node capacity is capped by compute even though
-//! packed-code plans ([`Precision::Codes`]) keep tens of millions of
-//! rows resident. Two-stage retrieval restores memory-bound capacity:
+//! packed-code plans ([`Precision::Codes`](crate::Precision::Codes))
+//! keep tens of millions of rows resident. Two-stage retrieval restores
+//! memory-bound capacity:
 //!
 //! 1. **Route** — an [`LshRouter`] hashes the query word through the
 //!    SimHash machinery of `femcam-lsh` ([`RandomHyperplanes`]) and
@@ -19,14 +20,13 @@
 //!    [`crate::exec`]'s "Seeded winners"): each bank sweeps the
 //!    queries routed to it together, and each query carries one
 //!    bound across its routed banks, so banks after its nearest one
-//!    abandon row blocks early. Per query the answer is
-//!    [`BankedMcam::search_batch_winners_masked`]'s over its route.
+//!    abandon row blocks early. Per query the answer is a masked
+//!    [`BankedMcam::search_batch_winners_with`]'s over its route.
 //!
 //! A served router goes one step further: a routed server's shards
 //! score each query's routed banks first and then sweep all of their
-//! banks from that bound
-//! ([`BankedMcam::search_batch_winners_seeded`]), which answers
-//! exactly like the full sweep while skipping most of its work.
+//! banks from that bound (the `seeds` of a [`SearchSpec`]), which
+//! answers exactly like the full sweep while skipping most of its work.
 //!
 //! [`RoutedMcam`] binds the two together and keeps them consistent:
 //! every [`store`](RoutedMcam::store) updates the router's buckets the
@@ -61,9 +61,9 @@ use std::collections::{BTreeMap, HashMap};
 
 use femcam_lsh::RandomHyperplanes;
 
-use crate::banked::BankedMcam;
+use crate::banked::{BankedMcam, SearchSpec};
 use crate::error::CoreError;
-use crate::exec::{self, Metric, Precision};
+use crate::exec;
 use crate::levels::LevelLadder;
 use crate::lut::ConductanceLut;
 use crate::par;
@@ -381,7 +381,10 @@ impl LshRouter {
 
 /// A [`BankedMcam`] paired with an [`LshRouter`] that stays in sync
 /// with it — the two-stage retrieval index (see the [module
-/// docs](self)).
+/// docs](self)). Its searches take the same [`SearchSpec`] as the
+/// banked memory's, minus the banks and seeds the router picks:
+/// [`search_batch_winners_with`](Self::search_batch_winners_with) and
+/// [`search_batch_top_k_with`](Self::search_batch_top_k_with).
 #[derive(Debug)]
 pub struct RoutedMcam {
     memory: BankedMcam,
@@ -479,79 +482,43 @@ impl RoutedMcam {
         Ok(banks)
     }
 
-    /// Routed single-query search: exact winner within the routed
-    /// banks as `(global_row, total_conductance)`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BankedMcam::search_masked_with`].
-    pub fn search_with(&self, query: &[u8], precision: Precision) -> Result<(usize, f64)> {
-        self.search_with_metric(query, precision, Metric::default())
-    }
-
-    /// [`search_with`](Self::search_with) at a chosen [`Metric`]: the
-    /// route is metric-agnostic (SimHash buckets depend only on the
-    /// stored words), while the exact re-rank inside the routed banks
-    /// honors the request metric.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BankedMcam::search_masked_with`].
-    pub fn search_with_metric(
-        &self,
-        query: &[u8],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<(usize, f64)> {
-        if self.memory.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        let banks = self.route(query)?;
-        self.memory
-            .search_masked_with_metric(query, precision, metric, &banks)
-    }
-
     /// Routes every query, then re-ranks each one over its routed banks
     /// in one batched pass: per worker, bank-major in ascending bank
     /// order, each bank sweeping the queries routed to it as one block,
     /// and each query carrying one bound across its banks (the kernel's
     /// seeding pass, `crate::exec`'s "Seeded winners"). A query's
     /// bound is as tight after its first near bank as a full sweep's
-    /// would be there, so later banks abandon row blocks early.
+    /// would be there, so later banks abandon row blocks early. A
+    /// single query is a batch of one.
+    ///
+    /// `spec` sets the precision and metric (a bare
+    /// [`Precision`](crate::Precision) converts). The route is
+    /// metric-agnostic (SimHash buckets depend only on the stored
+    /// words), while the exact re-rank inside the routed banks honors
+    /// the metric. The router picks the banks, so a spec may set
+    /// neither a mask nor seed hints.
     ///
     /// Results come back in query order. Per query, the winner is
-    /// bit-identical to a masked sweep of its routed banks
-    /// ([`BankedMcam::search_batch_winners_masked`]): within a bank the
-    /// same compiled plan produces the same conductances, and the fold
-    /// is the masked sweep's own — ascending bank order, strict `<` on
-    /// conductance, so exact ties keep the lowest global row.
+    /// bit-identical to a masked
+    /// [`BankedMcam::search_batch_winners_with`] over its routed banks:
+    /// within a bank the same compiled plan produces the same
+    /// conductances, and the fold is the masked sweep's own — ascending
+    /// bank order, strict `<` on conductance, so exact ties keep the
+    /// lowest global row.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`BankedMcam::search_batch_winners_masked`];
-    /// the lowest-indexed failing query fails the batch.
-    pub fn search_batch_winners_with(
+    /// * [`CoreError::InvalidParameter`] if `spec` sets `banks` or
+    ///   `seeds`.
+    /// * Same conditions as a masked
+    ///   [`BankedMcam::search_batch_winners_with`]; the lowest-indexed
+    ///   failing query fails the batch.
+    pub fn search_batch_winners_with<'a>(
         &self,
         queries: &[&[u8]],
-        precision: Precision,
+        spec: impl Into<SearchSpec<'a>>,
     ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_winners_with_metric(queries, precision, Metric::default())
-    }
-
-    /// [`search_batch_winners_with`](Self::search_batch_winners_with)
-    /// at a chosen [`Metric`] — routing stays metric-agnostic, the
-    /// re-rank honors the request metric.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BankedMcam::search_batch_winners_masked`];
-    /// the lowest-indexed failing query fails the batch.
-    pub fn search_batch_winners_with_metric(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>> {
+        let spec = routed_spec(spec.into())?;
         if self.memory.is_empty() {
             return Err(CoreError::EmptyArray);
         }
@@ -560,7 +527,7 @@ impl RoutedMcam {
             .map(|q| self.route(q))
             .collect::<Result<_>>()?;
         self.memory
-            .search_batch_winners_routed(queries, precision, metric, &routes)
+            .search_batch_winners_routed(queries, spec.precision, spec.metric, &routes)
     }
 
     /// The top-k face of
@@ -570,37 +537,28 @@ impl RoutedMcam {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`BankedMcam::search_batch_top_k_masked`].
-    pub fn search_batch_top_k_with(
+    /// * [`CoreError::InvalidParameter`] if `spec` sets `banks` or
+    ///   `seeds`.
+    /// * Same conditions as a masked
+    ///   [`BankedMcam::search_batch_top_k_with`].
+    pub fn search_batch_top_k_with<'a>(
         &self,
         queries: &[&[u8]],
         k: usize,
-        precision: Precision,
+        spec: impl Into<SearchSpec<'a>>,
     ) -> Result<Vec<Vec<(usize, f64)>>> {
-        self.search_batch_top_k_with_metric(queries, k, precision, Metric::default())
-    }
-
-    /// [`search_batch_top_k_with`](Self::search_batch_top_k_with) at a
-    /// chosen [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BankedMcam::search_batch_top_k_masked`].
-    pub fn search_batch_top_k_with_metric(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
+        let spec = routed_spec(spec.into())?;
         if self.memory.is_empty() {
             return Err(CoreError::EmptyArray);
         }
         let groups = self.route_groups(queries)?;
         let per_group = par::try_par_map(&groups, par::max_threads(), |_, (banks, idxs)| {
             let group: Vec<&[u8]> = idxs.iter().map(|&i| queries[i]).collect();
-            self.memory
-                .search_batch_top_k_masked_metric(&group, k, precision, metric, banks)
+            let masked = SearchSpec {
+                banks: Some(banks),
+                ..spec
+            };
+            self.memory.search_batch_top_k_with(&group, k, masked)
         })?;
         let mut out = vec![Vec::new(); queries.len()];
         for ((_, idxs), hits) in groups.iter().zip(per_group) {
@@ -649,9 +607,29 @@ impl RoutedMcam {
     }
 }
 
+/// A routed search's spec: the router picks the banks, so a mask or
+/// seed hints from the caller are a usage error, reported rather than
+/// silently overridden.
+fn routed_spec(spec: SearchSpec<'_>) -> Result<SearchSpec<'_>> {
+    if spec.banks.is_some() {
+        return Err(CoreError::InvalidParameter {
+            name: "routed search bank mask",
+            value: 0.0,
+        });
+    }
+    if !spec.seeds.is_empty() {
+        return Err(CoreError::InvalidParameter {
+            name: "routed search seed hints",
+            value: spec.seeds.len() as f64,
+        });
+    }
+    Ok(spec)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Precision;
     use femcam_device::FefetModel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -784,8 +762,13 @@ mod tests {
             // Every stored word remains exactly findable: routed search
             // agrees with the full sweep on exact-match queries.
             for w in &words {
-                let routed_hit = routed.search_with(w, Precision::Codes).unwrap();
-                let full = routed.memory().search_with(w, Precision::Codes).unwrap();
+                let routed_hit = routed
+                    .search_batch_winners_with(&[w], Precision::Codes)
+                    .unwrap();
+                let full = routed
+                    .memory()
+                    .search_batch_winners_with(&[w], Precision::Codes)
+                    .unwrap();
                 assert_eq!(routed_hit, full);
             }
         }
@@ -818,7 +801,7 @@ mod tests {
         let routed =
             RoutedMcam::new(BankedMcam::new(ladder, lut, 8, 4), RouterConfig::default()).unwrap();
         assert!(matches!(
-            routed.search_with(&[0; 8], Precision::Codes),
+            routed.search_batch_winners_with(&[&[0; 8]], Precision::Codes),
             Err(CoreError::EmptyArray)
         ));
         assert!(matches!(
@@ -847,18 +830,57 @@ mod tests {
         for precision in [Precision::F64, Precision::F32, Precision::Codes] {
             let batch = routed.search_batch_winners_with(&refs, precision).unwrap();
             for (q, &w) in refs.iter().zip(&batch) {
-                assert_eq!(w, routed.search_with(q, precision).unwrap());
+                let solo = routed.search_batch_winners_with(&[*q], precision).unwrap();
+                assert_eq!(vec![w], solo);
             }
             let topk = routed.search_batch_top_k_with(&refs, 3, precision).unwrap();
             for (q, hits) in refs.iter().zip(&topk) {
                 let banks = routed.route(q).unwrap();
+                let masked = SearchSpec {
+                    precision,
+                    banks: Some(&banks),
+                    ..SearchSpec::default()
+                };
                 let solo = routed
                     .memory()
-                    .search_batch_top_k_masked(&[q], 3, precision, &banks)
+                    .search_batch_top_k_with(&[q], 3, masked)
                     .unwrap()
                     .remove(0);
                 assert_eq!(hits, &solo);
             }
         }
+    }
+
+    #[test]
+    fn routed_spec_rejects_banks_and_seeds() {
+        let (ladder, lut) = geometry();
+        let rows: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i % 8; 8]).collect();
+        let (routed, _) =
+            RoutedMcam::build(ladder, lut, 8, 4, RouterConfig::default(), &rows).unwrap();
+        let query: &[u8] = &[3; 8];
+        let hint: &[usize] = &[0];
+        let specs = [
+            SearchSpec {
+                banks: Some(&[0, 1]),
+                ..SearchSpec::default()
+            },
+            SearchSpec {
+                seeds: &[hint],
+                ..SearchSpec::default()
+            },
+        ];
+        for spec in specs {
+            assert!(matches!(
+                routed.search_batch_winners_with(&[query], spec),
+                Err(CoreError::InvalidParameter { .. })
+            ));
+            assert!(matches!(
+                routed.search_batch_top_k_with(&[query], 2, spec),
+                Err(CoreError::InvalidParameter { .. })
+            ));
+        }
+        assert!(routed
+            .search_batch_winners_with(&[query], SearchSpec::default())
+            .is_ok());
     }
 }

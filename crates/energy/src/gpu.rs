@@ -5,7 +5,7 @@
 //! neural network part of the MANN", i.e. by the fraction of GPU time
 //! and energy the NN-search stage occupies. We model the GPU pipeline
 //! with that measured distribution as the calibration anchor — the same
-//! "following the distribution in [3]" methodology the paper uses —
+//! "following the distribution in \[3\]" methodology the paper uses —
 //! plus simple per-operation scaling so workload changes move the
 //! numbers sensibly.
 

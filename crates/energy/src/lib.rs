@@ -18,7 +18,7 @@
 //! ([`cam`]) — the +56% emerges *exactly* from the Fig. 3(b) input
 //! ladder — and composes the fourth from a calibrated GPU cost
 //! distribution ([`gpu`], [`endtoend`]), mirroring the paper's own
-//! "following the distribution in [3]" methodology.
+//! "following the distribution in \[3\]" methodology.
 //!
 //! # Quickstart
 //!

@@ -37,8 +37,8 @@ pub mod prelude {
         Distance, DistanceKind, Euclidean, LevelLadder, Linf, LshRouter, McamArray,
         McamArrayBuilder, McamCell, McamNn, McamSoftware, Metric, MlTiming, NnIndex,
         PlanMemoryBytes, PlaneScalar, Precision, QuantizeStrategy, Quantizer, RoutedMcam,
-        RouterConfig, SearchOutcome, SenseAmp, SoftwareNn, TcamArray, TcamLshNn, Ternary,
-        VariationSpec, N_METRICS,
+        RouterConfig, SearchOutcome, SearchSpec, SenseAmp, SoftwareNn, TcamArray, TcamLshNn,
+        Ternary, VariationSpec, N_METRICS,
     };
     pub use femcam_data::{
         synth, ClassFeatureSource, Dataset, GlyphClass, GlyphRenderer, PrototypeFeatureModel,

@@ -3,7 +3,7 @@
 //! `femcam-lint` is a dependency-free static-analysis pass that runs
 //! over the workspace's own sources (`crates/*/src` and
 //! `crates/*/tests`) and enforces the conventions the instrumented
-//! sync layer ([`femcam_core::sync`]) and the atomics audit rely on:
+//! sync layer (`femcam_core::sync`) and the atomics audit rely on:
 //!
 //! | id    | name                  | convention                                        |
 //! |-------|-----------------------|---------------------------------------------------|

@@ -10,7 +10,7 @@
 //!   `Relu`, all with hand-written backward passes;
 //! * [`loss`] — softmax cross-entropy;
 //! * [`optim`] — SGD with momentum;
-//! * [`model`] — a [`Sequential`](model::Sequential) container with
+//! * [`model`] — a [`Sequential`] container with
 //!   embedding extraction (`forward_upto`) for the MANN memory, plus the
 //!   paper's architecture builder [`model::mann_cnn`].
 //!

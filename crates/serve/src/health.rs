@@ -179,7 +179,8 @@ pub enum DegradedPolicy {
 /// `searched == total` is a full-coverage (exact-contract) answer;
 /// anything less means some intended shard did not contribute and the
 /// result is the exact merge over `banks` only — checkable against
-/// `BankedMcam::search_masked_with` over the same bank subset.
+/// `BankedMcam::search_batch_winners_with` masked to the same bank
+/// subset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Coverage {
     /// Banks that contributed to the merge.

@@ -49,7 +49,7 @@
 //!
 //! **Deadlines.** The window's default close time is `max_wait` after
 //! it opened — the *global* patience of a batching window. A request
-//! submitted through [`ShardedHandle::submit_with_deadline`] carries
+//! submitted through [`ShardedHandle::submit_with`] carries
 //! its own budget, and the window instead closes at the *earliest*
 //! deadline among the requests it holds — a tight-budget request never
 //! idles out a window on behalf of patient neighbors. A deadline
@@ -110,16 +110,18 @@
 //! more: each contacted shard gets the routed banks it owns as a seed
 //! hint, scores those first, and starts its full sweep from the bound
 //! they give, so rows far from the query are abandoned from the first
-//! bank on ([`BankedMcam::search_batch_winners_seeded`]). Winner
+//! bank on (the `seeds` of a [`SearchSpec`]
+//! given to [`BankedMcam::search_batch_winners_with`]). Winner
 //! searches only; top-k takes no hint.
 //! Stores keep the router's buckets in sync (the tail store, then
 //! [`LshRouter::note_store`](femcam_core::LshRouter::note_store)), so
 //! a new row is routable the moment its store returns.
 //!
 //! **Determinism contract.** Per-request results are **bit-identical**
-//! to calling [`BankedMcam::search_with`] directly at the same
-//! precision against the same contents — regardless of the shard
-//! count, which micro-batch a request lands in, how large that batch
+//! to calling [`BankedMcam::search_batch_winners_with`] (or
+//! [`BankedMcam::search_batch_top_k_with`]) directly at the same
+//! precision and metric against the same contents — regardless of the
+//! shard count, which micro-batch a request lands in, how large that batch
 //! is, or how many worker threads execute it. This is inherited from
 //! the executor's fixed-order folds (`femcam_core::exec`'s
 //! "Determinism guarantee") and the fixed merge order, and pinned
@@ -182,9 +184,9 @@
 //!   intended, the exact contributing bank set) through
 //!   [`ShardTicket::wait_covered`] and
 //!   [`ServedNn::query_with_coverage`]. A degraded answer is the
-//!   *exact* merge over `Coverage::banks` (checkable against
-//!   [`BankedMcam::search_masked_with`]). The policy knob
-//!   [`ServeConfig::degraded_policy`] picks fail-open (default:
+//!   *exact* merge over `Coverage::banks` (checkable against a
+//!   [`BankedMcam::search_batch_winners_with`] masked to them). The
+//!   policy knob [`ServeConfig::degraded_policy`] picks fail-open (default:
 //!   return the partial answer with its coverage) or fail-closed
 //!   (reject with [`ServeError::Degraded`]). Routed searches whose
 //!   banks all live on quarantined shards fall back to a full sweep
@@ -293,12 +295,12 @@
 //! // Two banks, one per shard: searches fan out to both and merge.
 //! let server = ShardedServer::start(memory, 2, ServeConfig::default());
 //! let handle = server.handle();
-//! let (row, _conductance) = handle.search(&[1, 1, 2, 3])?;
+//! let (row, _conductance) = handle.submit(&[1, 1, 2, 3])?.wait()?;
 //! assert_eq!(row, 2);
 //! // Writes go through the tail shard's dispatcher; later searches
 //! // see them.
 //! let new_row = handle.store(&[4, 4, 4, 4])?;
-//! assert_eq!(handle.search(&[4, 4, 4, 4])?.0, new_row);
+//! assert_eq!(handle.submit(&[4, 4, 4, 4])?.wait()?.0, new_row);
 //! let memory = server.shutdown()?; // reassembles the live memory
 //! assert_eq!(memory.n_rows(), 4);
 //! # Ok(())
@@ -337,7 +339,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use femcam_core::exec::validate_query;
-use femcam_core::{par, BankedMcam, CoreError, Metric, PlanMemoryBytes, Precision, N_METRICS};
+use femcam_core::{
+    par, BankedMcam, CoreError, Metric, PlanMemoryBytes, Precision, SearchSpec, N_METRICS,
+};
 
 use health::RestartBreaker;
 use stats::StatsInner;
@@ -1532,8 +1536,13 @@ fn execute_window(
             }
             let queries: Vec<&[u8]> = group.iter().map(|s| s.query.as_slice()).collect();
             let seeds: Vec<&[usize]> = group.iter().map(|s| s.seeds.as_slice()).collect();
-            winners[metric.index()] =
-                Some(memory.search_batch_winners_seeded(&queries, precision, metric, &seeds));
+            let spec = SearchSpec {
+                precision,
+                metric,
+                banks: None,
+                seeds: &seeds,
+            };
+            winners[metric.index()] = Some(memory.search_batch_winners_with(&queries, spec));
         }
         let mut topk_hits: TopKSweeps = Default::default();
         for metric in Metric::ALL {
@@ -1543,8 +1552,12 @@ fn execute_window(
             }
             let k_max = group.iter().map(|t| t.k).max().unwrap_or(0);
             let queries: Vec<&[u8]> = group.iter().map(|t| t.query.as_slice()).collect();
-            topk_hits[metric.index()] =
-                Some(memory.search_batch_top_k_with_metric(&queries, k_max, precision, metric));
+            let spec = SearchSpec {
+                precision,
+                metric,
+                ..SearchSpec::default()
+            };
+            topk_hits[metric.index()] = Some(memory.search_batch_top_k_with(&queries, k_max, spec));
         }
         #[cfg(feature = "chaos")]
         inject(shared, fault::FaultSite::PostBatch);
@@ -1673,7 +1686,13 @@ mod tests {
         let server = ShardedServer::start(memory, 1, ServeConfig::default());
         let handle = server.handle();
         for q in [[0u8, 1, 2, 3], [4, 4, 4, 5], [1, 1, 2, 2]] {
-            assert_eq!(handle.search(&q).unwrap(), direct.search(&q).unwrap());
+            assert_eq!(
+                handle.submit(&q).and_then(ShardTicket::wait).unwrap(),
+                direct
+                    .search_batch_winners_with(&[&q[..]], Precision::F64)
+                    .map(|w| w[0])
+                    .unwrap()
+            );
         }
         let stats = server.stats().merged();
         assert_eq!(stats.queries, 3);
@@ -1690,15 +1709,18 @@ mod tests {
         );
         let handle = server.handle();
         assert!(matches!(
-            handle.search(&[0, 0, 0]),
+            handle.submit(&[0, 0, 0]).and_then(ShardTicket::wait),
             Err(ServeError::Core(CoreError::WordLengthMismatch { .. }))
         ));
         assert!(matches!(
-            handle.search(&[0, 0, 0, 9]),
+            handle.submit(&[0, 0, 0, 9]).and_then(ShardTicket::wait),
             Err(ServeError::Core(CoreError::LevelOutOfRange { .. }))
         ));
         // A well-formed neighbor is unaffected.
-        assert!(handle.search(&[0, 0, 0, 1]).is_ok());
+        assert!(handle
+            .submit(&[0, 0, 0, 1])
+            .and_then(ShardTicket::wait)
+            .is_ok());
     }
 
     #[test]
@@ -1708,7 +1730,10 @@ mod tests {
         let memory = BankedMcam::new(ladder, lut, 4, 2);
         let server = ShardedServer::start(memory, 1, ServeConfig::default());
         assert!(matches!(
-            server.handle().search(&[0, 0, 0, 0]),
+            server
+                .handle()
+                .submit(&[0, 0, 0, 0])
+                .and_then(ShardTicket::wait),
             Err(ServeError::Core(CoreError::EmptyArray))
         ));
     }
@@ -1720,7 +1745,14 @@ mod tests {
         let handle = server.handle();
         let row = handle.store(&[5, 5, 5, 5]).unwrap();
         assert_eq!(row, 1);
-        assert_eq!(handle.search(&[5, 5, 5, 5]).unwrap().0, row);
+        assert_eq!(
+            handle
+                .submit(&[5, 5, 5, 5])
+                .and_then(ShardTicket::wait)
+                .unwrap()
+                .0,
+            row
+        );
         let report = handle.memory_report().unwrap();
         assert_eq!(report.rows, 2);
         assert_eq!(report.word_len, 4);
@@ -1733,9 +1765,23 @@ mod tests {
         let memory = memory_with_rows(&[[0u8, 1, 2, 3], [7, 7, 7, 7], [1, 1, 2, 3]]);
         let server = ShardedServer::start(memory, 1, ServeConfig::default());
         let handle = server.handle();
-        assert!(handle.search_top_k(&[1, 1, 2, 3], 0).unwrap().is_empty());
-        assert_eq!(handle.search_top_k(&[1, 1, 2, 3], 2).unwrap().len(), 2);
-        let all = handle.search_top_k(&[1, 1, 2, 3], 100).unwrap();
+        assert!(handle
+            .submit_top_k(&[1, 1, 2, 3], 0, Metric::default(), None)
+            .and_then(ShardTopKTicket::wait)
+            .unwrap()
+            .is_empty());
+        assert_eq!(
+            handle
+                .submit_top_k(&[1, 1, 2, 3], 2, Metric::default(), None)
+                .and_then(ShardTopKTicket::wait)
+                .unwrap()
+                .len(),
+            2
+        );
+        let all = handle
+            .submit_top_k(&[1, 1, 2, 3], 100, Metric::default(), None)
+            .and_then(ShardTopKTicket::wait)
+            .unwrap();
         assert_eq!(all.len(), 3);
         assert_eq!(all[0].0, 2);
     }
@@ -1797,7 +1843,7 @@ mod tests {
         }
         // Requests after shutdown fail cleanly.
         assert!(matches!(
-            handle.search(&[0, 0, 0, 1]),
+            handle.submit(&[0, 0, 0, 1]).and_then(ShardTicket::wait),
             Err(ServeError::ShuttingDown)
         ));
         assert!(matches!(
@@ -1826,7 +1872,10 @@ mod tests {
             ServeConfig::default(),
         );
         let handle = server.handle();
-        match handle.search_with_deadline(&[0, 0, 0, 0], Duration::ZERO) {
+        match handle
+            .submit_with(&[0, 0, 0, 0], Metric::default(), Some(Duration::ZERO))
+            .and_then(ShardTicket::wait)
+        {
             Err(ServeError::DeadlineExceeded { budget, waited }) => {
                 assert_eq!(budget, Duration::ZERO);
                 assert_eq!(waited, Duration::ZERO);
@@ -1835,7 +1884,7 @@ mod tests {
         }
         // The top-k path shares the deadline contract.
         assert!(matches!(
-            handle.submit_top_k_with_deadline(&[0, 0, 0, 0], 2, Duration::ZERO),
+            handle.submit_top_k(&[0, 0, 0, 0], 2, Metric::default(), Some(Duration::ZERO)),
             Err(ServeError::DeadlineExceeded { .. })
         ));
         assert_eq!(server.stats().deadline_rejected, 2);
@@ -1843,29 +1892,45 @@ mod tests {
         // zero budget — validation outranks the deadline check, and
         // the deadline counter must not move.
         assert!(matches!(
-            handle.submit_with_deadline(&[0, 0, 0], Duration::ZERO),
+            handle.submit_with(&[0, 0, 0], Metric::default(), Some(Duration::ZERO)),
             Err(ServeError::Core(CoreError::WordLengthMismatch { .. }))
         ));
         assert!(matches!(
-            handle.submit_top_k_with_deadline(&[0, 0, 0, 9], 2, Duration::ZERO),
+            handle.submit_top_k(&[0, 0, 0, 9], 2, Metric::default(), Some(Duration::ZERO)),
             Err(ServeError::Core(CoreError::LevelOutOfRange { .. }))
         ));
         assert_eq!(server.stats().deadline_rejected, 2);
         // A generous budget answers normally and matches the
         // deadline-free path bitwise.
         let with = handle
-            .search_with_deadline(&[0, 0, 0, 1], Duration::from_secs(10))
+            .submit_with(
+                &[0, 0, 0, 1],
+                Metric::default(),
+                Some(Duration::from_secs(10)),
+            )
+            .and_then(ShardTicket::wait)
             .unwrap();
-        let without = handle.search(&[0, 0, 0, 1]).unwrap();
+        let without = handle
+            .submit(&[0, 0, 0, 1])
+            .and_then(ShardTicket::wait)
+            .unwrap();
         assert_eq!(with.0, without.0);
         assert_eq!(with.1.to_bits(), without.1.to_bits());
         assert_eq!(
             handle
-                .submit_top_k_with_deadline(&[0, 0, 0, 1], 1, Duration::from_secs(10))
+                .submit_top_k(
+                    &[0, 0, 0, 1],
+                    1,
+                    Metric::default(),
+                    Some(Duration::from_secs(10))
+                )
                 .unwrap()
                 .wait()
                 .unwrap(),
-            handle.search_top_k(&[0, 0, 0, 1], 1).unwrap()
+            handle
+                .submit_top_k(&[0, 0, 0, 1], 1, Metric::default(), None)
+                .and_then(ShardTopKTicket::wait)
+                .unwrap()
         );
     }
 
@@ -1884,7 +1949,12 @@ mod tests {
         let handle = server.handle();
         let started = Instant::now();
         let (row, _) = handle
-            .search_with_deadline(&[1, 1, 1, 1], Duration::from_millis(50))
+            .submit_with(
+                &[1, 1, 1, 1],
+                Metric::default(),
+                Some(Duration::from_millis(50)),
+            )
+            .and_then(ShardTicket::wait)
             .unwrap();
         assert_eq!(row, 1);
         assert!(
@@ -1906,7 +1976,11 @@ mod tests {
         );
         let handle = server.handle();
         let ticket = handle
-            .submit_with_deadline(&[0, 0, 0, 1], Duration::from_nanos(1))
+            .submit_with(
+                &[0, 0, 0, 1],
+                Metric::default(),
+                Some(Duration::from_nanos(1)),
+            )
             .unwrap();
         match ticket.wait() {
             Err(ServeError::DeadlineExceeded { waited, .. }) => {
@@ -1941,16 +2015,26 @@ mod tests {
         let topk_tickets: Vec<_> = queries
             .iter()
             .enumerate()
-            .map(|(i, q)| handle.submit_top_k(q, i + 1).unwrap())
+            .map(|(i, q)| {
+                handle
+                    .submit_top_k(q, i + 1, Metric::default(), None)
+                    .unwrap()
+            })
             .collect();
         for (q, t) in queries.iter().zip(winner_tickets) {
-            let direct_hit = direct.search(q).unwrap();
+            let direct_hit = direct
+                .search_batch_winners_with(&[&q[..]], Precision::F64)
+                .map(|w| w[0])
+                .unwrap();
             let got = t.wait().unwrap();
             assert_eq!(got.0, direct_hit.0);
             assert_eq!(got.1.to_bits(), direct_hit.1.to_bits());
         }
         for (i, (q, t)) in queries.iter().zip(topk_tickets).enumerate() {
-            let want = direct.search_top_k_with(q, i + 1, Precision::F64).unwrap();
+            let want = direct
+                .search_batch_top_k_with(&[&q[..]], i + 1, Precision::F64)
+                .map(|mut h| h.remove(0))
+                .unwrap();
             assert_eq!(t.wait().unwrap(), want);
         }
         let stats = server.stats().merged();
@@ -1974,7 +2058,10 @@ mod tests {
         };
         let server = ShardedServer::start(memory, 1, config);
         let handle = server.handle();
-        handle.search(&[0, 1, 2, 3]).unwrap(); // warms the codes slot
+        handle
+            .submit(&[0, 1, 2, 3])
+            .and_then(ShardTicket::wait)
+            .unwrap(); // warms the codes slot
         let report = handle.memory_report().unwrap();
         assert!(report.plan.codes > 0);
         assert!(report.resident_bytes() >= report.plan.codes);

@@ -8,11 +8,13 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use femcam_core::{BankedMcam, CoreError, NnIndex, Precision, Quantizer, QueryResult};
+use femcam_core::{BankedMcam, CoreError, Metric, NnIndex, Precision, Quantizer, QueryResult};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::health::Coverage;
-use crate::{ServeConfig, ServeError, ServeStats, ShardTicket, ShardedHandle, ShardedServer};
+use crate::{
+    ServeConfig, ServeError, ServeStats, ShardTicket, ShardTopKTicket, ShardedHandle, ShardedServer,
+};
 
 /// How long `query_batch` waits out a queue saturated by traffic that
 /// is not its own before propagating the overload to the caller —
@@ -88,7 +90,8 @@ impl Backoff {
 /// owned by a dispatcher thread: queries submitted back-to-back (or by
 /// concurrent clones of the [`handle`](Self::handle)) coalesce into
 /// micro-batches, and results stay bit-identical to a direct
-/// [`BankedMcam::search_with`] at the configured precision.
+/// [`BankedMcam::search_batch_winners_with`] at the configured
+/// precision.
 ///
 /// `k`-nearest queries follow the uniform [`NnIndex::query_k`] clamp
 /// contract via the server's top-k endpoint.
@@ -286,7 +289,10 @@ impl NnIndex for ServedNn {
         let mut overloaded_since: Option<Instant> = None;
         let mut backoff = Backoff::new();
         let hits = loop {
-            match self.handle.search_top_k(&levels, k) {
+            let submitted = self
+                .handle
+                .submit_top_k(&levels, k, Metric::default(), None);
+            match submitted.and_then(ShardTopKTicket::wait) {
                 Ok(hits) => break hits,
                 Err(ServeError::Overloaded { .. }) => {
                     let since = *overloaded_since.get_or_insert_with(Instant::now);

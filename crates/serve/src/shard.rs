@@ -737,7 +737,10 @@ fn try_readmit_shard(
     let suite = canary_suite(&memory);
     let oracle: Vec<Vec<(usize, f64)>> = match suite
         .iter()
-        .map(|c| memory.search_top_k_with(&c.query, c.k, config.precision))
+        .map(|c| {
+            let hits = memory.search_batch_top_k_with(&[&c.query], c.k, config.precision)?;
+            Ok(hits.into_iter().next().unwrap_or_default())
+        })
         .collect()
     {
         Ok(oracle) => oracle,
@@ -800,6 +803,13 @@ fn try_readmit_shard(
 }
 
 /// Cloneable client handle to a running [`ShardedServer`].
+///
+/// Searches go through three non-blocking entry points:
+/// [`submit`](Self::submit) (the default winner search),
+/// [`submit_with`](Self::submit_with) (any [`Metric`], optional
+/// deadline) and [`submit_top_k`](Self::submit_top_k) (the `k`
+/// nearest, any metric, optional deadline). A blocking search is
+/// `submit…()?.wait()`.
 #[derive(Debug, Clone)]
 pub struct ShardedHandle {
     /// The shared topology: per-shard handle cells, geometry, router,
@@ -995,67 +1005,62 @@ impl ShardedHandle {
     /// * [`ServeError::ShuttingDown`] when the server has exited, and
     ///   [`ServeError::Degraded`] when no contacted shard is live.
     pub fn submit(&self, query: &[u8]) -> Result<ShardTicket, ServeError> {
-        self.submit_at(query, None, Metric::default())
+        self.submit_with(query, Metric::default(), None)
     }
 
-    /// [`submit`](Self::submit) at a chosen per-request [`Metric`]:
-    /// every contacted shard answers under `metric` semantics, and the
-    /// merge order (ascending distance, exact ties to the lowest
-    /// global row) is metric-independent, so the merged winner is
-    /// bit-identical to [`BankedMcam::search_with_metric`] over the
-    /// unpartitioned memory. Routing (when present) stays
-    /// metric-agnostic — only the shard sweeps honor the metric.
+    /// [`submit`](Self::submit) at a chosen per-request [`Metric`] and,
+    /// optionally, with a deadline `budget`. Every contacted shard
+    /// answers under `metric` semantics, and the merge order (ascending
+    /// distance, exact ties to the lowest global row) is
+    /// metric-independent, so the merged winner is bit-identical to
+    /// [`BankedMcam::search_batch_winners_with`] over the unpartitioned
+    /// memory at the shards' precision and `metric`. Routing (when
+    /// present) stays metric-agnostic — only the shard sweeps honor the
+    /// metric. With a budget, the same deadline instant fans to every
+    /// shard, and the merged request reports
+    /// [`ServeError::DeadlineExceeded`] if any shard could not execute
+    /// it in time (a partial merge is never returned).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`submit`](Self::submit).
-    pub fn submit_with_metric(
-        &self,
-        query: &[u8],
-        metric: Metric,
-    ) -> Result<ShardTicket, ServeError> {
-        self.submit_at(query, None, metric)
-    }
-
-    /// [`submit_with_metric`](Self::submit_with_metric), blocking for
-    /// the merged winner.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_with_metric(
-        &self,
-        query: &[u8],
-        metric: Metric,
-    ) -> Result<(usize, f64), ServeError> {
-        self.submit_with_metric(query, metric)?.wait()
-    }
-
-    /// Like [`submit`](Self::submit) with a per-request deadline: the
-    /// same deadline instant fans to every shard, and the merged
-    /// request reports [`ServeError::DeadlineExceeded`] if any shard
-    /// could not execute it in time (a partial merge is never
-    /// returned).
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::DeadlineExceeded`] immediately when `budget`
-    ///   is zero (after query validation).
+    /// * The query's validation error first, then
+    ///   [`ServeError::DeadlineExceeded`] immediately when `budget` is
+    ///   zero.
     /// * Otherwise the same conditions as [`submit`](Self::submit).
-    pub fn submit_with_deadline(
+    pub fn submit_with(
         &self,
         query: &[u8],
-        budget: Duration,
+        metric: Metric,
+        budget: Option<Duration>,
     ) -> Result<ShardTicket, ServeError> {
+        let deadline = self.admit_request(query, budget)?;
+        let (targets, banks) = self.route_targets(query)?;
+        let enqueue_deadline = deadline.map(|(instant, _)| instant);
+        let fanned = self.fan_out(&targets, &banks, |shard, seeds| {
+            shard.enqueue_search(query, enqueue_deadline, metric, seeds)
+        });
+        self.deadline_outranks(fanned, deadline).map(ShardTicket)
+    }
+
+    /// Admission checks every request runs once, in this order: the
+    /// query's validation, then the budget's conversion into a
+    /// deadline (so a malformed request always reports its validation
+    /// error, never `DeadlineExceeded`); topology errors come later,
+    /// from the fan-out.
+    fn admit_request(
+        &self,
+        query: &[u8],
+        budget: Option<Duration>,
+    ) -> Result<Option<(Instant, Duration)>, ServeError> {
         validate_query(self.word_len, self.n_levels, query)?;
-        let deadline = self.deadline_for(budget)?;
-        self.submit_at(query, Some((deadline, budget)), Metric::default())
+        budget
+            .map(|budget| Ok((self.deadline_for(budget)?, budget)))
+            .transpose()
     }
 
     /// Converts a request budget into an absolute deadline; a zero
-    /// budget is dead on arrival. Callers validate the query *first*,
-    /// so a malformed request always reports its validation error,
-    /// never `DeadlineExceeded`.
+    /// budget is dead on arrival ([`admit_request`](Self::admit_request)
+    /// runs it after validation).
     fn deadline_for(&self, budget: Duration) -> Result<Instant, ServeError> {
         if budget.is_zero() {
             // ORDERING: Relaxed — monotone client-stats counter.
@@ -1285,122 +1290,25 @@ impl ShardedHandle {
         Ok((targets, banks))
     }
 
-    fn submit_at(
-        &self,
-        query: &[u8],
-        deadline: Option<(Instant, Duration)>,
-        metric: Metric,
-    ) -> Result<ShardTicket, ServeError> {
-        validate_query(self.word_len, self.n_levels, query)?;
-        let (targets, banks) = self.route_targets(query)?;
-        let enqueue_deadline = deadline.map(|(instant, _)| instant);
-        let fanned = self.fan_out(&targets, &banks, |shard, seeds| {
-            shard.enqueue_search(query, enqueue_deadline, metric, seeds)
-        });
-        self.deadline_outranks(fanned, deadline).map(ShardTicket)
-    }
-
-    /// Submits one query to every shard and blocks for the merged
-    /// `(global_row, total_conductance)` winner — bit-identical to
-    /// [`BankedMcam::search_with`] over the unpartitioned memory at
-    /// the shards' precision.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit`](Self::submit) and
-    /// [`ShardTicket::wait`].
-    pub fn search(&self, query: &[u8]) -> Result<(usize, f64), ServeError> {
-        self.submit(query)?.wait()
-    }
-
-    /// [`submit_with_deadline`](Self::submit_with_deadline), blocking
-    /// for the merged winner.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`submit_with_deadline`](Self::submit_with_deadline) and
-    /// [`ShardTicket::wait`].
-    pub fn search_with_deadline(
-        &self,
-        query: &[u8],
-        budget: Duration,
-    ) -> Result<(usize, f64), ServeError> {
-        self.submit_with_deadline(query, budget)?.wait()
-    }
-
-    /// Submits one top-k query to every shard without blocking; the
-    /// returned [`ShardTopKTicket`] merges the per-shard candidate
-    /// lists by ascending `(conductance, global_row)` and truncates to
-    /// `k` — bit-identical to [`BankedMcam::search_top_k_with`] over
+    /// Submits one top-k query without blocking, at a chosen
+    /// per-request [`Metric`] and optional deadline `budget` (the same
+    /// semantics as [`submit_with`](Self::submit_with)). The returned
+    /// [`ShardTopKTicket`] merges the per-shard candidate lists by
+    /// ascending `(conductance, global_row)` and truncates to `k` —
+    /// bit-identical to [`BankedMcam::search_batch_top_k_with`] over
     /// the unpartitioned memory. `k` is clamped, never an error.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`submit`](Self::submit).
-    pub fn submit_top_k(&self, query: &[u8], k: usize) -> Result<ShardTopKTicket, ServeError> {
-        self.submit_top_k_at(query, k, None, Metric::default())
-    }
-
-    /// [`submit_top_k`](Self::submit_top_k) at a chosen per-request
-    /// [`Metric`] — the top-k face of
-    /// [`submit_with_metric`](Self::submit_with_metric).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit_top_k`](Self::submit_top_k).
-    pub fn submit_top_k_with_metric(
+    /// Same conditions as [`submit_with`](Self::submit_with).
+    pub fn submit_top_k(
         &self,
         query: &[u8],
         k: usize,
         metric: Metric,
+        budget: Option<Duration>,
     ) -> Result<ShardTopKTicket, ServeError> {
-        self.submit_top_k_at(query, k, None, metric)
-    }
-
-    /// The merged `k` nearest rows under a chosen per-request
-    /// [`Metric`], nearest first — blocking face of
-    /// [`submit_top_k_with_metric`](Self::submit_top_k_with_metric).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_top_k`](Self::search_top_k).
-    pub fn search_top_k_with_metric(
-        &self,
-        query: &[u8],
-        k: usize,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.submit_top_k_with_metric(query, k, metric)?.wait()
-    }
-
-    /// Like [`submit_top_k`](Self::submit_top_k) with a per-request
-    /// deadline — the same semantics as
-    /// [`submit_with_deadline`](Self::submit_with_deadline).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`submit_with_deadline`](Self::submit_with_deadline).
-    pub fn submit_top_k_with_deadline(
-        &self,
-        query: &[u8],
-        k: usize,
-        budget: Duration,
-    ) -> Result<ShardTopKTicket, ServeError> {
-        validate_query(self.word_len, self.n_levels, query)?;
-        let deadline = self.deadline_for(budget)?;
-        self.submit_top_k_at(query, k, Some((deadline, budget)), Metric::default())
-    }
-
-    fn submit_top_k_at(
-        &self,
-        query: &[u8],
-        k: usize,
-        deadline: Option<(Instant, Duration)>,
-        metric: Metric,
-    ) -> Result<ShardTopKTicket, ServeError> {
-        validate_query(self.word_len, self.n_levels, query)?;
+        let deadline = self.admit_request(query, budget)?;
         // Top-k never abandons, so it takes no seed banks.
         let (targets, _) = self.route_targets(query)?;
         let enqueue_deadline = deadline.map(|(instant, _)| instant);
@@ -1414,17 +1322,6 @@ impl ShardedHandle {
             .topk_submitted
             .fetch_add(1, Ordering::Relaxed);
         Ok(ShardTopKTicket { fanned, k })
-    }
-
-    /// The merged `k` nearest rows for one query, nearest first —
-    /// blocking face of [`submit_top_k`](Self::submit_top_k).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit_top_k`](Self::submit_top_k) and
-    /// [`ShardTopKTicket::wait`].
-    pub fn search_top_k(&self, query: &[u8], k: usize) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.submit_top_k(query, k)?.wait()
     }
 
     /// Stores one word through the tail shard's dispatcher and blocks
@@ -1805,12 +1702,21 @@ mod tests {
             assert_eq!(server.n_shards(), shards);
             let handle = server.handle();
             for q in [[0u8, 1, 2, 3], [4, 4, 4, 5], [1, 1, 2, 2], [7, 7, 7, 6]] {
-                let (row, g) = handle.search(&q).unwrap();
-                let (drow, dg) = direct.search(&q).unwrap();
+                let (row, g) = handle.submit(&q).and_then(ShardTicket::wait).unwrap();
+                let (drow, dg) = direct
+                    .search_batch_winners_with(&[&q[..]], Precision::F64)
+                    .map(|w| w[0])
+                    .unwrap();
                 assert_eq!(row, drow, "{shards} shards");
                 assert_eq!(g.to_bits(), dg.to_bits(), "{shards} shards");
-                let top = handle.search_top_k(&q, 3).unwrap();
-                let dtop = direct.search_top_k_with(&q, 3, Precision::F64).unwrap();
+                let top = handle
+                    .submit_top_k(&q, 3, Metric::default(), None)
+                    .and_then(ShardTopKTicket::wait)
+                    .unwrap();
+                let dtop = direct
+                    .search_batch_top_k_with(&[&q[..]], 3, Precision::F64)
+                    .map(|mut h| h.remove(0))
+                    .unwrap();
                 assert_eq!(top, dtop, "{shards} shards top-k");
             }
             let stats = server.stats();
@@ -1848,7 +1754,8 @@ mod tests {
         // Every canary must be answerable by the direct sweep.
         for c in &suite {
             memory
-                .search_top_k_with(&c.query, c.k, Precision::F64)
+                .search_batch_top_k_with(&[&c.query[..]], c.k, Precision::F64)
+                .map(|mut h| h.remove(0))
                 .unwrap();
         }
     }
@@ -1872,7 +1779,8 @@ mod tests {
             .iter()
             .map(|c| {
                 memory
-                    .search_top_k_with(&c.query, c.k, Precision::F64)
+                    .search_batch_top_k_with(&[&c.query[..]], c.k, Precision::F64)
+                    .map(|mut h| h.remove(0))
                     .unwrap()
             })
             .collect();
@@ -1920,8 +1828,11 @@ mod tests {
             let want = shadow.store(&word).unwrap();
             assert_eq!(got, want);
             // The store is visible to the very next merged search.
-            let (row, g) = handle.search(&word).unwrap();
-            let (drow, dg) = shadow.search(&word).unwrap();
+            let (row, g) = handle.submit(&word).and_then(ShardTicket::wait).unwrap();
+            let (drow, dg) = shadow
+                .search_batch_winners_with(&[&word[..]], Precision::F64)
+                .map(|w| w[0])
+                .unwrap();
             assert_eq!(row, drow);
             assert_eq!(g.to_bits(), dg.to_bits());
         }
@@ -1939,15 +1850,24 @@ mod tests {
         let server = ShardedServer::start(memory, 3, ServeConfig::default());
         let handle = server.handle();
         assert!(matches!(
-            handle.search(&[0, 0, 0, 0]),
+            handle.submit(&[0, 0, 0, 0]).and_then(ShardTicket::wait),
             Err(ServeError::Core(CoreError::EmptyArray))
         ));
         assert!(matches!(
-            handle.search_top_k(&[0, 0, 0, 0], 2),
+            handle
+                .submit_top_k(&[0, 0, 0, 0], 2, Metric::default(), None)
+                .and_then(ShardTopKTicket::wait),
             Err(ServeError::Core(CoreError::EmptyArray))
         ));
         assert_eq!(handle.store(&[3, 3, 3, 3]).unwrap(), 0);
-        assert_eq!(handle.search(&[3, 3, 3, 3]).unwrap().0, 0);
+        assert_eq!(
+            handle
+                .submit(&[3, 3, 3, 3])
+                .and_then(ShardTicket::wait)
+                .unwrap()
+                .0,
+            0
+        );
         let memory = server.shutdown().unwrap();
         assert_eq!(memory.n_rows(), 1);
     }
@@ -1961,24 +1881,36 @@ mod tests {
         );
         let handle = server.handle();
         assert!(matches!(
-            handle.search_with_deadline(&[0, 0, 0, 0], Duration::ZERO),
+            handle
+                .submit_with(&[0, 0, 0, 0], Metric::default(), Some(Duration::ZERO))
+                .and_then(ShardTicket::wait),
             Err(ServeError::DeadlineExceeded { .. })
         ));
         assert!(matches!(
-            handle.submit_top_k_with_deadline(&[0, 0, 0, 0], 2, Duration::ZERO),
+            handle.submit_top_k(&[0, 0, 0, 0], 2, Metric::default(), Some(Duration::ZERO)),
             Err(ServeError::DeadlineExceeded { .. })
         ));
         // Validation outranks the zero-budget check.
         assert!(matches!(
-            handle.submit_with_deadline(&[0, 0, 0], Duration::ZERO),
+            handle.submit_with(&[0, 0, 0], Metric::default(), Some(Duration::ZERO)),
             Err(ServeError::Core(CoreError::WordLengthMismatch { .. }))
         ));
         // A generous budget answers normally.
         assert!(handle
-            .search_with_deadline(&[0, 0, 0, 0], Duration::from_secs(10))
+            .submit_with(
+                &[0, 0, 0, 0],
+                Metric::default(),
+                Some(Duration::from_secs(10))
+            )
+            .and_then(ShardTicket::wait)
             .is_ok());
         assert!(handle
-            .submit_top_k_with_deadline(&[0, 0, 0, 0], 1, Duration::from_secs(10))
+            .submit_top_k(
+                &[0, 0, 0, 0],
+                1,
+                Metric::default(),
+                Some(Duration::from_secs(10))
+            )
             .unwrap()
             .wait()
             .is_ok());
@@ -2006,8 +1938,11 @@ mod tests {
             // duplicates share its bucket, so routed results equal the
             // full sweep for every stored word.
             for (row, word) in rows.iter().enumerate() {
-                let (got, g) = handle.search(word).unwrap();
-                let (want, wg) = shadow.search(word).unwrap();
+                let (got, g) = handle.submit(word).and_then(ShardTicket::wait).unwrap();
+                let (want, wg) = shadow
+                    .search_batch_winners_with(&[&word[..]], Precision::F64)
+                    .map(|w| w[0])
+                    .unwrap();
                 assert_eq!((got, g.to_bits()), (want, wg.to_bits()), "{shards} shards");
                 assert_eq!(got, row);
             }
@@ -2016,8 +1951,15 @@ mod tests {
                 let got = handle.store(&word).unwrap();
                 let want = shadow.store(&word).unwrap();
                 assert_eq!(got, want, "{shards} shards global row");
-                assert_eq!(handle.search(&word).unwrap().0, got, "{shards} shards");
-                let top = handle.search_top_k(&word, 1).unwrap();
+                assert_eq!(
+                    handle.submit(&word).and_then(ShardTicket::wait).unwrap().0,
+                    got,
+                    "{shards} shards"
+                );
+                let top = handle
+                    .submit_top_k(&word, 1, Metric::default(), None)
+                    .and_then(ShardTopKTicket::wait)
+                    .unwrap();
                 assert_eq!(top[0].0, got, "{shards} shards top-k");
             }
             let memory = server.shutdown().unwrap();
@@ -2034,11 +1976,13 @@ mod tests {
         );
         let handle = server.handle();
         assert!(matches!(
-            handle.search(&[0, 0, 0]),
+            handle.submit(&[0, 0, 0]).and_then(ShardTicket::wait),
             Err(ServeError::Core(CoreError::WordLengthMismatch { .. }))
         ));
         assert!(matches!(
-            handle.search_top_k(&[9, 9, 9, 9], 2),
+            handle
+                .submit_top_k(&[9, 9, 9, 9], 2, Metric::default(), None)
+                .and_then(ShardTopKTicket::wait),
             Err(ServeError::Core(CoreError::LevelOutOfRange { .. }))
         ));
     }

@@ -11,8 +11,8 @@
 //!    the memory.
 //! 3. **Degraded answers are exact over their coverage** — a merge
 //!    that lost a shard reports exactly which banks contributed, and
-//!    the answer equals [`BankedMcam::search_masked_with`] over that
-//!    subset, bitwise.
+//!    the answer equals [`BankedMcam::search_batch_winners_with`]
+//!    masked to that subset, bitwise.
 //! 4. **Terminal failure is clean** — a tripped restart breaker stops
 //!    the crash-loop, quarantines the shard (new searches find no live
 //!    shard, stores get `DispatcherFailed`), and still hands the
@@ -39,10 +39,15 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use femcam_core::{BankedMcam, ConductanceLut, LevelLadder, Precision, RoutedMcam, RouterConfig};
+use femcam_core::{
+    BankedMcam, ConductanceLut, LevelLadder, Metric, Precision, RoutedMcam, RouterConfig,
+    SearchSpec,
+};
 use femcam_device::FefetModel;
 use femcam_serve::fault::{FaultKind, FaultPlan, FaultRule, FaultSite, CHAOS_PANIC};
-use femcam_serve::{DegradedPolicy, ServeConfig, ServeError, ShardHealth, ShardedServer};
+use femcam_serve::{
+    DegradedPolicy, ServeConfig, ServeError, ShardHealth, ShardTicket, ShardedServer,
+};
 
 /// Injected panics unwind dispatcher threads by design; silence their
 /// default-hook backtraces (real panics still print).
@@ -148,10 +153,13 @@ fn dispatcher_heals_and_post_heal_results_are_bit_identical() {
     let handle = server.handle();
     let probe = gen_word(41, 2);
     // Healthy warm-up: the plan is still disarmed.
-    let healthy = handle.search(&probe).expect("warm-up search");
+    let healthy = handle
+        .submit(&probe)
+        .and_then(ShardTicket::wait)
+        .expect("warm-up search");
     plan.set_armed(true);
     for _ in 0..3 {
-        match handle.search(&probe) {
+        match handle.submit(&probe).and_then(ShardTicket::wait) {
             Err(ServeError::DispatcherFailed { detail }) => {
                 assert!(
                     detail.contains(CHAOS_PANIC),
@@ -170,12 +178,24 @@ fn dispatcher_heals_and_post_heal_results_are_bit_identical() {
     // Healed: every post-heal answer is bit-identical to the oracle.
     for salt in 0..8 {
         let query = gen_word(41, salt);
-        let (row, score) = handle.search(&query).expect("post-heal search");
-        let (want_row, want_score) = shadow.search_with(&query, Precision::F64).expect("oracle");
+        let (row, score) = handle
+            .submit(&query)
+            .and_then(ShardTicket::wait)
+            .expect("post-heal search");
+        let (want_row, want_score) = shadow
+            .search_batch_winners_with(&[&query[..]], Precision::F64)
+            .map(|w| w[0])
+            .expect("oracle");
         assert_eq!(row, want_row);
         assert_eq!(score.to_bits(), want_score.to_bits(), "salt {salt}");
     }
-    assert_eq!(handle.search(&probe).expect("healed"), healthy);
+    assert_eq!(
+        handle
+            .submit(&probe)
+            .and_then(ShardTicket::wait)
+            .expect("healed"),
+        healthy
+    );
     let recovered = server.shutdown().expect("clean shutdown after healing");
     assert_eq!(recovered.n_rows(), 8);
     assert_no_lock_order_cycles();
@@ -214,7 +234,7 @@ fn restart_breaker_trips_to_terminal_failed_state() {
     for _ in 0..3 {
         assert!(
             matches!(
-                handle.search(&probe),
+                handle.submit(&probe).and_then(ShardTicket::wait),
                 Err(ServeError::DispatcherFailed { .. })
             ),
             "every batch under an unlimited sure panic fails cleanly"
@@ -236,7 +256,7 @@ fn restart_breaker_trips_to_terminal_failed_state() {
     // Terminal state rejects rather than hangs or crash-loops: the
     // front end quarantined its only shard, so no shard is live.
     assert!(matches!(
-        handle.search(&probe),
+        handle.submit(&probe).and_then(ShardTicket::wait),
         Err(ServeError::Degraded { searched: 0, .. })
     ));
     assert!(matches!(
@@ -279,7 +299,15 @@ fn healed_panic_keeps_the_shard_in_service() {
             Ok(covered) if shards == 2 => {
                 assert!(covered.coverage.degraded(), "one shard panicked");
                 let (want_row, want_g) = shadow
-                    .search_masked_with(&query, Precision::F64, &covered.coverage.banks)
+                    .search_batch_winners_with(
+                        &[&query[..]],
+                        SearchSpec {
+                            precision: Precision::F64,
+                            banks: Some(&covered.coverage.banks),
+                            ..SearchSpec::default()
+                        },
+                    )
+                    .map(|w| w[0])
                     .expect("masked oracle");
                 assert_eq!(covered.value.0, want_row);
                 assert_eq!(covered.value.1.to_bits(), want_g.to_bits());
@@ -300,7 +328,10 @@ fn healed_panic_keeps_the_shard_in_service() {
                 "{shards} shard(s), salt {salt}: coverage {:?}",
                 covered.coverage
             );
-            let (want_row, want_g) = shadow.search_with(&query, Precision::F64).expect("oracle");
+            let (want_row, want_g) = shadow
+                .search_batch_winners_with(&[&query[..]], Precision::F64)
+                .map(|w| w[0])
+                .expect("oracle");
             assert_eq!(covered.value.0, want_row, "{shards} shard(s), salt {salt}");
             assert_eq!(
                 covered.value.1.to_bits(),
@@ -381,7 +412,15 @@ fn quarantined_shard_yields_exact_masked_coverage() {
         assert_eq!(covered.coverage.total, 4);
         assert_eq!(covered.coverage.banks, vec![0, 1]);
         let (want_row, want_score) = shadow
-            .search_masked_with(&query, Precision::F64, &covered.coverage.banks)
+            .search_batch_winners_with(
+                &[&query[..]],
+                SearchSpec {
+                    precision: Precision::F64,
+                    banks: Some(&covered.coverage.banks),
+                    ..SearchSpec::default()
+                },
+            )
+            .map(|w| w[0])
             .expect("masked oracle");
         let (row, score) = covered.value;
         assert_eq!(row, want_row, "salt {salt}");
@@ -409,7 +448,7 @@ fn fail_closed_policy_refuses_degraded_merges() {
     quiet_chaos_panics();
     let (server, _) = killed_tail_fixture(DegradedPolicy::FailClosed);
     let handle = server.handle();
-    match handle.search(&gen_word(47, 0)) {
+    match handle.submit(&gen_word(47, 0)).and_then(ShardTicket::wait) {
         Err(ServeError::Degraded { searched, total }) => {
             assert_eq!((searched, total), (2, 4));
         }
@@ -455,7 +494,15 @@ fn delayed_shard_times_out_into_degraded_coverage() {
     assert_eq!(covered.coverage.searched, 2);
     assert_eq!(covered.coverage.total, 4);
     let (want_row, want_score) = shadow
-        .search_masked_with(&query, Precision::F64, &covered.coverage.banks)
+        .search_batch_winners_with(
+            &[&query[..]],
+            SearchSpec {
+                precision: Precision::F64,
+                banks: Some(&covered.coverage.banks),
+                ..SearchSpec::default()
+            },
+        )
+        .map(|w| w[0])
         .expect("masked oracle");
     assert_eq!(covered.value.0, want_row);
     assert_eq!(covered.value.1.to_bits(), want_score.to_bits());
@@ -509,8 +556,14 @@ fn poisoned_router_degrades_to_full_fan_out() {
     // unrouted winner.
     for salt in 0..8 {
         let query = gen_word(59, salt);
-        let (row, score) = handle.search(&query).expect("poisoned route degrades");
-        let (want_row, want_score) = shadow.search_with(&query, Precision::F64).expect("oracle");
+        let (row, score) = handle
+            .submit(&query)
+            .and_then(ShardTicket::wait)
+            .expect("poisoned route degrades");
+        let (want_row, want_score) = shadow
+            .search_batch_winners_with(&[&query[..]], Precision::F64)
+            .map(|w| w[0])
+            .expect("oracle");
         assert_eq!(row, want_row, "salt {salt}");
         assert_eq!(score.to_bits(), want_score.to_bits(), "salt {salt}");
     }
@@ -520,8 +573,14 @@ fn poisoned_router_degrades_to_full_fan_out() {
     let word = gen_word(59, 100);
     assert_eq!(handle.store(&word).expect("store past poison"), 8);
     shadow.store(&word).expect("shadow store");
-    let (row, _) = handle.search(&word).expect("new row reachable");
-    let (want_row, _) = shadow.search_with(&word, Precision::F64).expect("oracle");
+    let (row, _) = handle
+        .submit(&word)
+        .and_then(ShardTicket::wait)
+        .expect("new row reachable");
+    let (want_row, _) = shadow
+        .search_batch_winners_with(&[&word[..]], Precision::F64)
+        .map(|w| w[0])
+        .expect("oracle");
     assert_eq!(row, want_row);
     let recovered = server.shutdown().expect("clean shutdown");
     assert_eq!(recovered.n_rows(), 9);
@@ -541,10 +600,13 @@ fn expired_deadline_outranks_quarantined_topology() {
     let handle = server.handle();
     let query = gen_word(47, 0);
     assert!(matches!(
-        handle.search(&query),
+        handle.submit(&query).and_then(ShardTicket::wait),
         Err(ServeError::Degraded { .. })
     ));
-    match handle.search_with_deadline(&query, Duration::from_nanos(1)) {
+    match handle
+        .submit_with(&query, Metric::default(), Some(Duration::from_nanos(1)))
+        .and_then(ShardTicket::wait)
+    {
         Err(ServeError::DeadlineExceeded { .. }) => {}
         other => panic!("expired deadline must outrank Degraded, got {other:?}"),
     }
@@ -567,7 +629,7 @@ fn expired_deadline_outranks_quarantined_topology() {
     let handle = server.handle();
     let query = gen_word(71, 0);
     for _ in 0..200 {
-        let _ = handle.search(&query);
+        let _ = handle.submit(&query).and_then(ShardTicket::wait);
         if handle
             .shard_health()
             .iter()
@@ -585,10 +647,13 @@ fn expired_deadline_outranks_quarantined_topology() {
         "both dispatchers should trip their zero restart budget"
     );
     assert!(matches!(
-        handle.search(&query),
+        handle.submit(&query).and_then(ShardTicket::wait),
         Err(ServeError::Degraded { searched: 0, .. })
     ));
-    match handle.search_with_deadline(&query, Duration::from_nanos(1)) {
+    match handle
+        .submit_with(&query, Metric::default(), Some(Duration::from_nanos(1)))
+        .and_then(ShardTicket::wait)
+    {
         Err(ServeError::DeadlineExceeded { .. }) => {}
         other => panic!("expired deadline must outrank a dead topology, got {other:?}"),
     }
@@ -633,7 +698,7 @@ fn probe_and_readmit_faults_fail_closed_then_retry_succeeds() {
     // probe below could see a still-Healthy board and no-op without
     // consuming its injected fault).
     for _ in 0..200 {
-        let _ = handle.search(&gen_word(61, 0));
+        let _ = handle.submit(&gen_word(61, 0)).and_then(ShardTicket::wait);
         if handle.shard_health()[1] == ShardHealth::Quarantined {
             break;
         }
@@ -671,7 +736,10 @@ fn probe_and_readmit_faults_fail_closed_then_retry_succeeds() {
             .wait_covered()
             .expect("full merge");
         assert!(!covered.coverage.degraded(), "row {row}");
-        let (want_row, want_g) = shadow.search_with(&query, Precision::F64).expect("oracle");
+        let (want_row, want_g) = shadow
+            .search_batch_winners_with(&[&query[..]], Precision::F64)
+            .map(|w| w[0])
+            .expect("oracle");
         assert_eq!(covered.value.0, want_row, "row {row}");
         assert_eq!(covered.value.1.to_bits(), want_g.to_bits(), "row {row}");
     }
@@ -752,7 +820,15 @@ fn quarantine_storm_scenario(seed: u64) {
                                 "client {c}: coverage counts must match its bank list"
                             );
                             let (want_row, want_g) = oracle
-                                .search_masked_with(&query, Precision::F64, &covered.coverage.banks)
+                                .search_batch_winners_with(
+                                    &[&query[..]],
+                                    SearchSpec {
+                                        precision: Precision::F64,
+                                        banks: Some(&covered.coverage.banks),
+                                        ..SearchSpec::default()
+                                    },
+                                )
+                                .map(|w| w[0])
                                 .expect("masked oracle");
                             assert_eq!(covered.value.0, want_row, "client {c}");
                             assert_eq!(
@@ -816,7 +892,10 @@ fn quarantine_storm_scenario(seed: u64) {
             .wait_covered()
             .expect("post-storm merge");
         assert!(!covered.coverage.degraded(), "salt {salt}");
-        let (want_row, want_g) = oracle.search_with(&query, Precision::F64).expect("oracle");
+        let (want_row, want_g) = oracle
+            .search_batch_winners_with(&[&query[..]], Precision::F64)
+            .map(|w| w[0])
+            .expect("oracle");
         assert_eq!(covered.value.0, want_row, "salt {salt}");
         assert_eq!(covered.value.1.to_bits(), want_g.to_bits(), "salt {salt}");
     }
@@ -929,7 +1008,10 @@ fn store_readmit_race_scenario(seed: u64) {
             .wait_covered()
             .expect("full merge after re-admit");
         assert!(!covered.coverage.degraded(), "row {row}");
-        let (want_row, want_g) = shadow.search_with(&query, Precision::F64).expect("oracle");
+        let (want_row, want_g) = shadow
+            .search_batch_winners_with(&[&query[..]], Precision::F64)
+            .map(|w| w[0])
+            .expect("oracle");
         assert_eq!(covered.value.0, want_row, "row {row}");
         assert_eq!(covered.value.1.to_bits(), want_g.to_bits(), "row {row}");
     }

@@ -1,9 +1,9 @@
 //! The serving layer's determinism contract, pinned as properties:
 //!
 //! 1. **Bit-identity** — every served result equals a direct
-//!    [`BankedMcam::search_with`] at the same precision against an
-//!    identically mutated shadow memory: same winning global row, same
-//!    `f64` conductance, bitwise. This holds regardless of which
+//!    [`BankedMcam::search_batch_winners_with`] at the same precision
+//!    against an identically mutated shadow memory: same winning
+//!    global row, same `f64` conductance, bitwise. This holds regardless of which
 //!    micro-batch a request lands in (batch composition is timing
 //!    dependent; results must not be).
 //! 2. **Interleaved stores** — a store acknowledged by the server is
@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use femcam_core::{BankedMcam, ConductanceLut, LevelLadder, Precision};
 use femcam_device::FefetModel;
-use femcam_serve::{ServeConfig, ServeError, ShardedServer};
+use femcam_serve::{ServeConfig, ServeError, ShardTicket, ShardedServer};
 
 fn precision_from(tag: u8) -> Precision {
     match tag % 3 {
@@ -82,8 +82,13 @@ proptest! {
                 let shadow_row = shadow.store(&word).expect("shadow store");
                 prop_assert_eq!(served_row, shadow_row);
             } else {
-                let served = handle.search(&word).expect("served search");
-                let direct = shadow.search_with(&word, precision).expect("direct search");
+                let served = handle
+                    .submit(&word)
+                    .and_then(ShardTicket::wait)
+                    .expect("served search");
+                let direct = shadow
+                    .search_batch_winners_with(&[&word[..]], precision)
+                    .expect("direct search")[0];
                 prop_assert_eq!(served.0, direct.0, "winning row diverged");
                 prop_assert_eq!(
                     served.1.to_bits(),
@@ -140,7 +145,9 @@ proptest! {
             .collect();
         for (query, ticket) in queries.iter().zip(tickets) {
             let served = ticket.wait().expect("answered");
-            let direct = shadow.search_with(query, precision).expect("direct");
+            let direct = shadow
+                .search_batch_winners_with(&[&query[..]], precision)
+                .expect("direct")[0];
             prop_assert_eq!(served.0, direct.0);
             prop_assert_eq!(served.1.to_bits(), direct.1.to_bits());
         }
@@ -186,7 +193,7 @@ fn rejected_requests_fail_cleanly() {
     }
     let _ = server.shutdown();
     assert!(matches!(
-        handle.search(&[1, 2, 3, 4]),
+        handle.submit(&[1, 2, 3, 4]).and_then(ShardTicket::wait),
         Err(ServeError::ShuttingDown)
     ));
 }

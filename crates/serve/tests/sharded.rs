@@ -3,14 +3,17 @@
 //!
 //! 1. **Three-way bit-identity** — every winner served by an
 //!    N-shard [`ShardedServer`] equals both a one-shard server's
-//!    answer and a direct [`BankedMcam::search_with`] against an
-//!    identically mutated shadow memory: same winning global row,
-//!    same `f64` conductance, bitwise — at every precision, every
+//!    answer and a direct [`BankedMcam::search_batch_winners_with`]
+//!    against an identically mutated shadow memory: same winning
+//!    global row, same `f64` conductance, bitwise — at every
+//!    precision, every metric, with or without a deadline, every
 //!    shard count, and under interleaved stores (which route to the
-//!    tail shard only).
+//!    tail shard only). A zero budget is dead on arrival under every
+//!    metric, but only after the query passed validation.
 //! 2. **Top-k merge identity** — the fanned, per-shard-truncated
-//!    top-k merge equals [`BankedMcam::search_top_k_with`] exactly
-//!    (order, rows, and conductance bits).
+//!    top-k merge equals [`BankedMcam::search_batch_top_k_with`]
+//!    exactly (order, rows, and conductance bits), at every metric,
+//!    with or without a deadline.
 //! 3. **Ties straddling shard boundaries** — duplicated rows placed in
 //!    different shards tie bit-for-bit, and the merged winner is the
 //!    lowest global row, exactly as the in-memory banked merge
@@ -23,9 +26,12 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use femcam_core::{BankedMcam, ConductanceLut, LevelLadder, Precision, RoutedMcam, RouterConfig};
+use femcam_core::{
+    BankedMcam, ConductanceLut, CoreError, LevelLadder, Metric, Precision, RoutedMcam,
+    RouterConfig, SearchSpec,
+};
 use femcam_device::FefetModel;
-use femcam_serve::{ServeConfig, ServeError, ShardedServer};
+use femcam_serve::{ServeConfig, ServeError, ShardTicket, ShardTopKTicket, ShardedServer};
 
 fn precision_from(tag: u8) -> Precision {
     match tag % 3 {
@@ -33,6 +39,13 @@ fn precision_from(tag: u8) -> Precision {
         1 => Precision::F32,
         _ => Precision::Codes,
     }
+}
+
+/// A request's metric and optional deadline budget, drawn from two
+/// tags. The budget, when set, is generous: it never expires.
+fn request_from(metric_tag: u8, deadline: bool) -> (Metric, Option<Duration>) {
+    let metric = Metric::ALL[usize::from(metric_tag) % Metric::ALL.len()];
+    (metric, deadline.then_some(Duration::from_secs(60)))
 }
 
 fn empty_memory(bits: u8, word_len: usize, rows_per_bank: usize) -> BankedMcam {
@@ -63,7 +76,7 @@ proptest! {
     /// An interleaved store/search sequence through the N-shard
     /// server is bit-identical, step by step, to the same sequence
     /// through a one-shard server AND applied directly to a shadow
-    /// memory.
+    /// memory, under any request metric and deadline.
     #[test]
     fn sharded_bit_identical_to_single_and_direct_under_stores(
         bits in 2u8..=3,
@@ -71,10 +84,14 @@ proptest! {
         rows_per_bank in 1usize..5,
         n_shards in 1usize..5,
         precision_tag in 0u8..3,
+        metric_tag in 0u8..4,
+        deadline in any::<bool>(),
         seed in 0u64..500,
         ops in proptest::collection::vec(any::<bool>(), 4..20),
     ) {
         let precision = precision_from(precision_tag);
+        let (metric, budget) = request_from(metric_tag, deadline);
+        let spec = SearchSpec { precision, metric, ..SearchSpec::default() };
         let n_levels = 1usize << bits;
         // Pre-populate so the partition actually spreads banks.
         let mut initial = empty_memory(bits, word_len, rows_per_bank);
@@ -99,15 +116,47 @@ proptest! {
                 prop_assert_eq!(sharded_row, shadow_row, "sharded store row");
                 prop_assert_eq!(single_row, shadow_row, "single store row");
             } else {
-                let a = sh.search(&word).expect("sharded search");
-                let b = sg.search(&word).expect("single search");
-                let c = shadow.search_with(&word, precision).expect("direct search");
+                let a = sh
+                    .submit_with(&word, metric, budget)
+                    .and_then(ShardTicket::wait)
+                    .expect("sharded search");
+                let b = sg
+                    .submit_with(&word, metric, budget)
+                    .and_then(ShardTicket::wait)
+                    .expect("single search");
+                let c = shadow
+                    .search_batch_winners_with(&[&word[..]], spec)
+                    .expect("direct search")[0];
                 prop_assert_eq!(a.0, c.0, "sharded winner row");
                 prop_assert_eq!(b.0, c.0, "single winner row");
                 prop_assert_eq!(a.1.to_bits(), c.1.to_bits(), "sharded conductance");
                 prop_assert_eq!(b.1.to_bits(), c.1.to_bits(), "single conductance");
             }
         }
+        // A zero budget is dead on arrival under this metric too, and
+        // counts once; a malformed query reports its validation error
+        // first and counts nothing.
+        let word = gen_word(word_len, n_levels, seed, 0);
+        let rejected = sharded.stats().deadline_rejected;
+        prop_assert!(matches!(
+            sh.submit_with(&word, metric, Some(Duration::ZERO)),
+            Err(ServeError::DeadlineExceeded { .. })
+        ));
+        prop_assert!(matches!(
+            sh.submit_top_k(&word, 1, metric, Some(Duration::ZERO)),
+            Err(ServeError::DeadlineExceeded { .. })
+        ));
+        prop_assert_eq!(sharded.stats().deadline_rejected, rejected + 2);
+        let malformed = vec![0u8; word_len + 1];
+        prop_assert!(matches!(
+            sh.submit_with(&malformed, metric, Some(Duration::ZERO)),
+            Err(ServeError::Core(CoreError::WordLengthMismatch { .. }))
+        ));
+        prop_assert!(matches!(
+            sh.submit_top_k(&malformed, 1, metric, Some(Duration::ZERO)),
+            Err(ServeError::Core(CoreError::WordLengthMismatch { .. }))
+        ));
+        prop_assert_eq!(sharded.stats().deadline_rejected, rejected + 2);
         let merged_stats = sharded.stats().merged();
         prop_assert!(merged_stats.queries + merged_stats.stores > 0);
         let reassembled = sharded.shutdown().expect("clean shutdown");
@@ -117,7 +166,8 @@ proptest! {
     }
 
     /// The fanned top-k merge is bit-identical to the direct banked
-    /// top-k at every `k`, precision, and shard count.
+    /// top-k at every `k`, precision, metric, deadline and shard
+    /// count.
     #[test]
     fn sharded_top_k_bit_identical_to_direct(
         bits in 2u8..=3,
@@ -126,10 +176,14 @@ proptest! {
         rows_per_bank in 1usize..4,
         n_shards in 1usize..5,
         precision_tag in 0u8..3,
+        metric_tag in 0u8..4,
+        deadline in any::<bool>(),
         k in 0usize..20,
         seed in 0u64..500,
     ) {
         let precision = precision_from(precision_tag);
+        let (metric, budget) = request_from(metric_tag, deadline);
+        let spec = SearchSpec { precision, metric, ..SearchSpec::default() };
         let n_levels = 1usize << bits;
         let mut memory = empty_memory(bits, word_len, rows_per_bank);
         let mut shadow = empty_memory(bits, word_len, rows_per_bank);
@@ -142,10 +196,14 @@ proptest! {
         let handle = sharded.handle();
         for salt in 0..3usize {
             let query = gen_word(word_len, n_levels, seed ^ 0x7777, salt);
-            let served = handle.search_top_k(&query, k).expect("sharded top-k");
+            let served = handle
+                .submit_top_k(&query, k, metric, budget)
+                .and_then(ShardTopKTicket::wait)
+                .expect("sharded top-k");
             let direct = shadow
-                .search_top_k_with(&query, k, precision)
-                .expect("direct top-k");
+                .search_batch_top_k_with(&[&query[..]], k, spec)
+                .expect("direct top-k")
+                .remove(0);
             prop_assert_eq!(served.len(), direct.len());
             for (s, d) in served.iter().zip(&direct) {
                 prop_assert_eq!(s.0, d.0, "top-k row order");
@@ -189,17 +247,23 @@ proptest! {
         let expected = rows.iter().position(|r| *r == dup).expect("present");
         let sharded = ShardedServer::start(memory, n_shards, serve_config(precision));
         let handle = sharded.handle();
-        let (row, g) = handle.search(&dup).expect("sharded search");
-        let (drow, dg) = shadow.search_with(&dup, precision).expect("direct");
+        let (row, g) = handle.submit(&dup).and_then(ShardTicket::wait).expect("sharded search");
+        let (drow, dg) = shadow
+            .search_batch_winners_with(&[&dup[..]], precision)
+            .expect("direct")[0];
         prop_assert_eq!(row, expected, "tie must resolve to the lowest global row");
         prop_assert_eq!(drow, expected);
         prop_assert_eq!(g.to_bits(), dg.to_bits());
         // Top-k across the tie: ascending global row among equal
         // conductances, bit-identical to the direct merge.
-        let served = handle.search_top_k(&dup, rows.len()).expect("top-k");
+        let served = handle
+            .submit_top_k(&dup, rows.len(), Metric::default(), None)
+            .and_then(ShardTopKTicket::wait)
+            .expect("top-k");
         let direct = shadow
-            .search_top_k_with(&dup, rows.len(), precision)
-            .expect("direct top-k");
+            .search_batch_top_k_with(&[&dup[..]], rows.len(), precision)
+            .expect("direct top-k")
+            .remove(0);
         prop_assert_eq!(&served, &direct);
         for w in served.windows(2) {
             if w[0].1.to_bits() == w[1].1.to_bits() {
@@ -376,12 +440,17 @@ fn sharded_rejections_fail_cleanly() {
     // work again (a leaked slot would reject forever here).
     sharded
         .handle()
-        .search(&[1, 2, 3, 0])
+        .submit(&[1, 2, 3, 0])
+        .and_then(ShardTicket::wait)
         .expect("slots released after rejected fan-out");
     // Dead-on-arrival across the fan-out: a 1 ns budget expires before
     // any shard dispatcher pops the request.
     let ticket = handle
-        .submit_with_deadline(&[1, 2, 3, 0], Duration::from_nanos(1))
+        .submit_with(
+            &[1, 2, 3, 0],
+            Metric::default(),
+            Some(Duration::from_nanos(1)),
+        )
         .expect("admitted");
     assert!(matches!(
         ticket.wait(),
@@ -389,7 +458,7 @@ fn sharded_rejections_fail_cleanly() {
     ));
     let _ = sharded.shutdown();
     assert!(matches!(
-        handle.search(&[1, 2, 3, 0]),
+        handle.submit(&[1, 2, 3, 0]).and_then(ShardTicket::wait),
         Err(ServeError::ShuttingDown)
     ));
 }

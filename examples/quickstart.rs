@@ -164,7 +164,9 @@ fn main() -> femcam_core::Result<()> {
         RoutedMcam::build(ladder2, lut2, 4, 2, RouterConfig::default(), &levels)?;
     let routed_query = quantizer.quantize(&query)?;
     let probed = routed.route(&routed_query)?;
-    let (global, g) = routed.search_with(&routed_query, Precision::Codes)?;
+    let (global, g) = routed
+        .search_batch_winners_with(&[&routed_query[..]], Precision::Codes)
+        .map(|w| w[0])?;
     println!(
         "\nrouted: probed {} of {} banks, nearest input row {} (G_ML = {g:.3e} S)",
         probed.len(),

@@ -67,7 +67,10 @@ fn main() -> femcam_core::Result<()> {
                 let mut done = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let query = random_word(&mut rng);
-                    handle.search(&query).expect("served search");
+                    handle
+                        .submit(&query)
+                        .and_then(ShardTicket::wait)
+                        .expect("served search");
                     done += 1;
                 }
                 done
@@ -83,7 +86,14 @@ fn main() -> femcam_core::Result<()> {
     let hot_word = random_word(&mut rng);
     let new_row = client.store(&hot_word).expect("served store");
     shadow.store(&hot_word)?;
-    assert_eq!(client.search(&hot_word).expect("served search").0, new_row);
+    assert_eq!(
+        client
+            .submit(&hot_word)
+            .and_then(ShardTicket::wait)
+            .expect("served search")
+            .0,
+        new_row
+    );
     std::thread::sleep(Duration::from_millis(100));
     stop.store(true, Ordering::Relaxed);
     let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
@@ -130,8 +140,13 @@ fn main() -> femcam_core::Result<()> {
     let handle = server.handle();
     for _ in 0..32 {
         let query = random_word(&mut rng);
-        let served = handle.search(&query).expect("served search");
-        let direct = shadow.search_with(&query, Precision::Codes)?;
+        let served = handle
+            .submit(&query)
+            .and_then(ShardTicket::wait)
+            .expect("served search");
+        let direct = shadow
+            .search_batch_winners_with(&[&query[..]], Precision::Codes)
+            .map(|w| w[0])?;
         assert_eq!(served, direct, "serving broke bit-identity");
     }
     println!("\ndeterminism check: 32 served results bit-identical to direct search");
@@ -157,24 +172,44 @@ fn main() -> femcam_core::Result<()> {
     println!("\nsharded front end: {} shards", sharded.n_shards());
     for _ in 0..32 {
         let query = random_word(&mut rng);
-        let served = shandle.search(&query).expect("sharded search");
-        let direct = shadow.search_with(&query, Precision::Codes)?;
+        let served = shandle
+            .submit(&query)
+            .and_then(ShardTicket::wait)
+            .expect("sharded search");
+        let direct = shadow
+            .search_batch_winners_with(&[&query[..]], Precision::Codes)
+            .map(|w| w[0])?;
         assert_eq!(served, direct, "sharding broke bit-identity");
     }
     let hot_word = random_word(&mut rng);
     let new_row = shandle.store(&hot_word).expect("sharded store");
     assert_eq!(new_row, shadow.store(&hot_word)?);
-    assert_eq!(shandle.search(&hot_word).expect("search").0, new_row);
+    assert_eq!(
+        shandle
+            .submit(&hot_word)
+            .and_then(ShardTicket::wait)
+            .expect("search")
+            .0,
+        new_row
+    );
     println!("32 sharded results + a tail-shard store: bit-identical to direct search");
 
     // 9. Per-request deadlines: a generous budget answers normally; a
     //    zero budget is dead on arrival and rejected without running.
     let query = random_word(&mut rng);
     let within = shandle
-        .search_with_deadline(&query, Duration::from_millis(50))
+        .submit_with(&query, Metric::default(), Some(Duration::from_millis(50)))
+        .and_then(ShardTicket::wait)
         .expect("within budget");
-    assert_eq!(within, shadow.search_with(&query, Precision::Codes)?);
-    let doa = shandle.search_with_deadline(&query, Duration::ZERO);
+    assert_eq!(
+        within,
+        shadow
+            .search_batch_winners_with(&[&query[..]], Precision::Codes)
+            .map(|w| w[0])?
+    );
+    let doa = shandle
+        .submit_with(&query, Metric::default(), Some(Duration::ZERO))
+        .and_then(ShardTicket::wait);
     assert!(matches!(doa, Err(ServeError::DeadlineExceeded { .. })));
     let merged = sharded.stats().merged();
     println!(

@@ -134,18 +134,18 @@ proptest! {
         }
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         let plan = banked.compile().expect("compile banked");
-        let plan_single: Vec<(usize, f64)> = refs
-            .iter()
-            .map(|q| plan.search(q, threads).expect("plan search"))
-            .collect();
         let plan_batch = plan.search_batch(&refs, threads).expect("plan batch");
-        let front_batch = banked.search_batch(&refs).expect("front batch");
+        let front_batch = banked
+            .search_batch_winners_with(&refs, Precision::F64)
+            .expect("front batch");
         for (i, q) in refs.iter().enumerate() {
             let scalar = flat.search(q).expect("flat scalar");
             let best = scalar.best_row();
             let expected = (best, scalar.conductance(best));
-            prop_assert_eq!(banked.search(q).expect("banked"), expected);
-            prop_assert_eq!(plan_single[i], expected);
+            let banked_hit = banked
+                .search_batch_winners_with(&[q], Precision::F64)
+                .expect("banked")[0];
+            prop_assert_eq!(banked_hit, expected);
             prop_assert_eq!(plan_batch[i], expected);
             prop_assert_eq!(front_batch[i], expected);
         }

@@ -62,12 +62,12 @@ fn empty_array_and_banked_refuse_batches_even_empty_ones() {
     }
     let banked = nominal_banked(3, 4, 2);
     assert!(matches!(
-        banked.search_batch(&[]),
+        banked.search_batch_winners_with(&[], Precision::F64),
         Err(CoreError::EmptyArray)
     ));
     for precision in PRECISIONS {
         assert!(matches!(
-            banked.search_batch_with(&[], precision),
+            banked.search_batch_winners_with(&[], precision),
             Err(CoreError::EmptyArray)
         ));
         assert!(matches!(
@@ -93,13 +93,19 @@ fn nonempty_array_and_banked_accept_empty_batches() {
             .search_batch_top_k_with(&[], 3, precision)
             .unwrap()
             .is_empty());
-        assert!(banked.search_batch_with(&[], precision).unwrap().is_empty());
+        assert!(banked
+            .search_batch_winners_with(&[], precision)
+            .unwrap()
+            .is_empty());
         assert!(banked
             .search_batch_winners_with(&[], precision)
             .unwrap()
             .is_empty());
     }
-    assert!(banked.search_batch(&[]).unwrap().is_empty());
+    assert!(banked
+        .search_batch_winners_with(&[], Precision::F64)
+        .unwrap()
+        .is_empty());
 }
 
 /// The engine lineup the cross-engine contracts quantify over: FP32
@@ -290,15 +296,18 @@ proptest! {
             }
             // Banked merge: same winner through the hierarchical
             // winner-take-all, single and batched.
-            let (row, _) = banked.search_with(&query, precision).expect("banked");
+            let (row, _) = banked
+                .search_batch_winners_with(&[&query[..]], precision)
+                .expect("banked")[0];
             prop_assert_eq!(row, expected, "banked search {:?}", precision);
             let batched = banked
                 .search_batch_winners_with(&[&query], precision)
                 .expect("banked batch");
             prop_assert_eq!(batched[0].0, expected, "banked batch {:?}", precision);
             let top = banked
-                .search_top_k_with(&query, 2, precision)
-                .expect("banked top-k");
+                .search_batch_top_k_with(&[&query[..]], 2, precision)
+                .expect("banked top-k")
+                .remove(0);
             prop_assert_eq!(top[0].0, expected, "banked top-k {:?}", precision);
         }
     }

@@ -245,6 +245,7 @@ proptest! {
             let (want_row, want_score) = oracle_winner(&oracle);
             prop_assert!(want_row < n_uniques, "tie must break to the first copy");
             for precision in PRECISIONS {
+                let spec = SearchSpec { precision, metric, ..SearchSpec::default() };
                 // f32/codes conductance may round near-ties between
                 // *different* rows the other way, but duplicates still
                 // tie bitwise, so the first-copy invariant holds at
@@ -259,7 +260,8 @@ proptest! {
                     prop_assert_eq!(winners[0], (want_row, want_score));
                 }
                 let (brow, _) = banked
-                    .search_with_metric(&q, precision, metric)
+                    .search_batch_winners_with(&[&q[..]], spec)
+                    .map(|w| w[0])
                     .expect("banked");
                 prop_assert!(brow < n_uniques);
                 if exact {
@@ -268,7 +270,8 @@ proptest! {
                 // Top-k over everything lists each duplicate pair in
                 // ascending global-row order within its tie.
                 let hits = banked
-                    .search_top_k_with_metric(&q, rows.len(), precision, metric)
+                    .search_batch_top_k_with(&[&q[..]], rows.len(), spec)
+                    .map(|mut h| h.remove(0))
                     .expect("banked top k");
                 prop_assert_eq!(hits.len(), rows.len());
                 for pair in hits.windows(2) {
@@ -373,8 +376,11 @@ proptest! {
             // f32 conductance mode, whose tolerance precision_props
             // pins).
             let exact_score = precision == Precision::F64 || metric != Metric::McamConductance;
+            let spec = SearchSpec { precision, metric, ..SearchSpec::default() };
+            let masked = SearchSpec { banks: Some(&mask), ..spec };
             let (row, score) = banked
-                .search_with_metric(&q, precision, metric)
+                .search_batch_winners_with(&[&q[..]], spec)
+                .map(|w| w[0])
                 .expect("banked");
             let (want_row, want_score) = oracle_winner(&oracle);
             if exact_score {
@@ -389,12 +395,13 @@ proptest! {
             masked_rows
                 .sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
             let (mrow, mscore) = banked
-                .search_masked_with_metric(&q, precision, metric, &mask)
+                .search_batch_winners_with(&[&q[..]], masked)
+                .map(|w| w[0])
                 .expect("masked");
             if exact_score {
                 prop_assert_eq!((mrow, mscore), masked_rows[0]);
                 let topk = banked
-                    .search_batch_top_k_masked_metric(&[&q], k, precision, metric, &mask)
+                    .search_batch_top_k_with(&[&q], k, masked)
                     .expect("masked top k");
                 masked_rows.truncate(k);
                 prop_assert_eq!(topk[0].clone(), masked_rows);
@@ -406,7 +413,7 @@ proptest! {
 }
 
 /// Acceptance criterion: a served per-request metric answer equals the
-/// direct `search_with_metric` under interleaved stores — with
+/// direct `search_batch_winners_with` under interleaved stores — with
 /// mixed-metric tickets in flight so micro-batch windows group by
 /// metric.
 #[test]
@@ -431,12 +438,20 @@ fn served_per_request_metric_matches_direct_under_stores() {
         let tickets: Vec<(ShardTicket, Metric, &Vec<u8>)> = Metric::ALL
             .into_iter()
             .zip(&queries)
-            .map(|(metric, q)| (handle.submit_with_metric(q, metric).unwrap(), metric, q))
+            .map(|(metric, q)| (handle.submit_with(q, metric, None).unwrap(), metric, q))
             .collect();
         for (ticket, metric, q) in tickets {
             let served = ticket.wait().unwrap();
             let want = direct
-                .search_with_metric(q, Precision::F64, metric)
+                .search_batch_winners_with(
+                    &[&q[..]],
+                    SearchSpec {
+                        precision: Precision::F64,
+                        metric,
+                        ..SearchSpec::default()
+                    },
+                )
+                .map(|w| w[0])
                 .unwrap();
             assert_eq!(
                 served,
@@ -450,9 +465,21 @@ fn served_per_request_metric_matches_direct_under_stores() {
         // Top-k rides the same per-request metric.
         let q = gen_word(4, 8, 7, step);
         for metric in [Metric::L1, Metric::Linf] {
-            let served = handle.search_top_k_with_metric(&q, 3, metric).unwrap();
+            let served = handle
+                .submit_top_k(&q, 3, metric, None)
+                .and_then(ShardTopKTicket::wait)
+                .unwrap();
             let want = direct
-                .search_top_k_with_metric(&q, 3, Precision::F64, metric)
+                .search_batch_top_k_with(
+                    &[&q[..]],
+                    3,
+                    SearchSpec {
+                        precision: Precision::F64,
+                        metric,
+                        ..SearchSpec::default()
+                    },
+                )
+                .map(|mut h| h.remove(0))
                 .unwrap();
             assert_eq!(served, want);
             n_queries += 1;

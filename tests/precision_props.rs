@@ -247,8 +247,8 @@ proptest! {
                 .collect();
             let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
             prop_assert_eq!(
-                banked.search_batch_with(&refs, Precision::Codes).expect("banked codes"),
-                banked.search_batch_with(&refs, Precision::F32).expect("banked f32")
+                banked.search_batch_winners_with(&refs, Precision::Codes).expect("banked codes"),
+                banked.search_batch_winners_with(&refs, Precision::F32).expect("banked f32")
             );
         }
         // Engine entry point: add() must invalidate the codes slot so
@@ -346,7 +346,9 @@ proptest! {
                 .map(|s| gen_word(4, 8, seed, 100 + step * 3 + s))
                 .collect();
             let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
-            let batched = banked.search_batch(&refs).expect("banked batch");
+            let batched = banked
+                .search_batch_winners_with(&refs, Precision::F64)
+                .expect("banked batch");
             for (q, &(row, g)) in refs.iter().zip(&batched) {
                 let scalar = flat.search(q).expect("flat scalar");
                 prop_assert_eq!(row, scalar.best_row());
@@ -357,8 +359,8 @@ proptest! {
             // it, and its score is within the error bound of that
             // row's true conductance.
             let (r32, g32) = banked
-                .search_with(&queries[0], Precision::F32)
-                .expect("banked f32");
+                .search_batch_winners_with(&[&queries[0][..]], Precision::F32)
+                .expect("banked f32")[0];
             let scalar = flat.search(&queries[0]).expect("flat");
             prop_assert!(r32 < flat.n_rows());
             let true_g32 = scalar.conductance(r32);

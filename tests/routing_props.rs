@@ -66,6 +66,7 @@ proptest! {
             (0..4).map(|s| gen_word(word_len, n_levels, seed, 400 + s)).collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         for precision in [Precision::F64, Precision::F32, Precision::Codes] {
+            let all_banks = SearchSpec { precision, banks: Some(&all), ..SearchSpec::default() };
             let masked = memory
                 .search_batch_winners_masked(&refs, precision, &all)
                 .expect("masked winners");
@@ -78,11 +79,12 @@ proptest! {
                 prop_assert_eq!(mg.to_bits(), fg.to_bits(), "{:?}", precision);
             }
             let (sr, sg) = memory
-                .search_masked_with(refs[0], precision, &all)
+                .search_batch_winners_with(&[refs[0]], all_banks)
+                .map(|w| w[0])
                 .expect("masked single");
             prop_assert_eq!((sr, sg.to_bits()), (full[0].0, full[0].1.to_bits()));
             let masked_k = memory
-                .search_batch_top_k_masked(&refs, k, precision, &all)
+                .search_batch_top_k_with(&refs, k, all_banks)
                 .expect("masked top-k");
             let full_k = memory
                 .search_batch_top_k_with(&refs, k, precision)
@@ -111,8 +113,10 @@ proptest! {
         let mask_bits = (seed % ((1u64 << n_banks) - 1)) + 1;
         let banks: Vec<usize> = (0..n_banks).filter(|b| mask_bits >> b & 1 == 1).collect();
         let query = gen_word(word_len, n_levels, seed, 777);
+        let masked = SearchSpec { banks: Some(&banks), ..SearchSpec::default() };
         let (row, g) = memory
-            .search_masked_with(&query, Precision::F64, &banks)
+            .search_batch_winners_with(&[&query[..]], masked)
+            .map(|w| w[0])
             .expect("masked");
         // Reference fold over per-bank outcomes (search_all_banks runs
         // the compiled per-bank path).
@@ -163,10 +167,13 @@ proptest! {
             routed.store(&word).expect("store");
             stored.push(word);
             for w in &stored {
-                let (rr, rg) = routed.search_with(w, Precision::F64).expect("routed");
+                let (rr, rg) = routed
+                    .search_batch_winners_with(&[&w[..]], Precision::F64)
+                    .expect("routed")[0];
                 let (fr, fg) = routed
                     .memory()
-                    .search_with(w, Precision::F64)
+                    .search_batch_winners_with(&[&w[..]], Precision::F64)
+                    .map(|w| w[0])
                     .expect("full sweep");
                 prop_assert_eq!(rr, fr, "step {}", step);
                 prop_assert_eq!(rg.to_bits(), fg.to_bits(), "step {}", step);
