@@ -49,6 +49,14 @@ impl Default for Fig7Config {
 ///
 /// Propagates evaluation failures.
 pub fn run(cfg: &Fig7Config) -> femcam_core::Result<Fig7Report> {
+    let report = evaluate(cfg)?;
+    report.write_csv();
+    Ok(report)
+}
+
+/// The evaluation behind [`run`], without the CSV: the tracked figure
+/// is written only by the figure binaries.
+pub(crate) fn evaluate(cfg: &Fig7Config) -> femcam_core::Result<Fig7Report> {
     let backends = paper_lineup();
     let names: Vec<String> = backends.iter().map(|b| b.name()).collect();
     let mut rows = Vec::new();
@@ -66,18 +74,6 @@ pub fn run(cfg: &Fig7Config) -> femcam_core::Result<Fig7Report> {
         }
         rows.push((task.label(), accs));
     }
-
-    let csv_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|(label, accs)| {
-            let mut r = vec![label.clone()];
-            r.extend(accs.iter().map(|a| format!("{a:.4}")));
-            r
-        })
-        .collect();
-    let mut header = vec!["task".to_string()];
-    header.extend(names.clone());
-    write_csv("fig7_fewshot.csv", &header, &csv_rows);
 
     let n = rows.len() as f64;
     let mean_gap = |a: usize, b: usize| -> f64 {
@@ -126,6 +122,22 @@ pub fn lsh_bits_ablation(
 }
 
 impl Fig7Report {
+    /// Writes the accuracy table to `results/fig7_fewshot.csv`.
+    fn write_csv(&self) {
+        let csv_rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|(label, accs)| {
+                let mut r = vec![label.clone()];
+                r.extend(accs.iter().map(|a| format!("{a:.4}")));
+                r
+            })
+            .collect();
+        let mut header = vec!["task".to_string()];
+        header.extend(self.backends.clone());
+        write_csv("fig7_fewshot.csv", &header, &csv_rows);
+    }
+
     /// Prints the accuracy table with the paper's claims.
     pub fn print(&self) {
         println!("== Fig. 7: one/few-shot learning accuracy (Omniglot regime) ==");
@@ -168,7 +180,7 @@ mod tests {
             seed: 42,
             n_threads: 4,
         };
-        let r = run(&cfg).unwrap();
+        let r = evaluate(&cfg).unwrap();
         assert_eq!(r.rows.len(), 4);
         assert!(
             r.mcam3_vs_tcam > 0.05,

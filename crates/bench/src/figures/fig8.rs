@@ -48,6 +48,14 @@ impl Default for Fig8Config {
 ///
 /// Propagates evaluation failures.
 pub fn run(cfg: &Fig8Config) -> femcam_core::Result<Fig8Report> {
+    let report = evaluate(cfg)?;
+    report.write_csv();
+    Ok(report)
+}
+
+/// The sweep behind [`run`], without the CSV: the tracked figure is
+/// written only by the figure binaries.
+pub(crate) fn evaluate(cfg: &Fig8Config) -> femcam_core::Result<Fig8Report> {
     let tasks = FewShotTask::paper_tasks();
     let points = variation_sweep(
         3,
@@ -57,23 +65,6 @@ pub fn run(cfg: &Fig8Config) -> femcam_core::Result<Fig8Report> {
         cfg.seed,
         cfg.n_threads,
     )?;
-
-    let csv_rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{:.0}", p.sigma_v * 1000.0),
-                p.task.label(),
-                format!("{:.4}", p.result.accuracy),
-                format!("{:.4}", p.result.std_error),
-            ]
-        })
-        .collect();
-    write_csv(
-        "fig8_variation.csv",
-        &["sigma_mv", "task", "accuracy", "std_error"],
-        &csv_rows,
-    );
 
     let acc_at = |task: FewShotTask, sigma: f64| -> f64 {
         points
@@ -102,6 +93,27 @@ pub fn run(cfg: &Fig8Config) -> femcam_core::Result<Fig8Report> {
 }
 
 impl Fig8Report {
+    /// Writes the sweep to `results/fig8_variation.csv`.
+    fn write_csv(&self) {
+        let csv_rows: Vec<Vec<String>> = self
+            .points
+            .iter()
+            .map(|p| {
+                vec![
+                    format!("{:.0}", p.sigma_v * 1000.0),
+                    p.task.label(),
+                    format!("{:.4}", p.result.accuracy),
+                    format!("{:.4}", p.result.std_error),
+                ]
+            })
+            .collect();
+        write_csv(
+            "fig8_variation.csv",
+            &["sigma_mv", "task", "accuracy", "std_error"],
+            &csv_rows,
+        );
+    }
+
     /// Prints the sweep table with the paper's claims.
     pub fn print(&self) {
         println!("== Fig. 8: 3-bit MCAM few-shot accuracy vs Vth variation ==");
@@ -150,7 +162,7 @@ mod tests {
             seed: 42,
             n_threads: 4,
         };
-        let r = run(&cfg).unwrap();
+        let r = evaluate(&cfg).unwrap();
         assert!(
             r.drop_at_80mv < 0.05,
             "80 mV should be nearly free, dropped {:.3}",

@@ -34,7 +34,9 @@ pub fn run(
     fig7_cfg: &fig7::Fig7Config,
 ) -> femcam_core::Result<T1Report> {
     let f6 = fig6::run(fig6_cfg)?;
-    let f7 = fig7::run(fig7_cfg)?;
+    // The evaluation alone: the tracked Fig. 7 CSV comes from the
+    // fig7 binary's own configuration.
+    let f7 = fig7::evaluate(fig7_cfg)?;
 
     // The 5-way rows of Fig. 7 (lineup order: mcam3, mcam2, tcam,
     // cosine, euclidean).

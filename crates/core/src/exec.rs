@@ -186,6 +186,60 @@
 //! per query: [`crate::router::RoutedMcam`] re-ranks each query over
 //! its own routed banks this way, one batch for every route.
 //!
+//! ## Fast-scan prefilter
+//!
+//! The abandon check only fires after a register block has scored a
+//! chunk of columns through widened indices and `f32` permutes. Yet the
+//! paper's distance function is steep on purpose: on the default 3-bit
+//! device LUT a cell costs about 1.7e-7 when it matches and 2.2e-5
+//! three levels off, so a near-duplicate query's winner (about 1.2e-5)
+//! lies below any row with a single cell three levels off. So while a
+//! query's bound `B` is finite and positive, the bounded sweep first
+//! runs each whole register block through a *fast-scan* prefilter
+//! (André, Kermarrec and Le Scouarnec, "Cache locality is not enough",
+//! VLDB 2015), both in the seeding pass and in the sweeps:
+//!
+//! - The plan's `f32` LUT is floor-quantized to `u8` units of
+//!   `u = B · (1 + 2⁻¹⁶) / 128`, saturating at 255: one 16-byte table
+//!   per input level.
+//! - The block's rows are scored straight from the 1-byte column-major
+//!   codes, 64 rows per AVX-512BW vector (32 per AVX2 vector), with no
+//!   widening: per column one byte shuffle looks the codes up in the
+//!   query level's table and one saturating add (a `max` for L∞) folds
+//!   them in.
+//! - After 8 and after 16 columns, a block whose every row is above 128
+//!   units is skipped: no widening and no `f32` work. Any other block
+//!   runs the bounded `f32` sweep unchanged.
+//!
+//! Skipping is exact, so answers stay bit-identical:
+//!
+//! - Floor quantization never raises a cell's cost, and saturation only
+//!   under-counts, so a row above 128 units has an exact cost of at
+//!   least `129 · u > B · (1 + 2⁻¹⁶)`.
+//! - Recursive `f32` summation of nonnegative terms loses at most
+//!   `(word_len − 1) · 2⁻²⁴` relative (`63 · 2⁻²⁴` on 64-cell words),
+//!   which the `2⁻¹⁶` margin covers up to 257 cells and the 129th unit
+//!   up to 4096 cells; wider words skip the prefilter. The `f64`
+//!   quantization rounds far less than either, and the max fold rounds
+//!   nothing. So a skipped row's `f32` score is above `B`, and since
+//!   bounds only fall, it could never be taken.
+//! - The check is a strict `>`, and a row scoring exactly `B` stays at
+//!   128 units or below, so rows tied with the bound (and the seed rows
+//!   under `next_up(seed)`) are still scored, exactly as the abandon
+//!   check leaves them.
+//!
+//! The tables live in each worker's `BatchScratch` of the batched
+//! winner kernel, one per query position in the worker's group. They are built
+//! lazily, kept across banks and across the seeding pass and the
+//! seeded sweep, and rebuilt only when the query's bound falls below
+//! half the bound they were built for (a stale, looser table is still
+//! exact) or rises above it (the seeded sweep's `next_up`). A plan with
+//! a different LUT drops them. The byte shuffle is AVX2 on the AVX2 tier
+//! and AVX-512BW on the AVX-512 tier; each plan records at compile time,
+//! beside its tier, whether it runs the prefilter, so an AVX-512F host
+//! without BW keeps the `f32` sweep alone. Top-k, full outcomes, the
+//! plane plans and the scalar tier never prefilter.
+//!
 //! Callers pick a mode either statically (`CompiledMcam::<f32>`,
 //! [`CompiledCodes`]) or at run time through the [`Precision`] knob on
 //! the cached-plan entry points ([`McamArray::search_batch_with`],
@@ -758,6 +812,9 @@ pub(crate) struct BatchScratch<S> {
     aux: Vec<S>,
     heap: BinaryHeap<(TotalF64, usize)>,
     sorted: Vec<(TotalF64, usize)>,
+    /// The bounded codes sweep's fast-scan tables, one per query
+    /// position in the worker's group; other kernels leave it empty.
+    fast: FastScan,
 }
 
 impl<S: PlaneScalar> BatchScratch<S> {
@@ -767,6 +824,82 @@ impl<S: PlaneScalar> BatchScratch<S> {
             aux: Vec::new(),
             heap: BinaryHeap::new(),
             sorted: Vec::new(),
+            fast: FastScan::default(),
+        }
+    }
+}
+
+/// Bound units in a fast-scan table: a row whose saturated `u8` sum is
+/// above this many units provably scores above the bound (the
+/// module-level ["Fast-scan prefilter"](self#fast-scan-prefilter)).
+const FAST_SCAN_UNITS: f64 = 128.0;
+
+/// Relative margin the fast-scan unit adds to the bound: it covers the
+/// `f32` rounding of a row's sum.
+const FAST_SCAN_MARGIN: f64 = 1.0 / 65536.0;
+
+/// One query's fast-scan tables: the plan's `f32` LUT floor-quantized
+/// to `u8` units of `bound · (1 + FAST_SCAN_MARGIN) / FAST_SCAN_UNITS`,
+/// saturating at 255, one 16-byte byte-shuffle row per input level.
+#[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct ByteTables {
+    /// The bound the tables were quantized for; `0.0` before the first
+    /// build.
+    bound: f32,
+    /// `[input][state]` units; entries past `n_levels` stay 0.
+    rows: [[u8; 16]; 8],
+}
+
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+impl ByteTables {
+    const NONE: Self = ByteTables {
+        bound: 0.0,
+        rows: [[0; 16]; 8],
+    };
+
+    /// Requantizes `lut` (8-entry rows) for `bound`, finite and `> 0`.
+    fn quantize(&mut self, lut: &[f32], bound: f32) {
+        let scale = FAST_SCAN_UNITS / (f64::from(bound) * (1.0 + FAST_SCAN_MARGIN));
+        for (units, row) in self.rows.iter_mut().zip(lut.chunks_exact(8)) {
+            for (unit, &v) in units.iter_mut().zip(row) {
+                // `as` truncates, the floor of a value `>= 0`, and
+                // saturates at 255.
+                *unit = (f64::from(v) * scale) as u8;
+            }
+        }
+        self.bound = bound;
+    }
+
+    /// Whether the tables still serve `bound`: quantized for a bound at
+    /// least as large (so exact), and at most twice as large (so still
+    /// tight).
+    fn serves(&self, bound: f32) -> bool {
+        bound <= self.bound && bound >= 0.5 * self.bound
+    }
+}
+
+/// A worker's fast-scan state: the LUT its tables quantize and one
+/// [`ByteTables`] per query position in the worker's group, built
+/// lazily by the bounded sweep and kept across banks.
+#[derive(Debug, Default)]
+struct FastScan {
+    lut: Vec<f32>,
+    tables: Vec<ByteTables>,
+}
+
+impl FastScan {
+    /// Readies a table for each of the query positions `ids` against a
+    /// plan over `lut`. A plan with another LUT drops every table.
+    fn prepare(&mut self, lut: &[f32], ids: &[usize]) {
+        if self.lut != lut {
+            self.lut.clear();
+            self.lut.extend_from_slice(lut);
+            self.tables.fill(ByteTables::NONE);
+        }
+        let need = ids.iter().max().map_or(0, |&id| id + 1);
+        if self.tables.len() < need {
+            self.tables.resize(need, ByteTables::NONE);
         }
     }
 }
@@ -912,6 +1045,16 @@ const MAX_LANES: usize = 16;
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 const ABANDON_CHUNK: usize = 8;
 
+/// Columns the fast-scan prefilter scores before its first check; it
+/// checks once more at twice as many.
+#[cfg(target_arch = "x86_64")]
+const FAST_SCAN_CHECK: usize = 8;
+
+/// Widest word the fast-scan prefilter serves: up to this many cells,
+/// the 129th unit of the rejection threshold alone covers the `f32`
+/// rounding of a row's sum.
+const FAST_SCAN_MAX_WORD: usize = 4096;
+
 /// One widened row tile of the vector codes kernels: rows
 /// `t0..t0 + tlen`, whose permute indices for column `c` sit at
 /// `idx[c * stride..]`, filled for columns `..widened`.
@@ -969,23 +1112,25 @@ unsafe fn first_below<L: CodeLanes, const R: usize>(
 
 #[cfg(test)]
 thread_local! {
-    /// Vector-columns the bounded sweep scored on this thread, and the
-    /// vector-columns a full sweep of the same rows would have scored.
-    static BOUNDED_WORK: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+    /// Vector-columns the bounded sweep scored on this thread, the
+    /// vector-columns a full sweep of the same rows would have scored,
+    /// and the row vectors the fast-scan prefilter rejected unscored.
+    static BOUNDED_WORK: std::cell::Cell<(u64, u64, u64)> =
+        const { std::cell::Cell::new((0, 0, 0)) };
 }
 
 /// Counts the work of one register block of the bounded sweep (tests
 /// read it back; other builds compile it away).
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 #[inline(always)]
-fn tally_bounded_work(scored: usize, nominal: usize) {
+fn tally_bounded_work(scored: usize, nominal: usize, rejected: usize) {
     #[cfg(test)]
     BOUNDED_WORK.with(|work| {
-        let (s, n) = work.get();
-        work.set((s + scored as u64, n + nominal as u64));
+        let (s, n, r) = work.get();
+        work.set((s + scored as u64, n + nominal as u64, r + rejected as u64));
     });
     #[cfg(not(test))]
-    let _ = (scored, nominal);
+    let _ = (scored, nominal, rejected);
 }
 
 /// The vector width the codes block kernel runs at, picked once per
@@ -1041,6 +1186,26 @@ impl CodesTier {
             #[cfg(not(target_arch = "x86_64"))]
             CodesTier::Avx2 | CodesTier::Avx512 => false,
         }
+    }
+
+    /// Whether a plan holding this tier runs the fast-scan prefilter on
+    /// `word_len`-cell words (the module-level
+    /// ["Fast-scan prefilter"](self#fast-scan-prefilter)). The byte
+    /// shuffle is AVX2 on the AVX2 tier but AVX-512BW on the AVX-512
+    /// tier, so an AVX-512F host without BW keeps the `f32` sweep alone;
+    /// the exactness margin covers words up to [`FAST_SCAN_MAX_WORD`]
+    /// cells.
+    fn fast_scan(self, word_len: usize) -> bool {
+        word_len <= FAST_SCAN_MAX_WORD
+            && match self {
+                CodesTier::Scalar => false,
+                #[cfg(target_arch = "x86_64")]
+                CodesTier::Avx2 => true,
+                #[cfg(target_arch = "x86_64")]
+                CodesTier::Avx512 => std::arch::is_x86_feature_detected!("avx512bw"),
+                #[cfg(not(target_arch = "x86_64"))]
+                CodesTier::Avx2 | CodesTier::Avx512 => false,
+            }
     }
 }
 
@@ -1104,6 +1269,34 @@ trait CodeLanes {
     /// Bit `i` set where lane `i` of `a` equals lane `i` of `b`.
     // SAFETY: contract in the trait docs (the tier's CPU features).
     unsafe fn eq_mask(a: Self::Ps, b: Self::Ps) -> u32;
+
+    /// Rows one byte vector of the fast-scan prefilter covers: half a
+    /// register block.
+    const BYTES: usize;
+    /// One vector of `BYTES` `u8` lanes (the prefilter's saturating
+    /// row sums). The byte methods below need AVX-512BW on the AVX-512
+    /// tier.
+    type Pb: Copy;
+
+    /// The 16-byte table row at `row` in every 128-bit lane.
+    // SAFETY: contract in the trait docs (features, readable bytes).
+    unsafe fn byte_table(row: *const u8) -> Self::Pb;
+    /// All byte lanes `0`.
+    // SAFETY: contract in the trait docs (the tier's CPU features).
+    unsafe fn byte_zero() -> Self::Pb;
+    /// Looks up `BYTES` codes (each `< 16`) at `codes` in `table`.
+    // SAFETY: contract in the trait docs (features, readable bytes).
+    unsafe fn byte_lookup(table: Self::Pb, codes: *const u8) -> Self::Pb;
+    /// Saturating Sum or Max of unsigned bytes, selected at
+    /// monomorphization time.
+    // SAFETY: contract in the trait docs (the tier's CPU features).
+    unsafe fn byte_fold<const MAX: bool>(a: Self::Pb, b: Self::Pb) -> Self::Pb;
+    /// Lane-wise unsigned minimum.
+    // SAFETY: contract in the trait docs (the tier's CPU features).
+    unsafe fn byte_min(a: Self::Pb, b: Self::Pb) -> Self::Pb;
+    /// Whether every byte lane is above [`FAST_SCAN_UNITS`] (128).
+    // SAFETY: contract in the trait docs (the tier's CPU features).
+    unsafe fn bytes_above_units(a: Self::Pb) -> bool;
 }
 
 /// The AVX2 lanes: 8 cells per `vpermps`.
@@ -1200,6 +1393,56 @@ impl CodeLanes for Avx2Lanes {
         use std::arch::x86_64::*;
         _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(a, b)) as u32
     }
+
+    const BYTES: usize = 32;
+    type Pb = std::arch::x86_64::__m256i;
+
+    // SAFETY: reads the 16 bytes the caller provides.
+    #[inline(always)]
+    unsafe fn byte_table(row: *const u8) -> Self::Pb {
+        use std::arch::x86_64::*;
+        _mm256_broadcastsi128_si256(_mm_loadu_si128(row.cast()))
+    }
+
+    // SAFETY: register-only; the caller has AVX2 (trait contract).
+    #[inline(always)]
+    unsafe fn byte_zero() -> Self::Pb {
+        std::arch::x86_64::_mm256_setzero_si256()
+    }
+
+    // SAFETY: reads the 32 codes the caller provides.
+    #[inline(always)]
+    unsafe fn byte_lookup(table: Self::Pb, codes: *const u8) -> Self::Pb {
+        use std::arch::x86_64::*;
+        _mm256_shuffle_epi8(table, _mm256_loadu_si256(codes.cast()))
+    }
+
+    // SAFETY: register-only; the caller has AVX2 (trait contract).
+    #[inline(always)]
+    unsafe fn byte_fold<const MAX: bool>(a: Self::Pb, b: Self::Pb) -> Self::Pb {
+        use std::arch::x86_64::*;
+        if MAX {
+            _mm256_max_epu8(a, b)
+        } else {
+            _mm256_adds_epu8(a, b)
+        }
+    }
+
+    // SAFETY: register-only; the caller has AVX2 (trait contract).
+    #[inline(always)]
+    unsafe fn byte_min(a: Self::Pb, b: Self::Pb) -> Self::Pb {
+        std::arch::x86_64::_mm256_min_epu8(a, b)
+    }
+
+    // SAFETY: register-only; the caller has AVX2 (trait contract).
+    #[inline(always)]
+    unsafe fn bytes_above_units(a: Self::Pb) -> bool {
+        use std::arch::x86_64::*;
+        // `a >= 129` exactly where `max(a, 129) == a` (AVX2 has no
+        // unsigned byte compare).
+        let floor = _mm256_set1_epi8((FAST_SCAN_UNITS as u8 + 1) as i8);
+        _mm256_movemask_epi8(_mm256_cmpeq_epi8(_mm256_max_epu8(a, floor), a)) == -1
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1284,6 +1527,54 @@ impl CodeLanes for Avx512Lanes {
     unsafe fn eq_mask(a: Self::Ps, b: Self::Ps) -> u32 {
         use std::arch::x86_64::*;
         u32::from(_mm512_cmp_ps_mask::<_CMP_EQ_OQ>(a, b))
+    }
+
+    const BYTES: usize = 64;
+    type Pb = std::arch::x86_64::__m512i;
+
+    // SAFETY: reads the 16 bytes the caller provides.
+    #[inline(always)]
+    unsafe fn byte_table(row: *const u8) -> Self::Pb {
+        use std::arch::x86_64::*;
+        _mm512_broadcast_i32x4(_mm_loadu_si128(row.cast()))
+    }
+
+    // SAFETY: register-only; the caller has AVX-512F (trait contract).
+    #[inline(always)]
+    unsafe fn byte_zero() -> Self::Pb {
+        std::arch::x86_64::_mm512_setzero_si512()
+    }
+
+    // SAFETY: reads the 64 codes the caller provides; the caller has
+    // AVX-512BW (trait contract).
+    #[inline(always)]
+    unsafe fn byte_lookup(table: Self::Pb, codes: *const u8) -> Self::Pb {
+        use std::arch::x86_64::*;
+        _mm512_shuffle_epi8(table, _mm512_loadu_si512(codes.cast()))
+    }
+
+    // SAFETY: register-only; the caller has AVX-512BW (trait contract).
+    #[inline(always)]
+    unsafe fn byte_fold<const MAX: bool>(a: Self::Pb, b: Self::Pb) -> Self::Pb {
+        use std::arch::x86_64::*;
+        if MAX {
+            _mm512_max_epu8(a, b)
+        } else {
+            _mm512_adds_epu8(a, b)
+        }
+    }
+
+    // SAFETY: register-only; the caller has AVX-512BW (trait contract).
+    #[inline(always)]
+    unsafe fn byte_min(a: Self::Pb, b: Self::Pb) -> Self::Pb {
+        std::arch::x86_64::_mm512_min_epu8(a, b)
+    }
+
+    // SAFETY: register-only; the caller has AVX-512BW (trait contract).
+    #[inline(always)]
+    unsafe fn bytes_above_units(a: Self::Pb) -> bool {
+        use std::arch::x86_64::*;
+        _mm512_cmpgt_epu8_mask(a, _mm512_set1_epi8(FAST_SCAN_UNITS as u8 as i8)) == u64::MAX
     }
 }
 
@@ -1569,16 +1860,22 @@ pub(crate) trait BlockKernel: Sync {
     /// overrides it on the vector tiers with the bounded sweep: the
     /// slot's score is an upper bound, and a register block of rows is
     /// abandoned once every row in it already scores above it (the
-    /// module-level ["Bounded winners"](self#bounded-winners)).
+    /// module-level ["Bounded winners"](self#bounded-winners)), behind
+    /// the fast-scan prefilter, whose per-query tables live in
+    /// `scratch` at each query's position `ids[i]` in the worker's
+    /// group (the same query keeps its position across banks and
+    /// passes).
     ///
     /// [`accumulate_block`]: Self::accumulate_block
     fn fold_winners(
         &self,
         queries: &[&[u8]],
+        ids: &[usize],
         base: usize,
         best: &mut [Option<(usize, f64)>],
         scratch: &mut BatchScratch<Self::Acc>,
     ) {
+        let _ = ids;
         fold_winners_full(self, queries, base, best, scratch);
     }
 
@@ -1689,6 +1986,7 @@ where
                 aux,
                 heap,
                 sorted,
+                ..
             } = &mut scratch;
             if acc.len() < need {
                 acc.resize(need, K::Acc::ZERO);
@@ -1825,6 +2123,12 @@ pub struct CompiledCodes {
     /// names a vector tier only if [`CodesTier::available`] held for
     /// `lut_stride`.
     tier: CodesTier,
+    /// The bounded sweep runs the fast-scan prefilter: the tier has a
+    /// byte shuffle on this host and the word is short enough for its
+    /// exactness margin ([`CodesTier::fast_scan`], detected once at
+    /// compile time beside `tier`). The AVX-512 prefilter's `unsafe`
+    /// byte ops rely on it.
+    fast_scan: bool,
     /// Every LUT entry is finite and nonnegative, and no row score can
     /// overflow: both folds then never lower a running sum, which is
     /// what makes the bounded winner sweep's abandoning exact. Checked
@@ -1887,6 +2191,7 @@ impl CompiledCodes {
                 };
             }
         }
+        let tier = CodesTier::detect(lut_stride);
         let mut codes = vec![0u8; word_len * n_rows];
         for r in 0..n_rows {
             for (c, &state) in array.row(r).iter().enumerate() {
@@ -1902,7 +2207,8 @@ impl CompiledCodes {
             codes,
             abandon_exact: Self::lut_allows_abandon(&lut, word_len),
             lut,
-            tier: CodesTier::detect(lut_stride),
+            tier,
+            fast_scan: tier.fast_scan(word_len),
         })
     }
 
@@ -2293,13 +2599,63 @@ impl CompiledCodes {
             if checking && c0 < wl {
                 let low = sums[1..].iter().fold(sums[0], |m, &s| L::min(m, s));
                 if L::gt_mask(low, limit) == every_lane {
-                    tally_bounded_work(R * c0, R * wl);
+                    tally_bounded_work(R * c0, R * wl, 0);
                     return None;
                 }
             }
         }
-        tally_bounded_work(R * wl, R * wl);
+        tally_bounded_work(R * wl, R * wl, 0);
         Some(sums)
+    }
+
+    /// The fast-scan prefilter of one register block (the module-level
+    /// ["Fast-scan prefilter"](self#fast-scan-prefilter)): whether
+    /// every one of the `SERVE_REGS × L::WIDTH` rows from plan row `row`
+    /// on provably scores above the bound `tables` were quantized for.
+    /// The rows' `u8` sums fold straight from the column-major codes,
+    /// two byte vectors per column (one lookup and one saturating add,
+    /// or max, each), and are checked after [`FAST_SCAN_CHECK`] columns
+    /// and after twice as many.
+    ///
+    /// # Safety
+    ///
+    /// `L`'s CPU features, with AVX-512BW on the AVX-512 tier; `q`
+    /// validated; rows `row..row + SERVE_REGS × L::WIDTH` inside the
+    /// plan.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    // SAFETY: each lookup reads `L::BYTES` codes of column `c` at rows
+    // inside the block, which the contract puts inside the plan;
+    // `tables` is indexed by validated levels `< n_levels <= 8`.
+    unsafe fn fast_scan_rejects<L: CodeLanes, const MAX: bool>(
+        &self,
+        tables: &ByteTables,
+        q: &[u8],
+        row: usize,
+    ) -> bool {
+        const { assert!(SERVE_REGS * L::WIDTH == 2 * L::BYTES) };
+        let wl = self.word_len;
+        let n = self.n_rows;
+        let codes = self.codes.as_ptr().add(row);
+        let (mut lo, mut hi) = (L::byte_zero(), L::byte_zero());
+        let mut c0 = 0;
+        for check in [FAST_SCAN_CHECK, 2 * FAST_SCAN_CHECK] {
+            let c1 = check.min(wl);
+            for (c, &level) in (c0..c1).zip(&q[c0..c1]) {
+                let table = L::byte_table(tables.rows[level as usize].as_ptr());
+                let col = codes.add(c * n);
+                lo = L::byte_fold::<MAX>(lo, L::byte_lookup(table, col));
+                hi = L::byte_fold::<MAX>(hi, L::byte_lookup(table, col.add(L::BYTES)));
+            }
+            if L::bytes_above_units(L::byte_min(lo, hi)) {
+                return true;
+            }
+            if c1 == wl {
+                break;
+            }
+            c0 = c1;
+        }
+        false
     }
 
     /// The bounded winner sweep behind [`BlockKernel::fold_winners`] on
@@ -2313,23 +2669,36 @@ impl CompiledCodes {
     /// minimum a full sweep reports, with no `acc` write-back and no
     /// separate [`argmin`] pass.
     ///
+    /// With `FAST`, a whole register block first runs the fast-scan
+    /// prefilter ([`fast_scan_rejects`](Self::fast_scan_rejects)) while
+    /// the bound is finite and positive, and is skipped, unwidened and
+    /// unscored, when it rejects every row. The query at position
+    /// `ids[i]` quantizes its tables into `fast.tables[ids[i]]`, again
+    /// only once its bound falls below half the bound they were built
+    /// for ([`ByteTables::serves`]).
+    ///
     /// # Safety
     ///
     /// As [`accumulate_block_lanes`](Self::accumulate_block_lanes), and
-    /// `self.abandon_exact` holds (which makes abandoning exact).
+    /// `self.abandon_exact` holds (which makes abandoning exact). With
+    /// `FAST`: AVX-512BW on the AVX-512 tier, and `fast` prepared for
+    /// `self.lut` and `ids` ([`FastScan::prepare`]).
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     // SAFETY: the slab is sized to `word_len × stride` dwords as
     // `widen_columns` requires, and each `serve_bounded` call covers
     // whole vectors below the tile's `tlen` rows (the partial one reads
-    // its zero-padded vector); results go through `best` and a lane
+    // its zero-padded vector); the prefilter runs on whole register
+    // blocks below `tlen` only; results go through `best` and a lane
     // buffer only.
-    unsafe fn winners_block_lanes<L: CodeLanes, const MAX: bool>(
+    unsafe fn winners_block_lanes<L: CodeLanes, const MAX: bool, const FAST: bool>(
         &self,
         queries: &[&[u8]],
+        ids: &[usize],
         base: usize,
         best: &mut [Option<(usize, f64)>],
         aux: &mut Vec<f32>,
+        fast: &mut FastScan,
     ) {
         const { assert!(L::WIDTH <= MAX_LANES) };
         let n = self.n_rows;
@@ -2349,7 +2718,7 @@ impl CompiledCodes {
             };
             let full = tile.tlen / w;
             let rem = tile.tlen % w;
-            for (q, slot) in queries.iter().zip(best.iter_mut()) {
+            for ((q, slot), &id) in queries.iter().zip(best.iter_mut()).zip(ids) {
                 // The bound restarts from each query's own best.
                 let mut bound = slot.map_or(f32::INFINITY, |(_, g)| g as f32);
                 // Records tile row `row` as the query's best; returns
@@ -2360,6 +2729,17 @@ impl CompiledCodes {
                 };
                 let mut g = 0;
                 while g + SERVE_REGS <= full {
+                    if FAST && bound > 0.0 && bound < f32::INFINITY {
+                        let bytes = &mut fast.tables[id];
+                        if !bytes.serves(bound) {
+                            bytes.quantize(&self.lut, bound);
+                        }
+                        if self.fast_scan_rejects::<L, MAX>(bytes, q, t0 + g * w) {
+                            tally_bounded_work(0, SERVE_REGS * self.word_len, SERVE_REGS);
+                            g += SERVE_REGS;
+                            continue;
+                        }
+                    }
                     let sums =
                         self.serve_bounded::<L, MAX, SERVE_REGS>(&tables, q, &mut tile, g, bound);
                     if let Some((lane, v)) =
@@ -2435,7 +2815,8 @@ impl CompiledCodes {
         self.accumulate_block_lanes::<Avx512Lanes, MAX>(queries, acc, aux);
     }
 
-    /// The AVX2 tier of the bounded winner sweep.
+    /// The AVX2 tier of the bounded winner sweep, with or without the
+    /// fast-scan prefilter.
     ///
     /// # Safety
     ///
@@ -2445,17 +2826,20 @@ impl CompiledCodes {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     // SAFETY: forwards the caller's contract unchanged.
-    unsafe fn winners_block_avx2<const MAX: bool>(
+    unsafe fn winners_block_avx2<const MAX: bool, const FAST: bool>(
         &self,
         queries: &[&[u8]],
+        ids: &[usize],
         base: usize,
         best: &mut [Option<(usize, f64)>],
-        aux: &mut Vec<f32>,
+        scratch: &mut BatchScratch<f32>,
     ) {
-        self.winners_block_lanes::<Avx2Lanes, MAX>(queries, base, best, aux);
+        let BatchScratch { aux, fast, .. } = scratch;
+        self.winners_block_lanes::<Avx2Lanes, MAX, FAST>(queries, ids, base, best, aux, fast);
     }
 
-    /// The AVX-512 tier of the bounded winner sweep.
+    /// The AVX-512 tier of the bounded winner sweep, without the
+    /// fast-scan prefilter.
     ///
     /// # Safety
     ///
@@ -2468,36 +2852,76 @@ impl CompiledCodes {
     unsafe fn winners_block_avx512<const MAX: bool>(
         &self,
         queries: &[&[u8]],
-        base: usize,
-        best: &mut [Option<(usize, f64)>],
-        aux: &mut Vec<f32>,
-    ) {
-        self.winners_block_lanes::<Avx512Lanes, MAX>(queries, base, best, aux);
-    }
-
-    /// The winner fold on the plan's tier: the bounded sweep on the
-    /// vector tiers when the LUT makes abandoning exact, otherwise the
-    /// full sweep plus [`argmin`].
-    fn fold_winners_fold<const MAX: bool>(
-        &self,
-        queries: &[&[u8]],
+        ids: &[usize],
         base: usize,
         best: &mut [Option<(usize, f64)>],
         scratch: &mut BatchScratch<f32>,
     ) {
+        let BatchScratch { aux, fast, .. } = scratch;
+        self.winners_block_lanes::<Avx512Lanes, MAX, false>(queries, ids, base, best, aux, fast);
+    }
+
+    /// The AVX-512 tier of the bounded winner sweep with the fast-scan
+    /// prefilter, whose byte shuffle needs AVX-512BW.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as
+    /// [`winners_block_lanes`](Self::winners_block_lanes), with
+    /// AVX-512F and AVX-512BW available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    // SAFETY: forwards the caller's contract unchanged.
+    unsafe fn winners_block_avx512bw<const MAX: bool>(
+        &self,
+        queries: &[&[u8]],
+        ids: &[usize],
+        base: usize,
+        best: &mut [Option<(usize, f64)>],
+        scratch: &mut BatchScratch<f32>,
+    ) {
+        let BatchScratch { aux, fast, .. } = scratch;
+        self.winners_block_lanes::<Avx512Lanes, MAX, true>(queries, ids, base, best, aux, fast);
+    }
+
+    /// The winner fold on the plan's tier: the bounded sweep on the
+    /// vector tiers when the LUT makes abandoning exact, behind the
+    /// fast-scan prefilter where the plan runs it, otherwise the full
+    /// sweep plus [`argmin`].
+    fn fold_winners_fold<const MAX: bool>(
+        &self,
+        queries: &[&[u8]],
+        ids: &[usize],
+        base: usize,
+        best: &mut [Option<(usize, f64)>],
+        scratch: &mut BatchScratch<f32>,
+    ) {
+        if self.fast_scan && self.abandon_exact {
+            scratch.fast.prepare(&self.lut, ids);
+        }
         match self.tier {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the tier was detected with AVX-512F and 8-entry
-            // LUT rows, the LUT check held, and the drivers validate
-            // queries before any work runs.
+            // LUT rows, `fast_scan` with AVX-512BW, the LUT check held,
+            // the tables were prepared above, and the batch entry
+            // points validate queries before any work runs.
             CodesTier::Avx512 if self.abandon_exact => unsafe {
-                self.winners_block_avx512::<MAX>(queries, base, best, &mut scratch.aux);
+                if self.fast_scan {
+                    self.winners_block_avx512bw::<MAX>(queries, ids, base, best, scratch);
+                } else {
+                    self.winners_block_avx512::<MAX>(queries, ids, base, best, scratch);
+                }
             },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the tier was detected with AVX2 and 8-entry LUT
-            // rows; same LUT check and validated queries.
+            // rows; same LUT check, prepared tables and validated
+            // queries.
             CodesTier::Avx2 if self.abandon_exact => unsafe {
-                self.winners_block_avx2::<MAX>(queries, base, best, &mut scratch.aux);
+                if self.fast_scan {
+                    self.winners_block_avx2::<MAX, true>(queries, ids, base, best, scratch);
+                } else {
+                    self.winners_block_avx2::<MAX, false>(queries, ids, base, best, scratch);
+                }
             },
             _ => fold_winners_full(self, queries, base, best, scratch),
         }
@@ -2771,14 +3195,15 @@ impl BlockKernel for CompiledCodes {
     fn fold_winners(
         &self,
         queries: &[&[u8]],
+        ids: &[usize],
         base: usize,
         best: &mut [Option<(usize, f64)>],
         scratch: &mut BatchScratch<f32>,
     ) {
         if self.metric.is_max_fold() {
-            self.fold_winners_fold::<true>(queries, base, best, scratch);
+            self.fold_winners_fold::<true>(queries, ids, base, best, scratch);
         } else {
-            self.fold_winners_fold::<false>(queries, base, best, scratch);
+            self.fold_winners_fold::<false>(queries, ids, base, best, scratch);
         }
     }
 
@@ -2957,13 +3382,14 @@ impl BlockKernel for CodesDispatch {
     fn fold_winners(
         &self,
         queries: &[&[u8]],
+        ids: &[usize],
         base: usize,
         best: &mut [Option<(usize, f64)>],
         scratch: &mut BatchScratch<f32>,
     ) {
         match self {
-            CodesDispatch::Packed(c) => c.as_ref().fold_winners(queries, base, best, scratch),
-            CodesDispatch::Planes(p) => p.as_ref().fold_winners(queries, base, best, scratch),
+            CodesDispatch::Packed(c) => c.as_ref().fold_winners(queries, ids, base, best, scratch),
+            CodesDispatch::Planes(p) => p.as_ref().fold_winners(queries, ids, base, best, scratch),
         }
     }
 
@@ -3180,16 +3606,23 @@ fn seed_winners<K: BlockKernel>(
     visits.sort_unstable();
     visits.dedup();
     let mut block: Vec<&[u8]> = Vec::new();
+    let mut ids: Vec<usize> = Vec::new();
     let mut slots: Vec<Option<(usize, f64)>> = Vec::new();
     for run in visits.chunk_by(|a, b| a.0 == b.0) {
         let (plan, base) = (plans[run[0].0], bases[run[0].0]);
         block.clear();
         block.extend(run.iter().map(|&(_, q)| queries[q]));
+        ids.clear();
+        ids.extend(run.iter().map(|&(_, q)| q));
         slots.clear();
         slots.extend(run.iter().map(|&(_, q)| best[q]));
         let len = plan.block_len();
-        for (b, s) in block.chunks(len).zip(slots.chunks_mut(len)) {
-            plan.fold_winners(b, base, s, scratch);
+        for ((b, i), s) in block
+            .chunks(len)
+            .zip(ids.chunks(len))
+            .zip(slots.chunks_mut(len))
+        {
+            plan.fold_winners(b, i, base, s, scratch);
         }
         for (&(_, q), &slot) in run.iter().zip(&slots) {
             best[q] = slot;
@@ -3272,10 +3705,12 @@ pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
             }
         }
         if full {
+            let ids: Vec<usize> = (0..group.len()).collect();
             for (plan, &base) in plans.iter().zip(bases) {
                 let len = plan.block_len();
-                for (block, slots) in group.chunks(len).zip(best.chunks_mut(len)) {
-                    plan.fold_winners(block, base, slots, &mut scratch);
+                let blocks = group.chunks(len).zip(ids.chunks(len));
+                for ((block, ids), slots) in blocks.zip(best.chunks_mut(len)) {
+                    plan.fold_winners(block, ids, base, slots, &mut scratch);
                 }
             }
         }
@@ -3892,7 +4327,8 @@ mod tests {
             } else {
                 "skipped (not supported on this host)"
             };
-            println!("codes kernel tier {tier:?}: {status}");
+            let scan = if tier.fast_scan(64) { "on" } else { "off" };
+            println!("codes kernel tier {tier:?}: {status}, fast scan {scan}");
         }
         let outcome_bits = |outcomes: &[SearchOutcome]| -> Vec<Vec<u64>> {
             outcomes
@@ -3955,17 +4391,20 @@ mod tests {
                         "scalar tier drifted from f32 planes: {ctx}"
                     );
                     for &tier in &ran[1..] {
-                        let got = results!(
-                            &CompiledCodes {
-                                tier,
-                                ..compiled.clone()
-                            },
-                            &refs
-                        );
-                        assert!(
-                            got == scalar,
-                            "{tier:?} drifted from the scalar tier: {ctx}"
-                        );
+                        for scan in scan_modes(tier) {
+                            let got = results!(
+                                &CompiledCodes {
+                                    tier,
+                                    fast_scan: scan && tier.fast_scan(word_len),
+                                    ..compiled.clone()
+                                },
+                                &refs
+                            );
+                            assert!(
+                                got == scalar,
+                                "{tier:?} (fast scan {scan}) drifted from the scalar tier: {ctx}"
+                            );
+                        }
                     }
                 }
             }
@@ -4075,9 +4514,10 @@ mod tests {
     }
 
     /// Reads and resets this thread's bounded-sweep work counter:
-    /// `(vector-columns scored, vector-columns a full sweep scores)`.
-    fn take_bounded_work() -> (u64, u64) {
-        BOUNDED_WORK.with(|work| work.replace((0, 0)))
+    /// `(vector-columns scored, vector-columns a full sweep scores, row
+    /// vectors the fast-scan prefilter rejected)`.
+    fn take_bounded_work() -> (u64, u64, u64) {
+        BOUNDED_WORK.with(|work| work.replace((0, 0, 0)))
     }
 
     const ALL_TIERS: [CodesTier; 3] = [CodesTier::Scalar, CodesTier::Avx2, CodesTier::Avx512];
@@ -4087,12 +4527,31 @@ mod tests {
         ALL_TIERS.into_iter().filter(|t| t.available(8)).collect()
     }
 
-    /// A fresh copy of `plan` running on `tier`.
+    /// A fresh copy of `plan` running on `tier`, with the fast-scan
+    /// prefilter where that tier runs it on this host.
     fn on_tier(plan: &CompiledCodes, tier: CodesTier) -> CodesDispatch {
+        on_tier_scan(plan, tier, true)
+    }
+
+    /// A fresh copy of `plan` running on `tier`, with the fast-scan
+    /// prefilter off, or (`scan`) on where that tier runs it on this
+    /// host.
+    fn on_tier_scan(plan: &CompiledCodes, tier: CodesTier, scan: bool) -> CodesDispatch {
         CodesDispatch::Packed(Arc::new(CompiledCodes {
             tier,
+            fast_scan: scan && tier.fast_scan(plan.word_len),
             ..plan.clone()
         }))
+    }
+
+    /// The prefilter settings to run on `tier`: off, and on where the
+    /// host runs it.
+    fn scan_modes(tier: CodesTier) -> Vec<bool> {
+        if tier.fast_scan(64) {
+            vec![false, true]
+        } else {
+            vec![false]
+        }
     }
 
     /// Winners as `(row, score bits)`.
@@ -4121,11 +4580,58 @@ mod tests {
     ) -> (crate::banked::BankedMcam, McamArray) {
         let ladder = LevelLadder::new(3).unwrap();
         let lut = ConductanceLut::from_device(&FefetModel::default(), &ladder);
-        let mut memory = crate::banked::BankedMcam::new(ladder, lut, word_len, rows_per_bank);
+        banked_and_flat_with(rows, word_len, rows_per_bank, lut)
+    }
+
+    /// [`banked_and_flat`] over a LUT of the caller's choosing.
+    fn banked_and_flat_with(
+        rows: &[Vec<u8>],
+        word_len: usize,
+        rows_per_bank: usize,
+        lut: ConductanceLut,
+    ) -> (crate::banked::BankedMcam, McamArray) {
+        let ladder = LevelLadder::new(3).unwrap();
+        let mut memory =
+            crate::banked::BankedMcam::new(ladder, lut.clone(), word_len, rows_per_bank);
+        let mut flat = McamArray::new(ladder, lut, word_len);
         for r in rows {
             memory.store(r).unwrap();
+            flat.store(r).unwrap();
         }
-        (memory, array_with_rows(word_len, rows))
+        (memory, flat)
+    }
+
+    /// The 3-bit LUTs the fast-scan prefilter must stay exact on, by
+    /// name: the device LUT; small integers, which lie exactly on a
+    /// quantization step whenever the bound is 128 (or 64, 32, ...)
+    /// times a power of two; zeros and duplicates (a flat plateau past
+    /// one level); entries up to `f32::MAX / 64`, inside the
+    /// overflow guard for 24-cell words; and `f32::MAX / 8`, outside
+    /// it, where no sweep bounds at all.
+    fn fast_scan_luts() -> Vec<(&'static str, ConductanceLut)> {
+        let ladder = LevelLadder::new(3).unwrap();
+        let gap = |i: u8, s: u8| f64::from(i.abs_diff(s));
+        let from = |f: &dyn Fn(u8, u8) -> f64| ConductanceLut::from_fn(8, f).unwrap();
+        let huge = f64::from(f32::MAX);
+        vec![
+            (
+                "device",
+                ConductanceLut::from_device(&FefetModel::default(), &ladder),
+            ),
+            (
+                "integer steps",
+                from(&|i, s| 2.0 * gap(i, s) * gap(i, s) + 1.0),
+            ),
+            (
+                "zeros and duplicates",
+                from(&|i, s| gap(i, s).min(2.0) * 64.0),
+            ),
+            (
+                "near the guard",
+                from(&|i, s| huge / 64.0 * gap(i, s) / 7.0),
+            ),
+            ("past the guard", from(&|i, s| huge / 8.0 * gap(i, s) / 7.0)),
+        ]
     }
 
     /// Every batched codes winner path of `memory` — the public full and
@@ -4292,7 +4798,11 @@ mod tests {
     /// Non-vacuity and the CI report: on near-duplicate queries the
     /// vector tiers abandon most column work and still report the full
     /// sweep's winners; uniform random queries report their share too.
-    /// Prints which tiers ran and the fraction abandoned on each.
+    /// Prints which tiers ran, the fraction abandoned on each, and the
+    /// row vectors the fast-scan prefilter rejected. Near-duplicates
+    /// seeded with their source row's bank must have the prefilter
+    /// reject most register blocks, with it on its own tier and as the
+    /// AVX2 variant on an AVX-512 host.
     #[test]
     fn bounded_winners_abandon_work_on_near_duplicates() {
         const WORD: usize = 64;
@@ -4303,7 +4813,8 @@ mod tests {
             } else {
                 "skipped (not supported on this host)"
             };
-            println!("bounded_winners: codes kernel tier {tier:?}: {status}");
+            let scan = if tier.fast_scan(WORD) { "on" } else { "off" };
+            println!("bounded_winners: codes kernel tier {tier:?}: {status}, fast scan {scan}");
         }
         let mut state = 0x5DEE_CE66_D1CE_4E5Bu64;
         let mut next = move || {
@@ -4327,8 +4838,33 @@ mod tests {
         let uniform: Vec<Vec<u8>> = (0..48)
             .map(|_| (0..WORD).map(|_| (next() % 8) as u8).collect())
             .collect();
+        // Stored rows with three cells moved one level, each seeded with
+        // its source row's bank: a routed near-duplicate batch.
+        let mut sources = Vec::new();
+        let nudged: Vec<Vec<u8>> = (0..48)
+            .map(|_| {
+                let source = (next() % 2048) as usize;
+                sources.push(vec![source / 256]);
+                let mut q = rows[source].clone();
+                for _ in 0..3 {
+                    let c = (next() % WORD as u64) as usize;
+                    q[c] = if q[c] == 7 { 6 } else { q[c] + 1 };
+                }
+                q
+            })
+            .collect();
+        let seeds: Vec<&[usize]> = sources.iter().map(Vec::as_slice).collect();
         let (memory, flat) = banked_and_flat(&rows, WORD, 256);
-        for (name, queries) in [("near-duplicate", &near), ("uniform random", &uniform)] {
+        let runs = [
+            ("near-duplicate", &near, WinnerSweep::Full),
+            ("uniform random", &uniform, WinnerSweep::Full),
+            (
+                "seeded near-duplicate",
+                &nudged,
+                WinnerSweep::Seeded(&seeds),
+            ),
+        ];
+        for (name, queries, sweep) in runs {
             let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
             let plans: Vec<CompiledCodes> = memory
                 .banks()
@@ -4345,24 +4881,38 @@ mod tests {
                 .map(|o| first_min(o.conductances(), 0..flat.n_rows()))
                 .collect();
             for &tier in &tiers {
-                let banks: Vec<CodesDispatch> = plans.iter().map(|p| on_tier(p, tier)).collect();
-                let kernels: Vec<&CodesDispatch> = banks.iter().collect();
-                take_bounded_work();
-                let got = banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Full, 1)
-                    .unwrap();
-                let (scored, nominal) = take_bounded_work();
-                assert_eq!(winner_bits(&got), want, "{tier:?} {name}");
-                if tier == CodesTier::Scalar {
-                    assert_eq!(nominal, 0, "the scalar tier never bounds");
-                    continue;
-                }
-                let abandoned = 1.0 - scored as f64 / nominal as f64;
-                println!(
-                    "bounded_winners: tier {tier:?}, {name} queries: abandoned {abandoned:.3} \
-                     of column work ({scored} of {nominal} vector-columns scored)"
-                );
-                if name == "near-duplicate" {
-                    assert!(abandoned > 0.2, "{tier:?} abandoned only {abandoned:.3}");
+                for scan in scan_modes(tier) {
+                    let banks: Vec<CodesDispatch> =
+                        plans.iter().map(|p| on_tier_scan(p, tier, scan)).collect();
+                    let kernels: Vec<&CodesDispatch> = banks.iter().collect();
+                    take_bounded_work();
+                    let got =
+                        banked_winner_batch_kernel(&kernels, &bases, &refs, sweep, 1).unwrap();
+                    let (scored, nominal, rejected) = take_bounded_work();
+                    assert_eq!(winner_bits(&got), want, "{tier:?} {name}");
+                    if tier == CodesTier::Scalar {
+                        assert_eq!(nominal, 0, "the scalar tier never bounds");
+                        continue;
+                    }
+                    let abandoned = 1.0 - scored as f64 / nominal as f64;
+                    let vectors = nominal / WORD as u64;
+                    println!(
+                        "bounded_winners: tier {tier:?}, fast scan {scan}, {name} queries: \
+                         abandoned {abandoned:.3} of column work ({scored} of {nominal} \
+                         vector-columns scored); prefilter rejected {rejected} of {vectors} \
+                         row vectors"
+                    );
+                    if name == "near-duplicate" {
+                        assert!(abandoned > 0.2, "{tier:?} abandoned only {abandoned:.3}");
+                    }
+                    if !scan {
+                        assert_eq!(rejected, 0, "{tier:?}: the prefilter ran while off");
+                    } else if name == "seeded near-duplicate" {
+                        assert!(
+                            rejected * 2 > vectors,
+                            "{tier:?}: the prefilter rejected only {rejected} of {vectors} row vectors"
+                        );
+                    }
                 }
             }
         }
@@ -4373,6 +4923,13 @@ mod tests {
     /// differing only in the first column chunk, so under the digital
     /// metrics the partial score after that chunk is the final one —
     /// are scored in full and lose to the lowest copy.
+    ///
+    /// So is the fast-scan prefilter, on every tier with it off and on,
+    /// seeded or not: it rejects no row at the bound. Under the
+    /// conductance metric the LUT is integers and the rows score
+    /// exactly 128, so every entry lies exactly on a quantization step
+    /// and only the `1 + 2⁻¹⁶` margin keeps the tied rows' `u8` sums at
+    /// the threshold or below.
     #[test]
     fn bounded_winners_score_rows_at_the_bound_in_full() {
         const WORD: usize = 64;
@@ -4381,7 +4938,7 @@ mod tests {
         for cell in query.iter_mut().take(ABANDON_CHUNK).step_by(3) {
             *cell = (*cell + 3) % 8;
         }
-        let a = array_with_rows(WORD, &vec![row; 600]);
+        let a = array_with_rows(WORD, &vec![row.clone(); 600]);
         for tier in host_tiers() {
             for metric in [Metric::L1, Metric::Linf, Metric::Hamming] {
                 let plan = on_tier(&CompiledCodes::compile_metric(&a, metric).unwrap(), tier);
@@ -4389,7 +4946,7 @@ mod tests {
                 let got =
                     banked_winner_batch_kernel(&[&plan], &[0], &[&query], WinnerSweep::Full, 1)
                         .unwrap();
-                let (scored, nominal) = take_bounded_work();
+                let (scored, nominal, _) = take_bounded_work();
                 assert_eq!(got[0].0, 0, "{tier:?} {metric:?}");
                 assert_eq!(
                     scored, nominal,
@@ -4397,6 +4954,57 @@ mod tests {
                 );
             }
         }
+        // The three changed cells are 3, 5 and 5 levels off: 61 + 21 +
+        // 23 + 23 = 128.
+        let lut = ConductanceLut::from_fn(8, |i, s| match i.abs_diff(s) {
+            0 => 1.0,
+            3 => 21.0,
+            5 => 23.0,
+            d => f64::from(d) * 2.0,
+        })
+        .unwrap();
+        let ladder = LevelLadder::new(3).unwrap();
+        let mut stepped = McamArray::new(ladder, lut, WORD);
+        for _ in 0..600 {
+            stepped.store(&row).unwrap();
+        }
+        let stepped = CompiledCodes::compile(&stepped).unwrap();
+        for tier in host_tiers() {
+            for scan in scan_modes(tier) {
+                let arrays = [(Metric::McamConductance, &stepped)];
+                let digital: Vec<CompiledCodes> = [Metric::L1, Metric::Linf, Metric::Hamming]
+                    .into_iter()
+                    .map(|m| CompiledCodes::compile_metric(&a, m).unwrap())
+                    .collect();
+                let plans = arrays
+                    .into_iter()
+                    .chain(digital.iter().map(|p| (p.metric, p)));
+                for (metric, plan) in plans {
+                    let plan = on_tier_scan(plan, tier, scan);
+                    for sweep in [WinnerSweep::Full, WinnerSweep::Seeded(&[&[0]])] {
+                        let ctx = format!("{tier:?} {metric:?} fast scan {scan} {sweep:?}");
+                        take_bounded_work();
+                        let got = banked_winner_batch_kernel(&[&plan], &[0], &[&query], sweep, 1)
+                            .unwrap();
+                        let (scored, nominal, rejected) = take_bounded_work();
+                        assert_eq!(got[0].0, 0, "{ctx}");
+                        if metric == Metric::McamConductance {
+                            assert_eq!(got[0].1, 128.0, "{ctx}");
+                        }
+                        assert_eq!(rejected, 0, "{ctx}: prefilter rejected a row at the bound");
+                        assert_eq!(scored, nominal, "{ctx}: abandoned a row at the bound");
+                    }
+                }
+            }
+        }
+        // At a bound of 128 a unit is `1 + 2⁻¹⁶`: entries on a step
+        // floor one unit low, and only an entry above 129 clears the
+        // threshold on its own.
+        let mut tables = ByteTables::NONE;
+        tables.quantize(&[0.0, 1.0, 128.0, 129.0, 130.0, 255.0, 256.0, 1e30], 128.0);
+        assert_eq!(tables.rows[0][..8], [0, 0, 127, 128, 129, 254, 255, 255]);
+        assert!(tables.serves(128.0) && tables.serves(64.0));
+        assert!(!tables.serves(f32::next_up(128.0)) && !tables.serves(63.9));
     }
 
     /// A LUT with a negative entry fails the plan's abandon check, and
@@ -4481,11 +5089,18 @@ mod tests {
         /// in-range banks. The spec's mask and seeds are orthogonal: a
         /// drawn mask with any hint answers as the masked sweep without
         /// one, ties included.
+        ///
+        /// The fast-scan prefilter changes nothing either: on a drawn
+        /// adversarial LUT ([`fast_scan_luts`]), every tier answers
+        /// with the prefilter off and on (the AVX2 variant included on
+        /// an AVX-512 host) exactly as the first minimum of the `f32`
+        /// plane scores, seeded or not.
         #[test]
         fn seeded_winners_match_the_unseeded_sweep(
             bank_pick in 0usize..4,
             n_banks in 1usize..5,
             seed in 0u64..1_000_000,
+            lut_pick in 0usize..5,
         ) {
             const WORD: usize = 24;
             let rows_per_bank = [1usize, 64, 129, 200][bank_pick];
@@ -4514,7 +5129,8 @@ mod tests {
             }
             queries.push((0..WORD).map(|_| (next() % 8) as u8).collect());
             let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
-            let (memory, _) = banked_and_flat(&rows, WORD, rows_per_bank);
+            let (lut_name, lut) = fast_scan_luts().swap_remove(lut_pick);
+            let (memory, flat) = banked_and_flat_with(&rows, WORD, rows_per_bank, lut);
             let bases = bank_bases(n_banks, rows_per_bank);
             let cases = seed_hint_cases(refs.len(), n_banks, next());
             let mut bank_mask: Vec<usize> = (0..n_banks).filter(|_| next() % 2 == 0).collect();
@@ -4527,16 +5143,35 @@ mod tests {
                     .iter()
                     .map(|b| CompiledCodes::compile_metric(b, metric).unwrap())
                     .collect();
-                for tier in host_tiers() {
-                    let banks: Vec<CodesDispatch> = plans.iter().map(|p| on_tier(p, tier)).collect();
+                let planes = CompiledMcam::<f32>::compile_metric(&flat, metric)
+                    .unwrap()
+                    .search_batch(&refs, 1)
+                    .unwrap();
+                let oracle: Vec<(usize, u64)> =
+                    planes.iter().map(|o| first_min(o.conductances(), 0..total)).collect();
+                for (tier, scan) in host_tiers().into_iter().flat_map(|t| scan_modes(t).into_iter().map(move |s| (t, s))) {
+                    let banks: Vec<CodesDispatch> =
+                        plans.iter().map(|p| on_tier_scan(p, tier, scan)).collect();
                     let kernels: Vec<&CodesDispatch> = banks.iter().collect();
                     let want = winner_bits(
                         &banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Full, 1)
                             .unwrap(),
                     );
+                    prop_assert_eq!(
+                        want.clone(),
+                        oracle.clone(),
+                        "{:?} {:?} fast scan {} LUT {}",
+                        tier,
+                        metric,
+                        scan,
+                        lut_name
+                    );
                     for (name, hints) in &cases {
                         let hints: Vec<&[usize]> = hints.iter().map(Vec::as_slice).collect();
-                        let ctx = format!("{tier:?} {metric:?} hint {name} rows_per_bank={rows_per_bank}");
+                        let ctx = format!(
+                            "{tier:?} {metric:?} fast scan {scan} LUT {lut_name} hint {name} \
+                             rows_per_bank={rows_per_bank}"
+                        );
                         for threads in [1, 2] {
                             let got = banked_winner_batch_kernel(
                                 &kernels,
@@ -4718,11 +5353,11 @@ mod tests {
             take_bounded_work();
             let full =
                 banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Full, 1).unwrap();
-            let (unseeded, nominal) = take_bounded_work();
+            let (unseeded, nominal, _) = take_bounded_work();
             let seeded =
                 banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Seeded(&hints), 1)
                     .unwrap();
-            let (scored, _) = take_bounded_work();
+            let (scored, _, _) = take_bounded_work();
             assert_eq!(winner_bits(&seeded), winner_bits(&full), "{tier:?}");
             println!(
                 "seeded_winners: tier {tier:?}, near-duplicate queries: seeded sweep scored \
