@@ -182,6 +182,11 @@
 //! the mask and then sweeps the mask, so its answer is the masked
 //! sweep's.
 //!
+//! A hint is optional. A query without one (or whose hint found no
+//! row) gets its seed from the candidate pass of the
+//! ["Self-seeded sweep"](self#self-seeded-sweep) below, on plans that
+//! run it; a hint only saves that pass's work.
+//!
 //! The seeding pass alone, with no sweep after it, is a masked sweep
 //! per query: [`crate::router::RoutedMcam`] re-ranks each query over
 //! its own routed banks this way, one batch for every route.
@@ -239,6 +244,60 @@
 //! beside its tier, whether it runs the prefilter, so an AVX-512F host
 //! without BW keeps the `f32` sweep alone. Top-k, full outcomes, the
 //! plane plans and the scalar tier never prefilter.
+//!
+//! ## Self-seeded sweep
+//!
+//! A query with no hint would get a tight bound only when the ascending
+//! sweep reaches its winner's bank, halfway through on average. So
+//! before the full sweep, the batched winner kernel gives every such
+//! query a seed of its own, with the product-quantization "scan, then
+//! re-rank" pattern of the same paper:
+//!
+//! - **Fixed tables.** Each plan quantizes its `f32` LUT once, at
+//!   compile time, into the prefilter's `u8` byte-shuffle tables. The
+//!   unit comes from the LUT, not from any bound: its *one-step cost* is
+//!   the smallest gap between a LUT row's minimum and another entry of
+//!   that row, and the tables are quantized for a bound of 64 such
+//!   steps, so a byte unit is just over half a step and no step floors
+//!   to zero. On the default device LUT a cell costs 0 units when it
+//!   matches, 2 one level off, 18 two off and 122 three off. A LUT with
+//!   no such gap (one value everywhere) gets no tables and no pass.
+//! - **Scan.** Bank by bank in ascending order, so each bank's prefix
+//!   columns are read once per worker's query group, every whole byte
+//!   vector of rows (64 on AVX-512BW, 32 on AVX2) folds its first 16
+//!   columns per query: one byte shuffle and one saturating add (a `max`
+//!   for L∞) per column. Each query keeps the lowest byte sum and the
+//!   first row that has it, in ascending global row order. Rows past a
+//!   bank's last whole vector are never candidates.
+//! - **Re-rank.** A bank that improved a query's candidate scores that
+//!   row exactly with a scalar fold of the `f32` LUT entries in
+//!   ascending column order from `0.0`. Those are the IEEE operations
+//!   the vector sweep performs on that row, in the same order, so the
+//!   result is the row's sweep score bit for bit.
+//! - **Seed.** The candidate's score is the query's seed, exactly as in
+//!   the seeded sweep above: its slot starts at `f32::next_up(score)`,
+//!   and the ordinary sweep and prefilter do the rest. A candidate whose
+//!   prefix costs 32 units or more (about a step per cell) is no
+//!   near-duplicate and seeds nothing: its score would be looser than
+//!   the bound the sweep finds in its first register block, and the
+//!   prefilter tables built for a loose seed stay loose until the bound
+//!   halves, so on uniform random queries over the device LUT such a
+//!   seed made the sweep slower than no seed at all. There the pass is
+//!   pure overhead, one 16-column byte scan per row.
+//!
+//! The answer stays the full sweep's, bit for bit, by the argument of
+//! ["Seeded winners"](self#seeded-winners): the seed is the exact score
+//! of a real row, so the true first minimum scores `<= seed <
+//! next_up(seed)` and is always taken; the slot's row is scored again
+//! by the sweep, so ties still go to the lowest global row; and a wrong
+//! candidate (a row that matches the query on its prefix but not on
+//! its tail, say) only costs work. The one obligation the pass adds is
+//! that the scalar re-rank equals the vector fold bit for bit, which
+//! the tests pin against the `f32` planes.
+//!
+//! The pass runs only on plans that bound their winners and run the
+//! prefilter; routed queries (which carry a hint), top-k, full
+//! outcomes, the plane plans, the scalar tier and `f64` never run it.
 //!
 //! Callers pick a mode either statically (`CompiledMcam::<f32>`,
 //! [`CompiledCodes`]) or at run time through the [`Precision`] knob on
@@ -1050,6 +1109,16 @@ const ABANDON_CHUNK: usize = 8;
 #[cfg(target_arch = "x86_64")]
 const FAST_SCAN_CHECK: usize = 8;
 
+/// Prefix columns the self-seeding candidate pass folds per row (the
+/// module-level ["Self-seeded sweep"](self#self-seeded-sweep)).
+const CANDIDATE_COLUMNS: usize = 16;
+
+/// Byte vectors the candidate pass folds together per query: one table
+/// load per column serves them all, and their sums are independent
+/// dependency chains.
+#[cfg(target_arch = "x86_64")]
+const CANDIDATE_BLOCK: usize = 4;
+
 /// Widest word the fast-scan prefilter serves: up to this many cells,
 /// the 129th unit of the rejection threshold alone covers the `f32`
 /// rounding of a row's sum.
@@ -1115,6 +1184,9 @@ thread_local! {
     /// Vector-columns the bounded sweep scored on this thread, the
     /// vector-columns a full sweep of the same rows would have scored,
     /// and the row vectors the fast-scan prefilter rejected unscored.
+    /// The self-seeding candidate pass counts in both of the first two,
+    /// as work nothing abandons: one byte vector-column per column
+    /// folded, and `word_len` for each row it re-ranks.
     static BOUNDED_WORK: std::cell::Cell<(u64, u64, u64)> =
         const { std::cell::Cell::new((0, 0, 0)) };
 }
@@ -1297,6 +1369,9 @@ trait CodeLanes {
     /// Whether every byte lane is above [`FAST_SCAN_UNITS`] (128).
     // SAFETY: contract in the trait docs (the tier's CPU features).
     unsafe fn bytes_above_units(a: Self::Pb) -> bool;
+    /// Bit `i` set where byte lane `i` is at most `limit` (unsigned).
+    // SAFETY: contract in the trait docs (the tier's CPU features).
+    unsafe fn bytes_at_most(a: Self::Pb, limit: u8) -> u64;
 }
 
 /// The AVX2 lanes: 8 cells per `vpermps`.
@@ -1443,6 +1518,15 @@ impl CodeLanes for Avx2Lanes {
         let floor = _mm256_set1_epi8((FAST_SCAN_UNITS as u8 + 1) as i8);
         _mm256_movemask_epi8(_mm256_cmpeq_epi8(_mm256_max_epu8(a, floor), a)) == -1
     }
+
+    // SAFETY: register-only; the caller has AVX2 (trait contract).
+    #[inline(always)]
+    unsafe fn bytes_at_most(a: Self::Pb, limit: u8) -> u64 {
+        use std::arch::x86_64::*;
+        // `a <= limit` exactly where `min(a, limit) == a`.
+        let limit = _mm256_set1_epi8(limit as i8);
+        u64::from(_mm256_movemask_epi8(_mm256_cmpeq_epi8(_mm256_min_epu8(a, limit), a)) as u32)
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1575,6 +1659,13 @@ impl CodeLanes for Avx512Lanes {
     unsafe fn bytes_above_units(a: Self::Pb) -> bool {
         use std::arch::x86_64::*;
         _mm512_cmpgt_epu8_mask(a, _mm512_set1_epi8(FAST_SCAN_UNITS as u8 as i8)) == u64::MAX
+    }
+
+    // SAFETY: register-only; the caller has AVX-512BW (trait contract).
+    #[inline(always)]
+    unsafe fn bytes_at_most(a: Self::Pb, limit: u8) -> u64 {
+        use std::arch::x86_64::*;
+        _mm512_cmple_epu8_mask(a, _mm512_set1_epi8(limit as i8))
     }
 }
 
@@ -1879,6 +1970,17 @@ pub(crate) trait BlockKernel: Sync {
         fold_winners_full(self, queries, base, best, scratch);
     }
 
+    /// The self-seeding candidate pass over this kernel's rows (the
+    /// module-level ["Self-seeded sweep"](self#self-seeded-sweep)): folds
+    /// each query's lowest prefix byte sum among these rows into its
+    /// candidate `cands[i]`, keeping the first row with it, and scores
+    /// a row it takes exactly. `base` is added to local rows. Callers
+    /// visit banks in ascending base order, so ties keep the lowest
+    /// global row. The default finds no candidate.
+    fn scan_candidates<'p>(&'p self, queries: &[&[u8]], base: usize, cands: &mut [Candidate<'p>]) {
+        let _ = (queries, base, cands);
+    }
+
     /// Whether [`fold_winners`](Self::fold_winners) abandons rows above
     /// the carried bound — the only case in which a tighter starting
     /// bound saves work. The default scores every row.
@@ -2135,6 +2237,12 @@ pub struct CompiledCodes {
     /// once at compile time ([`CompiledCodes::lut_allows_abandon`]); a
     /// plan without it ignores bounds.
     abandon_exact: bool,
+    /// The self-seeding candidate pass's fixed `u8` tables
+    /// ([`CompiledCodes::candidate_tables`], quantized once at compile
+    /// time); `None` when the LUT has no one-step cost (all entries
+    /// equal) or rows wider than 8 entries. The pass runs only on plans
+    /// that also run the prefilter and bound their winners.
+    candidates: Option<ByteTables>,
 }
 
 impl CompiledCodes {
@@ -2206,9 +2314,39 @@ impl CompiledCodes {
             lut_stride,
             codes,
             abandon_exact: Self::lut_allows_abandon(&lut, word_len),
+            candidates: Self::candidate_tables(&lut, n_levels, lut_stride),
             lut,
             tier,
             fast_scan: tier.fast_scan(word_len),
+        })
+    }
+
+    /// The candidate pass's fixed tables (the module-level
+    /// ["Self-seeded sweep"](self#self-seeded-sweep)): `lut` quantized
+    /// once through [`ByteTables::quantize`] for a bound of
+    /// `FAST_SCAN_UNITS / 2` one-step costs. The one-step cost is the
+    /// smallest gap between a LUT row's minimum and another entry of that
+    /// row, so a byte unit is just over half a step and no step floors to
+    /// zero. `None` without such a gap (all entries equal), on rows wider
+    /// than 8 entries, or when that bound is not a finite, positive `f32`.
+    fn candidate_tables(lut: &[f32], n_levels: usize, lut_stride: usize) -> Option<ByteTables> {
+        if lut_stride != 8 {
+            return None;
+        }
+        let step = lut
+            .chunks_exact(lut_stride)
+            .flat_map(|row| {
+                let row = &row[..n_levels];
+                let min = row.iter().copied().fold(f32::INFINITY, f32::min);
+                row.iter().map(move |&v| f64::from(v) - f64::from(min))
+            })
+            .filter(|&gap| gap > 0.0)
+            .fold(f64::INFINITY, f64::min);
+        let bound = (FAST_SCAN_UNITS / 2.0 * step) as f32;
+        (bound.is_finite() && bound > 0.0).then(|| {
+            let mut tables = ByteTables::NONE;
+            tables.quantize(lut, bound);
+            tables
         })
     }
 
@@ -2544,12 +2682,13 @@ impl CompiledCodes {
     }
 
     /// Scores `R` vectors of tile rows, from vector `g` on, for query
-    /// `q` — the serve loop of the bounded sweep. Columns go in
-    /// [`ABANDON_CHUNK`]-column chunks; each chunk is widened the first
-    /// time any query reaches it (`tile.widened` records how far). After
-    /// every chunk but the last, while `bound` is finite, the rows are
-    /// abandoned once every lane of all `R` running sums is strictly
-    /// above it. Returns the finished sums, or `None` when abandoned.
+    /// `q` into `sums` — the serve loop of the bounded sweep. Columns go
+    /// in [`ABANDON_CHUNK`]-column chunks; each chunk is widened the
+    /// first time any query reaches it (`tile.widened` records how far).
+    /// After every chunk but the last, while `bound` is finite, the rows
+    /// are abandoned once every lane of all `R` running sums is strictly
+    /// above it. Returns whether the sums finished (`false` when
+    /// abandoned).
     ///
     /// Exact because the plan's LUT is finite and nonnegative: adding a
     /// nonnegative `f32` under round-to-nearest never lowers a sum, and
@@ -2574,13 +2713,14 @@ impl CompiledCodes {
         tile: &mut LaneTile,
         g: usize,
         bound: f32,
-    ) -> Option<[L::Ps; R]> {
+        sums: &mut [L::Ps; R],
+    ) -> bool {
         let wl = self.word_len;
         let w = L::WIDTH;
         let every_lane = u32::MAX >> (32 - w);
         let limit = L::splat(bound);
         let checking = bound < f32::INFINITY;
-        let mut sums = [L::zero(); R];
+        *sums = [L::zero(); R];
         let mut c0 = 0;
         while c0 < wl {
             let c1 = (c0 + ABANDON_CHUNK).min(wl);
@@ -2588,7 +2728,7 @@ impl CompiledCodes {
                 self.widen_columns::<L>(tile, tile.widened..c1);
                 tile.widened = c1;
             }
-            for (c, &level) in q.iter().enumerate().take(c1).skip(c0) {
+            for (c, &level) in (c0..c1).zip(&q[c0..c1]) {
                 let table = tables[level as usize];
                 let base = tile.idx.add(c * tile.stride + g * w);
                 for (j, sum) in sums.iter_mut().enumerate() {
@@ -2600,12 +2740,12 @@ impl CompiledCodes {
                 let low = sums[1..].iter().fold(sums[0], |m, &s| L::min(m, s));
                 if L::gt_mask(low, limit) == every_lane {
                     tally_bounded_work(R * c0, R * wl, 0);
-                    return None;
+                    return false;
                 }
             }
         }
         tally_bounded_work(R * wl, R * wl, 0);
-        Some(sums)
+        true
     }
 
     /// The fast-scan prefilter of one register block (the module-level
@@ -2656,6 +2796,140 @@ impl CompiledCodes {
             c0 = c1;
         }
         false
+    }
+
+    /// The candidate pass over this plan's rows (the module-level
+    /// ["Self-seeded sweep"](self#self-seeded-sweep)). Whole byte vectors
+    /// of `L::BYTES` rows go in ascending blocks of
+    /// [`CANDIDATE_BLOCK`], and each query scans a block through
+    /// [`scan_block`](Self::scan_block) unless its candidate already
+    /// sums to 0. Rows past the last whole vector are never candidates.
+    ///
+    /// # Safety
+    ///
+    /// `L`'s CPU features, with AVX-512BW on the AVX-512 tier; every
+    /// query validated.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    // SAFETY: every `scan_block` call covers whole vectors below
+    // `n_rows / L::BYTES`.
+    unsafe fn scan_candidates_lanes<'p, L: CodeLanes, const MAX: bool>(
+        &'p self,
+        tables: &ByteTables,
+        queries: &[&[u8]],
+        base: usize,
+        cands: &mut [Candidate<'p>],
+    ) {
+        let vectors = self.n_rows / L::BYTES;
+        let mut scanned = 0;
+        let mut v = 0;
+        while v < vectors {
+            let k = (vectors - v).min(CANDIDATE_BLOCK);
+            for (q, cand) in queries.iter().zip(cands.iter_mut()) {
+                // Nothing lies strictly below a sum of 0.
+                if cand.units == 0 {
+                    continue;
+                }
+                scanned += k;
+                if k == CANDIDATE_BLOCK {
+                    self.scan_block::<L, MAX, CANDIDATE_BLOCK>(tables, q, base, v, cand);
+                } else {
+                    for j in v..v + k {
+                        self.scan_block::<L, MAX, 1>(tables, q, base, j, cand);
+                    }
+                }
+            }
+            v += k;
+        }
+        let work = scanned * self.word_len.min(CANDIDATE_COLUMNS);
+        tally_bounded_work(work, work, 0);
+    }
+
+    /// Folds the first [`CANDIDATE_COLUMNS`] columns of the `K` byte
+    /// vectors from vector `v` on through `tables` for query `q` (one
+    /// table load per column serves all `K`), and moves `cand` to the
+    /// first of their rows whose sum is strictly below its own, if any
+    /// (recorded with this plan and its `base`).
+    ///
+    /// # Safety
+    ///
+    /// `L`'s CPU features, with AVX-512BW on the AVX-512 tier; `q`
+    /// validated; vectors `v..v + K` whole and inside the plan.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    // SAFETY: each lookup reads `L::BYTES` codes of a column `c <
+    // word_len` in a whole vector the contract puts inside the plan;
+    // `tables` is indexed by validated levels `< n_levels <= 8`.
+    unsafe fn scan_block<'p, L: CodeLanes, const MAX: bool, const K: usize>(
+        &'p self,
+        tables: &ByteTables,
+        q: &[u8],
+        base: usize,
+        v: usize,
+        cand: &mut Candidate<'p>,
+    ) {
+        let n = self.n_rows;
+        let cols = self.word_len.min(CANDIDATE_COLUMNS);
+        let codes = self.codes.as_ptr().add(v * L::BYTES);
+        let mut sums = [L::byte_zero(); K];
+        for (c, &level) in (0..cols).zip(&q[..cols]) {
+            let table = L::byte_table(tables.rows[level as usize].as_ptr());
+            let col = codes.add(c * n);
+            for (j, sum) in sums.iter_mut().enumerate() {
+                *sum = L::byte_fold::<MAX>(*sum, L::byte_lookup(table, col.add(j * L::BYTES)));
+            }
+        }
+        // The largest sum strictly below the candidate's, if any:
+        // `units` is at most 256, so it fits a byte.
+        let below = |units: u16| units.checked_sub(1).map(|u| u as u8);
+        let low = sums[1..].iter().fold(sums[0], |m, &s| L::byte_min(m, s));
+        if below(cand.units).is_none_or(|limit| L::bytes_at_most(low, limit) == 0) {
+            return;
+        }
+        for (j, &sum) in sums.iter().enumerate() {
+            let Some(limit) = below(cand.units) else {
+                return;
+            };
+            if L::bytes_at_most(sum, limit) == 0 {
+                continue;
+            }
+            // The vector's lowest sum: the least limit that still admits
+            // a lane; its first lane is the first row with that sum.
+            let (mut lo, mut hi) = (0u8, limit);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if L::bytes_at_most(sum, mid) == 0 {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            let lane = L::bytes_at_most(sum, lo).trailing_zeros() as usize;
+            cand.units = u16::from(lo);
+            cand.found = Some((self, base, (v + j) * L::BYTES + lane));
+        }
+    }
+
+    /// Row `row`'s exact score for `query`: the plan's `f32` LUT entries
+    /// folded in ascending column order from `0.0`, the same IEEE
+    /// operations, in the same order, as every tier's fold of that row,
+    /// so the result is bit-identical to the score the sweep computes.
+    fn score_row(&self, query: &[u8], row: usize) -> f32 {
+        if self.metric.is_max_fold() {
+            self.score_row_fold::<true>(query, row)
+        } else {
+            self.score_row_fold::<false>(query, row)
+        }
+    }
+
+    fn score_row_fold<const MAX: bool>(&self, query: &[u8], row: usize) -> f32 {
+        let column = self.codes[row..].iter().step_by(self.n_rows);
+        query
+            .iter()
+            .zip(column)
+            .fold(0.0f32, |acc, (&level, &code)| {
+                acc.fold::<MAX>(self.lut[usize::from(level) * self.lut_stride + usize::from(code)])
+            })
     }
 
     /// The bounded winner sweep behind [`BlockKernel::fold_winners`] on
@@ -2718,6 +2992,7 @@ impl CompiledCodes {
             };
             let full = tile.tlen / w;
             let rem = tile.tlen % w;
+            let (mut block, mut one) = ([L::zero(); SERVE_REGS], [L::zero(); 1]);
             for ((q, slot), &id) in queries.iter().zip(best.iter_mut()).zip(ids) {
                 // The bound restarts from each query's own best.
                 let mut bound = slot.map_or(f32::INFINITY, |(_, g)| g as f32);
@@ -2740,19 +3015,20 @@ impl CompiledCodes {
                             continue;
                         }
                     }
-                    let sums =
-                        self.serve_bounded::<L, MAX, SERVE_REGS>(&tables, q, &mut tile, g, bound);
-                    if let Some((lane, v)) =
-                        sums.and_then(|s| first_below::<L, SERVE_REGS>(&s, bound))
-                    {
-                        bound = take(g * w + lane, v);
+                    if self.serve_bounded::<L, MAX, SERVE_REGS>(
+                        &tables, q, &mut tile, g, bound, &mut block,
+                    ) {
+                        if let Some((lane, v)) = first_below::<L, SERVE_REGS>(&block, bound) {
+                            bound = take(g * w + lane, v);
+                        }
                     }
                     g += SERVE_REGS;
                 }
                 while g < full {
-                    let sums = self.serve_bounded::<L, MAX, 1>(&tables, q, &mut tile, g, bound);
-                    if let Some((lane, v)) = sums.and_then(|s| first_below::<L, 1>(&s, bound)) {
-                        bound = take(g * w + lane, v);
+                    if self.serve_bounded::<L, MAX, 1>(&tables, q, &mut tile, g, bound, &mut one) {
+                        if let Some((lane, v)) = first_below::<L, 1>(&one, bound) {
+                            bound = take(g * w + lane, v);
+                        }
                     }
                     g += 1;
                 }
@@ -2760,11 +3036,9 @@ impl CompiledCodes {
                     // The partial vector's padded lanes hold real scores
                     // (of code 0), so they may keep it from being
                     // abandoned but never win: only live lanes are read.
-                    if let Some([sum]) =
-                        self.serve_bounded::<L, MAX, 1>(&tables, q, &mut tile, g, bound)
-                    {
+                    if self.serve_bounded::<L, MAX, 1>(&tables, q, &mut tile, g, bound, &mut one) {
                         let mut lanes = [0.0f32; MAX_LANES];
-                        L::store(lanes.as_mut_ptr(), sum);
+                        L::store(lanes.as_mut_ptr(), one[0]);
                         for (lane, &v) in lanes[..rem].iter().enumerate() {
                             if v < bound {
                                 bound = take(g * w + lane, v);
@@ -2882,6 +3156,81 @@ impl CompiledCodes {
     ) {
         let BatchScratch { aux, fast, .. } = scratch;
         self.winners_block_lanes::<Avx512Lanes, MAX, true>(queries, ids, base, best, aux, fast);
+    }
+
+    /// The AVX2 tier of the candidate pass.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as
+    /// [`scan_candidates_lanes`](Self::scan_candidates_lanes), with AVX2
+    /// available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: forwards the caller's contract unchanged.
+    unsafe fn scan_candidates_avx2<'p, const MAX: bool>(
+        &'p self,
+        tables: &ByteTables,
+        queries: &[&[u8]],
+        base: usize,
+        cands: &mut [Candidate<'p>],
+    ) {
+        self.scan_candidates_lanes::<Avx2Lanes, MAX>(tables, queries, base, cands);
+    }
+
+    /// The AVX-512 tier of the candidate pass, whose byte shuffle needs
+    /// AVX-512BW.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as
+    /// [`scan_candidates_lanes`](Self::scan_candidates_lanes), with
+    /// AVX-512F and AVX-512BW available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    // SAFETY: forwards the caller's contract unchanged.
+    unsafe fn scan_candidates_avx512bw<'p, const MAX: bool>(
+        &'p self,
+        tables: &ByteTables,
+        queries: &[&[u8]],
+        base: usize,
+        cands: &mut [Candidate<'p>],
+    ) {
+        self.scan_candidates_lanes::<Avx512Lanes, MAX>(tables, queries, base, cands);
+    }
+
+    /// The candidate pass on the plan's tier, where the plan runs it:
+    /// fixed tables, the prefilter's byte shuffle, and a bounded sweep
+    /// after it.
+    fn scan_candidates_fold<'p, const MAX: bool>(
+        &'p self,
+        queries: &[&[u8]],
+        base: usize,
+        cands: &mut [Candidate<'p>],
+    ) {
+        let Some(tables) = &self.candidates else {
+            return;
+        };
+        if !(self.fast_scan && self.abandon_exact) {
+            return;
+        }
+        match self.tier {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `fast_scan` on the AVX-512 tier was detected with
+            // AVX-512F and AVX-512BW, and the batch entry points validate
+            // queries before any work runs.
+            CodesTier::Avx512 => unsafe {
+                self.scan_candidates_avx512bw::<MAX>(tables, queries, base, cands);
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the tier was detected with AVX2; validated queries.
+            CodesTier::Avx2 => unsafe {
+                self.scan_candidates_avx2::<MAX>(tables, queries, base, cands);
+            },
+            _ => {
+                let _ = (tables, queries, base, cands);
+            }
+        }
     }
 
     /// The winner fold on the plan's tier: the bounded sweep on the
@@ -3207,6 +3556,14 @@ impl BlockKernel for CompiledCodes {
         }
     }
 
+    fn scan_candidates<'p>(&'p self, queries: &[&[u8]], base: usize, cands: &mut [Candidate<'p>]) {
+        if self.metric.is_max_fold() {
+            self.scan_candidates_fold::<true>(queries, base, cands);
+        } else {
+            self.scan_candidates_fold::<false>(queries, base, cands);
+        }
+    }
+
     fn bounds_winners(&self) -> bool {
         self.abandon_exact && self.tier != CodesTier::Scalar
     }
@@ -3393,6 +3750,12 @@ impl BlockKernel for CodesDispatch {
         }
     }
 
+    fn scan_candidates<'p>(&'p self, queries: &[&[u8]], base: usize, cands: &mut [Candidate<'p>]) {
+        if let CodesDispatch::Packed(c) = self {
+            c.as_ref().scan_candidates(queries, base, cands);
+        }
+    }
+
     fn bounds_winners(&self) -> bool {
         match self {
             CodesDispatch::Packed(c) => c.bounds_winners(),
@@ -3561,16 +3924,82 @@ pub(crate) fn bank_bases(n_banks: usize, rows_per_bank: usize) -> Vec<usize> {
 /// ignored, and order and repeats do not matter.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum WinnerSweep<'h> {
-    /// Every bank, in ascending order.
+    /// Every bank, in ascending order, each query's bound starting from
+    /// its own candidate where the plans run the candidate pass (the
+    /// module-level ["Self-seeded sweep"](self#self-seeded-sweep)).
     Full,
     /// Each query's hinted banks first (the seeding pass), then every
-    /// bank from that bound. The answer is [`Full`](Self::Full)'s for
-    /// any hint; only the work changes.
+    /// bank from that bound; a query whose hint finds no row is seeded
+    /// as under [`Full`](Self::Full). The answer is `Full`'s for any
+    /// hint; only the work changes.
     Seeded(&'h [&'h [usize]]),
     /// Each query's hinted banks only, in ascending order: per query, a
     /// masked sweep of exactly those banks. A query whose hint names no
     /// bank fails the batch.
     Hinted(&'h [&'h [usize]]),
+}
+
+/// One query's candidate in the self-seeding pass (the module-level
+/// ["Self-seeded sweep"](self#self-seeded-sweep)): the lowest prefix
+/// byte sum seen so far and the first row holding it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate<'p> {
+    /// The lowest prefix byte sum seen; above 255 before any row.
+    units: u16,
+    /// The plan holding the first row with `units`, the plan's base
+    /// row, and the row's index in the plan.
+    found: Option<(&'p CompiledCodes, usize, usize)>,
+}
+
+impl Candidate<'_> {
+    const NONE: Self = Candidate {
+        units: 256,
+        found: None,
+    };
+
+    /// The candidate's global row and its exact score for `query`: the
+    /// re-rank, once per query after every bank was scanned.
+    fn seed(&self, query: &[u8]) -> Option<(usize, f64)> {
+        let (plan, base, row) = self.found?;
+        tally_bounded_work(plan.word_len, plan.word_len, 0);
+        Some((base + row, f64::from(plan.score_row(query, row))))
+    }
+}
+
+/// Prefix byte sums from which a candidate seeds no sweep: two units
+/// per prefix cell, about one one-step cost per cell. A query whose
+/// best prefix costs more is no near-duplicate of any row, so its
+/// candidate's exact score is no tighter than the bound the sweep finds
+/// in its first register block, and a loose seed costs the sweep more
+/// than it saves: the prefilter's tables, quantized for the seed bound,
+/// stay loose until the bound halves.
+const CANDIDATE_MAX_UNITS: u16 = 2 * CANDIDATE_COLUMNS as u16;
+
+/// The self-seeding pass of a worker's query group: each query whose
+/// slot is still empty (no hint, or none that found a row) gets its
+/// candidate from every bank in ascending order; if the candidate's
+/// prefix sum is below [`CANDIDATE_MAX_UNITS`], the slot starts at that
+/// row and its exact score (the re-rank, one row per query).
+fn self_seed<K: BlockKernel>(
+    plans: &[&K],
+    bases: &[usize],
+    queries: &[&[u8]],
+    best: &mut [Option<(usize, f64)>],
+) {
+    let open: Vec<usize> = (0..queries.len()).filter(|&q| best[q].is_none()).collect();
+    if open.is_empty() {
+        return;
+    }
+    let block: Vec<&[u8]> = open.iter().map(|&q| queries[q]).collect();
+    let mut cands = vec![Candidate::NONE; block.len()];
+    for (plan, &base) in plans.iter().zip(bases) {
+        plan.scan_candidates(&block, base, &mut cands);
+    }
+    for ((&q, cand), query) in open.iter().zip(&cands).zip(&block) {
+        if cand.units < CANDIDATE_MAX_UNITS {
+            best[q] = cand.seed(query);
+        }
+    }
 }
 
 /// The bound a seeded sweep starts from: the least `f32` above
@@ -3642,7 +4071,9 @@ fn seed_winners<K: BlockKernel>(
 /// banks each query visits: all of them, all of them after a seeding
 /// pass over its hinted banks (skipped, as pure extra work, unless some
 /// plan bounds its winners; with no hint at all this is exactly
-/// [`WinnerSweep::Full`]), or its hinted banks alone.
+/// [`WinnerSweep::Full`]), or its hinted banks alone. Before a sweep of
+/// all of them, queries left without a seed get one from the candidate
+/// pass ([`self_seed`]) when some plan bounds its winners.
 pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
     plans: &[&K],
     bases: &[usize],
@@ -3685,6 +4116,7 @@ pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
     let threads = par::batch_threads(queries.len(), per_query, n_threads);
     let group = queries.len().div_ceil(threads).max(1);
     let starts: Vec<usize> = (0..queries.len()).step_by(group).collect();
+    let bounding = plans.iter().any(|p| p.bounds_winners());
     let per_group = par::par_map(&starts, threads, |_, &start| {
         let span = start..(start + group).min(queries.len());
         let hints = hints.get(span.clone()).unwrap_or(&[]);
@@ -3693,18 +4125,19 @@ pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
         let mut best: Vec<Option<(usize, f64)>> = vec![None; group.len()];
         if !hints.is_empty() {
             seed_winners(plans, bases, group, hints, &mut best, &mut scratch);
-            if full {
-                // The seed row keeps its place but its score rises to
-                // the seed bound: the sweep below scores it again, so
-                // the slot always ends on a row it took itself.
-                for slot in &mut best {
-                    *slot = slot
-                        .filter(|(_, g)| g.is_finite())
-                        .map(|(row, g)| (row, seed_bound(g)));
-                }
-            }
         }
         if full {
+            if bounding {
+                self_seed(plans, bases, group, &mut best);
+            }
+            // The seed row keeps its place but its score rises to the
+            // seed bound: the sweep below scores it again, so the slot
+            // always ends on a row it took itself.
+            for slot in &mut best {
+                *slot = slot
+                    .filter(|(_, g)| g.is_finite())
+                    .map(|(row, g)| (row, seed_bound(g)));
+            }
             let ids: Vec<usize> = (0..group.len()).collect();
             for (plan, &base) in plans.iter().zip(bases) {
                 let len = plan.block_len();
@@ -4537,11 +4970,33 @@ mod tests {
     /// prefilter off, or (`scan`) on where that tier runs it on this
     /// host.
     fn on_tier_scan(plan: &CompiledCodes, tier: CodesTier, scan: bool) -> CodesDispatch {
+        on_tier_modes(plan, tier, scan, true)
+    }
+
+    /// [`on_tier_scan`], with the self-seeding candidate pass off, or
+    /// (`pass`) on where the plan runs it (it needs the prefilter).
+    fn on_tier_modes(
+        plan: &CompiledCodes,
+        tier: CodesTier,
+        scan: bool,
+        pass: bool,
+    ) -> CodesDispatch {
         CodesDispatch::Packed(Arc::new(CompiledCodes {
             tier,
             fast_scan: scan && tier.fast_scan(plan.word_len),
+            candidates: plan.candidates.filter(|_| pass),
             ..plan.clone()
         }))
+    }
+
+    /// The (prefilter, candidate pass) settings to run on `tier`: both
+    /// off, and each pass setting with the prefilter on where the host
+    /// runs it.
+    fn scan_and_pass_modes(tier: CodesTier) -> Vec<(bool, bool)> {
+        scan_modes(tier)
+            .into_iter()
+            .flat_map(|scan| [(scan, false), (scan, true)])
+            .collect()
     }
 
     /// The prefilter settings to run on `tier`: off, and on where the
@@ -4606,8 +5061,9 @@ mod tests {
     /// quantization step whenever the bound is 128 (or 64, 32, ...)
     /// times a power of two; zeros and duplicates (a flat plateau past
     /// one level); entries up to `f32::MAX / 64`, inside the
-    /// overflow guard for 24-cell words; and `f32::MAX / 8`, outside
-    /// it, where no sweep bounds at all.
+    /// overflow guard for 24-cell words; `f32::MAX / 8`, outside it,
+    /// where no sweep bounds at all; and one value everywhere, which has
+    /// no one-step cost and so no candidate pass.
     fn fast_scan_luts() -> Vec<(&'static str, ConductanceLut)> {
         let ladder = LevelLadder::new(3).unwrap();
         let gap = |i: u8, s: u8| f64::from(i.abs_diff(s));
@@ -4631,6 +5087,7 @@ mod tests {
                 from(&|i, s| huge / 64.0 * gap(i, s) / 7.0),
             ),
             ("past the guard", from(&|i, s| huge / 8.0 * gap(i, s) / 7.0)),
+            ("all equal", from(&|_, _| 3.0)),
         ]
     }
 
@@ -5095,15 +5552,24 @@ mod tests {
         /// with the prefilter off and on (the AVX2 variant included on
         /// an AVX-512 host) exactly as the first minimum of the `f32`
         /// plane scores, seeded or not.
+        ///
+        /// Nor does the self-seeding candidate pass, off or on, against
+        /// candidates built to be wrong: a decoy row placed before a
+        /// query's winner matches the query on the scanned prefix but is
+        /// far on the tail; the planted word sits at the last row of
+        /// bank 0 (past the last whole byte vector when the bank is not a
+        /// multiple of one) and the first of bank 1, so the candidate can
+        /// be the higher tie; banks of 1 and 40 rows are shorter than one
+        /// byte vector; and the all-equal LUT gets no candidate pass.
         #[test]
         fn seeded_winners_match_the_unseeded_sweep(
-            bank_pick in 0usize..4,
+            bank_pick in 0usize..5,
             n_banks in 1usize..5,
             seed in 0u64..1_000_000,
-            lut_pick in 0usize..5,
+            lut_pick in 0usize..6,
         ) {
             const WORD: usize = 24;
-            let rows_per_bank = [1usize, 64, 129, 200][bank_pick];
+            let rows_per_bank = [1usize, 40, 64, 129, 200][bank_pick];
             let total = rows_per_bank * n_banks;
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let mut next = move || {
@@ -5116,7 +5582,8 @@ mod tests {
                 .map(|_| (0..WORD).map(|_| (next() % 8) as u8).collect())
                 .collect();
             let planted: Vec<u8> = (0..WORD).map(|_| (next() % 8) as u8).collect();
-            for at in [total - 1, (next() as usize) % total, total / 2] {
+            let edges = [rows_per_bank - 1, rows_per_bank].into_iter().filter(|&at| at < total);
+            for at in [total - 1, (next() as usize) % total, total / 2].into_iter().chain(edges) {
                 rows[at] = planted.clone();
             }
             let mut queries = vec![planted.clone()];
@@ -5128,6 +5595,19 @@ mod tests {
                 queries.push(q);
             }
             queries.push((0..WORD).map(|_| (next() % 8) as u8).collect());
+            // A stored row with its last cell moved one level, and a
+            // decoy at or before it: the query's first 16 cells, then
+            // every tail cell four levels off.
+            let target = (next() % total as u64) as usize;
+            let mut decoyed = rows[target].clone();
+            decoyed[WORD - 1] = (decoyed[WORD - 1] + 1) % 8;
+            let decoy: Vec<u8> = decoyed
+                .iter()
+                .enumerate()
+                .map(|(c, &l)| if c < 16 { l } else { (l + 4) % 8 })
+                .collect();
+            rows[(next() as usize) % (target + 1)] = decoy;
+            queries.push(decoyed);
             let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
             let (lut_name, lut) = fast_scan_luts().swap_remove(lut_pick);
             let (memory, flat) = banked_and_flat_with(&rows, WORD, rows_per_bank, lut);
@@ -5149,9 +5629,12 @@ mod tests {
                     .unwrap();
                 let oracle: Vec<(usize, u64)> =
                     planes.iter().map(|o| first_min(o.conductances(), 0..total)).collect();
-                for (tier, scan) in host_tiers().into_iter().flat_map(|t| scan_modes(t).into_iter().map(move |s| (t, s))) {
+                let modes = host_tiers().into_iter().flat_map(|t| {
+                    scan_and_pass_modes(t).into_iter().map(move |(s, p)| (t, s, p))
+                });
+                for (tier, scan, pass) in modes {
                     let banks: Vec<CodesDispatch> =
-                        plans.iter().map(|p| on_tier_scan(p, tier, scan)).collect();
+                        plans.iter().map(|p| on_tier_modes(p, tier, scan, pass)).collect();
                     let kernels: Vec<&CodesDispatch> = banks.iter().collect();
                     let want = winner_bits(
                         &banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Full, 1)
@@ -5160,17 +5643,19 @@ mod tests {
                     prop_assert_eq!(
                         want.clone(),
                         oracle.clone(),
-                        "{:?} {:?} fast scan {} LUT {}",
+                        "{:?} {:?} fast scan {} candidate pass {} LUT {} rows_per_bank={}",
                         tier,
                         metric,
                         scan,
-                        lut_name
+                        pass,
+                        lut_name,
+                        rows_per_bank
                     );
                     for (name, hints) in &cases {
                         let hints: Vec<&[usize]> = hints.iter().map(Vec::as_slice).collect();
                         let ctx = format!(
-                            "{tier:?} {metric:?} fast scan {scan} LUT {lut_name} hint {name} \
-                             rows_per_bank={rows_per_bank}"
+                            "{tier:?} {metric:?} fast scan {scan} candidate pass {pass} \
+                             LUT {lut_name} hint {name} rows_per_bank={rows_per_bank}"
                         );
                         for threads in [1, 2] {
                             let got = banked_winner_batch_kernel(
@@ -5310,7 +5795,10 @@ mod tests {
     /// Non-vacuity: on near-duplicate queries seeded with the bank of
     /// their source row, the seeded sweep — seeding pass included —
     /// scores strictly fewer vector-columns than the unseeded one, and
-    /// reports the same winners. Prints both counts per vector tier.
+    /// reports the same winners. So does the full sweep that seeds
+    /// itself, candidate pass included. "Unseeded" is a sweep with no
+    /// seed at all: its plans run with the candidate pass off. Prints
+    /// the three counts per vector tier.
     #[test]
     fn seeded_winners_score_less_work_on_near_duplicates() {
         const WORD: usize = 64;
@@ -5344,29 +5832,176 @@ mod tests {
             if tier == CodesTier::Scalar {
                 continue;
             }
-            let banks: Vec<CodesDispatch> = memory
+            let plans: Vec<CompiledCodes> = memory
                 .banks()
                 .iter()
-                .map(|b| on_tier(&CompiledCodes::compile(b).unwrap(), tier))
+                .map(|b| CompiledCodes::compile(b).unwrap())
                 .collect();
+            let banks: Vec<CodesDispatch> = plans.iter().map(|p| on_tier(p, tier)).collect();
             let kernels: Vec<&CodesDispatch> = banks.iter().collect();
+            let no_pass: Vec<CodesDispatch> = plans
+                .iter()
+                .map(|p| on_tier_modes(p, tier, true, false))
+                .collect();
+            let no_pass: Vec<&CodesDispatch> = no_pass.iter().collect();
             take_bounded_work();
             let full =
-                banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Full, 1).unwrap();
+                banked_winner_batch_kernel(&no_pass, &bases, &refs, WinnerSweep::Full, 1).unwrap();
             let (unseeded, nominal, _) = take_bounded_work();
             let seeded =
                 banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Seeded(&hints), 1)
                     .unwrap();
             let (scored, _, _) = take_bounded_work();
+            let self_seeded =
+                banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Full, 1).unwrap();
+            let (self_scored, _, _) = take_bounded_work();
             assert_eq!(winner_bits(&seeded), winner_bits(&full), "{tier:?}");
+            assert_eq!(winner_bits(&self_seeded), winner_bits(&full), "{tier:?}");
             println!(
                 "seeded_winners: tier {tier:?}, near-duplicate queries: seeded sweep scored \
-                 {scored} vector-columns, unseeded {unseeded} (full sweep {nominal})"
+                 {scored} vector-columns, self-seeded {self_scored}, unseeded {unseeded} \
+                 (full sweep {nominal})"
             );
             assert!(
                 scored < unseeded,
                 "{tier:?}: seeded {scored} >= unseeded {unseeded}"
             );
+            assert!(
+                self_scored < unseeded,
+                "{tier:?}: self-seeded {self_scored} >= unseeded {unseeded}"
+            );
         }
+    }
+
+    /// The candidate pass against a scalar model of it, on every vector
+    /// tier the host runs it on, every metric and every
+    /// [`fast_scan_luts`] LUT, over banks whose last rows fall outside
+    /// a whole byte vector: each query's candidate is the first row,
+    /// over the whole byte vectors of ascending banks, with the lowest
+    /// saturated (for L∞, maximum) byte sum over the first 16 cells,
+    /// and its score is that row's `f32` plane score, bit for bit; the
+    /// queries it seeds are those whose candidate sums below
+    /// [`CANDIDATE_MAX_UNITS`], and both kinds occur. A plan that cannot
+    /// bound its winners, or whose LUT is one value everywhere, finds no
+    /// candidate. The unit: one step of the digital metrics costs one
+    /// byte unit, two steps three.
+    #[test]
+    fn self_seeded_candidates_score_their_rows_exactly() {
+        const WORD: usize = 40;
+        const PER_BANK: usize = 150;
+        let mut state = 0x9FB2_1C65_1E98_DF25u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let rows: Vec<Vec<u8>> = (0..3 * PER_BANK)
+            .map(|_| (0..WORD).map(|_| (next() % 8) as u8).collect())
+            .collect();
+        let mut queries: Vec<Vec<u8>> = (0..12)
+            .map(|i| {
+                let mut q = rows[(next() % rows.len() as u64) as usize].clone();
+                for _ in 0..i % 4 {
+                    q[(next() % WORD as u64) as usize] = (next() % 8) as u8;
+                }
+                q
+            })
+            .collect();
+        queries.push((0..WORD).map(|_| (next() % 8) as u8).collect());
+        let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+        let (mut seeded, mut unseeded) = (0, 0);
+        for (lut_name, lut) in fast_scan_luts() {
+            let (memory, flat) = banked_and_flat_with(&rows, WORD, PER_BANK, lut);
+            for metric in Metric::ALL {
+                let plans: Vec<CompiledCodes> = memory
+                    .banks()
+                    .iter()
+                    .map(|b| CompiledCodes::compile_metric(b, metric).unwrap())
+                    .collect();
+                let digital = [
+                    (Metric::L1, [0, 1, 3, 5, 7, 9, 11, 13]),
+                    (Metric::Hamming, [0, 1, 1, 1, 1, 1, 1, 1]),
+                ];
+                for (m, units) in digital {
+                    if m == metric {
+                        let tables = plans[0].candidates.expect("digital LUTs have a step");
+                        assert_eq!(tables.rows[0][..8], units, "{metric:?}");
+                    }
+                }
+                let planes = CompiledMcam::<f32>::compile_metric(&flat, metric)
+                    .unwrap()
+                    .search_batch(&refs, 1)
+                    .unwrap();
+                for tier in host_tiers() {
+                    if !tier.fast_scan(WORD) {
+                        continue;
+                    }
+                    let bytes = if tier == CodesTier::Avx512 { 64 } else { 32 };
+                    let ctx = format!("{tier:?} {metric:?} LUT {lut_name}");
+                    let banks: Vec<CodesDispatch> =
+                        plans.iter().map(|p| on_tier(p, tier)).collect();
+                    let mut cands = vec![Candidate::NONE; refs.len()];
+                    for (b, bank) in banks.iter().enumerate() {
+                        bank.scan_candidates(&refs, b * PER_BANK, &mut cands);
+                    }
+                    let Some(tables) = plans[0].candidates.filter(|_| plans[0].abandon_exact)
+                    else {
+                        assert!(
+                            cands.iter().all(|c| c.found.is_none()),
+                            "{ctx}: a candidate"
+                        );
+                        continue;
+                    };
+                    for ((q, cand), outcome) in refs.iter().zip(&cands).zip(&planes) {
+                        let mut want: Option<(u16, usize)> = None;
+                        for b in 0..plans.len() {
+                            for row in 0..PER_BANK / bytes * bytes {
+                                let cells = q.iter().zip(&rows[b * PER_BANK + row]).take(16);
+                                let units = cells.fold(0u8, |sum, (&i, &s)| {
+                                    let unit = tables.rows[usize::from(i)][usize::from(s)];
+                                    if metric.is_max_fold() {
+                                        sum.max(unit)
+                                    } else {
+                                        sum.saturating_add(unit)
+                                    }
+                                });
+                                if want.is_none_or(|(u, _)| u16::from(units) < u) {
+                                    want = Some((u16::from(units), b * PER_BANK + row));
+                                }
+                            }
+                        }
+                        let (units, row) = want.unwrap();
+                        let (got, score) = cand.seed(q).expect("a candidate");
+                        assert_eq!((cand.units, got), (units, row), "{ctx}");
+                        assert_eq!(
+                            score.to_bits(),
+                            outcome.conductances()[row].to_bits(),
+                            "{ctx}: row {row}"
+                        );
+                    }
+                    // The pass seeds exactly the queries whose candidate
+                    // is near: below `CANDIDATE_MAX_UNITS`.
+                    let kernels: Vec<&CodesDispatch> = banks.iter().collect();
+                    let mut best = vec![None; refs.len()];
+                    self_seed(
+                        &kernels,
+                        &bank_bases(banks.len(), PER_BANK),
+                        &refs,
+                        &mut best,
+                    );
+                    for ((q, cand), slot) in refs.iter().zip(&cands).zip(&best) {
+                        let near = cand.units < CANDIDATE_MAX_UNITS;
+                        assert_eq!(*slot, cand.seed(q).filter(|_| near), "{ctx}");
+                    }
+                    seeded += best.iter().filter(|s| s.is_some()).count();
+                    unseeded += best.iter().filter(|s| s.is_none()).count();
+                }
+            }
+        }
+        assert!(
+            seeded > 0 && unseeded > 0,
+            "seeded {seeded}, unseeded {unseeded}"
+        );
     }
 }
