@@ -13,8 +13,8 @@
 //! to a sequential bank-by-bank sweep.
 //!
 //! A search takes its parameters at search time, as the hardware does:
-//! one [`SearchSpec`] carries the precision, the metric, an optional
-//! bank mask and optional per-query seed hints, and there is one entry
+//! one [`SearchSpec`] carries the precision, the metric and an
+//! optional bank mask, and there is one entry
 //! point per result shape ([`BankedMcam::search_batch_winners_with`],
 //! [`BankedMcam::search_batch_top_k_with`]). A single query is a batch
 //! of one. Single-query latency on warm plans is therefore no longer
@@ -36,15 +36,14 @@ use crate::par;
 use crate::Result;
 
 /// What a banked search asks for beside its queries, set per search:
-/// the plan [`Precision`], the [`Metric`], an optional bank mask, and
-/// optional per-query seed hints. [`Default`] is the plain search:
-/// `f64`, the MCAM conductance metric, every bank, no hints. A bare
-/// [`Precision`] converts into that spec at that precision.
+/// the plan [`Precision`], the [`Metric`] and an optional bank mask.
+/// [`Default`] is the plain search: `f64`, the MCAM conductance metric,
+/// every bank. A bare [`Precision`] converts into that spec at that
+/// precision.
 ///
-/// `banks` and `seeds` are global bank indices. A mask must be strictly
-/// ascending and name at least one existing bank; it changes the answer
-/// (the winner within those banks). Seeds only change the work (see
-/// [`BankedMcam::search_batch_winners_with`]).
+/// `banks` are global bank indices. A mask must be strictly ascending
+/// and name at least one existing bank; it changes the answer (the
+/// winner within those banks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchSpec<'a> {
     /// Plan element type (see [`crate::exec`]'s "Precision modes").
@@ -53,9 +52,6 @@ pub struct SearchSpec<'a> {
     pub metric: Metric,
     /// Banks to search, strictly ascending; `None` searches every bank.
     pub banks: Option<&'a [usize]>,
-    /// Per-query seed hints: empty, or one list of banks per query
-    /// that likely hold its winner (a router's banks, say).
-    pub seeds: &'a [&'a [usize]],
 }
 
 impl From<Precision> for SearchSpec<'_> {
@@ -383,7 +379,7 @@ impl BankedMcam {
     }
 
     /// Runs the batched winner kernel over the selected banks at
-    /// `precision`; `sweep`'s hints are positions among those banks.
+    /// `precision`; a routed `sweep`'s banks are positions among them.
     fn sweep_winners(
         &self,
         queries: &[&[u8]],
@@ -429,22 +425,15 @@ impl BankedMcam {
     }
 
     /// Validates what a [`SearchSpec`] asks of this memory: something is
-    /// stored, the mask (if any) is a valid one, and `seeds` is either
-    /// empty or one hint per query.
-    fn check_spec(&self, n_queries: usize, spec: &SearchSpec<'_>) -> Result<()> {
+    /// stored, and the mask (if any) is a valid one.
+    fn check_spec(&self, spec: &SearchSpec<'_>) -> Result<()> {
         if self.is_empty() {
             return Err(CoreError::EmptyArray);
         }
-        if let Some(mask) = spec.banks {
-            self.check_bank_mask(mask)?;
+        match spec.banks {
+            Some(mask) => self.check_bank_mask(mask),
+            None => Ok(()),
         }
-        if !spec.seeds.is_empty() && spec.seeds.len() != n_queries {
-            return Err(CoreError::DimensionMismatch {
-                expected: n_queries,
-                actual: spec.seeds.len(),
-            });
-        }
-        Ok(())
     }
 
     /// Each query's merged `(global_row, total_conductance)` winner, in
@@ -452,8 +441,8 @@ impl BankedMcam {
     /// default serving path. A single query is a batch of one.
     ///
     /// `spec` sets the [`Precision`] and [`Metric`] (a bare
-    /// [`Precision`] converts, with the default metric), an optional
-    /// bank mask, and optional per-query seed hints:
+    /// [`Precision`] converts, with the default metric) and an optional
+    /// bank mask:
     ///
     /// * **Full sweep** (`banks: None`). Contiguous query groups shard
     ///   across worker threads; each worker folds every bank's cached
@@ -471,15 +460,6 @@ impl BankedMcam {
     ///   report, and a mask covering every bank is bit-identical to the
     ///   full sweep — the
     ///   [bank-mask contract](crate::exec#bank-mask-contract).
-    /// * **Seed hints** (`seeds`, global bank indices, one list per
-    ///   query or none): at [`Precision::Codes`] each query first
-    ///   scores its hinted banks alone, and its best score there bounds
-    ///   the sweep, which can then abandon row blocks from the first
-    ///   bank on (`crate::exec`'s "Seeded winners"). A hint only
-    ///   changes the work: an empty, wrong, out-of-range, repeated or
-    ///   unsorted one, or one outside the mask (ignored), gives the
-    ///   unseeded answer, tie-break included. The plane precisions
-    ///   never abandon, so they ignore hints.
     ///
     /// # Errors
     ///
@@ -488,8 +468,6 @@ impl BankedMcam {
     ///   [`McamArray::search_batch`]).
     /// * [`CoreError::InvalidParameter`] if the mask is empty, not
     ///   strictly ascending, or names a bank that does not exist.
-    /// * [`CoreError::DimensionMismatch`] if `seeds` is neither empty
-    ///   nor one hint per query.
     /// * The first failing query (in query order) fails the batch.
     pub fn search_batch_winners_with<'a>(
         &self,
@@ -503,7 +481,7 @@ impl BankedMcam {
     /// [`search_batch_winners_with`](Self::search_batch_winners_with),
     /// compiled once here rather than once per caller's spec type.
     fn winners(&self, queries: &[&[u8]], spec: SearchSpec<'_>) -> Result<Vec<(usize, f64)>> {
-        self.check_spec(queries.len(), &spec)?;
+        self.check_spec(&spec)?;
         if queries.is_empty() {
             return Ok(Vec::new());
         }
@@ -511,7 +489,6 @@ impl BankedMcam {
             precision,
             metric,
             banks,
-            seeds,
         } = spec;
         if precision == Precision::F64 && !self.f64_plans_pay(queries.len(), metric, banks) {
             return queries
@@ -519,35 +496,11 @@ impl BankedMcam {
                 .map(|q| self.search_scalar(q, metric, banks))
                 .collect();
         }
-        if seeds.is_empty() {
-            return self.sweep_winners(queries, precision, metric, banks, WinnerSweep::Full);
-        }
-        let Some(mask) = banks else {
-            // Without a mask, global bank indices are plan positions.
-            let sweep = WinnerSweep::Seeded(seeds);
-            return self.sweep_winners(queries, precision, metric, None, sweep);
-        };
-        // Hints as positions in the mask; banks outside it drop out.
-        let positions: Vec<Vec<usize>> = seeds
-            .iter()
-            .map(|hint| {
-                hint.iter()
-                    .filter_map(|b| mask.binary_search(b).ok())
-                    .collect()
-            })
-            .collect();
-        let hints: Vec<&[usize]> = positions.iter().map(Vec::as_slice).collect();
-        self.sweep_winners(
-            queries,
-            precision,
-            metric,
-            banks,
-            WinnerSweep::Seeded(&hints),
-        )
+        self.sweep_winners(queries, precision, metric, banks, WinnerSweep::Full)
     }
 
     /// [`search_batch_winners_with`](Self::search_batch_winners_with)
-    /// over the `banks` mask at the default metric, with no hints.
+    /// over the `banks` mask at the default metric.
     ///
     /// # Errors
     ///
@@ -571,7 +524,7 @@ impl BankedMcam {
     /// query bit-identical to a masked
     /// [`search_batch_winners_with`](Self::search_batch_winners_with)
     /// over that route (ascending banks, strict `<`). One batched
-    /// seeding pass serves every route: each bank a route names
+    /// routed re-rank serves every route: each bank a route names
     /// compiles once, and each query carries one bound across its
     /// banks.
     ///
@@ -627,9 +580,7 @@ impl BankedMcam {
     /// candidates merge by ascending `(conductance, global_row)`, so
     /// exact ties resolve to the lowest global row, identically to the
     /// flat ordering. Bounded-heap semantics hold under every metric
-    /// because every metric's scores obey "smaller = nearer". Top-k
-    /// never abandons, so it ignores `spec.seeds` (beyond checking
-    /// their count).
+    /// because every metric's scores obey "smaller = nearer".
     ///
     /// `k` is clamped to the rows the selected banks hold, never an
     /// error: `0` returns empty lists (the
@@ -656,7 +607,7 @@ impl BankedMcam {
         k: usize,
         spec: SearchSpec<'_>,
     ) -> Result<Vec<Vec<(usize, f64)>>> {
-        self.check_spec(queries.len(), &spec)?;
+        self.check_spec(&spec)?;
         if queries.is_empty() {
             return Ok(Vec::new());
         }

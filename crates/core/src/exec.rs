@@ -147,49 +147,12 @@
 //! Full outcomes, top-k, the scalar tier and the plane plans never
 //! abandon.
 //!
-//! ## Seeded winners
-//!
-//! A bound only saves work once it is tight, and in an ascending sweep
-//! it becomes tight only when the sweep reaches the winner's bank. A
-//! caller that can guess that bank — a router, say — passes each query
-//! a *seed hint* of banks (the `seeds` of a
-//! [`SearchSpec`](crate::banked::SearchSpec) given to
-//! [`BankedMcam::search_batch_winners_with`](crate::banked::BankedMcam::search_batch_winners_with)),
-//! and the batched winner kernel then runs in two passes:
-//!
-//! 1. **Seeding pass.** Each query is scored over its hinted banks
-//!    only: bank-major in ascending bank order within each worker's
-//!    query group, its slot carried across its banks exactly as in the
-//!    full sweep. Its best score there is the *seed*.
-//! 2. **Seeded full sweep.** The ordinary ascending sweep over every
-//!    bank, each query's bound starting at `f32::next_up(seed)` rather
-//!    than `+∞`.
-//!
-//! The answer is the full sweep's, bit for bit. The seed is the score
-//! of a real row, so the true first minimum scores `<= seed`, below
-//! the bound: it is never abandoned and is always taken. Codes scores
-//! are `f32` widened to `f64`, so `next_up` admits exactly the rows
-//! scoring `<= seed` and no others. Ties still go to the lowest global
-//! row: the seeding pass's row is not carried in as the answer (the
-//! final sweep scores it again, like any other row), the last pass
-//! visits banks in ascending order, and the abandon check stays strict
-//! `>`. So a hint changes only the work, and any hint is safe: an
-//! empty, wrong, out-of-range, repeated or unsorted one gives the same
-//! answer, at worst after some wasted seeding work. Plans that never
-//! abandon (the plane plans, the scalar tier, LUTs that fail the check
-//! above) skip the seeding pass, which would be pure extra work. A
-//! spec that also sets a bank mask seeds from its hinted banks inside
-//! the mask and then sweeps the mask, so its answer is the masked
-//! sweep's.
-//!
-//! A hint is optional. A query without one (or whose hint found no
-//! row) gets its seed from the candidate pass of the
-//! ["Self-seeded sweep"](self#self-seeded-sweep) below, on plans that
-//! run it; a hint only saves that pass's work.
-//!
-//! The seeding pass alone, with no sweep after it, is a masked sweep
-//! per query: [`crate::router::RoutedMcam`] re-ranks each query over
-//! its own routed banks this way, one batch for every route.
+//! [`crate::router::RoutedMcam`] re-ranks each query over its own
+//! routed banks, one batch for every route (the *routed re-rank*):
+//! bank-major in ascending bank order within each worker's query group,
+//! each bank folding the queries routed to it as one block, and each
+//! query's slot carried across its banks exactly as in the full sweep.
+//! Per query, that is a masked sweep of exactly its banks.
 //!
 //! ## Fast-scan prefilter
 //!
@@ -202,7 +165,7 @@
 //! query's bound `B` is finite and positive, the bounded sweep first
 //! runs each whole register block through a *fast-scan* prefilter
 //! (André, Kermarrec and Le Scouarnec, "Cache locality is not enough",
-//! VLDB 2015), both in the seeding pass and in the sweeps:
+//! VLDB 2015), both in the routed re-rank and in the full sweep:
 //!
 //! - The plan's `f32` LUT is floor-quantized to `u8` units of
 //!   `u = B · (1 + 2⁻¹⁶) / 128`, saturating at 255: one 16-byte table
@@ -230,28 +193,28 @@
 //!   bounds only fall, it could never be taken.
 //! - The check is a strict `>`, and a row scoring exactly `B` stays at
 //!   128 units or below, so rows tied with the bound (and the seed rows
-//!   under `next_up(seed)`) are still scored, exactly as the abandon
-//!   check leaves them.
+//!   under `next_up(seed)`, see below) are still scored, exactly as the
+//!   abandon check leaves them.
 //!
 //! The tables live in each worker's `BatchScratch` of the batched
-//! winner kernel, one per query position in the worker's group. They are built
-//! lazily, kept across banks and across the seeding pass and the
-//! seeded sweep, and rebuilt only when the query's bound falls below
-//! half the bound they were built for (a stale, looser table is still
-//! exact) or rises above it (the seeded sweep's `next_up`). A plan with
-//! a different LUT drops them. The byte shuffle is AVX2 on the AVX2 tier
-//! and AVX-512BW on the AVX-512 tier; each plan records at compile time,
-//! beside its tier, whether it runs the prefilter, so an AVX-512F host
-//! without BW keeps the `f32` sweep alone. Top-k, full outcomes, the
-//! plane plans and the scalar tier never prefilter.
+//! winner kernel, one per query position in the worker's group. They
+//! are built lazily, kept across banks, and rebuilt only when the
+//! query's bound falls below half the bound they were built for (a
+//! stale, looser table is still exact; a table never serves a bound
+//! above its own). A plan with a different LUT drops them. The byte
+//! shuffle is AVX2 on the AVX2 tier and AVX-512BW on the AVX-512 tier;
+//! each plan records at compile time, beside its tier, whether it runs
+//! the prefilter, so an AVX-512F host without BW keeps the `f32` sweep
+//! alone. Top-k, full outcomes, the plane plans and the scalar tier
+//! never prefilter.
 //!
 //! ## Self-seeded sweep
 //!
-//! A query with no hint would get a tight bound only when the ascending
-//! sweep reaches its winner's bank, halfway through on average. So
-//! before the full sweep, the batched winner kernel gives every such
-//! query a seed of its own, with the product-quantization "scan, then
-//! re-rank" pattern of the same paper:
+//! A bound only saves work once it is tight, and in an ascending sweep
+//! it becomes tight only when the sweep reaches the winner's bank,
+//! halfway through on average. So before the full sweep, the batched
+//! winner kernel gives every query a seed of its own, with the
+//! product-quantization "scan, then re-rank" pattern of the same paper:
 //!
 //! - **Fixed tables.** Each plan quantizes its `f32` LUT once, at
 //!   compile time, into the prefilter's `u8` byte-shuffle tables. The
@@ -274,9 +237,10 @@
 //!   ascending column order from `0.0`. Those are the IEEE operations
 //!   the vector sweep performs on that row, in the same order, so the
 //!   result is the row's sweep score bit for bit.
-//! - **Seed.** The candidate's score is the query's seed, exactly as in
-//!   the seeded sweep above: its slot starts at `f32::next_up(score)`,
-//!   and the ordinary sweep and prefilter do the rest. A candidate whose
+//! - **Seed.** The candidate's score is the query's *seed*: the full
+//!   sweep then runs as usual over every bank in ascending order, but
+//!   the query's bound starts at `f32::next_up(seed)` rather than `+∞`,
+//!   and the abandon check and prefilter do the rest. A candidate whose
 //!   prefix costs 32 units or more (about a step per cell) is no
 //!   near-duplicate and seeds nothing: its score would be looser than
 //!   the bound the sweep finds in its first register block, and the
@@ -285,19 +249,28 @@
 //!   seed made the sweep slower than no seed at all. There the pass is
 //!   pure overhead, one 16-column byte scan per row.
 //!
-//! The answer stays the full sweep's, bit for bit, by the argument of
-//! ["Seeded winners"](self#seeded-winners): the seed is the exact score
-//! of a real row, so the true first minimum scores `<= seed <
-//! next_up(seed)` and is always taken; the slot's row is scored again
-//! by the sweep, so ties still go to the lowest global row; and a wrong
-//! candidate (a row that matches the query on its prefix but not on
-//! its tail, say) only costs work. The one obligation the pass adds is
-//! that the scalar re-rank equals the vector fold bit for bit, which
-//! the tests pin against the `f32` planes.
+//! The answer stays the unseeded sweep's, bit for bit:
+//!
+//! - The seed is the exact score of a real row, so the true first
+//!   minimum scores `<= seed`, below the bound: it is never abandoned
+//!   and is always taken. Codes scores are `f32` widened to `f64`, so
+//!   `next_up` admits exactly the rows scoring `<= seed` and no others.
+//! - Ties still go to the lowest global row. The candidate is not
+//!   carried in as the answer: its slot keeps the row but the bound
+//!   score, so the sweep scores that row again like any other and the
+//!   slot always ends on a row the sweep took itself. The sweep visits
+//!   banks in ascending order, and the abandon and prefilter checks
+//!   stay a strict `>`.
+//! - A wrong candidate (a row that matches the query on its prefix but
+//!   not on its tail, say) only costs work.
+//!
+//! The one obligation the pass adds is that the scalar re-rank equals
+//! the vector fold bit for bit, which the tests pin against the `f32`
+//! planes.
 //!
 //! The pass runs only on plans that bound their winners and run the
-//! prefilter; routed queries (which carry a hint), top-k, full
-//! outcomes, the plane plans, the scalar tier and `f64` never run it.
+//! prefilter; the routed re-rank, top-k, full outcomes, the plane
+//! plans, the scalar tier and `f64` never run it.
 //!
 //! Callers pick a mode either statically (`CompiledMcam::<f32>`,
 //! [`CompiledCodes`]) or at run time through the [`Precision`] knob on
@@ -382,9 +355,7 @@
 //! [`SearchSpec`](crate::banked::SearchSpec), which is how the router's
 //! re-rank (see [`crate::router`]) and a degraded server search — passes
 //! the same kernels for a *subset* of banks, in ascending bank order,
-//! with each bank's true base. Seed hints in the same spec name global
-//! banks; those outside the mask are ignored, so hints never widen a
-//! masked sweep.
+//! with each bank's true base.
 //!
 //! Because the merge is the same fixed-order fold either way, a masked
 //! sweep obeys the full-sweep contract restricted to its subset: per
@@ -3918,28 +3889,22 @@ pub(crate) fn bank_bases(n_banks: usize, rows_per_bank: usize) -> Vec<usize> {
 }
 
 /// Which banks a batched winner sweep scores for each query (see
-/// [`banked_winner_batch_kernel`] and the module-level
-/// ["Seeded winners"](self#seeded-winners)). A hint lists positions in
-/// the sweep's `plans`, one list per query; positions out of range are
-/// ignored, and order and repeats do not matter.
+/// [`banked_winner_batch_kernel`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum WinnerSweep<'h> {
     /// Every bank, in ascending order, each query's bound starting from
     /// its own candidate where the plans run the candidate pass (the
     /// module-level ["Self-seeded sweep"](self#self-seeded-sweep)).
     Full,
-    /// Each query's hinted banks first (the seeding pass), then every
-    /// bank from that bound; a query whose hint finds no row is seeded
-    /// as under [`Full`](Self::Full). The answer is `Full`'s for any
-    /// hint; only the work changes.
-    Seeded(&'h [&'h [usize]]),
-    /// Each query's hinted banks only, in ascending order: per query, a
-    /// masked sweep of exactly those banks. A query whose hint names no
-    /// bank fails the batch.
+    /// The routed re-rank: each query's hinted banks only, in ascending
+    /// order, per query a masked sweep of exactly those banks. A hint
+    /// lists positions in the sweep's `plans`, one list per query;
+    /// positions out of range are ignored, and order and repeats do not
+    /// matter. A query whose hint names no bank fails the batch.
     Hinted(&'h [&'h [usize]]),
 }
 
-/// One query's candidate in the self-seeding pass (the module-level
+/// One query's candidate in the candidate pass (the module-level
 /// ["Self-seeded sweep"](self#self-seeded-sweep)): the lowest prefix
 /// byte sum seen so far and the first row holding it.
 #[derive(Debug, Clone, Copy)]
@@ -3975,31 +3940,28 @@ impl Candidate<'_> {
 /// stay loose until the bound halves.
 const CANDIDATE_MAX_UNITS: u16 = 2 * CANDIDATE_COLUMNS as u16;
 
-/// The self-seeding pass of a worker's query group: each query whose
-/// slot is still empty (no hint, or none that found a row) gets its
+/// The candidate pass of a worker's query group: each query gets its
 /// candidate from every bank in ascending order; if the candidate's
-/// prefix sum is below [`CANDIDATE_MAX_UNITS`], the slot starts at that
-/// row and its exact score (the re-rank, one row per query).
+/// prefix sum is below [`CANDIDATE_MAX_UNITS`], the query's seed is
+/// that row and its exact score (the re-rank, one row per query).
 fn self_seed<K: BlockKernel>(
     plans: &[&K],
     bases: &[usize],
     queries: &[&[u8]],
-    best: &mut [Option<(usize, f64)>],
-) {
-    let open: Vec<usize> = (0..queries.len()).filter(|&q| best[q].is_none()).collect();
-    if open.is_empty() {
-        return;
-    }
-    let block: Vec<&[u8]> = open.iter().map(|&q| queries[q]).collect();
-    let mut cands = vec![Candidate::NONE; block.len()];
+) -> Vec<Option<(usize, f64)>> {
+    let mut cands = vec![Candidate::NONE; queries.len()];
     for (plan, &base) in plans.iter().zip(bases) {
-        plan.scan_candidates(&block, base, &mut cands);
+        plan.scan_candidates(queries, base, &mut cands);
     }
-    for ((&q, cand), query) in open.iter().zip(&cands).zip(&block) {
-        if cand.units < CANDIDATE_MAX_UNITS {
-            best[q] = cand.seed(query);
-        }
-    }
+    cands
+        .iter()
+        .zip(queries)
+        .map(|(cand, query)| {
+            (cand.units < CANDIDATE_MAX_UNITS)
+                .then(|| cand.seed(query))
+                .flatten()
+        })
+        .collect()
 }
 
 /// The bound a seeded sweep starts from: the least `f32` above
@@ -4010,18 +3972,20 @@ fn seed_bound(score: f64) -> f64 {
     f64::from((score as f32).next_up())
 }
 
-/// The seeding pass of a worker's query group: folds each query over
-/// its hinted banks only, bank-major in ascending bank order (one
-/// sub-batch per bank of the queries that hint it), carrying each
-/// query's slot across its banks exactly as the full sweep does.
-fn seed_winners<K: BlockKernel>(
+/// The routed re-rank of a worker's query group
+/// ([`WinnerSweep::Hinted`]): folds each query over its hinted banks
+/// only, bank-major in ascending bank order (one sub-batch per bank of
+/// the queries that hint it), carrying each query's slot across its
+/// banks exactly as the full sweep does. A query whose hint names no
+/// bank keeps an empty slot.
+fn rerank_routes<K: BlockKernel>(
     plans: &[&K],
     bases: &[usize],
     queries: &[&[u8]],
     hints: &[&[usize]],
-    best: &mut [Option<(usize, f64)>],
-    scratch: &mut BatchScratch<K::Acc>,
-) {
+) -> Vec<Option<(usize, f64)>> {
+    let mut best = vec![None; queries.len()];
+    let mut scratch = BatchScratch::<K::Acc>::new();
     let mut visits: Vec<(usize, usize)> = hints
         .iter()
         .enumerate()
@@ -4051,12 +4015,13 @@ fn seed_winners<K: BlockKernel>(
             .zip(ids.chunks(len))
             .zip(slots.chunks_mut(len))
         {
-            plan.fold_winners(b, i, base, s, scratch);
+            plan.fold_winners(b, i, base, s, &mut scratch);
         }
         for (&(_, q), &slot) in run.iter().zip(&slots) {
             best[q] = slot;
         }
     }
+    best
 }
 
 /// Batched hierarchical winner-take-all over per-bank kernels:
@@ -4068,12 +4033,9 @@ fn seed_winners<K: BlockKernel>(
 /// for a full sweep, or any ascending bank subset's true bases for a
 /// masked sweep (the module-level
 /// ["Bank-mask contract"](self#bank-mask-contract)). `sweep` picks the
-/// banks each query visits: all of them, all of them after a seeding
-/// pass over its hinted banks (skipped, as pure extra work, unless some
-/// plan bounds its winners; with no hint at all this is exactly
-/// [`WinnerSweep::Full`]), or its hinted banks alone. Before a sweep of
-/// all of them, queries left without a seed get one from the candidate
-/// pass ([`self_seed`]) when some plan bounds its winners.
+/// banks each query visits: all of them, or its hinted banks alone.
+/// Before a sweep of all of them, each query gets its seed from the
+/// candidate pass ([`self_seed`]) when some plan bounds its winners.
 pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
     plans: &[&K],
     bases: &[usize],
@@ -4091,27 +4053,17 @@ pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
     if queries.is_empty() {
         return Ok(Vec::new());
     }
-    let seeding = |hints: &[&[usize]]| {
-        hints.iter().any(|h| !h.is_empty()) && plans.iter().any(|p| p.bounds_winners())
-    };
-    let (hints, full): (&[&[usize]], bool) = match sweep {
-        WinnerSweep::Seeded(hints) if seeding(hints) => (hints, true),
-        WinnerSweep::Full | WinnerSweep::Seeded(_) => (&[], true),
-        WinnerSweep::Hinted(hints) => (hints, false),
-    };
-    debug_assert!(
-        hints.is_empty() || hints.len() == queries.len(),
-        "one hint per query"
-    );
-    let per_query = if full {
-        banked_work_per_query(plans)
-    } else {
-        let hinted: usize = hints
-            .iter()
-            .flat_map(|banks| banks.iter().filter_map(|&b| plans.get(b)))
-            .map(|p| p.batch_work_per_query())
-            .sum();
-        hinted.div_ceil(queries.len())
+    let per_query = match sweep {
+        WinnerSweep::Full => banked_work_per_query(plans),
+        WinnerSweep::Hinted(hints) => {
+            debug_assert_eq!(hints.len(), queries.len(), "one hint per query");
+            let hinted: usize = hints
+                .iter()
+                .flat_map(|banks| banks.iter().filter_map(|&b| plans.get(b)))
+                .map(|p| p.batch_work_per_query())
+                .sum();
+            hinted.div_ceil(queries.len())
+        }
     };
     let threads = par::batch_threads(queries.len(), per_query, n_threads);
     let group = queries.len().div_ceil(threads).max(1);
@@ -4119,32 +4071,31 @@ pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
     let bounding = plans.iter().any(|p| p.bounds_winners());
     let per_group = par::par_map(&starts, threads, |_, &start| {
         let span = start..(start + group).min(queries.len());
-        let hints = hints.get(span.clone()).unwrap_or(&[]);
-        let group = &queries[span];
-        let mut scratch = BatchScratch::<K::Acc>::new();
-        let mut best: Vec<Option<(usize, f64)>> = vec![None; group.len()];
-        if !hints.is_empty() {
-            seed_winners(plans, bases, group, hints, &mut best, &mut scratch);
+        let group = &queries[span.clone()];
+        if let WinnerSweep::Hinted(hints) = sweep {
+            return rerank_routes(plans, bases, group, hints.get(span).unwrap_or(&[]));
         }
-        if full {
-            if bounding {
-                self_seed(plans, bases, group, &mut best);
-            }
-            // The seed row keeps its place but its score rises to the
-            // seed bound: the sweep below scores it again, so the slot
-            // always ends on a row it took itself.
-            for slot in &mut best {
-                *slot = slot
-                    .filter(|(_, g)| g.is_finite())
-                    .map(|(row, g)| (row, seed_bound(g)));
-            }
-            let ids: Vec<usize> = (0..group.len()).collect();
-            for (plan, &base) in plans.iter().zip(bases) {
-                let len = plan.block_len();
-                let blocks = group.chunks(len).zip(ids.chunks(len));
-                for ((block, ids), slots) in blocks.zip(best.chunks_mut(len)) {
-                    plan.fold_winners(block, ids, base, slots, &mut scratch);
-                }
+        let mut scratch = BatchScratch::<K::Acc>::new();
+        // The seed row keeps its place but its score rises to the seed
+        // bound: the sweep below scores it again, so the slot always
+        // ends on a row it took itself.
+        let mut best: Vec<Option<(usize, f64)>> = if bounding {
+            self_seed(plans, bases, group)
+                .into_iter()
+                .map(|slot| {
+                    slot.filter(|(_, g)| g.is_finite())
+                        .map(|(row, g)| (row, seed_bound(g)))
+                })
+                .collect()
+        } else {
+            vec![None; group.len()]
+        };
+        let ids: Vec<usize> = (0..group.len()).collect();
+        for (plan, &base) in plans.iter().zip(bases) {
+            let len = plan.block_len();
+            let blocks = group.chunks(len).zip(ids.chunks(len));
+            for ((block, ids), slots) in blocks.zip(best.chunks_mut(len)) {
+                plan.fold_winners(block, ids, base, slots, &mut scratch);
             }
         }
         best
@@ -5256,10 +5207,10 @@ mod tests {
     /// vector tiers abandon most column work and still report the full
     /// sweep's winners; uniform random queries report their share too.
     /// Prints which tiers ran, the fraction abandoned on each, and the
-    /// row vectors the fast-scan prefilter rejected. Near-duplicates
-    /// seeded with their source row's bank must have the prefilter
-    /// reject most register blocks, with it on its own tier and as the
-    /// AVX2 variant on an AVX-512 host.
+    /// row vectors the fast-scan prefilter rejected. Near-duplicates one
+    /// level off their source row, which the candidate pass seeds, must
+    /// have the prefilter reject most register blocks, with it on its
+    /// own tier and as the AVX2 variant on an AVX-512 host.
     #[test]
     fn bounded_winners_abandon_work_on_near_duplicates() {
         const WORD: usize = 64;
@@ -5296,12 +5247,10 @@ mod tests {
             .map(|_| (0..WORD).map(|_| (next() % 8) as u8).collect())
             .collect();
         // Stored rows with three cells moved one level, each seeded with
-        // its source row's bank: a routed near-duplicate batch.
-        let mut sources = Vec::new();
+        // its source row by the candidate pass.
         let nudged: Vec<Vec<u8>> = (0..48)
             .map(|_| {
                 let source = (next() % 2048) as usize;
-                sources.push(vec![source / 256]);
                 let mut q = rows[source].clone();
                 for _ in 0..3 {
                     let c = (next() % WORD as u64) as usize;
@@ -5310,18 +5259,13 @@ mod tests {
                 q
             })
             .collect();
-        let seeds: Vec<&[usize]> = sources.iter().map(Vec::as_slice).collect();
         let (memory, flat) = banked_and_flat(&rows, WORD, 256);
         let runs = [
-            ("near-duplicate", &near, WinnerSweep::Full),
-            ("uniform random", &uniform, WinnerSweep::Full),
-            (
-                "seeded near-duplicate",
-                &nudged,
-                WinnerSweep::Seeded(&seeds),
-            ),
+            ("near-duplicate", &near),
+            ("uniform random", &uniform),
+            ("self-seeded near-duplicate", &nudged),
         ];
-        for (name, queries, sweep) in runs {
+        for (name, queries) in runs {
             let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
             let plans: Vec<CompiledCodes> = memory
                 .banks()
@@ -5344,7 +5288,8 @@ mod tests {
                     let kernels: Vec<&CodesDispatch> = banks.iter().collect();
                     take_bounded_work();
                     let got =
-                        banked_winner_batch_kernel(&kernels, &bases, &refs, sweep, 1).unwrap();
+                        banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Full, 1)
+                            .unwrap();
                     let (scored, nominal, rejected) = take_bounded_work();
                     assert_eq!(winner_bits(&got), want, "{tier:?} {name}");
                     if tier == CodesTier::Scalar {
@@ -5364,7 +5309,7 @@ mod tests {
                     }
                     if !scan {
                         assert_eq!(rejected, 0, "{tier:?}: the prefilter ran while off");
-                    } else if name == "seeded near-duplicate" {
+                    } else if name == "self-seeded near-duplicate" {
                         assert!(
                             rejected * 2 > vectors,
                             "{tier:?}: the prefilter rejected only {rejected} of {vectors} row vectors"
@@ -5382,7 +5327,8 @@ mod tests {
     /// are scored in full and lose to the lowest copy.
     ///
     /// So is the fast-scan prefilter, on every tier with it off and on,
-    /// seeded or not: it rejects no row at the bound. Under the
+    /// in the full sweep and the routed re-rank: it rejects no row at
+    /// the bound. Under the
     /// conductance metric the LUT is integers and the rows score
     /// exactly 128, so every entry lies exactly on a quantization step
     /// and only the `1 + 2⁻¹⁶` margin keeps the tied rows' `u8` sums at
@@ -5438,7 +5384,7 @@ mod tests {
                     .chain(digital.iter().map(|p| (p.metric, p)));
                 for (metric, plan) in plans {
                     let plan = on_tier_scan(plan, tier, scan);
-                    for sweep in [WinnerSweep::Full, WinnerSweep::Seeded(&[&[0]])] {
+                    for sweep in [WinnerSweep::Full, WinnerSweep::Hinted(&[&[0]])] {
                         let ctx = format!("{tier:?} {metric:?} fast scan {scan} {sweep:?}");
                         take_bounded_work();
                         let got = banked_winner_batch_kernel(&[&plan], &[0], &[&query], sweep, 1)
@@ -5511,10 +5457,11 @@ mod tests {
         }
     }
 
-    /// Seed hints for `n_queries` queries over `n_banks` banks, each
-    /// kind the seeded sweep must shrug off: empty, every bank,
-    /// repeated, unsorted, out of range, and one arbitrary bank.
-    fn seed_hint_cases(
+    /// Routed hints for `n_queries` queries over `n_banks` banks, each
+    /// kind the routed re-rank must take as the masked sweep of its
+    /// in-range banks: empty, every bank, repeated, unsorted, out of
+    /// range, and one arbitrary bank.
+    fn hint_cases(
         n_queries: usize,
         n_banks: usize,
         pick: u64,
@@ -5537,21 +5484,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// A seeded sweep reports the unseeded full sweep's winners bit
-        /// for bit, whatever the hint: every tier the host runs, every
-        /// metric (L∞'s max fold included), 1 and 2 threads, and the
-        /// public entry point at every precision. A planted word
-        /// repeated across banks makes ties at the seed bound common.
-        /// The hint alone, swept as `Hinted`, is the masked sweep of its
-        /// in-range banks. The spec's mask and seeds are orthogonal: a
-        /// drawn mask with any hint answers as the masked sweep without
-        /// one, ties included.
+        /// The full sweep reports the first minimum of the `f32` plane
+        /// scores bit for bit: every tier the host runs, every metric
+        /// (L∞'s max fold included), and 1 and 2 threads. A planted
+        /// word repeated across banks makes ties at the seed bound
+        /// common. A routed hint, swept as `Hinted`, is the masked
+        /// sweep of its in-range banks, whatever the hint.
         ///
-        /// The fast-scan prefilter changes nothing either: on a drawn
+        /// The fast-scan prefilter changes nothing: on a drawn
         /// adversarial LUT ([`fast_scan_luts`]), every tier answers
         /// with the prefilter off and on (the AVX2 variant included on
-        /// an AVX-512 host) exactly as the first minimum of the `f32`
-        /// plane scores, seeded or not.
+        /// an AVX-512 host) exactly as the `f32` planes.
         ///
         /// Nor does the self-seeding candidate pass, off or on, against
         /// candidates built to be wrong: a decoy row placed before a
@@ -5612,11 +5555,7 @@ mod tests {
             let (lut_name, lut) = fast_scan_luts().swap_remove(lut_pick);
             let (memory, flat) = banked_and_flat_with(&rows, WORD, rows_per_bank, lut);
             let bases = bank_bases(n_banks, rows_per_bank);
-            let cases = seed_hint_cases(refs.len(), n_banks, next());
-            let mut bank_mask: Vec<usize> = (0..n_banks).filter(|_| next() % 2 == 0).collect();
-            if bank_mask.is_empty() {
-                bank_mask.push((next() % n_banks as u64) as usize);
-            }
+            let cases = hint_cases(refs.len(), n_banks, next());
             for metric in Metric::ALL {
                 let plans: Vec<CompiledCodes> = memory
                     .banks()
@@ -5651,23 +5590,23 @@ mod tests {
                         lut_name,
                         rows_per_bank
                     );
+                    let got = banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Full, 2)
+                        .unwrap();
+                    prop_assert_eq!(
+                        winner_bits(&got),
+                        want.clone(),
+                        "{:?} {:?} fast scan {} candidate pass {} threads=2",
+                        tier,
+                        metric,
+                        scan,
+                        pass
+                    );
                     for (name, hints) in &cases {
                         let hints: Vec<&[usize]> = hints.iter().map(Vec::as_slice).collect();
                         let ctx = format!(
                             "{tier:?} {metric:?} fast scan {scan} candidate pass {pass} \
                              LUT {lut_name} hint {name} rows_per_bank={rows_per_bank}"
                         );
-                        for threads in [1, 2] {
-                            let got = banked_winner_batch_kernel(
-                                &kernels,
-                                &bases,
-                                &refs,
-                                WinnerSweep::Seeded(&hints),
-                                threads,
-                            )
-                            .unwrap();
-                            prop_assert_eq!(winner_bits(&got), want.clone(), "{} threads={}", ctx, threads);
-                        }
                         for (q, hint) in refs.iter().zip(&hints) {
                             let mut mask: Vec<usize> =
                                 hint.iter().copied().filter(|&b| b < n_banks).collect();
@@ -5693,52 +5632,22 @@ mod tests {
                         }
                     }
                 }
-                for precision in [Precision::F64, Precision::F32, Precision::Codes] {
-                    let full = SearchSpec { precision, metric, ..SearchSpec::default() };
-                    let masked = SearchSpec { banks: Some(&bank_mask), ..full };
-                    let want = memory.search_batch_winners_with(&refs, full).unwrap();
-                    let want_masked = memory.search_batch_winners_with(&refs, masked).unwrap();
-                    for (name, hints) in &cases {
-                        let hints: Vec<&[usize]> = hints.iter().map(Vec::as_slice).collect();
-                        let got = memory
-                            .search_batch_winners_with(&refs, SearchSpec { seeds: &hints, ..full })
-                            .unwrap();
-                        prop_assert_eq!(
-                            winner_bits(&got),
-                            winner_bits(&want),
-                            "public {:?} {:?} hint {}",
-                            precision,
-                            metric,
-                            name
-                        );
-                        let seeded_masked = SearchSpec { seeds: &hints, ..masked };
-                        let got = memory
-                            .search_batch_winners_with(&refs, seeded_masked)
-                            .unwrap();
-                        prop_assert_eq!(
-                            winner_bits(&got),
-                            winner_bits(&want_masked),
-                            "public {:?} {:?} hint {} mask {:?}",
-                            precision,
-                            metric,
-                            name,
-                            bank_mask
-                        );
-                    }
-                }
             }
         }
     }
 
-    /// The tie trap: one word stored in bank 0 and again in bank 2,
-    /// the query hinting only bank 2. The seeding pass finds the copy
-    /// in bank 2, but the seeded sweep must still answer with bank 0's
-    /// copy, the lowest global row, on every tier and metric, exact and
-    /// near-duplicate queries alike.
+    /// The tie trap: one word stored in bank 0 and again in bank 2.
+    /// The bank-0 copy is its last row, past the bank's last whole byte
+    /// vector on both vector tiers (100 rows: 64 + 36 on AVX-512BW,
+    /// 96 + 4 on AVX2), so the candidate pass never sees it and must
+    /// land on the bank-2 copy. The full sweep must still answer with
+    /// bank 0's copy, the lowest global row, on every tier and metric,
+    /// exact and near-duplicate queries alike, scoring it bitwise as
+    /// the routed re-rank of bank 2 alone scores the candidate.
     #[test]
     fn seeded_winners_resolve_ties_to_the_lowest_row() {
         const WORD: usize = 32;
-        const PER_BANK: usize = 128;
+        const PER_BANK: usize = 100;
         let mut state = 0xA076_1D64_78BD_642Fu64;
         let mut next = move || {
             state ^= state << 13;
@@ -5750,7 +5659,7 @@ mod tests {
             .map(|_| (0..WORD).map(|_| (next() % 8) as u8).collect())
             .collect();
         let word: Vec<u8> = (0..WORD).map(|c| (c * 3 % 8) as u8).collect();
-        let (low, high) = (5, 2 * PER_BANK + 7);
+        let (low, high) = (PER_BANK - 1, 2 * PER_BANK + 7);
         rows[low] = word.clone();
         rows[high] = word.clone();
         let mut near = word.clone();
@@ -5767,14 +5676,9 @@ mod tests {
                     .map(|b| on_tier(&CompiledCodes::compile_metric(b, metric).unwrap(), tier))
                     .collect();
                 let kernels: Vec<&CodesDispatch> = banks.iter().collect();
-                let seeded = banked_winner_batch_kernel(
-                    &kernels,
-                    &bases,
-                    &queries,
-                    WinnerSweep::Seeded(&hints),
-                    1,
-                )
-                .unwrap();
+                let full =
+                    banked_winner_batch_kernel(&kernels, &bases, &queries, WinnerSweep::Full, 1)
+                        .unwrap();
                 let hinted = banked_winner_batch_kernel(
                     &kernels,
                     &bases,
@@ -5783,22 +5687,34 @@ mod tests {
                     1,
                 )
                 .unwrap();
-                for ((s, h), q) in seeded.iter().zip(&hinted).zip(["exact", "near"]) {
-                    assert_eq!(s.0, low, "{tier:?} {metric:?} {q}: seeded sweep");
+                let seeds = self_seed(&kernels, &bases, &queries);
+                for (((f, h), seed), q) in
+                    full.iter().zip(&hinted).zip(&seeds).zip(["exact", "near"])
+                {
+                    assert_eq!(f.0, low, "{tier:?} {metric:?} {q}: full sweep");
                     assert_eq!(h.0, high, "{tier:?} {metric:?} {q}: the seed itself");
-                    assert_eq!(s.1.to_bits(), h.1.to_bits(), "{tier:?} {metric:?} {q}");
+                    assert_eq!(f.1.to_bits(), h.1.to_bits(), "{tier:?} {metric:?} {q}");
+                    if let Some(seed) = seed {
+                        assert_eq!(seed.0, high, "{tier:?} {metric:?} {q}: the candidate");
+                        assert_eq!(seed.1.to_bits(), h.1.to_bits(), "{tier:?} {metric:?} {q}");
+                    }
+                }
+                if tier.fast_scan(WORD) {
+                    assert!(
+                        seeds.iter().all(Option::is_some),
+                        "{tier:?} {metric:?}: the candidate pass seeded no query"
+                    );
                 }
             }
         }
     }
 
-    /// Non-vacuity: on near-duplicate queries seeded with the bank of
-    /// their source row, the seeded sweep — seeding pass included —
-    /// scores strictly fewer vector-columns than the unseeded one, and
-    /// reports the same winners. So does the full sweep that seeds
-    /// itself, candidate pass included. "Unseeded" is a sweep with no
-    /// seed at all: its plans run with the candidate pass off. Prints
-    /// the three counts per vector tier.
+    /// Non-vacuity: on near-duplicate queries the full sweep that seeds
+    /// itself, candidate pass included, scores strictly fewer
+    /// vector-columns than the unseeded one, and reports the same
+    /// winners. "Unseeded" is a sweep with no seed at all: its plans
+    /// run with the candidate pass off. Prints both counts per vector
+    /// tier.
     #[test]
     fn seeded_winners_score_less_work_on_near_duplicates() {
         const WORD: usize = 64;
@@ -5814,7 +5730,6 @@ mod tests {
             .map(|_| (0..WORD).map(|_| (next() % 8) as u8).collect())
             .collect();
         let mut queries = Vec::new();
-        let mut seeds = Vec::new();
         for _ in 0..48 {
             let source = (next() % rows.len() as u64) as usize;
             let mut q = rows[source].clone();
@@ -5822,10 +5737,8 @@ mod tests {
                 q[(next() % WORD as u64) as usize] = (next() % 8) as u8;
             }
             queries.push(q);
-            seeds.push(vec![source / PER_BANK]);
         }
         let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
-        let hints: Vec<&[usize]> = seeds.iter().map(Vec::as_slice).collect();
         let (memory, _) = banked_and_flat(&rows, WORD, PER_BANK);
         let bases = bank_bases(memory.n_banks(), PER_BANK);
         for tier in host_tiers() {
@@ -5848,23 +5761,13 @@ mod tests {
             let full =
                 banked_winner_batch_kernel(&no_pass, &bases, &refs, WinnerSweep::Full, 1).unwrap();
             let (unseeded, nominal, _) = take_bounded_work();
-            let seeded =
-                banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Seeded(&hints), 1)
-                    .unwrap();
-            let (scored, _, _) = take_bounded_work();
             let self_seeded =
                 banked_winner_batch_kernel(&kernels, &bases, &refs, WinnerSweep::Full, 1).unwrap();
             let (self_scored, _, _) = take_bounded_work();
-            assert_eq!(winner_bits(&seeded), winner_bits(&full), "{tier:?}");
             assert_eq!(winner_bits(&self_seeded), winner_bits(&full), "{tier:?}");
             println!(
-                "seeded_winners: tier {tier:?}, near-duplicate queries: seeded sweep scored \
-                 {scored} vector-columns, self-seeded {self_scored}, unseeded {unseeded} \
-                 (full sweep {nominal})"
-            );
-            assert!(
-                scored < unseeded,
-                "{tier:?}: seeded {scored} >= unseeded {unseeded}"
+                "seeded_winners: tier {tier:?}, near-duplicate queries: self-seeded sweep \
+                 scored {self_scored} vector-columns, unseeded {unseeded} (full sweep {nominal})"
             );
             assert!(
                 self_scored < unseeded,
@@ -5983,13 +5886,7 @@ mod tests {
                     // The pass seeds exactly the queries whose candidate
                     // is near: below `CANDIDATE_MAX_UNITS`.
                     let kernels: Vec<&CodesDispatch> = banks.iter().collect();
-                    let mut best = vec![None; refs.len()];
-                    self_seed(
-                        &kernels,
-                        &bank_bases(banks.len(), PER_BANK),
-                        &refs,
-                        &mut best,
-                    );
+                    let best = self_seed(&kernels, &bank_bases(banks.len(), PER_BANK), &refs);
                     for ((q, cand), slot) in refs.iter().zip(&cands).zip(&best) {
                         let near = cand.units < CANDIDATE_MAX_UNITS;
                         assert_eq!(*slot, cand.seed(q).filter(|_| near), "{ctx}");

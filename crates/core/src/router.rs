@@ -16,17 +16,12 @@
 //!    so the winner inside the candidate set is exact, with the same
 //!    bit-identical `(conductance, global_row)` merge contract as a
 //!    full sweep (the [bank-mask contract](crate::exec#bank-mask-contract)).
-//!    A batch re-ranks in one pass (the kernel's seeding pass, see
-//!    [`crate::exec`]'s "Seeded winners"): each bank sweeps the
+//!    A batch re-ranks in one pass (the kernel's routed re-rank, see
+//!    [`crate::exec`]'s "Bounded winners"): each bank sweeps the
 //!    queries routed to it together, and each query carries one
 //!    bound across its routed banks, so banks after its nearest one
 //!    abandon row blocks early. Per query the answer is a masked
 //!    [`BankedMcam::search_batch_winners_with`]'s over its route.
-//!
-//! A served router goes one step further: a routed server's shards
-//! score each query's routed banks first and then sweep all of their
-//! banks from that bound (the `seeds` of a [`SearchSpec`]), which
-//! answers exactly like the full sweep while skipping most of its work.
 //!
 //! [`RoutedMcam`] binds the two together and keeps them consistent:
 //! every [`store`](RoutedMcam::store) updates the router's buckets the
@@ -382,7 +377,7 @@ impl LshRouter {
 /// A [`BankedMcam`] paired with an [`LshRouter`] that stays in sync
 /// with it — the two-stage retrieval index (see the [module
 /// docs](self)). Its searches take the same [`SearchSpec`] as the
-/// banked memory's, minus the banks and seeds the router picks:
+/// banked memory's, minus the banks the router picks:
 /// [`search_batch_winners_with`](Self::search_batch_winners_with) and
 /// [`search_batch_top_k_with`](Self::search_batch_top_k_with).
 #[derive(Debug)]
@@ -486,7 +481,7 @@ impl RoutedMcam {
     /// in one batched pass: per worker, bank-major in ascending bank
     /// order, each bank sweeping the queries routed to it as one block,
     /// and each query carrying one bound across its banks (the kernel's
-    /// seeding pass, `crate::exec`'s "Seeded winners"). A query's
+    /// routed re-rank, `crate::exec`'s "Bounded winners"). A query's
     /// bound is as tight after its first near bank as a full sweep's
     /// would be there, so later banks abandon row blocks early. A
     /// single query is a batch of one.
@@ -495,8 +490,8 @@ impl RoutedMcam {
     /// [`Precision`](crate::Precision) converts). The route is
     /// metric-agnostic (SimHash buckets depend only on the stored
     /// words), while the exact re-rank inside the routed banks honors
-    /// the metric. The router picks the banks, so a spec may set
-    /// neither a mask nor seed hints.
+    /// the metric. The router picks the banks, so a spec may not set a
+    /// mask.
     ///
     /// Results come back in query order. Per query, the winner is
     /// bit-identical to a masked
@@ -508,8 +503,7 @@ impl RoutedMcam {
     ///
     /// # Errors
     ///
-    /// * [`CoreError::InvalidParameter`] if `spec` sets `banks` or
-    ///   `seeds`.
+    /// * [`CoreError::InvalidParameter`] if `spec` sets `banks`.
     /// * Same conditions as a masked
     ///   [`BankedMcam::search_batch_winners_with`]; the lowest-indexed
     ///   failing query fails the batch.
@@ -537,8 +531,7 @@ impl RoutedMcam {
     ///
     /// # Errors
     ///
-    /// * [`CoreError::InvalidParameter`] if `spec` sets `banks` or
-    ///   `seeds`.
+    /// * [`CoreError::InvalidParameter`] if `spec` sets `banks`.
     /// * Same conditions as a masked
     ///   [`BankedMcam::search_batch_top_k_with`].
     pub fn search_batch_top_k_with<'a>(
@@ -607,20 +600,14 @@ impl RoutedMcam {
     }
 }
 
-/// A routed search's spec: the router picks the banks, so a mask or
-/// seed hints from the caller are a usage error, reported rather than
-/// silently overridden.
+/// A routed search's spec: the router picks the banks, so a mask from
+/// the caller is a usage error, reported rather than silently
+/// overridden.
 fn routed_spec(spec: SearchSpec<'_>) -> Result<SearchSpec<'_>> {
     if spec.banks.is_some() {
         return Err(CoreError::InvalidParameter {
             name: "routed search bank mask",
             value: 0.0,
-        });
-    }
-    if !spec.seeds.is_empty() {
-        return Err(CoreError::InvalidParameter {
-            name: "routed search seed hints",
-            value: spec.seeds.len() as f64,
         });
     }
     Ok(spec)
@@ -852,33 +839,24 @@ mod tests {
     }
 
     #[test]
-    fn routed_spec_rejects_banks_and_seeds() {
+    fn routed_spec_rejects_a_bank_mask() {
         let (ladder, lut) = geometry();
         let rows: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i % 8; 8]).collect();
         let (routed, _) =
             RoutedMcam::build(ladder, lut, 8, 4, RouterConfig::default(), &rows).unwrap();
         let query: &[u8] = &[3; 8];
-        let hint: &[usize] = &[0];
-        let specs = [
-            SearchSpec {
-                banks: Some(&[0, 1]),
-                ..SearchSpec::default()
-            },
-            SearchSpec {
-                seeds: &[hint],
-                ..SearchSpec::default()
-            },
-        ];
-        for spec in specs {
-            assert!(matches!(
-                routed.search_batch_winners_with(&[query], spec),
-                Err(CoreError::InvalidParameter { .. })
-            ));
-            assert!(matches!(
-                routed.search_batch_top_k_with(&[query], 2, spec),
-                Err(CoreError::InvalidParameter { .. })
-            ));
-        }
+        let spec = SearchSpec {
+            banks: Some(&[0, 1]),
+            ..SearchSpec::default()
+        };
+        assert!(matches!(
+            routed.search_batch_winners_with(&[query], spec),
+            Err(CoreError::InvalidParameter { .. })
+        ));
+        assert!(matches!(
+            routed.search_batch_top_k_with(&[query], 2, spec),
+            Err(CoreError::InvalidParameter { .. })
+        ));
         assert!(routed
             .search_batch_winners_with(&[query], SearchSpec::default())
             .is_ok());

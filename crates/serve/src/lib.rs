@@ -103,17 +103,14 @@
 //! [`RoutedMcam`](femcam_core::RoutedMcam) at the front end: each
 //! query is hashed once at the client, its routed banks map to the
 //! shards that own them, and the request fans only to that shard
-//! subset. A contacted shard answers over *all* of its banks, so for
-//! the answer routing skips whole shards (their round-trip, admission
-//! slot and sweep), never banks within a shard — and a 1-shard routed
-//! server answers exactly like the full sweep. For the work it does
-//! more: each contacted shard gets the routed banks it owns as a seed
-//! hint, scores those first, and starts its full sweep from the bound
-//! they give, so rows far from the query are abandoned from the first
-//! bank on (the `seeds` of a [`SearchSpec`]
-//! given to [`BankedMcam::search_batch_winners_with`]). Winner
-//! searches only; top-k takes no hint.
-//! Stores keep the router's buckets in sync (the tail store, then
+//! subset. The route only picks shards: a contacted shard runs the
+//! same full sweep over *all* of its banks as an unrouted one (at
+//! [`Precision::Codes`] it starts from its own candidate row, the
+//! "Self-seeded sweep" of `femcam_core::exec`), so routing skips whole
+//! shards (their round-trip, admission slot and sweep), never banks
+//! within a shard — and a 1-shard routed server answers exactly like
+//! the full sweep. Winners and top-k fan out the same way. Stores keep
+//! the router's buckets in sync (the tail store, then
 //! [`LshRouter::note_store`](femcam_core::LshRouter::note_store)), so
 //! a new row is routable the moment its store returns.
 //!
@@ -760,10 +757,6 @@ impl<T> Ticket<T> {
 struct PendingSearch {
     query: Vec<u8>,
     metric: Metric,
-    /// Shard-local banks the sweep scores first (the query's routed
-    /// banks in this shard; empty without a router). Only the work
-    /// depends on it, never the answer.
-    seeds: Vec<usize>,
     submitted: Instant,
     deadline: Option<Instant>,
     responder: Responder<(usize, f64)>,
@@ -835,20 +828,17 @@ pub(crate) struct ServeHandle {
 
 impl ServeHandle {
     /// Enqueues a (validated) winner search whose admission slot the
-    /// caller already holds (a failed send releases it). `seeds` are
-    /// the shard-local banks to score first.
+    /// caller already holds (a failed send releases it).
     pub(crate) fn enqueue_search(
         &self,
         query: &[u8],
         deadline: Option<Instant>,
         metric: Metric,
-        seeds: Vec<usize>,
     ) -> Result<Ticket<(usize, f64)>, ServeError> {
         self.enqueue(|responder| {
             Request::Search(PendingSearch {
                 query: query.to_vec(),
                 metric,
-                seeds,
                 submitted: Instant::now(),
                 deadline,
                 responder,
@@ -1228,7 +1218,6 @@ fn push_search(window: &mut Window, search: PendingSearch, shared: &Shared) {
     let PendingSearch {
         query,
         metric,
-        seeds,
         submitted,
         deadline,
         responder,
@@ -1239,7 +1228,6 @@ fn push_search(window: &mut Window, search: PendingSearch, shared: &Shared) {
         window.searches.push(PendingSearch {
             query,
             metric,
-            seeds,
             submitted,
             deadline,
             responder,
@@ -1535,12 +1523,10 @@ fn execute_window(
                 continue;
             }
             let queries: Vec<&[u8]> = group.iter().map(|s| s.query.as_slice()).collect();
-            let seeds: Vec<&[usize]> = group.iter().map(|s| s.seeds.as_slice()).collect();
             let spec = SearchSpec {
                 precision,
                 metric,
-                banks: None,
-                seeds: &seeds,
+                ..SearchSpec::default()
             };
             winners[metric.index()] = Some(memory.search_batch_winners_with(&queries, spec));
         }
@@ -2096,9 +2082,7 @@ mod tests {
             .iter()
             .map(|q| {
                 handle.admit().unwrap();
-                handle
-                    .enqueue_search(q, None, Metric::default(), Vec::new())
-                    .unwrap()
+                handle.enqueue_search(q, None, Metric::default()).unwrap()
             })
             .collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
@@ -2145,9 +2129,7 @@ mod tests {
         let submit = |i: usize| {
             handle.admit().unwrap();
             let q = [(i % 8) as u8, 1, 2, 3];
-            handle
-                .enqueue_search(&q, None, Metric::default(), Vec::new())
-                .unwrap()
+            handle.enqueue_search(&q, None, Metric::default()).unwrap()
         };
         let last_slot = Arc::new(std::sync::OnceLock::<Arc<OneShot<(usize, f64)>>>::new());
         let (seen, collected) = mpsc::channel();

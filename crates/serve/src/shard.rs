@@ -23,14 +23,14 @@
 //! relative to bank-level routing while skipping the dispatcher
 //! round-trip, the admission slot, and the sweep on every shard the
 //! router ruled out. At one shard the route can only name that shard,
-//! so a 1-shard routed server answers over its whole memory. Within a
-//! shard the route still saves work: the routed banks it owns travel
-//! with the query as shard-local seed banks, which its winner sweep
-//! scores first, so the full sweep after them starts from a tight
-//! bound (`femcam_core::exec`'s "Seeded winners"). An empty route
-//! falls back to the full fan-out with no seed banks, and stores keep
-//! the router's buckets synchronized (tail store, then
-//! [`LshRouter::note_store`]) so a new row is immediately routable.
+//! so a 1-shard routed server answers over its whole memory. The route
+//! only picks shards: a contacted shard runs the same full sweep as an
+//! unrouted one, which at codes precision starts from its own
+//! candidate row (`femcam_core::exec`'s "Self-seeded sweep"), and
+//! winners and top-k fan out the same way. An empty route falls back
+//! to the full fan-out, and stores keep the router's buckets
+//! synchronized (tail store, then [`LshRouter::note_store`]) so a new
+//! row is immediately routable.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
@@ -1034,10 +1034,10 @@ impl ShardedHandle {
         budget: Option<Duration>,
     ) -> Result<ShardTicket, ServeError> {
         let deadline = self.admit_request(query, budget)?;
-        let (targets, banks) = self.route_targets(query)?;
+        let targets = self.route_targets(query)?;
         let enqueue_deadline = deadline.map(|(instant, _)| instant);
-        let fanned = self.fan_out(&targets, &banks, |shard, seeds| {
-            shard.enqueue_search(query, enqueue_deadline, metric, seeds)
+        let fanned = self.fan_out(&targets, |shard| {
+            shard.enqueue_search(query, enqueue_deadline, metric)
         });
         self.deadline_outranks(fanned, deadline).map(ShardTicket)
     }
@@ -1137,15 +1137,10 @@ impl ShardedHandle {
     /// survivors. Intended targets that are all quarantined fall back
     /// to a full sweep of the surviving target set (routed searches
     /// keep answering, degraded, when their routed shards die).
-    ///
-    /// `enqueue` also receives the shard's seed hint: the routed
-    /// `banks` that shard owns, as shard-local indices (empty for a
-    /// shard that owns none of them, or when `banks` is empty).
     fn fan_out<T>(
         &self,
         intended: &[usize],
-        banks: &[usize],
-        enqueue: impl Fn(&ServeHandle, Vec<usize>) -> Result<Ticket<T>, ServeError>,
+        enqueue: impl Fn(&ServeHandle) -> Result<Ticket<T>, ServeError>,
     ) -> Result<Fanned<T>, ServeError> {
         let mut losses = Losses::default();
         let mut live: Vec<usize> = Vec::with_capacity(intended.len());
@@ -1199,17 +1194,11 @@ impl ShardedHandle {
         let mut parts: Vec<Part<T>> = Vec::with_capacity(admitted.len());
         let mut admitted = admitted.into_iter();
         while let Some((i, shard)) = admitted.next() {
-            let bank_base = self.topo.bank_bases[i];
-            let seeds: Vec<usize> = banks
-                .iter()
-                .filter(|&&b| self.topo.bank_owner(b) == i)
-                .filter_map(|&b| b.checked_sub(bank_base))
-                .collect();
-            match enqueue(&shard, seeds) {
+            match enqueue(&shard) {
                 Ok(ticket) => parts.push(Part {
                     shard: i,
                     row_base: self.topo.bases[i],
-                    bank_base,
+                    bank_base: self.topo.bank_bases[i],
                     handle: shard,
                     ticket,
                 }),
@@ -1252,18 +1241,14 @@ impl ShardedHandle {
         })
     }
 
-    /// The shard subset a (validated) query fans to, and the routed
-    /// banks that seed each contacted shard's sweep: the full target
-    /// set and no banks without a router, else the shards owning the
-    /// query's routed banks, and those banks. The query is hashed once
-    /// for both. A contacted shard still answers over all of its banks
-    /// — scoring its routed banks first only tightens the bound its
-    /// full sweep starts from, so it skips work, never rows. An empty
-    /// route (unseen bucket region) or a poisoned router falls back to
-    /// every target with no banks. The shard list is ascending,
-    /// deduplicated, and always a subset of `self.targets`.
-    fn route_targets(&self, query: &[u8]) -> Result<(Vec<usize>, Vec<usize>), ServeError> {
-        let everywhere = || Ok((self.topo.targets.to_vec(), Vec::new()));
+    /// The shard subset a (validated) query fans to: the full target
+    /// set without a router, else the shards owning the query's routed
+    /// banks. A contacted shard still answers over all of its banks.
+    /// An empty route (unseen bucket region) or a poisoned router falls
+    /// back to every target. The shard list is ascending, deduplicated,
+    /// and always a subset of `self.targets`.
+    fn route_targets(&self, query: &[u8]) -> Result<Vec<usize>, ServeError> {
+        let everywhere = || Ok(self.topo.targets.to_vec());
         let Some(router) = &self.topo.router else {
             return everywhere();
         };
@@ -1287,7 +1272,7 @@ impl ShardedHandle {
         if targets.is_empty() {
             return everywhere();
         }
-        Ok((targets, banks))
+        Ok(targets)
     }
 
     /// Submits one top-k query without blocking, at a chosen
@@ -1309,10 +1294,9 @@ impl ShardedHandle {
         budget: Option<Duration>,
     ) -> Result<ShardTopKTicket, ServeError> {
         let deadline = self.admit_request(query, budget)?;
-        // Top-k never abandons, so it takes no seed banks.
-        let (targets, _) = self.route_targets(query)?;
+        let targets = self.route_targets(query)?;
         let enqueue_deadline = deadline.map(|(instant, _)| instant);
-        let fanned = self.fan_out(&targets, &[], |shard, _| {
+        let fanned = self.fan_out(&targets, |shard| {
             shard.enqueue_top_k(query, k, enqueue_deadline, metric)
         });
         let fanned = self.deadline_outranks(fanned, deadline)?;

@@ -302,21 +302,23 @@ fn bank_owners(n_banks: usize, n_shards: usize) -> (Vec<usize>, usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Routed serving with interleaved stores, at `Codes` and `F32`:
-    /// every winner is bitwise the full sweep's at one shard, and at
-    /// two and three shards the masked sweep over every bank of the
-    /// shards the route contacts — the shards score their routed banks
-    /// first, which must change the work only. A word stored in the
+    /// Routed serving with interleaved stores, at `Codes` and `F32` and
+    /// under any request metric: every winner is bitwise the full
+    /// sweep's at one shard, and at two and three shards the masked
+    /// sweep over every bank of the shards the route contacts — the
+    /// route picks shards, never banks within one. A word stored in the
     /// first bank and again in a later one answers with its first copy.
     #[test]
     fn routed_serving_matches_the_contacted_shards_sweep(
         seed in 0u64..10_000,
         codes in any::<bool>(),
+        metric_tag in 0u8..4,
         ops in proptest::collection::vec(0u8..4, 6..14),
     ) {
         const WORD: usize = 8;
         const PER_BANK: usize = 4;
         let precision = if codes { Precision::Codes } else { Precision::F32 };
+        let (metric, _) = request_from(metric_tag, false);
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -367,7 +369,7 @@ proptest! {
                 queries.push((0..WORD).map(|_| (next() % 8) as u8).collect());
                 let tickets: Vec<_> = queries
                     .iter()
-                    .map(|q| handle.submit(q).expect("submit"))
+                    .map(|q| handle.submit_with(q, metric, None).expect("submit"))
                     .collect();
                 let all: Vec<usize> = (0..shadow.memory().n_banks()).collect();
                 for (q, ticket) in queries.iter().zip(tickets) {
@@ -376,13 +378,13 @@ proptest! {
                         shadow.route(q).expect("route").iter().map(|&b| owner(b)).collect();
                     let banks: Vec<usize> =
                         all.iter().copied().filter(|&b| contacted.contains(&owner(b))).collect();
-                    let want = if shards == 1 {
-                        shadow.memory().search_batch_winners_with(&[q], precision)
-                    } else {
-                        shadow.memory().search_batch_winners_masked(&[q], precision, &banks)
-                    }
-                    .expect("oracle")[0];
-                    let ctx = format!("{shards} shards, step {step}, {precision:?}, query {q:?}");
+                    let banks = (shards > 1).then_some(banks.as_slice());
+                    let spec = SearchSpec { precision, metric, banks };
+                    let want =
+                        shadow.memory().search_batch_winners_with(&[q], spec).expect("oracle")[0];
+                    let ctx = format!(
+                        "{shards} shards, step {step}, {precision:?}, {metric:?}, query {q:?}"
+                    );
                     prop_assert_eq!(row, want.0, "{}", ctx);
                     prop_assert_eq!(g.to_bits(), want.1.to_bits(), "{}", ctx);
                     if *q == dup {
