@@ -1,15 +1,19 @@
-//! Micro-probe for the packed-code kernel: times the f32 plane plan
-//! against the codes plan on one flat sweep-geometry array, per batch
-//! size, so kernel work (no banking, no merge) can be compared in
-//! isolation while tuning tile/block constants.
+//! Micro-probe for the packed-code kernel: times flat winner searches
+//! (`McamArray::search_batch_winners_with`) at `Precision::F32` (the
+//! plane plan) against `Precision::Codes` on one flat sweep-geometry
+//! array, per batch size, so kernel work (no banking, no merge) can be
+//! compared in isolation while tuning tile/block constants.
+//!
+//! The array's searches use the process thread budget; pin it to one
+//! worker to time the kernel alone:
 //!
 //! ```sh
-//! cargo run --release -p femcam-bench --bin codes_probe
+//! FEMCAM_THREADS=1 cargo run --release -p femcam-bench --bin codes_probe
 //! ```
 
 use std::time::Instant;
 
-use femcam_core::{CompiledCodes, CompiledMcam, ConductanceLut, LevelLadder, McamArray};
+use femcam_core::{ConductanceLut, LevelLadder, McamArray, Metric, Precision};
 use femcam_device::FefetModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,20 +44,32 @@ fn main() {
     let queries: Vec<Vec<u8>> = (0..1024)
         .map(|_| (0..WORD_LEN).map(|_| rng.gen_range(0..8u8)).collect())
         .collect();
-    let plan32 = CompiledMcam::<f32>::compile(&array).unwrap();
-    let codes = CompiledCodes::compile(&array).unwrap();
     println!(
         "flat {ROWS}x{WORD_LEN} 3-bit; plan bytes: f32 {} codes {}",
-        plan32.plan_bytes(),
-        codes.plan_bytes()
+        array
+            .cached_plan::<f32>(Metric::default())
+            .unwrap()
+            .plan_bytes(),
+        array
+            .compiled_codes(Metric::default())
+            .unwrap()
+            .plan_bytes()
     );
     for batch in [64usize, 256, 1024] {
         let refs: Vec<&[u8]> = queries[..batch].iter().map(|q| q.as_slice()).collect();
         let ns32 = time_per_query(batch, || {
-            std::hint::black_box(plan32.search_batch_winners(&refs, 1).unwrap());
+            std::hint::black_box(
+                array
+                    .search_batch_winners_with(&refs, Precision::F32)
+                    .unwrap(),
+            );
         });
         let ns_codes = time_per_query(batch, || {
-            std::hint::black_box(codes.search_batch_winners(&refs, 1).unwrap());
+            std::hint::black_box(
+                array
+                    .search_batch_winners_with(&refs, Precision::Codes)
+                    .unwrap(),
+            );
         });
         println!(
             "batch {batch:4}: f32 {ns32:9.0} ns/q  codes {ns_codes:9.0} ns/q  ratio {:.2}x",

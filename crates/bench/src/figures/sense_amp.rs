@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use femcam_core::{ConductanceLut, LevelLadder, McamArray, MlTiming, SenseAmp};
+use femcam_core::{ConductanceLut, LevelLadder, McamArray, MlTiming, Precision, SenseAmp};
 use femcam_device::FefetModel;
 
 use crate::Table;
@@ -55,8 +55,9 @@ pub fn run(resolutions_s: &[f64], n_searches: usize, seed: u64) -> Vec<SenseAmpP
     // The per-row conductances are resolution-independent: run the
     // whole query set once through the batched compiled executor and
     // re-score the sense amplifier per resolution.
+    let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
     let outcomes = array
-        .search_batch(queries.iter().map(|q| q.as_slice()))
+        .search_batch_with(&refs, Precision::F64)
         .expect("search");
     resolutions_s
         .iter()

@@ -23,7 +23,8 @@ use std::sync::Arc;
 use crate::cell::McamCell;
 use crate::error::CoreError;
 use crate::exec::{
-    self, CodesDispatch, CompiledMcam, Metric, PlanCache, PlanMemoryBytes, PlaneScalar, Precision,
+    self, BlockKernel, CodesDispatch, CompiledMcam, Metric, PlanCache, PlanMemoryBytes,
+    PlaneScalar, Precision, SearchSpec, WinnerSweep,
 };
 use crate::levels::LevelLadder;
 use crate::lut::ConductanceLut;
@@ -284,8 +285,41 @@ impl McamArrayBuilder {
     }
 }
 
+/// The engine a flat search runs on, chosen once per call by
+/// `McamArray::plan_for`.
+enum FlatPlan {
+    /// The scalar oracle ([`McamArray::search_metric`]): a cold `f64`
+    /// cache and a batch too small to pay for compiling, or no queries.
+    Scalar,
+    F64(Arc<CompiledMcam<f64>>),
+    F32(Arc<CompiledMcam<f32>>),
+    Codes(CodesDispatch),
+}
+
+/// Each query's winner on one flat plan: the one-bank case of the
+/// banked winner merge, so the codes plan runs the same bounded,
+/// self-seeded sweep as a banked memory.
+fn one_bank_winners<K: BlockKernel>(
+    plan: &K,
+    queries: &[&[u8]],
+    threads: usize,
+) -> Result<Vec<(usize, f64)>> {
+    exec::banked_winner_batch_kernel(&[plan], &[0], queries, WinnerSweep::Full, threads)
+}
+
 /// An MCAM array: stored multi-bit words plus the machinery to run
 /// single-step in-memory NN searches over them.
+///
+/// Searches take their parameters at search time, as the hardware
+/// does: one [`SearchSpec`] carries the precision and the metric, and
+/// there is one batched entry point per result shape
+/// ([`search_batch_with`](Self::search_batch_with),
+/// [`search_batch_winners_with`](Self::search_batch_winners_with),
+/// [`search_batch_top_k_with`](Self::search_batch_top_k_with)) beside
+/// the scalar oracle ([`search`](Self::search),
+/// [`search_metric`](Self::search_metric)). A single compiled query is
+/// a batch of one, so it runs on one worker: a lone query is no longer
+/// row-parallel. No benchmark workload times single flat queries.
 ///
 /// See the [crate-level example](crate) for typical use.
 #[derive(Debug)]
@@ -584,8 +618,9 @@ impl McamArray {
     /// Compiles the array's current contents into a reusable
     /// plane-major query plan (see [`crate::exec`]). This is an
     /// explicit snapshot; prefer the cached entry points
-    /// ([`compiled`](Self::compiled), [`search_batch`](Self::search_batch))
-    /// unless you need one.
+    /// ([`cached_plan`](Self::cached_plan),
+    /// [`search_batch_with`](Self::search_batch_with)) unless you need
+    /// one.
     ///
     /// # Errors
     ///
@@ -594,92 +629,46 @@ impl McamArray {
         CompiledMcam::compile(self)
     }
 
-    /// The cached compiled plan for plane scalar `S`, compiling it on
-    /// first use; every [`store`](Self::store) invalidates the cache so
-    /// the next call transparently recompiles against the new contents.
+    /// The cached compiled plan for plane scalar `S` at `metric`,
+    /// compiling it on first use; every [`store`](Self::store)
+    /// invalidates the cache so the next call transparently recompiles
+    /// against the new contents. `cached_plan::<f64>` is the reference
+    /// (bit-identical) plan, `cached_plan::<f32>` the opt-in fast mode
+    /// (see [`crate::exec`]'s "Precision modes" for its accuracy
+    /// contract).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn cached_plan<S: PlaneScalar>(&self) -> Result<Arc<CompiledMcam<S>>> {
-        self.plans.get_or_compile::<S>(self, Metric::default())
-    }
-
-    /// The cached compiled plan for plane scalar `S` at a chosen
-    /// [`Metric`], compiling it on first use — the per-metric face of
-    /// [`cached_plan`](Self::cached_plan).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn cached_plan_metric<S: PlaneScalar>(
-        &self,
-        metric: Metric,
-    ) -> Result<Arc<CompiledMcam<S>>> {
+    pub fn cached_plan<S: PlaneScalar>(&self, metric: Metric) -> Result<Arc<CompiledMcam<S>>> {
         self.plans.get_or_compile::<S>(self, metric)
     }
 
-    /// The cached plan for `S` (default metric) if one is currently
+    /// The cached plan for `S` at `metric` if one is currently
     /// compiled, without compiling on a miss.
-    pub fn cached_plan_if_warm<S: PlaneScalar>(&self) -> Option<Arc<CompiledMcam<S>>> {
-        self.plans.cached::<S>(Metric::default())
-    }
-
-    /// [`cached_plan_if_warm`](Self::cached_plan_if_warm) at a chosen
-    /// [`Metric`].
-    pub fn cached_plan_if_warm_metric<S: PlaneScalar>(
+    pub fn cached_plan_if_warm<S: PlaneScalar>(
         &self,
         metric: Metric,
     ) -> Option<Arc<CompiledMcam<S>>> {
         self.plans.cached::<S>(metric)
     }
 
-    /// The cached `f64` (reference, bit-identical) compiled plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compiled(&self) -> Result<Arc<CompiledMcam<f64>>> {
-        self.cached_plan::<f64>()
-    }
-
-    /// The cached `f32` (opt-in fast mode) compiled plan — see
-    /// [`crate::exec`]'s "Precision modes" for the accuracy contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compiled_f32(&self) -> Result<Arc<CompiledMcam<f32>>> {
-        self.cached_plan::<f32>()
-    }
-
-    /// The cached codes-mode execution engine ([`Precision::Codes`]):
-    /// the byte-packed LUT-gather plan on shared-LUT arrays, or the
-    /// `f32` plane plan on per-cell (variation) arrays — the dispatch
-    /// is transparent ([`CodesDispatch::is_packed`] tells you which).
-    /// Every [`store`](Self::store) invalidates the cache. Unlike the
-    /// `f64` path there is no cold-cache scalar fallback: compiling a
-    /// code plan costs about one scalar query
+    /// The cached codes-mode execution engine ([`Precision::Codes`]) at
+    /// `metric`: the byte-packed LUT-gather plan on shared-LUT arrays,
+    /// or the `f32` plane plan on per-cell (variation) arrays under the
+    /// conductance metric — the dispatch is transparent
+    /// ([`CodesDispatch::is_packed`] tells you which). Synthesized
+    /// (digital) metrics pack even on per-cell arrays. Every
+    /// [`store`](Self::store) invalidates the cache. Unlike the `f64`
+    /// path there is no cold-cache scalar fallback: compiling a code
+    /// plan costs about one scalar query
     /// ([`exec::CODES_COMPILE_THRESHOLD`] is 1), so even a lone query
     /// compiles eagerly.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compiled_codes(&self) -> Result<CodesDispatch> {
-        self.plans.get_or_compile_codes(self, Metric::default())
-    }
-
-    /// The cached codes-mode execution engine at a chosen [`Metric`] —
-    /// the per-metric face of [`compiled_codes`](Self::compiled_codes).
-    /// Synthesized (digital) metrics pack even on per-cell (variation)
-    /// arrays; only the default conductance metric falls back to `f32`
-    /// planes there.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compiled_codes_metric(&self, metric: Metric) -> Result<CodesDispatch> {
+    pub fn compiled_codes(&self, metric: Metric) -> Result<CodesDispatch> {
         self.plans.get_or_compile_codes(self, metric)
     }
 
@@ -692,67 +681,59 @@ impl McamArray {
         self.plans.memory_bytes()
     }
 
-    /// The `f64` plan the current workload should execute on: the
-    /// cached plan when warm (reusing it is free), a fresh cached
-    /// compile when `batch` queries amortize the `n_levels` plane
-    /// fills, and `None` — run the bit-identical scalar path — when the
-    /// cache is cold and the batch is too small to pay for compiling
-    /// (e.g. single queries interleaved with stores).
-    fn f64_plan_for(&self, batch: usize, metric: Metric) -> Result<Option<Arc<CompiledMcam<f64>>>> {
-        if let Some(plan) = self.plans.cached::<f64>(metric) {
-            return Ok(Some(plan));
+    /// Validates `spec` against this array and picks the engine a batch
+    /// of `batch` queries runs on — the one place a flat search chooses
+    /// its plan. At [`Precision::F64`] that is the cached plan when warm
+    /// (reusing it is free), a fresh cached compile when `batch`
+    /// queries amortize the `n_levels` plane fills, and otherwise the
+    /// bit-identical scalar oracle: the cache is cold and the batch is
+    /// too small to pay for compiling (e.g. single queries interleaved
+    /// with stores). The other precisions always run compiled. An empty
+    /// batch compiles nothing.
+    fn plan_for(&self, batch: usize, spec: &SearchSpec<'_>) -> Result<FlatPlan> {
+        if self.is_empty() {
+            return Err(CoreError::EmptyArray);
         }
-        if batch >= self.ladder.n_levels() {
-            return self.cached_plan_metric::<f64>(metric).map(Some);
+        if spec.banks.is_some() {
+            return Err(CoreError::InvalidParameter {
+                name: "bank mask",
+                value: 0.0,
+            });
         }
-        Ok(None)
-    }
-
-    /// Runs one search through the cached compiled plan at the chosen
-    /// [`Precision`]. At [`Precision::F64`] the outcome is bit-identical
-    /// to [`search`](Self::search) (and falls back to the scalar path
-    /// while the cache is cold — a lone query never pays for a
-    /// compile); [`Precision::F32`] always executes compiled, trading
-    /// the documented accuracy contract for roughly 2× throughput.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_with(&self, query: &[u8], precision: Precision) -> Result<SearchOutcome> {
-        self.search_with_metric(query, precision, Metric::default())
-    }
-
-    /// [`search_with`](Self::search_with) at a chosen [`Metric`]: the
-    /// same cached-plan execution with per-cell values and fold
-    /// selected by `metric` (see [`crate::exec`]'s "Metric modes"). At
-    /// [`Precision::F64`] the outcome is bit-identical to the scalar
-    /// per-metric oracle [`search_metric`](Self::search_metric).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_with_metric(
-        &self,
-        query: &[u8],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<SearchOutcome> {
-        match precision {
-            Precision::F64 => match self.f64_plan_for(1, metric)? {
-                Some(plan) => plan.search(query),
-                None => self.search_metric(query, metric),
-            },
-            Precision::F32 => self.cached_plan_metric::<f32>(metric)?.search(query),
-            Precision::Codes => self.compiled_codes_metric(metric)?.search(query),
+        if batch == 0 {
+            return Ok(FlatPlan::Scalar);
         }
+        let metric = spec.metric;
+        Ok(match spec.precision {
+            Precision::F64 => {
+                if let Some(plan) = self.plans.cached::<f64>(metric) {
+                    FlatPlan::F64(plan)
+                } else if batch >= self.ladder.n_levels() {
+                    FlatPlan::F64(self.cached_plan::<f64>(metric)?)
+                } else {
+                    FlatPlan::Scalar
+                }
+            }
+            Precision::F32 => FlatPlan::F32(self.cached_plan::<f32>(metric)?),
+            Precision::Codes => FlatPlan::Codes(self.compiled_codes(metric)?),
+        })
     }
 
     /// Searches a batch of queries (e.g. a MANN query set applied
     /// back-to-back to the same programmed array) through the cached
-    /// compiled plan, with queries sharded across worker threads
-    /// ([`crate::exec`]). Outcomes are bit-identical to the scalar
-    /// [`search`](Self::search), in query order; the plan compiles on
-    /// the first call after a mutation and is reused afterwards.
+    /// compiled plan, with query groups sharded across worker threads
+    /// ([`crate::exec`]), and returns every query's full per-row
+    /// outcome in query order. The plan compiles on the first call
+    /// after a mutation and is reused afterwards.
+    ///
+    /// `spec` sets the [`Precision`] and [`Metric`]; a bare
+    /// [`Precision`] converts, with the default metric. At
+    /// [`Precision::F64`] outcomes are bit-identical to the scalar
+    /// oracle [`search_metric`](Self::search_metric) (which is
+    /// [`search`](Self::search) at the default metric), and a cold
+    /// cache falls back to it until a batch pays for the compile;
+    /// [`Precision::F32`] and [`Precision::Codes`] trade the documented
+    /// accuracy contract for throughput (see [`crate::exec`]).
     ///
     /// # Empty-batch contract
     ///
@@ -768,178 +749,120 @@ impl McamArray {
     ///
     /// * [`CoreError::EmptyArray`] if nothing is stored (even for an
     ///   empty batch).
+    /// * [`CoreError::InvalidParameter`] (`"bank mask"`) if `spec` sets
+    ///   `banks`: a flat array has none.
     /// * Otherwise the first failing [`search`](Self::search) in query
     ///   order.
-    pub fn search_batch<'a, I>(&self, queries: I) -> Result<Vec<SearchOutcome>>
-    where
-        I: IntoIterator<Item = &'a [u8]>,
-    {
-        let queries: Vec<&[u8]> = queries.into_iter().collect();
-        self.search_batch_with(&queries, Precision::F64)
-    }
-
-    /// [`search_batch`](Self::search_batch) at a chosen [`Precision`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_with(
+    pub fn search_batch_with<'a>(
         &self,
         queries: &[&[u8]],
-        precision: Precision,
+        spec: impl Into<SearchSpec<'a>>,
     ) -> Result<Vec<SearchOutcome>> {
-        self.search_batch_with_metric(queries, precision, Metric::default())
+        self.outcomes(queries, spec.into())
     }
 
-    /// [`search_batch_with`](Self::search_batch_with) at a chosen
-    /// [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_with_metric(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<SearchOutcome>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
+    /// The non-generic body of
+    /// [`search_batch_with`](Self::search_batch_with).
+    fn outcomes(&self, queries: &[&[u8]], spec: SearchSpec<'_>) -> Result<Vec<SearchOutcome>> {
         let threads = par::max_threads();
-        match precision {
-            Precision::F64 => match self.f64_plan_for(queries.len(), metric)? {
-                Some(plan) => plan.search_batch(queries, threads),
-                None => queries
-                    .iter()
-                    .map(|q| self.search_metric(q, metric))
-                    .collect(),
-            },
-            Precision::F32 => self
-                .cached_plan_metric::<f32>(metric)?
-                .search_batch(queries, threads),
-            Precision::Codes => self
-                .compiled_codes_metric(metric)?
-                .search_batch(queries, threads),
+        match self.plan_for(queries.len(), &spec)? {
+            FlatPlan::Scalar => queries
+                .iter()
+                .map(|q| self.search_metric(q, spec.metric))
+                .collect(),
+            FlatPlan::F64(plan) => plan.search_batch(queries, threads),
+            FlatPlan::F32(plan) => plan.search_batch(queries, threads),
+            FlatPlan::Codes(plan) => plan.search_batch(queries, threads),
         }
     }
 
     /// Each query's nearest row as `(row, total_conductance)` through
     /// the cached plan — the allocation-free winners kernel (no per-row
-    /// vector is materialized per query).
+    /// vector is materialized per query; at [`Precision::Codes`] on the
+    /// vector tiers, most cells of rows that cannot win are never
+    /// scored, see [`crate::exec`]'s "Bounded winners"). Exact ties
+    /// resolve to the lowest row, as in
+    /// [`SearchOutcome::best_row`]. A single query is a batch of one.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_winners_with(
+    /// Same conditions as [`search_batch_with`](Self::search_batch_with).
+    pub fn search_batch_winners_with<'a>(
         &self,
         queries: &[&[u8]],
-        precision: Precision,
+        spec: impl Into<SearchSpec<'a>>,
     ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_winners_with_metric(queries, precision, Metric::default())
+        self.winners(queries, spec.into())
     }
 
-    /// [`search_batch_winners_with`](Self::search_batch_winners_with)
-    /// at a chosen [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_winners_with_metric(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
+    /// The non-generic body of
+    /// [`search_batch_winners_with`](Self::search_batch_winners_with):
+    /// a compiled plan runs as the one-bank case of the banked winner
+    /// merge.
+    fn winners(&self, queries: &[&[u8]], spec: SearchSpec<'_>) -> Result<Vec<(usize, f64)>> {
         let threads = par::max_threads();
-        match precision {
-            Precision::F64 => match self.f64_plan_for(queries.len(), metric)? {
-                Some(plan) => plan.search_batch_winners(queries, threads),
-                None => queries
-                    .iter()
-                    .map(|q| {
-                        let outcome = self.search_metric(q, metric)?;
-                        let best = outcome.best_row();
-                        Ok((best, outcome.conductance(best)))
-                    })
-                    .collect(),
-            },
-            Precision::F32 => self
-                .cached_plan_metric::<f32>(metric)?
-                .search_batch_winners(queries, threads),
-            Precision::Codes => self
-                .compiled_codes_metric(metric)?
-                .search_batch_winners(queries, threads),
+        match self.plan_for(queries.len(), &spec)? {
+            FlatPlan::Scalar => queries
+                .iter()
+                .map(|q| {
+                    let outcome = self.search_metric(q, spec.metric)?;
+                    let best = outcome.best_row();
+                    Ok((best, outcome.conductance(best)))
+                })
+                .collect(),
+            FlatPlan::F64(plan) => one_bank_winners(plan.as_ref(), queries, threads),
+            FlatPlan::F32(plan) => one_bank_winners(plan.as_ref(), queries, threads),
+            FlatPlan::Codes(plan) => one_bank_winners(&plan, queries, threads),
         }
     }
 
     /// Each query's `k` nearest rows as `(row, total_conductance)`
-    /// (nearest first) through the cached plan, using the reusable
-    /// bounded-heap kernel.
+    /// (nearest first, exact ties to the lowest row) through the cached
+    /// plan, using the reusable bounded-heap kernel; the selection
+    /// works unchanged under every metric because every metric's
+    /// scores obey "smaller = nearer". `k` is clamped to the stored
+    /// rows, never an error. A single query is a batch of one.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_top_k_with(
+    /// Same conditions as [`search_batch_with`](Self::search_batch_with).
+    pub fn search_batch_top_k_with<'a>(
         &self,
         queries: &[&[u8]],
         k: usize,
-        precision: Precision,
+        spec: impl Into<SearchSpec<'a>>,
     ) -> Result<Vec<Vec<(usize, f64)>>> {
-        self.search_batch_top_k_with_metric(queries, k, precision, Metric::default())
+        self.top_k(queries, k, spec.into())
     }
 
-    /// [`search_batch_top_k_with`](Self::search_batch_top_k_with) at a
-    /// chosen [`Metric`] — the bounded-heap selection works unchanged
-    /// because every metric's scores obey "smaller = nearer".
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_top_k_with_metric(
+    /// The non-generic body of
+    /// [`search_batch_top_k_with`](Self::search_batch_top_k_with).
+    fn top_k(
         &self,
         queries: &[&[u8]],
         k: usize,
-        precision: Precision,
-        metric: Metric,
+        spec: SearchSpec<'_>,
     ) -> Result<Vec<Vec<(usize, f64)>>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
         let threads = par::max_threads();
-        match precision {
-            Precision::F64 => match self.f64_plan_for(queries.len(), metric)? {
-                Some(plan) => plan.search_batch_top_k(queries, k, threads),
-                None => queries
-                    .iter()
-                    .map(|q| {
-                        let outcome = self.search_metric(q, metric)?;
-                        Ok(outcome
-                            .top_k(k)
-                            .into_iter()
-                            .map(|r| (r, outcome.conductance(r)))
-                            .collect())
-                    })
-                    .collect(),
-            },
-            Precision::F32 => self
-                .cached_plan_metric::<f32>(metric)?
-                .search_batch_top_k(queries, k, threads),
-            Precision::Codes => self
-                .compiled_codes_metric(metric)?
-                .search_batch_top_k(queries, k, threads),
+        match self.plan_for(queries.len(), &spec)? {
+            FlatPlan::Scalar => queries
+                .iter()
+                .map(|q| {
+                    let outcome = self.search_metric(q, spec.metric)?;
+                    Ok(outcome
+                        .top_k(k)
+                        .into_iter()
+                        .map(|r| (r, outcome.conductance(r)))
+                        .collect())
+                })
+                .collect(),
+            FlatPlan::F64(plan) => {
+                exec::kernel_search_batch_top_k(plan.as_ref(), queries, k, threads)
+            }
+            FlatPlan::F32(plan) => {
+                exec::kernel_search_batch_top_k(plan.as_ref(), queries, k, threads)
+            }
+            FlatPlan::Codes(plan) => exec::kernel_search_batch_top_k(&plan, queries, k, threads),
         }
     }
 

@@ -24,44 +24,16 @@
 
 use std::sync::Arc;
 
-use crate::array::{McamArray, McamArrayBuilder, SearchOutcome};
+use crate::array::{McamArray, McamArrayBuilder};
 use crate::error::CoreError;
 use crate::exec::{
     self, BlockKernel, CodesDispatch, CompiledBanked, CompiledBankedCodes, CompiledMcam, Metric,
-    PlanMemoryBytes, Precision, WinnerSweep,
+    PlanMemoryBytes, Precision, SearchSpec, WinnerSweep,
 };
 use crate::levels::LevelLadder;
 use crate::lut::ConductanceLut;
 use crate::par;
 use crate::Result;
-
-/// What a banked search asks for beside its queries, set per search:
-/// the plan [`Precision`], the [`Metric`] and an optional bank mask.
-/// [`Default`] is the plain search: `f64`, the MCAM conductance metric,
-/// every bank. A bare [`Precision`] converts into that spec at that
-/// precision.
-///
-/// `banks` are global bank indices. A mask must be strictly ascending
-/// and name at least one existing bank; it changes the answer (the
-/// winner within those banks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SearchSpec<'a> {
-    /// Plan element type (see [`crate::exec`]'s "Precision modes").
-    pub precision: Precision,
-    /// Distance semantics (see [`crate::exec`]'s "Metric modes").
-    pub metric: Metric,
-    /// Banks to search, strictly ascending; `None` searches every bank.
-    pub banks: Option<&'a [usize]>,
-}
-
-impl From<Precision> for SearchSpec<'_> {
-    fn from(precision: Precision) -> Self {
-        SearchSpec {
-            precision,
-            ..SearchSpec::default()
-        }
-    }
-}
 
 /// A row-tiled stack of MCAM banks sharing one ladder/LUT.
 ///
@@ -348,7 +320,7 @@ impl BankedMcam {
         batch >= self.ladder.n_levels()
             || self
                 .selected(banks)
-                .all(|(_, bank)| bank.cached_plan_if_warm_metric::<f64>(metric).is_some())
+                .all(|(_, bank)| bank.cached_plan_if_warm::<f64>(metric).is_some())
     }
 
     /// The scalar reference sweep: per-bank physics-path searches of the
@@ -390,12 +362,12 @@ impl BankedMcam {
     ) -> Result<Vec<(usize, f64)>> {
         match precision {
             Precision::F64 => {
-                let plans = self.plans(banks, |b| b.cached_plan_metric::<f64>(metric))?;
+                let plans = self.plans(banks, |b| b.cached_plan::<f64>(metric))?;
                 let refs: Vec<&CompiledMcam<f64>> = plans.iter().map(Arc::as_ref).collect();
                 self.winner_kernel(&refs, banks, queries, sweep)
             }
             Precision::F32 => {
-                let plans = self.plans(banks, |b| b.cached_plan_metric::<f32>(metric))?;
+                let plans = self.plans(banks, |b| b.cached_plan::<f32>(metric))?;
                 let refs: Vec<&CompiledMcam<f32>> = plans.iter().map(Arc::as_ref).collect();
                 self.winner_kernel(&refs, banks, queries, sweep)
             }
@@ -403,7 +375,7 @@ impl BankedMcam {
             // compiling one costs about one scalar query over the bank
             // ([`exec::CODES_COMPILE_THRESHOLD`]).
             Precision::Codes => {
-                let plans = self.plans(banks, |b| b.compiled_codes_metric(metric))?;
+                let plans = self.plans(banks, |b| b.compiled_codes(metric))?;
                 let refs: Vec<&CodesDispatch> = plans.iter().collect();
                 self.winner_kernel(&refs, banks, queries, sweep)
             }
@@ -465,7 +437,7 @@ impl BankedMcam {
     ///
     /// * [`CoreError::EmptyArray`] if nothing is stored — even for an
     ///   empty batch (see the empty-batch contract on
-    ///   [`McamArray::search_batch`]).
+    ///   [`McamArray::search_batch_with`]).
     /// * [`CoreError::InvalidParameter`] if the mask is empty, not
     ///   strictly ascending, or names a bank that does not exist.
     /// * The first failing query (in query order) fails the batch.
@@ -623,10 +595,13 @@ impl BankedMcam {
             return Ok(vec![Vec::new(); queries.len()]);
         }
         let mut merged: Vec<Vec<(usize, f64)>> = vec![Vec::new(); queries.len()];
+        let bank_spec = SearchSpec {
+            banks: None,
+            ..spec
+        };
         for (bank_idx, bank) in self.selected(spec.banks) {
             let base = bank_idx * self.rows_per_bank;
-            let per_bank =
-                bank.search_batch_top_k_with_metric(queries, k, spec.precision, spec.metric)?;
+            let per_bank = bank.search_batch_top_k_with(queries, k, bank_spec)?;
             for (slot, hits) in merged.iter_mut().zip(per_bank) {
                 slot.extend(hits.into_iter().map(|(local, g)| (base + local, g)));
             }
@@ -710,36 +685,6 @@ impl BankedMcam {
     /// Worker threads justified by the current total search workload.
     fn search_threads(&self) -> usize {
         par::threads_for(self.n_rows() * self.word_len)
-    }
-
-    /// Full per-bank outcomes (for energy accounting or inspection),
-    /// banks sharded across worker threads.
-    ///
-    /// Runs through the cached per-bank compiled `f64` plans under the
-    /// same amortization gate as a single-query
-    /// [`search_batch_winners_with`](Self::search_batch_winners_with)
-    /// (warm plans always, cold ones only once a compile pays for
-    /// itself), falling back to the scalar physics path otherwise.
-    /// Compiled `f64` conductances are bit-identical to the scalar
-    /// sweep (see [`crate::exec`]'s "Determinism guarantee"), so the
-    /// outcomes are the same either way.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::EmptyArray`] if nothing is stored, or the query's
-    /// validation error.
-    pub fn search_all_banks(&self, query: &[u8]) -> Result<Vec<SearchOutcome>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        if self.f64_plans_pay(1, Metric::default(), None) {
-            let plans = self.plans(None, McamArray::cached_plan::<f64>)?;
-            par::try_par_map(&plans, self.search_threads(), |_, plan| plan.search(query))
-        } else {
-            par::try_par_map(&self.banks, self.search_threads(), |_, bank| {
-                bank.search(query)
-            })
-        }
     }
 
     /// The underlying banks, in global-row order (crate-internal: what
@@ -953,7 +898,7 @@ mod tests {
             Err(CoreError::EmptyArray)
         ));
         // The batch entry points share the contract — even for an
-        // empty batch (see McamArray::search_batch's contract docs).
+        // empty batch (see McamArray::search_batch_with's contract docs).
         assert!(matches!(
             b.search_batch_winners_with(&[], SearchSpec::default()),
             Err(CoreError::EmptyArray)
@@ -987,16 +932,6 @@ mod tests {
         assert_eq!(b.word_len(), 8);
         assert_eq!(b.ladder().n_levels(), 8);
         assert_eq!(b.lut().n_levels(), 8);
-    }
-
-    #[test]
-    fn per_bank_outcomes_cover_all_banks() {
-        let mut b = setup(2);
-        for i in 0..6u8 {
-            b.store(&[i; 8]).unwrap();
-        }
-        let outcomes = b.search_all_banks(&[3; 8]).unwrap();
-        assert_eq!(outcomes.len(), 3);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use femcam_lsh::RandomHyperplanes;
 use crate::array::{McamArray, McamArrayBuilder, VariationSpec};
 use crate::distance::Distance;
 use crate::error::CoreError;
-use crate::exec::{self, Metric, Precision};
+use crate::exec::{self, Metric, Precision, SearchSpec};
 use crate::levels::LevelLadder;
 use crate::lut::ConductanceLut;
 use crate::par;
@@ -96,7 +96,7 @@ pub trait NnIndex {
     ///
     /// * [`CoreError::EmptyArray`] if the index is empty — even for an
     ///   empty batch, matching [`query`](Self::query) (the same
-    ///   contract as [`crate::McamArray::search_batch`]).
+    ///   contract as [`crate::McamArray::search_batch_with`]).
     /// * Otherwise the first failing query (in query order) fails the
     ///   batch; an empty batch on a nonempty index is `Ok(vec![])`.
     fn query_batch(&self, queries: &[&[f32]]) -> Result<Vec<QueryResult>> {
@@ -480,6 +480,25 @@ impl McamNn {
         &self.array
     }
 
+    /// The search spec every query runs at: this index's precision and
+    /// metric.
+    fn spec(&self) -> SearchSpec<'static> {
+        SearchSpec {
+            precision: self.precision,
+            metric: self.metric,
+            banks: None,
+        }
+    }
+
+    /// A stored row's answer, labelled.
+    fn result(&self, index: usize, score: f64) -> QueryResult {
+        QueryResult {
+            index,
+            label: self.labels[index],
+            score,
+        }
+    }
+
     /// Quantizes every query, failing on the first malformed one in
     /// query order.
     fn quantize_batch(&self, queries: &[&[f32]]) -> Result<Vec<Vec<u8>>> {
@@ -505,30 +524,21 @@ impl NnIndex for McamNn {
 
     fn query(&self, features: &[f32]) -> Result<QueryResult> {
         let levels = self.quantizer.quantize(features)?;
-        let outcome = self
+        let winners = self
             .array
-            .search_with_metric(&levels, self.precision, self.metric)?;
-        let index = outcome.best_row();
-        Ok(QueryResult {
-            index,
-            label: self.labels[index],
-            score: outcome.conductance(index),
-        })
+            .search_batch_winners_with(&[&levels[..]], self.spec())?;
+        let (index, score) = winners[0];
+        Ok(self.result(index, score))
     }
 
     fn query_k(&self, features: &[f32], k: usize) -> Result<Vec<QueryResult>> {
         let levels = self.quantizer.quantize(features)?;
-        let outcome = self
+        let hits = self
             .array
-            .search_with_metric(&levels, self.precision, self.metric)?;
-        Ok(outcome
-            .top_k(k)
-            .into_iter()
-            .map(|index| QueryResult {
-                index,
-                label: self.labels[index],
-                score: outcome.conductance(index),
-            })
+            .search_batch_top_k_with(&[&levels[..]], k, self.spec())?;
+        Ok(hits[0]
+            .iter()
+            .map(|&(index, score)| self.result(index, score))
             .collect())
     }
 
@@ -540,16 +550,10 @@ impl NnIndex for McamNn {
         }
         let levels = self.quantize_batch(queries)?;
         let refs: Vec<&[u8]> = levels.iter().map(|l| l.as_slice()).collect();
-        let winners =
-            self.array
-                .search_batch_winners_with_metric(&refs, self.precision, self.metric)?;
+        let winners = self.array.search_batch_winners_with(&refs, self.spec())?;
         Ok(winners
             .into_iter()
-            .map(|(index, score)| QueryResult {
-                index,
-                label: self.labels[index],
-                score,
-            })
+            .map(|(index, score)| self.result(index, score))
             .collect())
     }
 
@@ -559,18 +563,12 @@ impl NnIndex for McamNn {
         }
         let levels = self.quantize_batch(queries)?;
         let refs: Vec<&[u8]> = levels.iter().map(|l| l.as_slice()).collect();
-        let hits =
-            self.array
-                .search_batch_top_k_with_metric(&refs, k, self.precision, self.metric)?;
+        let hits = self.array.search_batch_top_k_with(&refs, k, self.spec())?;
         Ok(hits
             .into_iter()
             .map(|top| {
                 top.into_iter()
-                    .map(|(index, score)| QueryResult {
-                        index,
-                        label: self.labels[index],
-                        score,
-                    })
+                    .map(|(index, score)| self.result(index, score))
                     .collect()
             })
             .collect())

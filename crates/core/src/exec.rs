@@ -124,12 +124,12 @@
 //!
 //! Batched winner searches at [`Precision::Codes`] on the vector tiers
 //! do not score every cell. Full, masked (routed) and served winner
-//! searches, and the flat `search_batch_winners`, all run through one
-//! banked merge, which carries each query's best score so far across
-//! banks. That score is an `f32` bound (exact: codes scores are `f32`
-//! widened to `f64`). A register block of rows sweeps its columns in
-//! chunks of 8, and after each chunk it is abandoned once every row in
-//! it already scores strictly above the bound. A block that finishes
+//! searches, and flat [`McamArray::search_batch_winners_with`], all run
+//! through one banked merge, which carries each query's best score so
+//! far across banks. That score is an `f32` bound (exact: codes scores
+//! are `f32` widened to `f64`). A register block of rows sweeps its
+//! columns in chunks of 8, and after each chunk it is abandoned once
+//! every row in it already scores strictly above the bound. A block that finishes
 //! folds its first minimum into the query's best and tightens the
 //! bound. On near-duplicate queries, where the paper's steep distance
 //! function puts the nearest row far below the rest, most blocks stop
@@ -333,16 +333,16 @@
 //! columns in exactly the same ascending column order (row panels tile
 //! the row axis, never the column axis). Floating-point addition
 //! happens in an identical sequence, so compiled `f64` results are
-//! **bit-identical** to [`McamArray::search`]. Row-chunked and
-//! query-parallel execution ([`CompiledMcam::search_batch`],
-//! [`CompiledBanked`]) shard only across rows, queries, and banks —
-//! never within one row's fold — and every reduction is a fixed-order
-//! fold over results reassembled in input order ([`crate::par`]), so
-//! parallel execution is bit-identical too, at any thread count. The
-//! property tests in `tests/batch_parallel_props.rs` assert this. The
-//! same sequencing holds in `f32` mode (the fold is identical, just in
-//! `f32`), so `f32` results are deterministic and thread-count
-//! independent as well.
+//! **bit-identical** to [`McamArray::search`]. Parallel execution
+//! ([`CompiledMcam::search_batch`], [`CompiledBanked`]) shards only
+//! across queries and banks — never within one row's fold (a lone
+//! query is a batch of one, on one worker) — and every reduction is a
+//! fixed-order fold over results reassembled in input order
+//! ([`crate::par`]), so parallel execution is bit-identical too, at any
+//! thread count. The property tests in `tests/batch_parallel_props.rs`
+//! assert this. The same sequencing holds in `f32` mode (the fold is
+//! identical, just in `f32`), so `f32` results are deterministic and
+//! thread-count independent as well.
 //!
 //! # Bank-mask contract
 //!
@@ -351,11 +351,10 @@
 //! paired with the **global base row** of that bank, and a winner is
 //! always reported as `base + local`. A full sweep is just the
 //! instantiation whose bases are `[0, rows_per_bank, 2·rows_per_bank,
-//! ..]`; a masked sweep — the `banks` of a
-//! [`SearchSpec`](crate::banked::SearchSpec), which is how the router's
-//! re-rank (see [`crate::router`]) and a degraded server search — passes
-//! the same kernels for a *subset* of banks, in ascending bank order,
-//! with each bank's true base.
+//! ..]`; a masked sweep — the `banks` of a [`SearchSpec`], which is
+//! how the router's re-rank (see [`crate::router`]) and a degraded
+//! server search — passes the same kernels for a *subset* of banks,
+//! in ascending bank order, with each bank's true base.
 //!
 //! Because the merge is the same fixed-order fold either way, a masked
 //! sweep obeys the full-sweep contract restricted to its subset: per
@@ -524,6 +523,38 @@ impl Metric {
                     1.0
                 }
             }
+        }
+    }
+}
+
+/// What a search asks for beside its queries, set per search: the plan
+/// [`Precision`], the [`Metric`] and an optional bank mask. Flat
+/// ([`McamArray`]), banked ([`crate::banked::BankedMcam`]) and routed
+/// ([`crate::router::RoutedMcam`]) memories all take it. [`Default`] is
+/// the plain search: `f64`, the MCAM conductance metric, every bank. A
+/// bare [`Precision`] converts into that spec at that precision.
+///
+/// `banks` are global bank indices. A mask must be strictly ascending
+/// and name at least one existing bank; it changes the answer (the
+/// winner within those banks). Only a banked memory takes one: a flat
+/// array has no banks, and a routed memory picks its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SearchSpec<'a> {
+    /// Plan element type (see the
+    /// [module-level "Precision modes"](self#precision-modes)).
+    pub precision: Precision,
+    /// Distance semantics (see the
+    /// [module-level "Metric modes"](self#metric-modes)).
+    pub metric: Metric,
+    /// Banks to search, strictly ascending; `None` searches every bank.
+    pub banks: Option<&'a [usize]>,
+}
+
+impl From<Precision> for SearchSpec<'_> {
+    fn from(precision: Precision) -> Self {
+        SearchSpec {
+            precision,
+            ..SearchSpec::default()
         }
     }
 }
@@ -963,28 +994,6 @@ pub fn validate_query(word_len: usize, n_levels: usize, query: &[u8]) -> Result<
     Ok(())
 }
 
-/// Row-sharded single-query execution: splits `out` into one contiguous
-/// row chunk per worker (at most `n_threads`) and runs
-/// `accumulate(row_start, chunk)` on each — the shared sharding policy
-/// of the plane and codes single-query paths.
-fn shard_rows<S: Send, F>(n_rows: usize, n_threads: usize, out: &mut [S], accumulate: F)
-where
-    F: Fn(usize, &mut [S]) + Sync,
-{
-    if n_threads <= 1 || n_rows <= 1 {
-        accumulate(0, out);
-        return;
-    }
-    let threads = n_threads.min(n_rows);
-    let chunk = n_rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let accumulate = &accumulate;
-        for (chunk_idx, slice) in out.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || accumulate(chunk_idx * chunk, slice));
-        }
-    });
-}
-
 /// A query plan: the read-only, plane-major execution image of one
 /// [`McamArray`] (see the [module docs](self) for the layout), with
 /// planes and accumulators in `S` (see
@@ -1010,17 +1019,14 @@ where
 /// let mut array = McamArray::new(ladder, lut, 4);
 /// array.store(&[0, 3, 7, 1])?;
 /// array.store(&[5, 5, 5, 5])?;
+/// let query: &[u8] = &[0, 3, 7, 1];
 /// let plan: CompiledMcam = CompiledMcam::compile(&array)?;
-/// assert_eq!(
-///     plan.search(&[0, 3, 7, 1])?.best_row(),
-///     array.search(&[0, 3, 7, 1])?.best_row(),
-/// );
+/// // One query is a batch of one; the second argument caps the workers.
+/// let exact = plan.search_batch(&[query], 1)?;
+/// assert_eq!(exact[0], array.search(query)?); // bit-identical
 /// // Opt-in fast mode: f32 planes, ~2x on the bandwidth-bound kernel.
 /// let fast = CompiledMcam::<f32>::compile(&array)?;
-/// assert_eq!(
-///     fast.search(&[0, 3, 7, 1])?.best_row(),
-///     plan.search(&[0, 3, 7, 1])?.best_row(),
-/// );
+/// assert_eq!(fast.search_batch(&[query], 1)?[0].best_row(), exact[0].best_row());
 /// # Ok(())
 /// # }
 /// ```
@@ -1115,6 +1121,25 @@ fn index_slab(aux: &mut Vec<f32>, len: usize) -> *mut i32 {
         aux.resize(len, 0.0);
     }
     aux.as_mut_ptr().cast::<i32>()
+}
+
+/// `src` (shorter than [`MAX_LANES`]) copied into a zero-padded lane
+/// buffer by at most four fixed-size moves: a variable-length
+/// `copy_from_slice` compiles to a `memcpy` call, paid per column per
+/// tile on every bank whose row count is not a whole number of vectors.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn zero_padded(src: &[u8]) -> [u8; MAX_LANES] {
+    debug_assert!(src.len() < MAX_LANES);
+    let mut padded = [0u8; MAX_LANES];
+    let mut at = 0;
+    for width in [8, 4, 2, 1] {
+        if src.len() & width != 0 {
+            padded[at..at + width].copy_from_slice(&src[at..at + width]);
+            at += width;
+        }
+    }
+    padded
 }
 
 /// The first lane, in ascending row order, holding the minimum of
@@ -1729,29 +1754,6 @@ impl<S: PlaneScalar> CompiledMcam<S> {
         validate_query(self.word_len, self.n_levels, query)
     }
 
-    /// Accumulates the query into `out[..]` for rows
-    /// `row_start..row_start + out.len()`, in ascending column order
-    /// (the determinism-critical inner loop), dispatching once into the
-    /// Sum- or Max-monomorphized fold.
-    fn accumulate_rows(&self, query: &[u8], row_start: usize, out: &mut [S]) {
-        if self.metric.is_max_fold() {
-            self.accumulate_rows_fold::<true>(query, row_start, out);
-        } else {
-            self.accumulate_rows_fold::<false>(query, row_start, out);
-        }
-    }
-
-    fn accumulate_rows_fold<const MAX: bool>(&self, query: &[u8], row_start: usize, out: &mut [S]) {
-        out.fill(S::ZERO);
-        for (c, &q) in query.iter().enumerate() {
-            let base = (q as usize * self.word_len + c) * self.n_rows + row_start;
-            let column = &self.planes[base..base + out.len()];
-            for (acc, &g) in out.iter_mut().zip(column) {
-                *acc = acc.fold::<MAX>(g);
-            }
-        }
-    }
-
     /// Rows per cache panel of the tiled block kernel.
     fn row_tile(&self) -> usize {
         (ROW_TILE_BYTES / std::mem::size_of::<S>())
@@ -1771,10 +1773,9 @@ impl<S: PlaneScalar> CompiledMcam<S> {
     /// (validated) queries into `acc`, laid out query-major
     /// (`acc[q * n_rows + row]`). Row panels advance in the outer loop
     /// and columns in the next, so each query still folds its
-    /// conductances in ascending column order — bit-identical to
-    /// [`accumulate_rows`](Self::accumulate_rows) — while queries
-    /// sharing an input level at a column reuse the same L1-hot plane
-    /// panel instead of re-streaming it.
+    /// conductances in ascending column order (the determinism-critical
+    /// inner loop), while queries sharing an input level at a column
+    /// reuse the same L1-hot plane panel instead of re-streaming it.
     fn accumulate_block(&self, queries: &[&[u8]], acc: &mut [S]) {
         if self.metric.is_max_fold() {
             self.accumulate_block_fold::<true>(queries, acc);
@@ -1805,82 +1806,23 @@ impl<S: PlaneScalar> CompiledMcam<S> {
         }
     }
 
-    /// Row-sharded single-query accumulation into `out` (`n_rows`
-    /// scalars), forking onto exactly `n_threads` row chunks when
-    /// `n_threads > 1`.
-    fn accumulate_sharded(&self, query: &[u8], n_threads: usize, out: &mut [S]) {
-        shard_rows(self.n_rows, n_threads, out, |row_start, slice| {
-            self.accumulate_rows(query, row_start, slice);
-        });
-    }
-
-    /// Executes one query and returns the full per-row outcome — in
-    /// `f64` mode bit-identical to [`McamArray::search`] on the
-    /// compiled contents. Rows shard across workers when the workload
-    /// justifies forking ([`par::threads_for`]).
+    /// Executes a batch of queries against this snapshot through the
+    /// tiled block kernel and returns each query's full per-row
+    /// outcome, sharding contiguous query groups across workers. A lone
+    /// query is a batch of one. `n_threads` is an upper bound: the
+    /// kernel forks only as many workers as the workload earns
+    /// ([`par::batch_threads`]), so raising the thread count never
+    /// regresses throughput. Results are in query order and (in `f64`
+    /// mode) bit-identical to [`McamArray::search_metric`] on the
+    /// compiled contents; the first malformed query (in input order)
+    /// fails the batch before any work runs.
     ///
     /// # Errors
     ///
     /// [`CoreError::WordLengthMismatch`] / [`CoreError::LevelOutOfRange`]
-    /// for malformed queries.
-    pub fn search(&self, query: &[u8]) -> Result<SearchOutcome> {
-        self.check_query(query)?;
-        let threads = par::threads_for(self.n_rows * self.word_len);
-        let mut out = vec![S::ZERO; self.n_rows];
-        self.accumulate_sharded(query, threads, &mut out);
-        Ok(SearchOutcome::from_conductances(
-            out.iter().map(|g| g.to_f64()).collect(),
-        ))
-    }
-
-    /// Executes a batch of queries through the tiled block kernel,
-    /// sharding contiguous query groups across workers. `n_threads` is
-    /// an upper bound: the kernel forks only as many workers as the
-    /// workload earns ([`par::batch_threads`]), so raising the thread
-    /// count never regresses throughput. Results are in query order
-    /// and (in `f64` mode) bit-identical to running
-    /// [`search`](Self::search) per query; the first malformed query
-    /// (in input order) fails the batch before any work runs.
-    ///
-    /// # Errors
-    ///
-    /// Same per-query conditions as [`search`](Self::search).
+    /// for a malformed query.
     pub fn search_batch(&self, queries: &[&[u8]], n_threads: usize) -> Result<Vec<SearchOutcome>> {
         kernel_search_batch(self, queries, n_threads)
-    }
-
-    /// Like [`search_batch`](Self::search_batch), but returns only each
-    /// query's nearest row as `(row, total_conductance)` — the winner
-    /// argmin runs on the worker's scratch accumulators, so no per-row
-    /// vector is ever materialized per query. A flat plan runs as the
-    /// one-bank case of the banked winner merge.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_winners(
-        &self,
-        queries: &[&[u8]],
-        n_threads: usize,
-    ) -> Result<Vec<(usize, f64)>> {
-        banked_winner_batch_kernel(&[self], &[0], queries, WinnerSweep::Full, n_threads)
-    }
-
-    /// Like [`search_batch`](Self::search_batch), but returns each
-    /// query's `k` nearest rows as `(row, total_conductance)`, nearest
-    /// first — selected by a bounded heap on the worker's reusable
-    /// scratch (no per-query heap allocation).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_top_k(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        n_threads: usize,
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
-        kernel_search_batch_top_k(self, queries, k, n_threads)
     }
 }
 
@@ -2086,9 +2028,10 @@ fn kernel_search_batch<K: BlockKernel>(
     })
 }
 
-/// Generic batched top-k driver (see
-/// [`CompiledMcam::search_batch_top_k`]).
-fn kernel_search_batch_top_k<K: BlockKernel>(
+/// Generic batched top-k driver: each query's `k` nearest rows as
+/// `(row, score)`, nearest first, selected by a bounded heap on the
+/// worker's reusable scratch (no per-query heap allocation).
+pub(crate) fn kernel_search_batch_top_k<K: BlockKernel>(
     kernel: &K,
     queries: &[&[u8]],
     k: usize,
@@ -2099,31 +2042,6 @@ fn kernel_search_batch_top_k<K: BlockKernel>(
         select_top_k(rows, k, heap, sorted, &mut top);
         top
     })
-}
-
-impl CompiledMcam<f64> {
-    /// Executes one query over all rows, sharding row ranges across up
-    /// to `n_threads` workers (exactly as asked — callers that want
-    /// work-proportional thread selection use [`search`](Self::search),
-    /// which gates on [`par::threads_for`]), and writes per-row total
-    /// conductances into `out`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::WordLengthMismatch`] / [`CoreError::LevelOutOfRange`]
-    /// for malformed queries, or [`CoreError::DimensionMismatch`] if
-    /// `out` is not exactly `n_rows` long.
-    pub fn search_into(&self, query: &[u8], n_threads: usize, out: &mut [f64]) -> Result<()> {
-        self.check_query(query)?;
-        if out.len() != self.n_rows {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.n_rows,
-                actual: out.len(),
-            });
-        }
-        self.accumulate_sharded(query, n_threads, out);
-        Ok(())
-    }
 }
 
 /// A packed-code query plan: the array as byte-packed level codes plus
@@ -2166,10 +2084,11 @@ impl CompiledMcam<f64> {
 /// array.store(&[2, 6, 0, 4])?;
 /// let codes = CompiledCodes::compile(&array)?;
 /// let f32_plan = CompiledMcam::<f32>::compile(&array)?;
+/// let query: &[u8] = &[0, 3, 7, 1];
 /// // Bit-identical to the f32 plane plan, at a fraction of the bytes.
 /// assert_eq!(
-///     codes.search(&[0, 3, 7, 1])?.conductances(),
-///     f32_plan.search(&[0, 3, 7, 1])?.conductances(),
+///     codes.search_batch(&[query], 1)?,
+///     f32_plan.search_batch(&[query], 1)?,
 /// );
 /// assert!(codes.plan_bytes() < f32_plan.plan_bytes());
 /// # Ok(())
@@ -2394,97 +2313,6 @@ impl CompiledCodes {
         (ACC_BUDGET_BYTES / (self.row_tile() * std::mem::size_of::<f32>()).max(1)).clamp(1, 256)
     }
 
-    /// The AVX2 serve loop: the query level's whole LUT row lives in
-    /// one vector register, so eight stored codes gather through it
-    /// with a single lane permute — one load + one permute + one add
-    /// per eight cells, no expansion slab, 1 byte of plan traffic per
-    /// cell. Running sums for 32 rows stay in registers across the
-    /// whole column sweep.
-    ///
-    /// Per row the fold is the same ascending-column sequence of `f32`
-    /// adds over the same LUT roundings as the scalar path, so results
-    /// stay bit-identical to the `f32` plane kernel.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available and `lut_stride == 8`
-    /// (`self.tier` is a vector tier), `query` is validated
-    /// (`word_len` levels, each `< n_levels`), and
-    /// `row_start + out.len() <= n_rows`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    // SAFETY: inside the body, every raw load is in bounds under the
-    // caller contract: `lut_stride == 8` pads each level's LUT row to
-    // exactly the 8 lanes one `_mm256_loadu_ps` reads; query levels
-    // `< n_levels` keep the `tables` index in range; and
-    // `row_start + out.len() <= n_rows` bounds every
-    // `codes.add(c * n + row_start + s)` within the column-major codes
-    // slab. All loads/stores are `loadu`/`storeu`, so no alignment
-    // obligation beyond validity.
-    unsafe fn accumulate_query_avx2<const MAX: bool>(
-        &self,
-        query: &[u8],
-        row_start: usize,
-        out: &mut [f32],
-    ) {
-        use std::arch::x86_64::*;
-        let n = self.n_rows;
-        let len = out.len();
-        let mut tables = [_mm256_setzero_ps(); 8];
-        for (level, table) in tables.iter_mut().enumerate().take(self.n_levels) {
-            *table = _mm256_loadu_ps(self.lut.as_ptr().add(level * 8));
-        }
-        let codes = self.codes.as_ptr();
-        let out_ptr = out.as_mut_ptr();
-        let mut s = 0usize;
-        while s + 32 <= len {
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            let mut a2 = _mm256_setzero_ps();
-            let mut a3 = _mm256_setzero_ps();
-            for (c, &level) in query.iter().enumerate() {
-                let table = tables[level as usize];
-                let base = codes.add(c * n + row_start + s);
-                let i0 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.cast()));
-                let i1 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.add(8).cast()));
-                let i2 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.add(16).cast()));
-                let i3 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.add(24).cast()));
-                a0 = Avx2Lanes::fold::<MAX>(a0, _mm256_permutevar8x32_ps(table, i0));
-                a1 = Avx2Lanes::fold::<MAX>(a1, _mm256_permutevar8x32_ps(table, i1));
-                a2 = Avx2Lanes::fold::<MAX>(a2, _mm256_permutevar8x32_ps(table, i2));
-                a3 = Avx2Lanes::fold::<MAX>(a3, _mm256_permutevar8x32_ps(table, i3));
-            }
-            _mm256_storeu_ps(out_ptr.add(s), a0);
-            _mm256_storeu_ps(out_ptr.add(s + 8), a1);
-            _mm256_storeu_ps(out_ptr.add(s + 16), a2);
-            _mm256_storeu_ps(out_ptr.add(s + 24), a3);
-            s += 32;
-        }
-        while s + 8 <= len {
-            let mut a = _mm256_setzero_ps();
-            for (c, &level) in query.iter().enumerate() {
-                let table = tables[level as usize];
-                let base = codes.add(c * n + row_start + s);
-                let idx = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.cast()));
-                a = Avx2Lanes::fold::<MAX>(a, _mm256_permutevar8x32_ps(table, idx));
-            }
-            _mm256_storeu_ps(out_ptr.add(s), a);
-            s += 8;
-        }
-        if s < len {
-            // Scalar tail (< 8 rows): same ascending-column fold over
-            // the same f32 LUT roundings.
-            out[s..].fill(0.0);
-            for (c, &level) in query.iter().enumerate() {
-                let table = &self.lut[level as usize * 8..][..8];
-                let column = &self.codes[c * n + row_start + s..][..len - s];
-                for (acc, &code) in out[s..].iter_mut().zip(column) {
-                    *acc = acc.fold::<MAX>(table[(code & 7) as usize]);
-                }
-            }
-        }
-    }
-
     /// The LUT row of every query level as a permute table.
     ///
     /// # Safety
@@ -2495,9 +2323,13 @@ impl CompiledCodes {
     // SAFETY: each read is one 8-entry LUT row, in range for
     // `level < n_levels` under the contract above.
     unsafe fn lane_tables<L: CodeLanes>(&self) -> [L::Ps; 8] {
+        // A fixed trip count with a per-row test: a loop over the first
+        // `n_levels` rows compiles to a `memcpy` call on AVX2.
         let mut tables = [L::zero(); 8];
-        for (level, table) in tables.iter_mut().enumerate().take(self.n_levels) {
-            *table = L::table(self.lut.as_ptr().add(level * 8));
+        for (level, table) in tables.iter_mut().enumerate() {
+            if level < self.n_levels {
+                *table = L::table(self.lut.as_ptr().add(level * 8));
+            }
         }
         tables
     }
@@ -2544,8 +2376,7 @@ impl CompiledCodes {
                 L::widen(col.add(g * w), dst.add(g * w));
             }
             if rem > 0 {
-                let mut padded = [0u8; MAX_LANES];
-                padded[..rem].copy_from_slice(&self.codes[c * n + tile.t0 + full * w..][..rem]);
+                let padded = zero_padded(&self.codes[c * n + tile.t0 + full * w..][..rem]);
                 L::widen(padded.as_ptr(), dst.add(full * w));
             }
         }
@@ -3247,48 +3078,6 @@ impl CompiledCodes {
         }
     }
 
-    /// The LUT-gather inner loop over rows `row_start..row_start +
-    /// out.len()`: per column, the query level selects one LUT row (the
-    /// gather table) and every stored code gathers through it —
-    /// ascending column order, `f32` accumulation, so the fold is
-    /// bit-identical to the `f32` plane kernel's.
-    fn accumulate_rows(&self, query: &[u8], row_start: usize, out: &mut [f32]) {
-        if self.metric.is_max_fold() {
-            self.accumulate_rows_fold::<true>(query, row_start, out);
-        } else {
-            self.accumulate_rows_fold::<false>(query, row_start, out);
-        }
-    }
-
-    fn accumulate_rows_fold<const MAX: bool>(
-        &self,
-        query: &[u8],
-        row_start: usize,
-        out: &mut [f32],
-    ) {
-        if self.tier != CodesTier::Scalar {
-            // SAFETY: both vector tiers were detected with AVX2 and
-            // 8-entry LUT rows; callers pass validated queries and
-            // in-range row windows.
-            #[cfg(target_arch = "x86_64")]
-            unsafe {
-                self.accumulate_query_avx2::<MAX>(query, row_start, out);
-            }
-            return;
-        }
-        out.fill(0.0);
-        let mask = self.lut_stride - 1;
-        for (c, &q) in query.iter().enumerate() {
-            let column = &self.codes[c * self.n_rows + row_start..][..out.len()];
-            let table = &self.lut[q as usize * self.lut_stride..][..self.lut_stride];
-            for (acc, &code) in out.iter_mut().zip(column) {
-                // `code & mask < table.len()` by construction: the
-                // bound check vanishes.
-                *acc = acc.fold::<MAX>(table[code as usize & mask]);
-            }
-        }
-    }
-
     /// The block kernel: accumulates a block of validated queries into
     /// `acc` (query-major) on the plan's [`CodesTier`], dispatching once
     /// into the Sum- or Max-monomorphized fold.
@@ -3344,9 +3133,8 @@ impl CompiledCodes {
     ///
     /// Rows advance in panels, columns ascend per query, and each cell
     /// contributes exactly one `f32` add of exactly the LUT's `f32`
-    /// rounding — per-row folds identical to
-    /// [`accumulate_rows`](Self::accumulate_rows) and bit-identical to
-    /// the `f32` plane kernel.
+    /// rounding — per-row folds identical to the vector tiers' and
+    /// bit-identical to the `f32` plane kernel.
     fn accumulate_block_scalar<const MAX: bool>(
         &self,
         queries: &[&[u8]],
@@ -3422,74 +3210,15 @@ impl CompiledCodes {
         }
     }
 
-    /// Row-sharded single-query accumulation (same [`shard_rows`]
-    /// policy as the plane path).
-    fn accumulate_sharded(&self, query: &[u8], n_threads: usize, out: &mut [f32]) {
-        shard_rows(self.n_rows, n_threads, out, |row_start, slice| {
-            self.accumulate_rows(query, row_start, slice);
-        });
-    }
-
-    /// Executes one query and returns the full per-row outcome —
-    /// bit-identical to `CompiledMcam::<f32>` on the same shared-LUT
-    /// contents. Rows shard across workers when the (discounted — see
-    /// [`par::codes_work`]) workload justifies forking.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::WordLengthMismatch`] / [`CoreError::LevelOutOfRange`]
-    /// for malformed queries.
-    pub fn search(&self, query: &[u8]) -> Result<SearchOutcome> {
-        self.check_query(query)?;
-        let threads = par::threads_for(par::codes_work(self.n_rows * self.word_len));
-        let mut out = vec![0.0f32; self.n_rows];
-        self.accumulate_sharded(query, threads, &mut out);
-        Ok(SearchOutcome::from_conductances(
-            out.iter().map(|&g| f64::from(g)).collect(),
-        ))
-    }
-
     /// Batched execution through the generic tiled driver — same
     /// contract as [`CompiledMcam::search_batch`], bit-identical to the
     /// `f32` plane plan on the same contents.
     ///
     /// # Errors
     ///
-    /// Same per-query conditions as [`search`](Self::search).
+    /// Same conditions as [`CompiledMcam::search_batch`].
     pub fn search_batch(&self, queries: &[&[u8]], n_threads: usize) -> Result<Vec<SearchOutcome>> {
         kernel_search_batch(self, queries, n_threads)
-    }
-
-    /// Batched winners — same contract as
-    /// [`CompiledMcam::search_batch_winners`]. On the vector tiers this
-    /// runs the bounded sweep (the module-level
-    /// ["Bounded winners"](self#bounded-winners)): same answers, most
-    /// cells of rows that cannot win never scored.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_winners(
-        &self,
-        queries: &[&[u8]],
-        n_threads: usize,
-    ) -> Result<Vec<(usize, f64)>> {
-        banked_winner_batch_kernel(&[self], &[0], queries, WinnerSweep::Full, n_threads)
-    }
-
-    /// Batched top-k — same contract as
-    /// [`CompiledMcam::search_batch_top_k`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_top_k(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        n_threads: usize,
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
-        kernel_search_batch_top_k(self, queries, k, n_threads)
     }
 }
 
@@ -3562,24 +3291,14 @@ pub enum CodesDispatch {
 }
 
 impl CodesDispatch {
-    /// Compiles a fresh (uncached) codes-mode snapshot of `array` —
-    /// the single definition of the dispatch rule: shared-LUT arrays
-    /// pack to codes, per-cell (variation) arrays fall back to the
-    /// `f32` plane plan. [`PlanCache::get_or_compile_codes`] applies
-    /// the same rule against its cached slots;
-    /// [`CompiledBankedCodes::compile`] uses this per bank.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compile_snapshot(array: &McamArray) -> Result<CodesDispatch> {
-        Self::compile_snapshot_metric(array, Metric::default())
-    }
-
-    /// [`compile_snapshot`](Self::compile_snapshot) at a chosen
-    /// [`Metric`]. Synthesized (digital) metrics always pack — only the
-    /// conductance metric needs the `f32` plane fallback on per-cell
-    /// (variation) arrays.
+    /// Compiles a fresh (uncached) codes-mode snapshot of `array` at
+    /// `metric` — the single definition of the dispatch rule:
+    /// shared-LUT arrays pack to codes, and so does every synthesized
+    /// (digital) metric; only the conductance metric on per-cell
+    /// (variation) arrays falls back to the `f32` plane plan.
+    /// [`PlanCache::get_or_compile_codes`] applies the same rule
+    /// against its cached slots; [`CompiledBankedCodes::compile`] uses
+    /// this per bank.
     ///
     /// # Errors
     ///
@@ -3630,18 +3349,6 @@ impl CodesDispatch {
         }
     }
 
-    /// Executes one query on the serving engine.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CompiledCodes::search`].
-    pub fn search(&self, query: &[u8]) -> Result<SearchOutcome> {
-        match self {
-            CodesDispatch::Packed(c) => c.search(query),
-            CodesDispatch::Planes(p) => p.search(query),
-        }
-    }
-
     /// Batched execution on the serving engine.
     ///
     /// # Errors
@@ -3649,33 +3356,6 @@ impl CodesDispatch {
     /// Same conditions as [`CompiledCodes::search_batch`].
     pub fn search_batch(&self, queries: &[&[u8]], n_threads: usize) -> Result<Vec<SearchOutcome>> {
         kernel_search_batch(self, queries, n_threads)
-    }
-
-    /// Batched winners on the serving engine.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CompiledCodes::search_batch`].
-    pub fn search_batch_winners(
-        &self,
-        queries: &[&[u8]],
-        n_threads: usize,
-    ) -> Result<Vec<(usize, f64)>> {
-        banked_winner_batch_kernel(&[self], &[0], queries, WinnerSweep::Full, n_threads)
-    }
-
-    /// Batched top-k on the serving engine.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CompiledCodes::search_batch`].
-    pub fn search_batch_top_k(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        n_threads: usize,
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
-        kernel_search_batch_top_k(self, queries, k, n_threads)
     }
 }
 
@@ -4267,11 +3947,25 @@ pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::array::{McamArrayBuilder, VariationSpec};
-    use crate::banked::SearchSpec;
     use crate::levels::LevelLadder;
     use crate::lut::ConductanceLut;
     use femcam_device::FefetModel;
     use proptest::prelude::*;
+
+    /// One query through a plan's explicit-snapshot batch entry, on one
+    /// worker.
+    fn search_one<K: BlockKernel>(plan: &K, query: &[u8]) -> Result<SearchOutcome> {
+        kernel_search_batch(plan, &[query], 1).map(|mut o| o.remove(0))
+    }
+
+    /// Each query's winner on one flat plan: the one-bank banked merge.
+    fn flat_winners<K: BlockKernel>(
+        plan: &K,
+        queries: &[&[u8]],
+        n_threads: usize,
+    ) -> Result<Vec<(usize, f64)>> {
+        banked_winner_batch_kernel(&[plan], &[0], queries, WinnerSweep::Full, n_threads)
+    }
 
     fn array_with_rows(word_len: usize, rows: &[Vec<u8>]) -> McamArray {
         let ladder = LevelLadder::new(3).unwrap();
@@ -4292,7 +3986,7 @@ mod tests {
         let plan: CompiledMcam = CompiledMcam::compile(&a).unwrap();
         for q in [[0u8, 1, 2, 3, 4, 5], [7, 7, 0, 0, 3, 3], [2, 2, 2, 2, 2, 2]] {
             let scalar = a.search(&q).unwrap();
-            let compiled = plan.search(&q).unwrap();
+            let compiled = search_one(&plan, &q).unwrap();
             assert_eq!(scalar.conductances(), compiled.conductances());
         }
     }
@@ -4386,7 +4080,7 @@ mod tests {
         let q = [4u8, 0, 6, 2, 7];
         assert_eq!(
             a.search(&q).unwrap().conductances(),
-            plan.search(&q).unwrap().conductances(),
+            search_one(&plan, &q).unwrap().conductances(),
         );
     }
 
@@ -4397,7 +4091,7 @@ mod tests {
         a.store(&[7, 7]).unwrap();
         assert_eq!(plan.n_rows(), 1);
         assert_eq!(a.n_rows(), 2);
-        assert_eq!(plan.search(&[7, 7]).unwrap().conductances().len(), 1);
+        assert_eq!(search_one(&plan, &[7, 7]).unwrap().conductances().len(), 1);
     }
 
     #[test]
@@ -4405,14 +4099,14 @@ mod tests {
         let a = array_with_rows(3, &[vec![1, 2, 3]]);
         let plan: CompiledMcam = CompiledMcam::compile(&a).unwrap();
         assert!(matches!(
-            plan.search(&[1, 2]),
+            search_one(&plan, &[1, 2]),
             Err(CoreError::WordLengthMismatch {
                 expected: 3,
                 actual: 2
             })
         ));
         assert!(matches!(
-            plan.search(&[1, 2, 9]),
+            search_one(&plan, &[1, 2, 9]),
             Err(CoreError::LevelOutOfRange { level: 9, max: 7 })
         ));
         let empty = McamArray::new(
@@ -4423,28 +4117,6 @@ mod tests {
         assert!(matches!(
             CompiledMcam::<f64>::compile(&empty),
             Err(CoreError::EmptyArray)
-        ));
-    }
-
-    #[test]
-    fn row_sharded_search_matches_inline_search() {
-        let rows: Vec<Vec<u8>> = (0..53)
-            .map(|i| (0..4).map(|c| ((i * 7 + c) % 8) as u8).collect())
-            .collect();
-        let a = array_with_rows(4, &rows);
-        let plan: CompiledMcam = CompiledMcam::compile(&a).unwrap();
-        let q = [3u8, 1, 4, 1];
-        let mut inline = vec![0.0; plan.n_rows()];
-        plan.search_into(&q, 1, &mut inline).unwrap();
-        for threads in [2, 3, 7, 64] {
-            let mut sharded = vec![0.0; plan.n_rows()];
-            plan.search_into(&q, threads, &mut sharded).unwrap();
-            assert_eq!(inline, sharded, "threads={threads}");
-        }
-        let mut wrong_len = vec![0.0; plan.n_rows() + 1];
-        assert!(matches!(
-            plan.search_into(&q, 1, &mut wrong_len),
-            Err(CoreError::DimensionMismatch { .. })
         ));
     }
 
@@ -4478,8 +4150,8 @@ mod tests {
             .collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         let outcomes = plan.search_batch(&refs, 3).unwrap();
-        let winners = plan.search_batch_winners(&refs, 3).unwrap();
-        let top3 = plan.search_batch_top_k(&refs, 3, 3).unwrap();
+        let winners = flat_winners(&plan, &refs, 3).unwrap();
+        let top3 = kernel_search_batch_top_k(&plan, &refs, 3, 3).unwrap();
         for ((outcome, &(row, g)), hits) in outcomes.iter().zip(&winners).zip(&top3) {
             assert_eq!(row, outcome.best_row());
             assert_eq!(g, outcome.conductance(row));
@@ -4503,12 +4175,12 @@ mod tests {
         assert_eq!(plan32.precision(), Precision::F32);
         for (i, row) in rows.iter().enumerate().take(8) {
             // Exact-match queries have an unambiguous winner.
-            assert_eq!(plan32.search(row).unwrap().best_row(), i);
-            assert_eq!(plan64.search(row).unwrap().best_row(), i);
+            assert_eq!(search_one(&plan32, row).unwrap().best_row(), i);
+            assert_eq!(search_one(&plan64, row).unwrap().best_row(), i);
         }
         // And f32 conductances are close to the f64 reference.
-        let o64 = plan64.search(&rows[0]).unwrap();
-        let o32 = plan32.search(&rows[0]).unwrap();
+        let o64 = search_one(&plan64, &rows[0]).unwrap();
+        let o32 = search_one(&plan32, &rows[0]).unwrap();
         for (a, b) in o64.conductances().iter().zip(o32.conductances()) {
             assert!((a - b).abs() / a < 1e-5, "f32 drifted: {a} vs {b}");
         }
@@ -4517,16 +4189,16 @@ mod tests {
     #[test]
     fn plan_cache_compiles_once_and_invalidates() {
         let mut a = array_with_rows(2, &[vec![0, 0], vec![7, 7]]);
-        let p1 = a.compiled().unwrap();
-        let p2 = a.compiled().unwrap();
+        let p1 = a.cached_plan::<f64>(Metric::default()).unwrap();
+        let p2 = a.cached_plan::<f64>(Metric::default()).unwrap();
         assert!(Arc::ptr_eq(&p1, &p2), "cache must return the same plan");
-        let f1 = a.compiled_f32().unwrap();
+        let f1 = a.cached_plan::<f32>(Metric::default()).unwrap();
         assert_eq!(f1.precision(), Precision::F32);
         a.store(&[3, 3]).unwrap();
-        let p3 = a.compiled().unwrap();
+        let p3 = a.cached_plan::<f64>(Metric::default()).unwrap();
         assert!(!Arc::ptr_eq(&p1, &p3), "store must invalidate the cache");
         assert_eq!(p3.n_rows(), 3);
-        let f2 = a.compiled_f32().unwrap();
+        let f2 = a.cached_plan::<f32>(Metric::default()).unwrap();
         assert!(!Arc::ptr_eq(&f1, &f2));
         assert_eq!(f2.n_rows(), 3);
     }
@@ -4549,8 +4221,8 @@ mod tests {
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         for q in &refs {
             assert_eq!(
-                codes.search(q).unwrap().conductances(),
-                plan32.search(q).unwrap().conductances(),
+                search_one(&codes, q).unwrap().conductances(),
+                search_one(&plan32, q).unwrap().conductances(),
                 "codes single-query result drifted from f32"
             );
         }
@@ -4560,12 +4232,12 @@ mod tests {
             assert_eq!(c.conductances(), f.conductances());
         }
         assert_eq!(
-            codes.search_batch_winners(&refs, 2).unwrap(),
-            plan32.search_batch_winners(&refs, 2).unwrap(),
+            flat_winners(&codes, &refs, 2).unwrap(),
+            flat_winners(&plan32, &refs, 2).unwrap(),
         );
         assert_eq!(
-            codes.search_batch_top_k(&refs, 4, 2).unwrap(),
-            plan32.search_batch_top_k(&refs, 4, 2).unwrap(),
+            kernel_search_batch_top_k(&codes, &refs, 4, 2).unwrap(),
+            kernel_search_batch_top_k(&plan32, &refs, 4, 2).unwrap(),
         );
     }
 
@@ -4590,16 +4262,19 @@ mod tests {
             Err(CoreError::PerCellBank)
         ));
         // The cached dispatch falls back to planes instead of failing.
-        let dispatch = varied.compiled_codes().unwrap();
+        let dispatch = varied.compiled_codes(Metric::default()).unwrap();
         assert!(!dispatch.is_packed());
         assert_eq!(
-            dispatch.search(&[1, 2, 3, 4]).unwrap().conductances(),
-            varied
-                .compiled_f32()
-                .unwrap()
-                .search(&[1, 2, 3, 4])
-                .unwrap()
-                .conductances(),
+            search_one(&dispatch, &[1, 2, 3, 4]).unwrap().conductances(),
+            search_one(
+                varied
+                    .cached_plan::<f32>(Metric::default())
+                    .unwrap()
+                    .as_ref(),
+                &[1, 2, 3, 4]
+            )
+            .unwrap()
+            .conductances(),
         );
         let empty = McamArray::new(ladder, lut, 4);
         assert!(matches!(
@@ -4610,14 +4285,14 @@ mod tests {
         let a = array_with_rows(3, &[vec![1, 2, 3]]);
         let codes = CompiledCodes::compile(&a).unwrap();
         assert!(matches!(
-            codes.search(&[1, 2]),
+            search_one(&codes, &[1, 2]),
             Err(CoreError::WordLengthMismatch {
                 expected: 3,
                 actual: 2
             })
         ));
         assert!(matches!(
-            codes.search(&[1, 2, 9]),
+            search_one(&codes, &[1, 2, 9]),
             Err(CoreError::LevelOutOfRange { level: 9, max: 7 })
         ));
     }
@@ -4629,9 +4304,9 @@ mod tests {
             .collect();
         let mut a = array_with_rows(8, &rows);
         assert_eq!(a.plan_memory_bytes().total(), 0, "cold cache holds nothing");
-        let p64 = a.compiled().unwrap();
-        let p32 = a.compiled_f32().unwrap();
-        let codes = a.compiled_codes().unwrap();
+        let p64 = a.cached_plan::<f64>(Metric::default()).unwrap();
+        let p32 = a.cached_plan::<f32>(Metric::default()).unwrap();
+        let codes = a.compiled_codes(Metric::default()).unwrap();
         assert!(codes.is_packed());
         // Exact byte formulas: planes are n_levels*wl*rows scalars,
         // codes are wl*rows bytes plus the padded f32 LUT.
@@ -4650,7 +4325,7 @@ mod tests {
         );
         // The codes slot caches (same engine back) and invalidates on
         // store like the plane slots.
-        let codes2 = a.compiled_codes().unwrap();
+        let codes2 = a.compiled_codes(Metric::default()).unwrap();
         match (&codes, &codes2) {
             (CodesDispatch::Packed(x), CodesDispatch::Packed(y)) => {
                 assert!(Arc::ptr_eq(x, y), "cache must return the same codes plan");
@@ -4663,7 +4338,7 @@ mod tests {
             0,
             "store must clear all slots"
         );
-        let codes3 = a.compiled_codes().unwrap();
+        let codes3 = a.compiled_codes(Metric::default()).unwrap();
         assert_eq!(codes3.n_rows(), 65);
     }
 
@@ -4675,7 +4350,7 @@ mod tests {
         assert_eq!(CODES_COMPILE_THRESHOLD, 1);
         let a = array_with_rows(2, &[vec![0, 0], vec![7, 7]]);
         assert_eq!(a.plan_memory_bytes().codes, 0);
-        let _ = a.search_with(&[0, 0], Precision::Codes).unwrap();
+        let _ = a.search_batch_with(&[&[0, 0]], Precision::Codes).unwrap();
         assert!(
             a.plan_memory_bytes().codes > 0,
             "lone query must compile the codes plan"
@@ -4729,12 +4404,12 @@ mod tests {
             ($plan:expr, $refs:expr) => {{
                 let (plan, refs): (_, &[&[u8]]) = ($plan, $refs);
                 let singles: Vec<SearchOutcome> =
-                    refs.iter().map(|q| plan.search(q).unwrap()).collect();
-                let top = plan.search_batch_top_k(refs, 5, 1).unwrap();
+                    refs.iter().map(|q| search_one(plan, q).unwrap()).collect();
+                let top = kernel_search_batch_top_k(plan, refs, 5, 1).unwrap();
                 (
                     outcome_bits(&singles),
                     outcome_bits(&plan.search_batch(refs, 1).unwrap()),
-                    hit_bits(&plan.search_batch_winners(refs, 1).unwrap()),
+                    hit_bits(&flat_winners(plan, refs, 1).unwrap()),
                     top.iter().map(|hits| hit_bits(hits)).collect::<Vec<_>>(),
                 )
             }};

@@ -86,14 +86,14 @@ pub mod tcam;
 
 pub use acam::{AcamArray, AcamCell};
 pub use array::{McamArray, McamArrayBuilder, MlTiming, SearchOutcome, SenseAmp, VariationSpec};
-pub use banked::{BankedMcam, SearchSpec};
+pub use banked::BankedMcam;
 pub use cell::McamCell;
 pub use distance::{Cosine, Distance, DistanceKind, Euclidean, Linf, Manhattan, McamSoftware};
 pub use engines::{accuracy, classify_knn, McamNn, NnIndex, QueryResult, SoftwareNn, TcamLshNn};
 pub use error::CoreError;
 pub use exec::{
     top_k_indices, CodesDispatch, CompiledBanked, CompiledBankedCodes, CompiledCodes, CompiledMcam,
-    Metric, PlanCache, PlanMemoryBytes, PlaneScalar, Precision, N_METRICS,
+    Metric, PlanCache, PlanMemoryBytes, PlaneScalar, Precision, SearchSpec, N_METRICS,
 };
 pub use experiment::{measured_lut, ExperimentConfig};
 pub use levels::LevelLadder;

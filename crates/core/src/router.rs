@@ -56,9 +56,9 @@ use std::collections::{BTreeMap, HashMap};
 
 use femcam_lsh::RandomHyperplanes;
 
-use crate::banked::{BankedMcam, SearchSpec};
+use crate::banked::BankedMcam;
 use crate::error::CoreError;
-use crate::exec;
+use crate::exec::{self, SearchSpec};
 use crate::levels::LevelLadder;
 use crate::lut::ConductanceLut;
 use crate::par;

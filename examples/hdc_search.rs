@@ -89,7 +89,7 @@ fn main() -> femcam_core::Result<()> {
         .fold(0.0f32, |m, &v| m.max(v.abs()));
 
     // --- Evaluate both memories --------------------------------------
-    // The MCAM side batches the whole test set into one search_batch
+    // The MCAM side batches the whole test set into one search_batch_with
     // call: the array compiles a plane-major plan once and executes
     // every query through the parallel executor.
     let mut correct_tcam = 0usize;
@@ -105,7 +105,8 @@ fn main() -> femcam_core::Result<()> {
         let qvec: Vec<f32> = sig.iter().map(|b| if b { scale } else { -scale }).collect();
         mcam_queries.push(quantizer.quantize(&qvec)?);
     }
-    let outcomes = mcam.search_batch(mcam_queries.iter().map(|q| q.as_slice()))?;
+    let refs: Vec<&[u8]> = mcam_queries.iter().map(|q| q.as_slice()).collect();
+    let outcomes = mcam.search_batch_with(&refs, Precision::F64)?;
     let correct_mcam = outcomes
         .iter()
         .zip(test.labels())

@@ -83,7 +83,8 @@ fn main() -> femcam_core::Result<()> {
         .iter()
         .map(|v| quantizer.quantize(v))
         .collect::<femcam_core::Result<_>>()?;
-    let outcomes = array.search_batch(levels.iter().map(|l| l.as_slice()))?;
+    let level_refs: Vec<&[u8]> = levels.iter().map(|l| l.as_slice()).collect();
+    let outcomes = array.search_batch_with(&level_refs, Precision::F64)?;
     println!();
     for (i, o) in outcomes.iter().enumerate() {
         println!("batched query {i} -> nearest row {}", o.best_row());
@@ -94,7 +95,6 @@ fn main() -> femcam_core::Result<()> {
     //    level code per cell plus the shared LUT in f32 — bit-identical
     //    to the f32 plane kernel on shared-LUT arrays like this one, at
     //    a fraction of the resident plan memory.
-    let level_refs: Vec<&[u8]> = levels.iter().map(|l| l.as_slice()).collect();
     let codes_outcomes = array.search_batch_with(&level_refs, Precision::Codes)?;
     let f32_outcomes = array.search_batch_with(&level_refs, Precision::F32)?;
     for (c, f) in codes_outcomes.iter().zip(&f32_outcomes) {
@@ -118,14 +118,17 @@ fn main() -> femcam_core::Result<()> {
     //    read stored level codes, so they are exact at every precision)
     //    and reuse the same compiled kernels; L-infinity swaps the sum
     //    fold for a max fold. Same array, no re-programming.
-    let probe = &level_refs[1];
+    let probe = &level_refs[1..2];
     for metric in Metric::ALL {
-        let o = array.search_with_metric(probe, Precision::Codes, metric)?;
+        let spec = SearchSpec {
+            precision: Precision::Codes,
+            metric,
+            ..SearchSpec::default()
+        };
+        let (row, score) = array.search_batch_winners_with(probe, spec)?[0];
         println!(
-            "metric {:>7}: nearest row {} (score {:.3e})",
-            metric.name(),
-            o.best_row(),
-            o.conductance(o.best_row())
+            "metric {:>7}: nearest row {row} (score {score:.3e})",
+            metric.name()
         );
     }
     //    The engine knob: `McamNn::set_metric` reconfigures a live

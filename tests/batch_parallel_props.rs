@@ -4,8 +4,8 @@
 //! sizes, thread counts, and device variation on/off.
 //!
 //! These are the determinism guarantees documented in
-//! `femcam_core::exec`: sharding happens only across rows, queries, and
-//! banks — never inside one row's column-order fold — so equality below
+//! `femcam_core::exec`: sharding happens only across queries and banks
+//! — never inside one row's column-order fold — so equality below
 //! is exact (`==` on `f64`), not approximate.
 
 use proptest::prelude::*;
@@ -47,7 +47,7 @@ fn varied_array(bits: u8, word_len: usize, rows: &[Vec<u8>], sigma: f64, seed: u
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Compiled single-query search is bit-identical to the scalar
+    /// A compiled query (a batch of one) is bit-identical to the scalar
     /// reference for every ladder width, word length, and row set —
     /// with and without device variation.
     #[test]
@@ -74,13 +74,13 @@ proptest! {
         for salt in [101usize, 202, 303] {
             let q = gen_word(salt);
             let scalar = array.search(&q).expect("scalar search");
-            let compiled = plan.search(&q).expect("compiled search");
-            prop_assert_eq!(scalar.conductances(), compiled.conductances());
+            let compiled = plan.search_batch(&[&q[..]], 1).expect("compiled search");
+            prop_assert_eq!(scalar.conductances(), compiled[0].conductances());
         }
     }
 
-    /// Row-sharded execution is bit-identical for every thread count,
-    /// and batched execution preserves query order.
+    /// Batched execution is bit-identical for every thread count and
+    /// preserves query order.
     #[test]
     fn sharded_and_batched_equal_scalar(
         word_len in 1usize..6,
@@ -100,13 +100,9 @@ proptest! {
         for (q, outcome) in refs.iter().zip(&batched) {
             let scalar = array.search(q).expect("scalar");
             prop_assert_eq!(scalar.conductances(), outcome.conductances());
-            // Explicit row sharding at this thread count too.
-            let mut sharded = vec![0.0; plan.n_rows()];
-            plan.search_into(q, threads, &mut sharded).expect("sharded");
-            prop_assert_eq!(scalar.conductances(), &sharded[..]);
         }
         // The array-level batch front door agrees as well.
-        let front = array.search_batch(refs.iter().copied()).expect("front");
+        let front = array.search_batch_with(&refs, Precision::F64).expect("front");
         for (a, b) in front.iter().zip(&batched) {
             prop_assert_eq!(a.conductances(), b.conductances());
         }

@@ -106,6 +106,36 @@ fn nonempty_array_and_banked_accept_empty_batches() {
         .search_batch_winners_with(&[], Precision::F64)
         .unwrap()
         .is_empty());
+    // A flat array has no banks: a bank mask is a typed usage error on
+    // every spec'd entry, for an empty batch and a real one alike.
+    let query: &[u8] = &[1, 2, 3, 4];
+    for precision in PRECISIONS {
+        let masked = SearchSpec {
+            precision,
+            banks: Some(&[0]),
+            ..SearchSpec::default()
+        };
+        for batch in [&[][..], &[query][..]] {
+            let bank_mask = |e: &CoreError| {
+                matches!(
+                    e,
+                    CoreError::InvalidParameter {
+                        name: "bank mask",
+                        ..
+                    }
+                )
+            };
+            assert!(bank_mask(
+                &array.search_batch_with(batch, masked).unwrap_err()
+            ));
+            assert!(bank_mask(
+                &array.search_batch_winners_with(batch, masked).unwrap_err()
+            ));
+            assert!(bank_mask(
+                &array.search_batch_top_k_with(batch, 3, masked).unwrap_err()
+            ));
+        }
+    }
 }
 
 /// The engine lineup the cross-engine contracts quantify over: FP32
@@ -277,8 +307,11 @@ proptest! {
 
         for precision in PRECISIONS {
             // Flat cached plans: full outcome and winners paths.
-            let outcome = array.search_with(&query, precision).expect("search_with");
-            prop_assert_eq!(outcome.best_row(), expected, "search_with {:?}", precision);
+            let outcome = array
+                .search_batch_with(&[&query[..]], precision)
+                .expect("search_batch_with")
+                .remove(0);
+            prop_assert_eq!(outcome.best_row(), expected, "search_batch_with {:?}", precision);
             let winners = array
                 .search_batch_winners_with(&[&query, &query], precision)
                 .expect("winners");

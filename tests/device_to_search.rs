@@ -209,8 +209,9 @@ fn batch_search_matches_individual_searches() {
     array.store(&[0, 1, 2, 3]).expect("store");
     array.store(&[7, 6, 5, 4]).expect("store");
     let queries: Vec<Vec<u8>> = vec![vec![0, 1, 2, 3], vec![7, 7, 5, 4], vec![3, 3, 3, 3]];
+    let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
     let batch = array
-        .search_batch(queries.iter().map(|q| q.as_slice()))
+        .search_batch_with(&refs, Precision::F64)
         .expect("batch");
     for (q, outcome) in queries.iter().zip(&batch) {
         assert_eq!(outcome, &array.search(q).expect("single"));

@@ -64,6 +64,15 @@ fn gen_word(word_len: usize, n_levels: usize, seed: u64, salt: usize) -> Vec<u8>
         .collect()
 }
 
+/// The flat search spec at `precision` and `metric`.
+fn spec_at(precision: Precision, metric: Metric) -> SearchSpec<'static> {
+    SearchSpec {
+        precision,
+        metric,
+        ..SearchSpec::default()
+    }
+}
+
 /// The oracle's winner under the universal lowest-row tie-break.
 fn oracle_winner(outcome: &SearchOutcome) -> (usize, f64) {
     let best = outcome.best_row();
@@ -77,7 +86,7 @@ proptest! {
     /// cold-cache scalar fallback — is bit-identical to the scalar
     /// per-metric oracle, with and without device variation. This is
     /// the acceptance anchor for the L∞ max-reduce kernel: its plan
-    /// goes through the same `cached_plan_metric` compile as the sum
+    /// goes through the same `cached_plan` compile as the sum
     /// folds.
     #[test]
     fn f64_metric_plans_match_scalar_oracle(
@@ -95,16 +104,17 @@ proptest! {
         for metric in Metric::ALL {
             // Force the compiled plan (a lone cached search may take
             // the documented cold-cache scalar fallback).
-            let plan = array.cached_plan_metric::<f64>(metric).expect("f64 plan");
+            let plan = array.cached_plan::<f64>(metric).expect("f64 plan");
             for salt in [401usize, 502, 603] {
                 let q = gen_word(word_len, n_levels, seed, salt);
-                let compiled = plan.search(&q).expect("compiled search");
+                let compiled = plan.search_batch(&[&q[..]], 1).expect("compiled search").remove(0);
                 let oracle = array.search_metric(&q, metric).expect("oracle");
                 prop_assert_eq!(compiled.conductances(), oracle.conductances());
                 // The warm cached front door now serves the same plan.
                 let cached = array
-                    .search_with_metric(&q, Precision::F64, metric)
-                    .expect("cached");
+                    .search_batch_with(&[&q[..]], spec_at(Precision::F64, metric))
+                    .expect("cached")
+                    .remove(0);
                 prop_assert_eq!(cached.conductances(), oracle.conductances());
             }
         }
@@ -132,7 +142,7 @@ proptest! {
             (0..4).map(|s| gen_word(word_len, n_levels, seed, 800 + s)).collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         for metric in SYNTHESIZED {
-            let dispatch = array.compiled_codes_metric(metric).expect("codes dispatch");
+            let dispatch = array.compiled_codes(metric).expect("codes dispatch");
             prop_assert!(
                 dispatch.is_packed(),
                 "synthesized {} must pack even under variation",
@@ -145,24 +155,25 @@ proptest! {
             for precision in PRECISIONS {
                 for (q, oracle) in refs.iter().zip(&oracles) {
                     let got = array
-                        .search_with_metric(q, precision, metric)
-                        .expect("search");
+                        .search_batch_with(&[*q], spec_at(precision, metric))
+                        .expect("search")
+                        .remove(0);
                     prop_assert_eq!(got.conductances(), oracle.conductances());
                 }
                 let batch = array
-                    .search_batch_with_metric(&refs, precision, metric)
+                    .search_batch_with(&refs, spec_at(precision, metric))
                     .expect("batch");
                 for (got, oracle) in batch.iter().zip(&oracles) {
                     prop_assert_eq!(got.conductances(), oracle.conductances());
                 }
                 let winners = array
-                    .search_batch_winners_with_metric(&refs, precision, metric)
+                    .search_batch_winners_with(&refs, spec_at(precision, metric))
                     .expect("winners");
                 for (got, oracle) in winners.iter().zip(&oracles) {
                     prop_assert_eq!(*got, oracle_winner(oracle));
                 }
                 let topk = array
-                    .search_batch_top_k_with_metric(&refs, k, precision, metric)
+                    .search_batch_top_k_with(&refs, k, spec_at(precision, metric))
                     .expect("top k");
                 for (got, oracle) in topk.iter().zip(&oracles) {
                     let want: Vec<(usize, f64)> = oracle
@@ -196,17 +207,17 @@ proptest! {
             (0..3).map(|s| gen_word(word_len, n_levels, seed, 700 + s)).collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         for metric in Metric::ALL {
-            let dispatch = array.compiled_codes_metric(metric).expect("dispatch");
+            let dispatch = array.compiled_codes(metric).expect("dispatch");
             if metric == Metric::McamConductance && with_variation {
                 prop_assert!(!dispatch.is_packed(), "variation conductance must fall back");
             } else {
                 prop_assert!(dispatch.is_packed());
             }
             let bc = array
-                .search_batch_with_metric(&refs, Precision::Codes, metric)
+                .search_batch_with(&refs, spec_at(Precision::Codes, metric))
                 .expect("codes batch");
             let bf = array
-                .search_batch_with_metric(&refs, Precision::F32, metric)
+                .search_batch_with(&refs, spec_at(Precision::F32, metric))
                 .expect("f32 batch");
             for (c, f) in bc.iter().zip(&bf) {
                 prop_assert_eq!(c.conductances(), f.conductances());
@@ -253,7 +264,7 @@ proptest! {
                 // the path is bit-identical to the f64 oracle.
                 let exact = precision == Precision::F64 || metric != Metric::McamConductance;
                 let winners = array
-                    .search_batch_winners_with_metric(&[&q], precision, metric)
+                    .search_batch_winners_with(&[&q], spec_at(precision, metric))
                     .expect("winners");
                 prop_assert!(winners[0].0 < n_uniques, "tie must break to the first copy");
                 if exact {
@@ -309,7 +320,7 @@ proptest! {
         for metric in Metric::ALL {
             for precision in PRECISIONS {
                 array
-                    .search_batch_with_metric(&[&warm], precision, metric)
+                    .search_batch_with(&[&warm], spec_at(precision, metric))
                     .expect("warm");
             }
         }
@@ -324,8 +335,9 @@ proptest! {
                 // exercised at multiple steps of the interleaving.
                 let precision = PRECISIONS[(step + i) % PRECISIONS.len()];
                 let cached = array
-                    .search_with_metric(&q, precision, metric)
-                    .expect("cached");
+                    .search_batch_with(&[&q[..]], spec_at(precision, metric))
+                    .expect("cached")
+                    .remove(0);
                 prop_assert_eq!(cached.conductances().len(), step + 2);
                 if precision == Precision::F64 || metric != Metric::McamConductance {
                     prop_assert_eq!(cached.conductances(), oracle.conductances());
@@ -334,8 +346,9 @@ proptest! {
                 // under every synthesized metric.
                 if metric != Metric::McamConductance {
                     let hit = array
-                        .search_with_metric(&new_row, precision, metric)
-                        .expect("self hit");
+                        .search_batch_with(&[&new_row[..]], spec_at(precision, metric))
+                        .expect("self hit")
+                        .remove(0);
                     prop_assert_eq!(hit.conductance(hit.best_row()), 0.0);
                 }
             }

@@ -77,12 +77,12 @@ proptest! {
             (0..n_rows).map(|i| gen_word(word_len, n_levels, seed, i)).collect();
         let sigma = if with_variation { 0.06 } else { 0.0 };
         let array = build_array(bits, word_len, &rows, sigma, seed);
-        let plan64 = array.compiled().expect("f64 plan");
-        let plan32 = array.compiled_f32().expect("f32 plan");
+        let plan64 = array.cached_plan::<f64>(Metric::default()).expect("f64 plan");
+        let plan32 = array.cached_plan::<f32>(Metric::default()).expect("f32 plan");
         for salt in [501usize, 602, 703] {
             let q = gen_word(word_len, n_levels, seed, salt);
-            let o64 = plan64.search(&q).expect("f64 search");
-            let o32 = plan32.search(&q).expect("f32 search");
+            let o64 = plan64.search_batch(&[&q[..]], 1).expect("f64 search").remove(0);
+            let o32 = plan32.search_batch(&[&q[..]], 1).expect("f32 search").remove(0);
             let w64 = o64.best_row();
             let w32 = o32.best_row();
             if w64 != w32 {
@@ -119,11 +119,11 @@ proptest! {
             (0..n_rows).map(|i| gen_word(word_len, n_levels, seed, i * 3 + 1)).collect();
         let sigma = if with_variation { 0.09 } else { 0.0 };
         let array = build_array(bits, word_len, &rows, sigma, seed ^ 0x5EED);
-        let plan64 = array.compiled().expect("f64 plan");
-        let plan32 = array.compiled_f32().expect("f32 plan");
+        let plan64 = array.cached_plan::<f64>(Metric::default()).expect("f64 plan");
+        let plan32 = array.cached_plan::<f32>(Metric::default()).expect("f32 plan");
         let q = gen_word(word_len, n_levels, seed, 999);
-        let o64 = plan64.search(&q).expect("f64 search");
-        let o32 = plan32.search(&q).expect("f32 search");
+        let o64 = plan64.search_batch(&[&q[..]], 1).expect("f64 search").remove(0);
+        let o32 = plan32.search_batch(&[&q[..]], 1).expect("f32 search").remove(0);
         let top64 = o64.top_k(k);
         let top32 = o32.top_k(k);
         prop_assert_eq!(top64.len(), top32.len());
@@ -154,15 +154,15 @@ proptest! {
         let rows: Vec<Vec<u8>> =
             (0..n_rows).map(|i| gen_word(word_len, n_levels, seed, i)).collect();
         let array = build_array(bits, word_len, &rows, 0.0, seed);
-        let dispatch = array.compiled_codes().expect("codes plan");
+        let dispatch = array.compiled_codes(Metric::default()).expect("codes plan");
         prop_assert!(dispatch.is_packed(), "shared-LUT array must use the packed kernel");
-        let plan32 = array.compiled_f32().expect("f32 plan");
+        let plan32 = array.cached_plan::<f32>(Metric::default()).expect("f32 plan");
         let queries: Vec<Vec<u8>> =
             (0..4).map(|s| gen_word(word_len, n_levels, seed, 800 + s)).collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         for q in &refs {
-            let oc = dispatch.search(q).expect("codes search");
-            let of = plan32.search(q).expect("f32 search");
+            let oc = dispatch.search_batch(&[*q], 1).expect("codes search").remove(0);
+            let of = plan32.search_batch(&[*q], 1).expect("f32 search").remove(0);
             prop_assert_eq!(oc.conductances(), of.conductances());
         }
         // Cached array front doors, all three batched shapes.
@@ -195,7 +195,7 @@ proptest! {
         let rows: Vec<Vec<u8>> =
             (0..n_rows).map(|i| gen_word(word_len, n_levels, seed, i * 2 + 1)).collect();
         let array = build_array(bits, word_len, &rows, 0.07, seed ^ 0xC0DE5);
-        let dispatch = array.compiled_codes().expect("codes dispatch");
+        let dispatch = array.compiled_codes(Metric::default()).expect("codes dispatch");
         prop_assert!(!dispatch.is_packed(), "variation array must fall back to planes");
         let queries: Vec<Vec<u8>> =
             (0..3).map(|s| gen_word(word_len, n_levels, seed, 700 + s)).collect();
@@ -205,8 +205,8 @@ proptest! {
         for (c, f) in bc.iter().zip(&bf) {
             prop_assert_eq!(c.conductances(), f.conductances());
         }
-        let single_codes = array.search_with(&queries[0], Precision::Codes).expect("codes");
-        let single_f32 = array.search_with(&queries[0], Precision::F32).expect("f32");
+        let single_codes = array.search_batch_with(&[&queries[0][..]], Precision::Codes).expect("codes").remove(0);
+        let single_f32 = array.search_batch_with(&[&queries[0][..]], Precision::F32).expect("f32").remove(0);
         prop_assert_eq!(single_codes.conductances(), single_f32.conductances());
     }
 
@@ -230,8 +230,9 @@ proptest! {
             flat.store(&word).expect("store flat");
             // Flat: the cached codes plan reflects every store.
             let outcome = flat
-                .search_with(&word, Precision::Codes)
-                .expect("flat codes");
+                .search_batch_with(&[&word[..]], Precision::Codes)
+                .expect("flat codes")
+                .remove(0);
             prop_assert_eq!(outcome.conductances().len(), step + 1);
             // The row just stored is an exact match on a nominal
             // array, so it ties the winning conductance.
@@ -301,9 +302,14 @@ proptest! {
             let q = gen_word(word_len, n_levels, seed, batch * 7 + 2);
             // Cached path, scalar reference, and explicit fresh compile
             // must agree bitwise — and see every stored row.
-            let cached = array.search_with(&q, Precision::F64).expect("cached");
+            let cached = array.search_batch_with(&[&q[..]], Precision::F64).expect("cached").remove(0);
             let scalar = array.search(&q).expect("scalar");
-            let fresh = array.compile().expect("fresh").search(&q).expect("fresh search");
+            let fresh = array
+                .compile()
+                .expect("fresh")
+                .search_batch(&[&q[..]], 1)
+                .expect("fresh search")
+                .remove(0);
             prop_assert_eq!(cached.conductances(), scalar.conductances());
             prop_assert_eq!(fresh.conductances(), scalar.conductances());
             prop_assert_eq!(cached.conductances().len(), batch + 2);
@@ -311,7 +317,7 @@ proptest! {
             // nominal array the exact match minimizes conductance, so
             // the winner's conductance equals the new row's; variation
             // arrays only guarantee visibility, asserted above).
-            let hit = array.search_with(&new_row, Precision::F64).expect("hit");
+            let hit = array.search_batch_with(&[&new_row[..]], Precision::F64).expect("hit").remove(0);
             let stored_at = batch + 1;
             if !with_variation {
                 prop_assert_eq!(
@@ -320,7 +326,7 @@ proptest! {
                 );
             }
             // The f32 cache tracks the same contents.
-            let hit32 = array.search_with(&new_row, Precision::F32).expect("hit32");
+            let hit32 = array.search_batch_with(&[&new_row[..]], Precision::F32).expect("hit32").remove(0);
             prop_assert_eq!(hit32.conductances().len(), batch + 2);
         }
     }

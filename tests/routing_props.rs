@@ -118,14 +118,18 @@ proptest! {
             .search_batch_winners_with(&[&query[..]], masked)
             .map(|w| w[0])
             .expect("masked");
-        // Reference fold over per-bank outcomes (search_all_banks runs
-        // the compiled per-bank path).
-        let outcomes = memory.search_all_banks(&query).expect("all banks");
+        // Reference fold of the scalar oracle over each masked bank's
+        // rows, rebuilt from `BankedMcam::row`: the reference never
+        // runs a compiled plan.
         let mut best: Option<(usize, f64)> = None;
         for &b in &banks {
-            let o = &outcomes[b];
+            let base = b * rows_per_bank;
+            let mut bank = McamArray::new(*memory.ladder(), memory.lut().clone(), word_len);
+            bank.store_all((0..rows_per_bank).map_while(|local| memory.row(base + local)))
+                .expect("rebuild bank");
+            let o = bank.search(&query).expect("scalar bank");
             let local = o.best_row();
-            let cand = (b * rows_per_bank + local, o.conductance(local));
+            let cand = (base + local, o.conductance(local));
             if best.is_none_or(|(_, bg)| cand.1 < bg) {
                 best = Some(cand);
             }
