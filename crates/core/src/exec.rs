@@ -175,9 +175,12 @@
 //!   widening: per column one byte shuffle looks the codes up in the
 //!   query level's table and one saturating add (a `max` for L∞) folds
 //!   them in.
-//! - After 8 and after 16 columns, a block whose every row is above 128
-//!   units is skipped: no widening and no `f32` work. Any other block
-//!   runs the bounded `f32` sweep unchanged.
+//! - After 8 columns, a block whose every row is above 128 units is
+//!   skipped: no widening and no `f32` work. After 16, the rows still at
+//!   or below 128 units are the block's *survivors*: a block with none
+//!   is skipped, one with a few is re-ranked row by row (see
+//!   ["Bank bounds and survivor re-rank"](self#bank-bounds-and-survivor-re-rank)),
+//!   and any other block runs the bounded `f32` sweep unchanged.
 //!
 //! Skipping is exact, so answers stay bit-identical:
 //!
@@ -230,8 +233,10 @@
 //!   vector of rows (64 on AVX-512BW, 32 on AVX2) folds its first 16
 //!   columns per query: one byte shuffle and one saturating add (a `max`
 //!   for L∞) per column. Each query keeps the lowest byte sum and the
-//!   first row that has it, in ascending global row order. Rows past a
-//!   bank's last whole vector are never candidates.
+//!   first row that has it, in ascending global row order, and the
+//!   lowest sum within each bank (its bank bound, see below). Every
+//!   query scans every bank, whatever its candidate. Rows past a bank's
+//!   last whole vector are never candidates.
 //! - **Re-rank.** A bank that improved a query's candidate scores that
 //!   row exactly with a scalar fold of the `f32` LUT entries in
 //!   ascending column order from `0.0`. Those are the IEEE operations
@@ -271,6 +276,59 @@
 //! The pass runs only on plans that bound their winners and run the
 //! prefilter; the routed re-rank, top-k, full outcomes, the plane
 //! plans, the scalar tier and `f64` never run it.
+//!
+//! ## Bank bounds and survivor re-rank
+//!
+//! After the candidate pass, most of a near-duplicate query's sweep
+//! used to go on proving that rows the pass had already seen cannot
+//! win. Two exact shortcuts, again the "scan once, then re-rank" shape
+//! of the fast-scan paper, cut that work:
+//!
+//! - **Bank bounds.** The pass also keeps, per query and bank, the least
+//!   prefix byte sum `m` among the bank's rows. With the fixed tables'
+//!   bound `T`, the bank's *bound* is `m · T / 128`. A bank with rows
+//!   past its last whole byte vector, which the pass never scans, has
+//!   bound 0. The full sweep folds a bank only for the queries whose
+//!   bound there is not strictly above their slot's score: it gathers
+//!   those queries and scatters their slots back, as the routed re-rank
+//!   does, and never dispatches a bank no query needs.
+//! - **Survivor re-rank.** A register block with at most four prefilter
+//!   survivors (`RERANK_MAX_SURVIVORS`) is not widened: each survivor
+//!   is scored with the candidate re-rank's scalar fold, in ascending
+//!   row order, and taken with strict `<`. A block with more runs the
+//!   widened `f32` sweep as before. The routed re-rank and served shards
+//!   run the same fold.
+//!
+//! Both keep the answer bit-identical:
+//!
+//! - **The bound is below every score in the bank.** The tables floor
+//!   each entry to whole units of `u = T · (1 + 2⁻¹⁶) / 128`, and
+//!   saturation only under-counts, so every row's 16-cell prefix costs
+//!   at least `m · u`. Entries are nonnegative, so a row's `f32` score
+//!   is at least its prefix sum. Recursive `f32` summation of 16 terms
+//!   loses at most `15 · 2⁻²⁴` relative, far inside the `2⁻¹⁶` margin,
+//!   and the max fold rounds nothing. So every row scores strictly
+//!   above `m · T / 128` when `m > 0`, and at least 0 when `m = 0`. The
+//!   product is exact in `f64` (an 8-bit integer times an `f32`, over a
+//!   power of two).
+//! - **A skipped bank holds nothing the sweep would take.** Its bound is
+//!   strictly above the query's slot score, so every row in it scores
+//!   above that score and loses the sweep's strict `<`. The skip test is
+//!   a strict `>`: a bank whose bound equals the slot score (an exact
+//!   tie at 0 under the digital metrics, say) is still folded. A bank
+//!   with unscanned rows has bound 0 and is never skipped.
+//! - **A re-ranked block ends on its first minimum.** A row that is no
+//!   survivor scores above the bound its prefilter tables were built
+//!   for, which is at least the query's bound, so it could not be taken.
+//!   Each survivor's scalar fold performs the vector fold's IEEE
+//!   operations in the same order (the candidate re-rank's argument),
+//!   and ascending order with strict `<` takes the first row with the
+//!   least score below the bound, exactly as the block sweep does.
+//!
+//! On near-duplicate queries nearly every bank is skipped and the
+//! winner's block usually has one survivor. On uniform random queries
+//! no bank bound reaches the slot score and blocks have many
+//! survivors, so neither shortcut acts.
 //!
 //! Callers pick a mode either statically (`CompiledMcam::<f32>`,
 //! [`CompiledCodes`]) or at run time through the [`Precision`] knob on
@@ -1090,6 +1148,13 @@ const FAST_SCAN_CHECK: usize = 8;
 /// module-level ["Self-seeded sweep"](self#self-seeded-sweep)).
 const CANDIDATE_COLUMNS: usize = 16;
 
+/// Prefilter survivors up to which a register block is re-ranked row by
+/// row with exact scalar scores instead of being widened and swept (the
+/// module-level
+/// ["Bank bounds and survivor re-rank"](self#bank-bounds-and-survivor-re-rank)).
+#[cfg(target_arch = "x86_64")]
+const RERANK_MAX_SURVIVORS: usize = 4;
+
 /// Byte vectors the candidate pass folds together per query: one table
 /// load per column serves them all, and their sums are independent
 /// dependency chains.
@@ -1123,22 +1188,30 @@ fn index_slab(aux: &mut Vec<f32>, len: usize) -> *mut i32 {
     aux.as_mut_ptr().cast::<i32>()
 }
 
-/// `src` (shorter than [`MAX_LANES`]) copied into a zero-padded lane
-/// buffer by at most four fixed-size moves: a variable-length
+/// Copies `src` (shorter than [`MAX_LANES`]) into `dst` of the same
+/// length by at most four fixed-size moves: a variable-length
 /// `copy_from_slice` compiles to a `memcpy` call, paid per column per
 /// tile on every bank whose row count is not a whole number of vectors.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn zero_padded(src: &[u8]) -> [u8; MAX_LANES] {
-    debug_assert!(src.len() < MAX_LANES);
-    let mut padded = [0u8; MAX_LANES];
+fn copy_short<T: Copy>(dst: &mut [T], src: &[T]) {
+    debug_assert!(src.len() < MAX_LANES && dst.len() == src.len());
     let mut at = 0;
     for width in [8, 4, 2, 1] {
         if src.len() & width != 0 {
-            padded[at..at + width].copy_from_slice(&src[at..at + width]);
+            dst[at..at + width].copy_from_slice(&src[at..at + width]);
             at += width;
         }
     }
+}
+
+/// `src` (shorter than [`MAX_LANES`]) copied into a zero-padded lane
+/// buffer ([`copy_short`]).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn zero_padded(src: &[u8]) -> [u8; MAX_LANES] {
+    let mut padded = [0u8; MAX_LANES];
+    copy_short(&mut padded[..src.len()], src);
     padded
 }
 
@@ -1180,11 +1253,29 @@ thread_local! {
     /// Vector-columns the bounded sweep scored on this thread, the
     /// vector-columns a full sweep of the same rows would have scored,
     /// and the row vectors the fast-scan prefilter rejected unscored.
-    /// The self-seeding candidate pass counts in both of the first two,
-    /// as work nothing abandons: one byte vector-column per column
-    /// folded, and `word_len` for each row it re-ranks.
+    /// A bank a query skips on its bound counts as rejected row vectors
+    /// and nominal columns, as does a register block that is re-ranked
+    /// instead of widened. The self-seeding candidate pass and the
+    /// survivor re-rank count in both of the first two, as work nothing
+    /// abandons: one byte vector-column per column folded, and
+    /// `word_len` for each row they score exactly.
     static BOUNDED_WORK: std::cell::Cell<(u64, u64, u64)> =
         const { std::cell::Cell::new((0, 0, 0)) };
+    /// `(query, bank)` visits the full sweep skipped on their bank
+    /// bounds, counted on the thread that ran the sweep.
+    static SKIPPED_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Whether full sweeps started on this thread skip banks on their
+    /// bounds; tests switch it off to compare against the sweep without.
+    static BANK_SKIPPING: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
+}
+
+/// Whether the full sweep skips banks on their bounds: always, except
+/// where a test switched it off on the calling thread.
+fn bank_skipping() -> bool {
+    #[cfg(test)]
+    return BANK_SKIPPING.with(std::cell::Cell::get);
+    #[cfg(not(test))]
+    true
 }
 
 /// Counts the work of one register block of the bounded sweep (tests
@@ -1362,12 +1453,28 @@ trait CodeLanes {
     /// Lane-wise unsigned minimum.
     // SAFETY: contract in the trait docs (the tier's CPU features).
     unsafe fn byte_min(a: Self::Pb, b: Self::Pb) -> Self::Pb;
-    /// Whether every byte lane is above [`FAST_SCAN_UNITS`] (128).
+    /// The least byte lane (unsigned).
     // SAFETY: contract in the trait docs (the tier's CPU features).
-    unsafe fn bytes_above_units(a: Self::Pb) -> bool;
+    unsafe fn byte_hmin(a: Self::Pb) -> u8;
     /// Bit `i` set where byte lane `i` is at most `limit` (unsigned).
     // SAFETY: contract in the trait docs (the tier's CPU features).
     unsafe fn bytes_at_most(a: Self::Pb, limit: u8) -> u64;
+}
+
+/// The least of 16 unsigned bytes: each 16-bit word first keeps the
+/// lesser of its two bytes (its high byte becomes 0), then one
+/// `phminposuw` finds the least word.
+///
+/// # Safety
+///
+/// SSE4.1 (implied by both vector tiers).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// SAFETY: register-only, under the contract above.
+unsafe fn byte_hmin_128(a: std::arch::x86_64::__m128i) -> u8 {
+    use std::arch::x86_64::*;
+    let pairs = _mm_min_epu8(a, _mm_srli_epi16::<8>(a));
+    _mm_cvtsi128_si32(_mm_minpos_epu16(pairs)) as u8
 }
 
 /// The AVX2 lanes: 8 cells per `vpermps`.
@@ -1507,12 +1614,12 @@ impl CodeLanes for Avx2Lanes {
 
     // SAFETY: register-only; the caller has AVX2 (trait contract).
     #[inline(always)]
-    unsafe fn bytes_above_units(a: Self::Pb) -> bool {
+    unsafe fn byte_hmin(a: Self::Pb) -> u8 {
         use std::arch::x86_64::*;
-        // `a >= 129` exactly where `max(a, 129) == a` (AVX2 has no
-        // unsigned byte compare).
-        let floor = _mm256_set1_epi8((FAST_SCAN_UNITS as u8 + 1) as i8);
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(_mm256_max_epu8(a, floor), a)) == -1
+        byte_hmin_128(_mm_min_epu8(
+            _mm256_castsi256_si128(a),
+            _mm256_extracti128_si256::<1>(a),
+        ))
     }
 
     // SAFETY: register-only; the caller has AVX2 (trait contract).
@@ -1652,9 +1759,13 @@ impl CodeLanes for Avx512Lanes {
 
     // SAFETY: register-only; the caller has AVX-512BW (trait contract).
     #[inline(always)]
-    unsafe fn bytes_above_units(a: Self::Pb) -> bool {
+    unsafe fn byte_hmin(a: Self::Pb) -> u8 {
         use std::arch::x86_64::*;
-        _mm512_cmpgt_epu8_mask(a, _mm512_set1_epi8(FAST_SCAN_UNITS as u8 as i8)) == u64::MAX
+        let half = _mm256_min_epu8(_mm512_castsi512_si256(a), _mm512_extracti64x4_epi64::<1>(a));
+        byte_hmin_128(_mm_min_epu8(
+            _mm256_castsi256_si128(half),
+            _mm256_extracti128_si256::<1>(half),
+        ))
     }
 
     // SAFETY: register-only; the caller has AVX-512BW (trait contract).
@@ -1889,9 +2000,26 @@ pub(crate) trait BlockKernel: Sync {
     /// candidate `cands[i]`, keeping the first row with it, and scores
     /// a row it takes exactly. `base` is added to local rows. Callers
     /// visit banks in ascending base order, so ties keep the lowest
-    /// global row. The default finds no candidate.
-    fn scan_candidates<'p>(&'p self, queries: &[&[u8]], base: usize, cands: &mut [Candidate<'p>]) {
-        let _ = (queries, base, cands);
+    /// global row. `floors[i]` receives query `i`'s bank bound, a lower
+    /// bound on its score at every row of this kernel (the module-level
+    /// ["Bank bounds and survivor re-rank"](self#bank-bounds-and-survivor-re-rank));
+    /// a kernel that bounds nothing leaves it as the caller set it. The
+    /// default finds no candidate and bounds nothing.
+    fn scan_candidates<'p>(
+        &'p self,
+        queries: &[&[u8]],
+        base: usize,
+        cands: &mut [Candidate<'p>],
+        floors: &mut [f64],
+    ) {
+        let _ = (queries, base, cands, floors);
+    }
+
+    /// Counts `queries` visits of this kernel that the full sweep skipped
+    /// on their bank bounds as work the prefilter rejected (tests read it
+    /// back; other builds compile it away). The default counts nothing.
+    fn tally_skipped(&self, queries: usize) {
+        let _ = queries;
     }
 
     /// Whether [`fold_winners`](Self::fold_winners) abandons rows above
@@ -2474,7 +2602,8 @@ impl CompiledCodes {
                     } else {
                         let mut lanes = [0.0f32; MAX_LANES];
                         L::store(lanes.as_mut_ptr(), sum);
-                        std::ptr::copy_nonoverlapping(lanes.as_ptr(), out.add(g * w), rem);
+                        let live = std::slice::from_raw_parts_mut(out.add(g * w), rem);
+                        copy_short(live, &lanes[..rem]);
                     }
                     g += 1;
                 }
@@ -2551,13 +2680,17 @@ impl CompiledCodes {
     }
 
     /// The fast-scan prefilter of one register block (the module-level
-    /// ["Fast-scan prefilter"](self#fast-scan-prefilter)): whether
-    /// every one of the `SERVE_REGS × L::WIDTH` rows from plan row `row`
-    /// on provably scores above the bound `tables` were quantized for.
-    /// The rows' `u8` sums fold straight from the column-major codes,
-    /// two byte vectors per column (one lookup and one saturating add,
-    /// or max, each), and are checked after [`FAST_SCAN_CHECK`] columns
-    /// and after twice as many.
+    /// ["Fast-scan prefilter"](self#fast-scan-prefilter)): which of the
+    /// `SERVE_REGS × L::WIDTH` rows from plan row `row` on may still
+    /// score at or below the bound `tables` were quantized for. The
+    /// rows' `u8` sums fold straight from the column-major codes, two
+    /// byte vectors per column (one lookup and one saturating add, or
+    /// max, each). After [`FAST_SCAN_CHECK`] columns a block whose every
+    /// row is above [`FAST_SCAN_UNITS`] stops; after twice as many, the
+    /// rows still at or below it are the block's *survivors*, returned
+    /// as one bit mask per byte vector (bit `i` of mask `h` is block row
+    /// `h × L::BYTES + i`). Every other row provably scores above the
+    /// bound.
     ///
     /// # Safety
     ///
@@ -2569,15 +2702,16 @@ impl CompiledCodes {
     // SAFETY: each lookup reads `L::BYTES` codes of column `c` at rows
     // inside the block, which the contract puts inside the plan;
     // `tables` is indexed by validated levels `< n_levels <= 8`.
-    unsafe fn fast_scan_rejects<L: CodeLanes, const MAX: bool>(
+    unsafe fn fast_scan_survivors<L: CodeLanes, const MAX: bool>(
         &self,
         tables: &ByteTables,
         q: &[u8],
         row: usize,
-    ) -> bool {
+    ) -> [u64; 2] {
         const { assert!(SERVE_REGS * L::WIDTH == 2 * L::BYTES) };
         let wl = self.word_len;
         let n = self.n_rows;
+        let units = FAST_SCAN_UNITS as u8;
         let codes = self.codes.as_ptr().add(row);
         let (mut lo, mut hi) = (L::byte_zero(), L::byte_zero());
         let mut c0 = 0;
@@ -2589,28 +2723,33 @@ impl CompiledCodes {
                 lo = L::byte_fold::<MAX>(lo, L::byte_lookup(table, col));
                 hi = L::byte_fold::<MAX>(hi, L::byte_lookup(table, col.add(L::BYTES)));
             }
-            if L::bytes_above_units(L::byte_min(lo, hi)) {
-                return true;
-            }
-            if c1 == wl {
+            if c1 == wl || check == 2 * FAST_SCAN_CHECK {
                 break;
+            }
+            if L::bytes_at_most(L::byte_min(lo, hi), units) == 0 {
+                return [0, 0];
             }
             c0 = c1;
         }
-        false
+        [L::bytes_at_most(lo, units), L::bytes_at_most(hi, units)]
     }
 
     /// The candidate pass over this plan's rows (the module-level
     /// ["Self-seeded sweep"](self#self-seeded-sweep)). Whole byte vectors
     /// of `L::BYTES` rows go in ascending blocks of
-    /// [`CANDIDATE_BLOCK`], and each query scans a block through
-    /// [`scan_block`](Self::scan_block) unless its candidate already
-    /// sums to 0. Rows past the last whole vector are never candidates.
+    /// [`CANDIDATE_BLOCK`], and every query scans every block through
+    /// [`scan_block`](Self::scan_block). Rows past the last whole vector
+    /// are never candidates. `floors[i]` becomes query `i`'s bank bound
+    /// (the module-level
+    /// ["Bank bounds and survivor re-rank"](self#bank-bounds-and-survivor-re-rank)):
+    /// the least prefix byte sum of the plan's rows times the tables'
+    /// unit `bound / FAST_SCAN_UNITS`, or `0.0` when rows lie past the
+    /// last whole vector.
     ///
     /// # Safety
     ///
     /// `L`'s CPU features, with AVX-512BW on the AVX-512 tier; every
-    /// query validated.
+    /// query validated; `floors` as long as `queries`.
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     // SAFETY: every `scan_block` call covers whole vectors below
@@ -2621,37 +2760,38 @@ impl CompiledCodes {
         queries: &[&[u8]],
         base: usize,
         cands: &mut [Candidate<'p>],
+        floors: &mut [f64],
     ) {
         let vectors = self.n_rows / L::BYTES;
-        let mut scanned = 0;
+        // Exact: a `u8` times an `f32` over a power of two.
+        let unit = f64::from(tables.bound) / FAST_SCAN_UNITS;
+        let whole = self.n_rows.is_multiple_of(L::BYTES);
+        floors.fill(if whole { f64::INFINITY } else { 0.0 });
         let mut v = 0;
         while v < vectors {
             let k = (vectors - v).min(CANDIDATE_BLOCK);
-            for (q, cand) in queries.iter().zip(cands.iter_mut()) {
-                // Nothing lies strictly below a sum of 0.
-                if cand.units == 0 {
-                    continue;
-                }
-                scanned += k;
-                if k == CANDIDATE_BLOCK {
-                    self.scan_block::<L, MAX, CANDIDATE_BLOCK>(tables, q, base, v, cand);
+            for ((q, cand), floor) in queries.iter().zip(cands.iter_mut()).zip(floors.iter_mut()) {
+                let low = if k == CANDIDATE_BLOCK {
+                    self.scan_block::<L, MAX, CANDIDATE_BLOCK>(tables, q, base, v, cand)
                 } else {
-                    for j in v..v + k {
-                        self.scan_block::<L, MAX, 1>(tables, q, base, j, cand);
-                    }
-                }
+                    (v..v + k)
+                        .map(|j| self.scan_block::<L, MAX, 1>(tables, q, base, j, cand))
+                        .fold(u8::MAX, u8::min)
+                };
+                *floor = floor.min(f64::from(low) * unit);
             }
             v += k;
         }
-        let work = scanned * self.word_len.min(CANDIDATE_COLUMNS);
+        let work = queries.len() * vectors * self.word_len.min(CANDIDATE_COLUMNS);
         tally_bounded_work(work, work, 0);
     }
 
     /// Folds the first [`CANDIDATE_COLUMNS`] columns of the `K` byte
     /// vectors from vector `v` on through `tables` for query `q` (one
-    /// table load per column serves all `K`), and moves `cand` to the
-    /// first of their rows whose sum is strictly below its own, if any
-    /// (recorded with this plan and its `base`).
+    /// table load per column serves all `K`), moves `cand` to the first
+    /// of their rows whose sum is strictly below its own, if any
+    /// (recorded with this plan and its `base`), and returns their least
+    /// sum.
     ///
     /// # Safety
     ///
@@ -2669,7 +2809,7 @@ impl CompiledCodes {
         base: usize,
         v: usize,
         cand: &mut Candidate<'p>,
-    ) {
+    ) -> u8 {
         let n = self.n_rows;
         let cols = self.word_len.min(CANDIDATE_COLUMNS);
         let codes = self.codes.as_ptr().add(v * L::BYTES);
@@ -2681,35 +2821,25 @@ impl CompiledCodes {
                 *sum = L::byte_fold::<MAX>(*sum, L::byte_lookup(table, col.add(j * L::BYTES)));
             }
         }
-        // The largest sum strictly below the candidate's, if any:
-        // `units` is at most 256, so it fits a byte.
-        let below = |units: u16| units.checked_sub(1).map(|u| u as u8);
-        let low = sums[1..].iter().fold(sums[0], |m, &s| L::byte_min(m, s));
-        if below(cand.units).is_none_or(|limit| L::bytes_at_most(low, limit) == 0) {
-            return;
-        }
-        for (j, &sum) in sums.iter().enumerate() {
-            let Some(limit) = below(cand.units) else {
-                return;
-            };
-            if L::bytes_at_most(sum, limit) == 0 {
-                continue;
+        let low = L::byte_hmin(sums[1..].iter().fold(sums[0], |m, &s| L::byte_min(m, s)));
+        if u16::from(low) < cand.units {
+            // The first row with the least sum: the first vector holding
+            // it, its first lane.
+            if let Some((j, lanes)) = sums
+                .iter()
+                .map(|&sum| L::bytes_at_most(sum, low))
+                .enumerate()
+                .find(|&(_, lanes)| lanes != 0)
+            {
+                cand.units = u16::from(low);
+                cand.found = Some((
+                    self,
+                    base,
+                    (v + j) * L::BYTES + lanes.trailing_zeros() as usize,
+                ));
             }
-            // The vector's lowest sum: the least limit that still admits
-            // a lane; its first lane is the first row with that sum.
-            let (mut lo, mut hi) = (0u8, limit);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if L::bytes_at_most(sum, mid) == 0 {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            let lane = L::bytes_at_most(sum, lo).trailing_zeros() as usize;
-            cand.units = u16::from(lo);
-            cand.found = Some((self, base, (v + j) * L::BYTES + lane));
         }
+        low
     }
 
     /// Row `row`'s exact score for `query`: the plan's `f32` LUT entries
@@ -2746,12 +2876,15 @@ impl CompiledCodes {
     /// separate [`argmin`] pass.
     ///
     /// With `FAST`, a whole register block first runs the fast-scan
-    /// prefilter ([`fast_scan_rejects`](Self::fast_scan_rejects)) while
-    /// the bound is finite and positive, and is skipped, unwidened and
-    /// unscored, when it rejects every row. The query at position
-    /// `ids[i]` quantizes its tables into `fast.tables[ids[i]]`, again
-    /// only once its bound falls below half the bound they were built
-    /// for ([`ByteTables::serves`]).
+    /// prefilter ([`fast_scan_survivors`](Self::fast_scan_survivors))
+    /// while the bound is finite and positive. A block with at most
+    /// [`RERANK_MAX_SURVIVORS`] survivors is not widened: each survivor
+    /// is scored exactly ([`score_row`](Self::score_row)) in ascending
+    /// row order and taken with strict `<`, and a block without any is
+    /// skipped outright. The query at position `ids[i]` quantizes its
+    /// tables into `fast.tables[ids[i]]`, again only once its bound falls
+    /// below half the bound they were built for
+    /// ([`ByteTables::serves`]).
     ///
     /// # Safety
     ///
@@ -2765,8 +2898,9 @@ impl CompiledCodes {
     // `widen_columns` requires, and each `serve_bounded` call covers
     // whole vectors below the tile's `tlen` rows (the partial one reads
     // its zero-padded vector); the prefilter runs on whole register
-    // blocks below `tlen` only; results go through `best` and a lane
-    // buffer only.
+    // blocks below `tlen` only, and its survivors are rows of that
+    // block, scored through checked indexing; results go through `best`
+    // and a lane buffer only.
     unsafe fn winners_block_lanes<L: CodeLanes, const MAX: bool, const FAST: bool>(
         &self,
         queries: &[&[u8]],
@@ -2811,8 +2945,24 @@ impl CompiledCodes {
                         if !bytes.serves(bound) {
                             bytes.quantize(&self.lut, bound);
                         }
-                        if self.fast_scan_rejects::<L, MAX>(bytes, q, t0 + g * w) {
+                        let survivors = self.fast_scan_survivors::<L, MAX>(bytes, q, t0 + g * w);
+                        let count = survivors.iter().map(|m| m.count_ones()).sum::<u32>();
+                        if count as usize <= RERANK_MAX_SURVIVORS {
                             tally_bounded_work(0, SERVE_REGS * self.word_len, SERVE_REGS);
+                            // Exact scores in ascending row order, taken
+                            // with strict `<`: the block's first minimum.
+                            for (h, mut lanes) in survivors.into_iter().enumerate() {
+                                while lanes != 0 {
+                                    let row =
+                                        g * w + h * L::BYTES + lanes.trailing_zeros() as usize;
+                                    lanes &= lanes - 1;
+                                    let v = self.score_row_fold::<MAX>(q, t0 + row);
+                                    tally_bounded_work(self.word_len, self.word_len, 0);
+                                    if v < bound {
+                                        bound = take(row, v);
+                                    }
+                                }
+                            }
                             g += SERVE_REGS;
                             continue;
                         }
@@ -2976,8 +3126,9 @@ impl CompiledCodes {
         queries: &[&[u8]],
         base: usize,
         cands: &mut [Candidate<'p>],
+        floors: &mut [f64],
     ) {
-        self.scan_candidates_lanes::<Avx2Lanes, MAX>(tables, queries, base, cands);
+        self.scan_candidates_lanes::<Avx2Lanes, MAX>(tables, queries, base, cands, floors);
     }
 
     /// The AVX-512 tier of the candidate pass, whose byte shuffle needs
@@ -2997,8 +3148,9 @@ impl CompiledCodes {
         queries: &[&[u8]],
         base: usize,
         cands: &mut [Candidate<'p>],
+        floors: &mut [f64],
     ) {
-        self.scan_candidates_lanes::<Avx512Lanes, MAX>(tables, queries, base, cands);
+        self.scan_candidates_lanes::<Avx512Lanes, MAX>(tables, queries, base, cands, floors);
     }
 
     /// The candidate pass on the plan's tier, where the plan runs it:
@@ -3009,6 +3161,7 @@ impl CompiledCodes {
         queries: &[&[u8]],
         base: usize,
         cands: &mut [Candidate<'p>],
+        floors: &mut [f64],
     ) {
         let Some(tables) = &self.candidates else {
             return;
@@ -3019,18 +3172,20 @@ impl CompiledCodes {
         match self.tier {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `fast_scan` on the AVX-512 tier was detected with
-            // AVX-512F and AVX-512BW, and the batch entry points validate
-            // queries before any work runs.
+            // AVX-512F and AVX-512BW, the batch entry points validate
+            // queries before any work runs, and the caller passes one
+            // floor per query.
             CodesTier::Avx512 => unsafe {
-                self.scan_candidates_avx512bw::<MAX>(tables, queries, base, cands);
+                self.scan_candidates_avx512bw::<MAX>(tables, queries, base, cands, floors);
             },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: the tier was detected with AVX2; validated queries.
+            // SAFETY: the tier was detected with AVX2; validated queries,
+            // one floor per query.
             CodesTier::Avx2 => unsafe {
-                self.scan_candidates_avx2::<MAX>(tables, queries, base, cands);
+                self.scan_candidates_avx2::<MAX>(tables, queries, base, cands, floors);
             },
             _ => {
-                let _ = (tables, queries, base, cands);
+                let _ = (tables, queries, base, cands, floors);
             }
         }
     }
@@ -3256,12 +3411,31 @@ impl BlockKernel for CompiledCodes {
         }
     }
 
-    fn scan_candidates<'p>(&'p self, queries: &[&[u8]], base: usize, cands: &mut [Candidate<'p>]) {
+    fn scan_candidates<'p>(
+        &'p self,
+        queries: &[&[u8]],
+        base: usize,
+        cands: &mut [Candidate<'p>],
+        floors: &mut [f64],
+    ) {
         if self.metric.is_max_fold() {
-            self.scan_candidates_fold::<true>(queries, base, cands);
+            self.scan_candidates_fold::<true>(queries, base, cands, floors);
         } else {
-            self.scan_candidates_fold::<false>(queries, base, cands);
+            self.scan_candidates_fold::<false>(queries, base, cands, floors);
         }
+    }
+
+    fn tally_skipped(&self, queries: usize) {
+        // Bank bounds come only from the vector tiers' candidate pass.
+        let width = if self.tier == CodesTier::Avx512 {
+            16
+        } else {
+            8
+        };
+        let vectors = queries * self.n_rows.div_ceil(width);
+        tally_bounded_work(0, vectors * self.word_len, vectors);
+        #[cfg(test)]
+        SKIPPED_VISITS.with(|visits| visits.set(visits.get() + queries as u64));
     }
 
     fn bounds_winners(&self) -> bool {
@@ -3401,9 +3575,21 @@ impl BlockKernel for CodesDispatch {
         }
     }
 
-    fn scan_candidates<'p>(&'p self, queries: &[&[u8]], base: usize, cands: &mut [Candidate<'p>]) {
+    fn scan_candidates<'p>(
+        &'p self,
+        queries: &[&[u8]],
+        base: usize,
+        cands: &mut [Candidate<'p>],
+        floors: &mut [f64],
+    ) {
         if let CodesDispatch::Packed(c) = self {
-            c.as_ref().scan_candidates(queries, base, cands);
+            c.as_ref().scan_candidates(queries, base, cands, floors);
+        }
+    }
+
+    fn tally_skipped(&self, queries: usize) {
+        if let CodesDispatch::Packed(c) = self {
+            c.as_ref().tally_skipped(queries);
         }
     }
 
@@ -3574,7 +3760,10 @@ pub(crate) fn bank_bases(n_banks: usize, rows_per_bank: usize) -> Vec<usize> {
 pub(crate) enum WinnerSweep<'h> {
     /// Every bank, in ascending order, each query's bound starting from
     /// its own candidate where the plans run the candidate pass (the
-    /// module-level ["Self-seeded sweep"](self#self-seeded-sweep)).
+    /// module-level ["Self-seeded sweep"](self#self-seeded-sweep)), and
+    /// each query skipping the banks whose bound is strictly above its
+    /// slot's score
+    /// (["Bank bounds and survivor re-rank"](self#bank-bounds-and-survivor-re-rank)).
     Full,
     /// The routed re-rank: each query's hinted banks only, in ascending
     /// order, per query a masked sweep of exactly those banks. A hint
@@ -3624,16 +3813,24 @@ const CANDIDATE_MAX_UNITS: u16 = 2 * CANDIDATE_COLUMNS as u16;
 /// candidate from every bank in ascending order; if the candidate's
 /// prefix sum is below [`CANDIDATE_MAX_UNITS`], the query's seed is
 /// that row and its exact score (the re-rank, one row per query).
+/// Returns the seeds and the bank bounds, bank-major: query `i`'s bound
+/// over `plans[b]` is at `b * queries.len() + i` (`0.0`, skipping
+/// nothing, for a plan that bounds nothing).
 fn self_seed<K: BlockKernel>(
     plans: &[&K],
     bases: &[usize],
     queries: &[&[u8]],
-) -> Vec<Option<(usize, f64)>> {
+) -> (Vec<Option<(usize, f64)>>, Vec<f64>) {
     let mut cands = vec![Candidate::NONE; queries.len()];
-    for (plan, &base) in plans.iter().zip(bases) {
-        plan.scan_candidates(queries, base, &mut cands);
+    let mut floors = vec![0.0; plans.len() * queries.len()];
+    for ((plan, &base), floors) in plans
+        .iter()
+        .zip(bases)
+        .zip(floors.chunks_exact_mut(queries.len()))
+    {
+        plan.scan_candidates(queries, base, &mut cands, floors);
     }
-    cands
+    let seeds = cands
         .iter()
         .zip(queries)
         .map(|(cand, query)| {
@@ -3641,7 +3838,8 @@ fn self_seed<K: BlockKernel>(
                 .then(|| cand.seed(query))
                 .flatten()
         })
-        .collect()
+        .collect();
+    (seeds, floors)
 }
 
 /// The bound a seeded sweep starts from: the least `f32` above
@@ -3650,6 +3848,51 @@ fn self_seed<K: BlockKernel>(
 /// exactly when it scores `<= score`.
 fn seed_bound(score: f64) -> f64 {
     f64::from((score as f32).next_up())
+}
+
+/// One bank visit of some of a worker's queries: the queries' positions
+/// in the group (`ids`, ascending, filled by the caller) and reusable
+/// buffers to gather their queries and slots.
+#[derive(Default)]
+struct Visit<'q> {
+    ids: Vec<usize>,
+    block: Vec<&'q [u8]>,
+    slots: Vec<Option<(usize, f64)>>,
+}
+
+impl<'q> Visit<'q> {
+    /// Folds `plan` (global base row `base`) into the slots of the
+    /// queries at `self.ids`, in blocks of the plan's block length: in
+    /// place when every query of the group visits, otherwise gathered
+    /// and scattered back.
+    fn fold<K: BlockKernel>(
+        &mut self,
+        plan: &K,
+        base: usize,
+        queries: &[&'q [u8]],
+        best: &mut [Option<(usize, f64)>],
+        scratch: &mut BatchScratch<K::Acc>,
+    ) {
+        let len = plan.block_len();
+        if self.ids.len() == queries.len() {
+            let blocks = queries.chunks(len).zip(self.ids.chunks(len));
+            for ((block, ids), slots) in blocks.zip(best.chunks_mut(len)) {
+                plan.fold_winners(block, ids, base, slots, scratch);
+            }
+            return;
+        }
+        self.block.clear();
+        self.block.extend(self.ids.iter().map(|&q| queries[q]));
+        self.slots.clear();
+        self.slots.extend(self.ids.iter().map(|&q| best[q]));
+        let blocks = self.block.chunks(len).zip(self.ids.chunks(len));
+        for ((block, ids), slots) in blocks.zip(self.slots.chunks_mut(len)) {
+            plan.fold_winners(block, ids, base, slots, scratch);
+        }
+        for (&q, &slot) in self.ids.iter().zip(&self.slots) {
+            best[q] = slot;
+        }
+    }
 }
 
 /// The routed re-rank of a worker's query group
@@ -3678,28 +3921,12 @@ fn rerank_routes<K: BlockKernel>(
         .collect();
     visits.sort_unstable();
     visits.dedup();
-    let mut block: Vec<&[u8]> = Vec::new();
-    let mut ids: Vec<usize> = Vec::new();
-    let mut slots: Vec<Option<(usize, f64)>> = Vec::new();
+    let mut visit = Visit::default();
     for run in visits.chunk_by(|a, b| a.0 == b.0) {
-        let (plan, base) = (plans[run[0].0], bases[run[0].0]);
-        block.clear();
-        block.extend(run.iter().map(|&(_, q)| queries[q]));
-        ids.clear();
-        ids.extend(run.iter().map(|&(_, q)| q));
-        slots.clear();
-        slots.extend(run.iter().map(|&(_, q)| best[q]));
-        let len = plan.block_len();
-        for ((b, i), s) in block
-            .chunks(len)
-            .zip(ids.chunks(len))
-            .zip(slots.chunks_mut(len))
-        {
-            plan.fold_winners(b, i, base, s, &mut scratch);
-        }
-        for (&(_, q), &slot) in run.iter().zip(&slots) {
-            best[q] = slot;
-        }
+        visit.ids.clear();
+        visit.ids.extend(run.iter().map(|&(_, q)| q));
+        let b = run[0].0;
+        visit.fold(plans[b], bases[b], queries, &mut best, &mut scratch);
     }
     best
 }
@@ -3714,8 +3941,10 @@ fn rerank_routes<K: BlockKernel>(
 /// masked sweep (the module-level
 /// ["Bank-mask contract"](self#bank-mask-contract)). `sweep` picks the
 /// banks each query visits: all of them, or its hinted banks alone.
-/// Before a sweep of all of them, each query gets its seed from the
-/// candidate pass ([`self_seed`]) when some plan bounds its winners.
+/// Before a sweep of all of them, each query gets its seed and its bank
+/// bounds from the candidate pass ([`self_seed`]) when some plan bounds
+/// its winners, and then skips every bank whose bound is strictly above
+/// its slot's score.
 pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
     plans: &[&K],
     bases: &[usize],
@@ -3749,33 +3978,42 @@ pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
     let group = queries.len().div_ceil(threads).max(1);
     let starts: Vec<usize> = (0..queries.len()).step_by(group).collect();
     let bounding = plans.iter().any(|p| p.bounds_winners());
+    let skipping = bank_skipping();
     let per_group = par::par_map(&starts, threads, |_, &start| {
         let span = start..(start + group).min(queries.len());
         let group = &queries[span.clone()];
         if let WinnerSweep::Hinted(hints) = sweep {
             return rerank_routes(plans, bases, group, hints.get(span).unwrap_or(&[]));
         }
-        let mut scratch = BatchScratch::<K::Acc>::new();
+        let n = group.len();
+        let (seeds, floors) = if bounding {
+            self_seed(plans, bases, group)
+        } else {
+            (vec![None; n], vec![0.0; plans.len() * n])
+        };
         // The seed row keeps its place but its score rises to the seed
         // bound: the sweep below scores it again, so the slot always
         // ends on a row it took itself.
-        let mut best: Vec<Option<(usize, f64)>> = if bounding {
-            self_seed(plans, bases, group)
-                .into_iter()
-                .map(|slot| {
-                    slot.filter(|(_, g)| g.is_finite())
-                        .map(|(row, g)| (row, seed_bound(g)))
-                })
-                .collect()
-        } else {
-            vec![None; group.len()]
-        };
-        let ids: Vec<usize> = (0..group.len()).collect();
-        for (plan, &base) in plans.iter().zip(bases) {
-            let len = plan.block_len();
-            let blocks = group.chunks(len).zip(ids.chunks(len));
-            for ((block, ids), slots) in blocks.zip(best.chunks_mut(len)) {
-                plan.fold_winners(block, ids, base, slots, &mut scratch);
+        let mut best: Vec<Option<(usize, f64)>> = seeds
+            .into_iter()
+            .map(|slot| {
+                slot.filter(|(_, g)| g.is_finite())
+                    .map(|(row, g)| (row, seed_bound(g)))
+            })
+            .collect();
+        let mut scratch = BatchScratch::<K::Acc>::new();
+        let mut visit = Visit::default();
+        for ((plan, &base), floors) in plans.iter().zip(bases).zip(floors.chunks_exact(n)) {
+            // A bank whose bound is strictly above a query's slot score
+            // holds no row that query could take.
+            visit.ids.clear();
+            let skips = |i: usize| skipping && best[i].is_some_and(|(_, g)| floors[i] > g);
+            visit.ids.extend((0..n).filter(|&i| !skips(i)));
+            if visit.ids.len() < n {
+                plan.tally_skipped(n - visit.ids.len());
+            }
+            if !visit.ids.is_empty() {
+                visit.fold(*plan, base, group, &mut best, &mut scratch);
             }
         }
         best
@@ -5362,7 +5600,7 @@ mod tests {
                     1,
                 )
                 .unwrap();
-                let seeds = self_seed(&kernels, &bases, &queries);
+                let (seeds, _) = self_seed(&kernels, &bases, &queries);
                 for (((f, h), seed), q) in
                     full.iter().zip(&hinted).zip(&seeds).zip(["exact", "near"])
                 {
@@ -5521,7 +5759,8 @@ mod tests {
                         plans.iter().map(|p| on_tier(p, tier)).collect();
                     let mut cands = vec![Candidate::NONE; refs.len()];
                     for (b, bank) in banks.iter().enumerate() {
-                        bank.scan_candidates(&refs, b * PER_BANK, &mut cands);
+                        let mut floors = vec![0.0; refs.len()];
+                        bank.scan_candidates(&refs, b * PER_BANK, &mut cands, &mut floors);
                     }
                     let Some(tables) = plans[0].candidates.filter(|_| plans[0].abandon_exact)
                     else {
@@ -5561,7 +5800,7 @@ mod tests {
                     // The pass seeds exactly the queries whose candidate
                     // is near: below `CANDIDATE_MAX_UNITS`.
                     let kernels: Vec<&CodesDispatch> = banks.iter().collect();
-                    let best = self_seed(&kernels, &bank_bases(banks.len(), PER_BANK), &refs);
+                    let (best, _) = self_seed(&kernels, &bank_bases(banks.len(), PER_BANK), &refs);
                     for ((q, cand), slot) in refs.iter().zip(&cands).zip(&best) {
                         let near = cand.units < CANDIDATE_MAX_UNITS;
                         assert_eq!(*slot, cand.seed(q).filter(|_| near), "{ctx}");
@@ -5575,5 +5814,383 @@ mod tests {
             seeded > 0 && unseeded > 0,
             "seeded {seeded}, unseeded {unseeded}"
         );
+    }
+
+    /// The model of a bank bound over `rows` for `query`: their least
+    /// saturated (for L∞, maximum) `u8` sum over the first 16 cells
+    /// through `tables`, times the tables' unit; `+∞` for no rows.
+    fn least_prefix(tables: &ByteTables, query: &[u8], rows: &[Vec<u8>], max: bool) -> f64 {
+        let units = |row: &Vec<u8>| {
+            let cells = query.iter().zip(row).take(CANDIDATE_COLUMNS);
+            cells.fold(0u8, |sum, (&i, &s)| {
+                let unit = tables.rows[usize::from(i)][usize::from(s)];
+                if max {
+                    sum.max(unit)
+                } else {
+                    sum.saturating_add(unit)
+                }
+            })
+        };
+        let unit = f64::from(tables.bound) / FAST_SCAN_UNITS;
+        rows.iter()
+            .map(units)
+            .min()
+            .map_or(f64::INFINITY, |u| f64::from(u) * unit)
+    }
+
+    /// Bank bounds against a scalar model, on every tier the host runs
+    /// (prefilter and candidate pass off and on), every metric and every
+    /// [`fast_scan_luts`] LUT, at 1, 40, 64, 129 and 200 rows per bank:
+    ///
+    /// - The candidate pass's bound of each (query, bank) is the least
+    ///   prefix byte sum of the bank's rows times the tables' unit, or
+    ///   `0.0` for a bank with rows past its last whole byte vector
+    ///   (40, 129 and 200 rows on both vector widths, 1 row anywhere), or
+    ///   where the pass does not run.
+    /// - The full sweep skips exactly the visits whose bound is strictly
+    ///   above the slot score the sweep carries into the bank: the seed
+    ///   bound, lowered by every earlier bank's least `f32` plane score.
+    /// - Winners equal the `f32` planes' first minimum and the sweep with
+    ///   bank skipping off, bit for bit, at 1 and 2 threads.
+    ///
+    /// The planted rows make the edge cases occur (each counted over the
+    /// whole run): the query `word` has an exact copy in bank 0 and
+    /// exact ties in bank 2 (first row) and bank 3 (last row), so under
+    /// the digital metrics and the zero-diagonal LUT, whose exact matches
+    /// score `0`, bank 2's bound sits exactly at the slot score it meets
+    /// and must still be visited; the query `tail` has a near copy in
+    /// bank 0 that seeds it and its exact copy at bank 1's last row, past
+    /// the last whole byte vector, in a bank whose whole vectors alone
+    /// would be skipped.
+    #[test]
+    fn bank_bounds_skip_only_banks_that_cannot_win() {
+        const WORD: usize = 24;
+        const BANKS: usize = 4;
+        let mut state = 0x3C6E_F372_FE94_F82Bu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut skipped, mut at_threshold, mut tail_saved) = (0u64, 0u64, 0u64);
+        for rows_per_bank in [1usize, 40, 64, 129, 200] {
+            let total = BANKS * rows_per_bank;
+            let last = rows_per_bank - 1;
+            let mut rows: Vec<Vec<u8>> = (0..total)
+                .map(|_| (0..WORD).map(|_| (next() % 8) as u8).collect())
+                .collect();
+            let word: Vec<u8> = (0..WORD).map(|_| (next() % 8) as u8).collect();
+            let tail: Vec<u8> = (0..WORD).map(|_| (next() % 8) as u8).collect();
+            let mut near_tail = tail.clone();
+            near_tail[WORD - 1] = (near_tail[WORD - 1] + 1) % 8;
+            rows[1.min(last)] = near_tail;
+            for at in [3.min(last), 2 * rows_per_bank, 3 * rows_per_bank + last] {
+                rows[at] = word.clone();
+            }
+            rows[rows_per_bank + last] = tail.clone();
+            let mut queries = vec![word.clone(), tail.clone()];
+            for i in 0..6 {
+                let mut q = rows[(next() % total as u64) as usize].clone();
+                for _ in 0..i % 3 {
+                    q[(next() % WORD as u64) as usize] = (next() % 8) as u8;
+                }
+                queries.push(q);
+            }
+            queries.push((0..WORD).map(|_| (next() % 8) as u8).collect());
+            let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+            let bases = bank_bases(BANKS, rows_per_bank);
+            for (lut_name, lut) in fast_scan_luts() {
+                let (memory, flat) = banked_and_flat_with(&rows, WORD, rows_per_bank, lut);
+                for metric in Metric::ALL {
+                    let plans: Vec<CompiledCodes> = memory
+                        .banks()
+                        .iter()
+                        .map(|b| CompiledCodes::compile_metric(b, metric).unwrap())
+                        .collect();
+                    let planes = CompiledMcam::<f32>::compile_metric(&flat, metric)
+                        .unwrap()
+                        .search_batch(&refs, 1)
+                        .unwrap();
+                    let oracle: Vec<(usize, u64)> = planes
+                        .iter()
+                        .map(|o| first_min(o.conductances(), 0..total))
+                        .collect();
+                    let modes = host_tiers().into_iter().flat_map(|t| {
+                        scan_and_pass_modes(t)
+                            .into_iter()
+                            .map(move |(s, p)| (t, s, p))
+                    });
+                    for (tier, scan, pass) in modes {
+                        let ctx = format!(
+                            "{tier:?} {metric:?} fast scan {scan} candidate pass {pass} \
+                             LUT {lut_name} rows_per_bank={rows_per_bank}"
+                        );
+                        let banks: Vec<CodesDispatch> = plans
+                            .iter()
+                            .map(|p| on_tier_modes(p, tier, scan, pass))
+                            .collect();
+                        let kernels: Vec<&CodesDispatch> = banks.iter().collect();
+                        let sweep = |threads| {
+                            banked_winner_batch_kernel(
+                                &kernels,
+                                &bases,
+                                &refs,
+                                WinnerSweep::Full,
+                                threads,
+                            )
+                            .unwrap()
+                        };
+                        // The model's bounds: where the pass runs, the
+                        // bank's least prefix bound, or 0 with rows past a
+                        // whole vector; elsewhere 0.
+                        let bytes = if tier == CodesTier::Avx512 { 64 } else { 32 };
+                        let max = metric.is_max_fold();
+                        let tables = plans[0].candidates.filter(|_| {
+                            pass && scan && tier.fast_scan(WORD) && plans[0].abandon_exact
+                        });
+                        let whole = tables.is_some() && rows_per_bank % bytes == 0;
+                        let bank = |b: usize| &rows[b * rows_per_bank..][..rows_per_bank];
+                        let (seeds, floors) = self_seed(&kernels, &bases, &refs);
+                        for (b, bank_floors) in floors.chunks_exact(refs.len()).enumerate() {
+                            for (q, &floor) in refs.iter().zip(bank_floors) {
+                                let want = match tables {
+                                    Some(t) if whole => least_prefix(&t, q, bank(b), max),
+                                    _ => 0.0,
+                                };
+                                assert_eq!(floor.to_bits(), want.to_bits(), "{ctx}: bank {b}");
+                            }
+                        }
+                        // The visits the sweep skips, and the edge cases.
+                        let mut want_skipped = 0u64;
+                        for (i, seed) in seeds.iter().enumerate() {
+                            let scores = planes[i].conductances();
+                            let mut bound = seed.map_or(f64::INFINITY, |(_, g)| seed_bound(g));
+                            for b in 0..BANKS {
+                                let floor = floors[b * refs.len() + i];
+                                let here = &scores[b * rows_per_bank..][..rows_per_bank];
+                                let least = here.iter().fold(f64::INFINITY, |m, &g| m.min(g));
+                                if floor > bound {
+                                    want_skipped += 1;
+                                } else if floor == bound && whole {
+                                    at_threshold += 1;
+                                }
+                                if let Some(t) = tables.filter(|_| !whole) {
+                                    // The bound of the whole vectors alone.
+                                    let vectors = &bank(b)[..rows_per_bank / bytes * bytes];
+                                    if least_prefix(&t, refs[i], vectors, max) > bound
+                                        && least < bound
+                                    {
+                                        tail_saved += 1;
+                                    }
+                                }
+                                bound = bound.min(least);
+                            }
+                        }
+                        SKIPPED_VISITS.with(|v| v.set(0));
+                        let got = sweep(1);
+                        assert_eq!(
+                            SKIPPED_VISITS.with(|v| v.replace(0)),
+                            want_skipped,
+                            "{ctx}: skipped visits"
+                        );
+                        skipped += want_skipped;
+                        assert_eq!(winner_bits(&got), oracle, "{ctx}");
+                        assert_eq!(winner_bits(&sweep(2)), oracle, "{ctx} threads=2");
+                        SKIPPED_VISITS.with(|v| v.set(0));
+                        BANK_SKIPPING.with(|on| on.set(false));
+                        for threads in [1, 2] {
+                            assert_eq!(winner_bits(&sweep(threads)), oracle, "{ctx}: skipping off");
+                        }
+                        BANK_SKIPPING.with(|on| on.set(true));
+                        assert_eq!(
+                            SKIPPED_VISITS.with(|v| v.replace(0)),
+                            0,
+                            "{ctx}: skipping off"
+                        );
+                    }
+                }
+            }
+        }
+        println!(
+            "bank_bounds: {skipped} visits skipped, {at_threshold} at the threshold, \
+             {tail_saved} tail winners in banks whose whole vectors alone would be skipped"
+        );
+        if host_tiers().iter().any(|t| t.fast_scan(WORD)) {
+            assert!(
+                skipped > 0 && at_threshold > 0 && tail_saved > 0,
+                "skipped {skipped}, at the threshold {at_threshold}, tail winners {tail_saved}"
+            );
+        }
+    }
+
+    /// The prefilter's survivors of the register block at plan row
+    /// `row` for `query`, under tables quantized for `bound`, on `plan`'s
+    /// tier (which must run the prefilter on this host).
+    fn block_survivors(plan: &CompiledCodes, query: &[u8], row: usize, bound: f32) -> u32 {
+        #[target_feature(enable = "avx2")]
+        // SAFETY: forwards the caller's contract.
+        unsafe fn avx2<const MAX: bool>(
+            p: &CompiledCodes,
+            t: &ByteTables,
+            q: &[u8],
+            r: usize,
+        ) -> [u64; 2] {
+            p.fast_scan_survivors::<Avx2Lanes, MAX>(t, q, r)
+        }
+        #[target_feature(enable = "avx512f,avx512bw")]
+        // SAFETY: forwards the caller's contract.
+        unsafe fn avx512<const MAX: bool>(
+            p: &CompiledCodes,
+            t: &ByteTables,
+            q: &[u8],
+            r: usize,
+        ) -> [u64; 2] {
+            p.fast_scan_survivors::<Avx512Lanes, MAX>(t, q, r)
+        }
+        assert!(plan.fast_scan, "the plan runs no prefilter");
+        plan.check_query(query).unwrap();
+        let width = if plan.tier == CodesTier::Avx512 {
+            16
+        } else {
+            8
+        };
+        assert!(
+            row + SERVE_REGS * width <= plan.n_rows,
+            "a whole register block"
+        );
+        let mut tables = ByteTables::NONE;
+        tables.quantize(&plan.lut, bound);
+        // SAFETY: `fast_scan` holds, so the host has the tier's features
+        // (AVX-512BW on the AVX-512 tier); the query is validated and the
+        // block lies inside the plan.
+        let masks = unsafe {
+            match (plan.tier, plan.metric.is_max_fold()) {
+                (CodesTier::Avx512, true) => avx512::<true>(plan, &tables, query, row),
+                (CodesTier::Avx512, false) => avx512::<false>(plan, &tables, query, row),
+                (_, true) => avx2::<true>(plan, &tables, query, row),
+                (_, false) => avx2::<false>(plan, &tables, query, row),
+            }
+        };
+        masks.iter().map(|m| m.count_ones()).sum()
+    }
+
+    /// The survivor re-rank resolves ties to the lowest global row, as
+    /// the vector sweep does: on every tier the host runs (prefilter and
+    /// candidate pass off and on), every metric, full sweep and routed
+    /// re-rank. Three words, each far from the others and from the
+    /// background rows, sit in register blocks (`B` rows: 128 on
+    /// AVX-512, 64 on AVX2):
+    ///
+    /// - `word` three times in block 0, once in each later block: block
+    ///   0 has three survivors, re-ranked, and must report its first
+    ///   copy; the later copies tie at the bound.
+    /// - `many` six times in block 1, more survivors than
+    ///   [`RERANK_MAX_SURVIVORS`], so the block takes the widened vector
+    ///   path and must report its first copy; once more in block 2.
+    /// - `third` is seeded by a near copy in block 0 and has two exact
+    ///   copies in block 2, re-ranked: the lower one wins and the other
+    ///   ties at the bound; a last copy at the final row ties too.
+    ///
+    /// Where the plan runs the prefilter and the candidate pass, the
+    /// survivor counts are checked to take both paths.
+    #[test]
+    fn survivor_rerank_takes_the_lowest_tied_row() {
+        const WORD: usize = 64;
+        let mut state = 0x8C4B_6A1F_D35E_2709u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let word: Vec<u8> = (0..WORD).map(|_| (next() % 8) as u8).collect();
+        let shifted = |by: u8| -> Vec<u8> { word.iter().map(|&l| (l + by) % 8).collect() };
+        let (many, third) = (shifted(2), shifted(6));
+        let mut near_third = third.clone();
+        near_third[WORD - 1] = (near_third[WORD - 1] + 1) % 8;
+        for tier in host_tiers() {
+            let block = SERVE_REGS * if tier == CodesTier::Avx2 { 8 } else { 16 };
+            let half = block / 2;
+            let total = 3 * block + 17;
+            // Background: every cell four levels off `word`.
+            let mut rows: Vec<Vec<u8>> = (0..total)
+                .map(|r| {
+                    let mut row = shifted(4);
+                    row[r % WORD] = (row[r % WORD] + 1 + (r % 3) as u8) % 8;
+                    row
+                })
+                .collect();
+            let word_at = [3, half + 2, half + 9, block + 11, 2 * block + 50];
+            let many_at = [1, 5, 6, half, half + 1, half + 30].map(|r| block + r);
+            let third_at = [2 * block + 20, 2 * block + 40, total - 1];
+            for &r in &word_at {
+                rows[r] = word.clone();
+            }
+            for &r in many_at.iter().chain([&(2 * block + 60)]) {
+                rows[r] = many.clone();
+            }
+            for &r in &third_at {
+                rows[r] = third.clone();
+            }
+            rows[7] = near_third.clone();
+            let flat = array_with_rows(WORD, &rows);
+            let refs: [&[u8]; 3] = [&word, &many, &third];
+            let want_rows = [word_at[0], many_at[0], third_at[0]];
+            for metric in Metric::ALL {
+                let planes = CompiledMcam::<f32>::compile_metric(&flat, metric)
+                    .unwrap()
+                    .search_batch(&refs, 1)
+                    .unwrap();
+                let oracle: Vec<(usize, u64)> = planes
+                    .iter()
+                    .map(|o| first_min(o.conductances(), 0..total))
+                    .collect();
+                let oracle_rows: Vec<usize> = oracle.iter().map(|&(r, _)| r).collect();
+                assert_eq!(oracle_rows, want_rows, "{metric:?}: the layout");
+                let compiled = CompiledCodes::compile_metric(&flat, metric).unwrap();
+                for (scan, pass) in scan_and_pass_modes(tier) {
+                    let ctx = format!("{tier:?} {metric:?} fast scan {scan} candidate pass {pass}");
+                    let plan = on_tier_modes(&compiled, tier, scan, pass);
+                    let full =
+                        banked_winner_batch_kernel(&[&plan], &[0], &refs, WinnerSweep::Full, 1)
+                            .unwrap();
+                    assert_eq!(winner_bits(&full), oracle, "{ctx}: full sweep");
+                    let hints: [&[usize]; 3] = [&[0], &[0], &[0]];
+                    let routed = banked_winner_batch_kernel(
+                        &[&plan],
+                        &[0],
+                        &refs,
+                        WinnerSweep::Hinted(&hints),
+                        1,
+                    )
+                    .unwrap();
+                    assert_eq!(winner_bits(&routed), oracle, "{ctx}: routed re-rank");
+                    let CodesDispatch::Packed(packed) = &plan else {
+                        unreachable!()
+                    };
+                    if !(packed.fast_scan && packed.candidates.is_some()) {
+                        continue;
+                    }
+                    // The bound each block meets: the seed bound of the
+                    // candidate (`word`'s and `many`'s first copies,
+                    // `third`'s near copy), then `third`'s near score.
+                    let score = |q: usize, row: usize| planes[q].conductances()[row] as f32;
+                    let cases = [
+                        (0, 0, score(0, word_at[0]).next_up(), 3),
+                        (1, block, score(1, many_at[0]).next_up(), many_at.len()),
+                        (2, 2 * block, score(2, 7), 2),
+                    ];
+                    for (q, row, bound, want) in cases {
+                        let got = block_survivors(packed, refs[q], row, bound);
+                        assert_eq!(
+                            got as usize, want,
+                            "{ctx}: survivors of query {q} at row {row}"
+                        );
+                    }
+                }
+            }
+        }
+        const { assert!(RERANK_MAX_SURVIVORS >= 3 && RERANK_MAX_SURVIVORS < 6) };
     }
 }
